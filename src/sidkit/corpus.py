@@ -78,16 +78,16 @@ class Utterance:
                 f"{len(self.slot_tags)} slot tags"
             )
         for tok in self.tokens:
-            if not tok:
-                raise ValueError(f"utterance {self.id!r}: empty token")
-            if any(ch.isspace() for ch in tok):
+            if tok.split() != [tok]:
+                if not tok:
+                    raise ValueError(f"utterance {self.id!r}: empty token")
                 raise ValueError(f"utterance {self.id!r}: token {tok!r} contains whitespace")
         # comment-carried fields must survive a write/parse cycle losslessly
         for field_name in ("id", "intent", "variety", "raw_text"):
             value = getattr(self, field_name)
             if value is None:
                 continue
-            if "\n" in value:
+            if "\n" in value or "\r" in value:
                 raise ValueError(f"utterance {self.id!r}: {field_name} contains a newline")
             if value != value.strip():
                 raise ValueError(
@@ -197,18 +197,19 @@ def parse_dataset(
 ) -> Dataset:
     """Parse blank-line-separated utterance blocks into a Dataset.
 
-    ``source`` may be a whole document string or an iterable of lines.
-    Malformed slot tags are kept verbatim; structural problems (ragged token
-    lines, missing required intent) raise :class:`ParseError` with a line
-    number.
+    ``source`` may be a whole document string or an iterable of lines. One
+    leading byte-order mark is dropped, and CRLF and lone CR line ends count
+    as LF, as in a file read with universal newlines. Malformed slot tags are
+    kept verbatim; structural problems (ragged token lines, missing required
+    intent) raise :class:`ParseError` with a line number.
     """
-    if isinstance(source, str):
-        lines = source.split("\n")
-        # A trailing newline yields one final empty chunk, not an empty line.
-        if lines and lines[-1] == "":
-            lines.pop()
-    else:
-        lines = [line.rstrip("\n") for line in source]
+    if not isinstance(source, str):
+        source = "\n".join(line.removesuffix("\n") for line in source)
+    text = source.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    # A trailing newline yields one final empty chunk, not an empty line.
+    if lines[-1] == "":
+        lines.pop()
 
     utterances: list[Utterance] = []
     block_lines: list[tuple[int, str]] = []

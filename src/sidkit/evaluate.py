@@ -10,6 +10,11 @@ predicted and gold spans, micro-averaged over the corpus:
 ``loose-unlabelled`` (any token overlap, label ignored) is available as an
 extra mode for diagnostics but is not part of the standard report.
 
+Each side's spans must be disjoint, so that matching is a set intersection
+(``strict``, ``unlabelled``) or one sweep over start-sorted spans (``loose``
+within each label, ``loose-unlabelled``). :func:`evaluate` extracts and
+matches every utterance once; group counts sum to the overall counts.
+
 A strict match is also a loose match and an unlabelled match, so strict F1
 can never exceed the other two; loose and unlabelled are not ordered with
 respect to each other.
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Literal, Mapping, Sequence
 
 from .corpus import Dataset, RepairPolicy, Span, extract_spans
@@ -91,52 +97,49 @@ class PRF:
         }
 
 
-def _spans_overlap(a: Span, b: Span) -> bool:
-    return a.start < b.end and b.start < a.end
-
-
-_PREDICATES: dict[MatchMode, Callable[[Span, Span], bool]] = {
-    "strict": lambda p, g: p == g,
-    "loose": lambda p, g: p.label == g.label and _spans_overlap(p, g),
-    "unlabelled": lambda p, g: (p.start, p.end) == (g.start, g.end),
-    "loose-unlabelled": _spans_overlap,
-}
-
-
-def _check_disjoint(spans: Sequence[Span], side: str) -> None:
-    ordered = sorted(spans)
+def _check_disjoint(spans: Sequence[Span], side: str) -> list[Span]:
+    """The spans sorted by start; raises if any two of them overlap."""
+    ordered = sorted(spans, key=attrgetter("start"))
     for a, b in zip(ordered, ordered[1:]):
         if b.start < a.end:
             raise SpanOverlapError(f"{side} spans {a} and {b} overlap")
+    return ordered
 
 
-def _max_matching(preds: Sequence[Span], golds: Sequence[Span], mode: MatchMode) -> int:
-    """Size of a maximum one-to-one matching under the mode's predicate.
+def _sweep(preds: Sequence[Span], golds: Sequence[Span]) -> int:
+    """Maximum matching of overlapping spans, both sides disjoint and start-sorted.
 
-    Kuhn's augmenting-path algorithm; span counts per utterance are small, so
-    the O(V*E) bound is irrelevant here.
+    An overlapping leftmost pair is in some maximum matching; otherwise the
+    leftmost span that ends first overlaps nothing further right.
     """
-    predicate = _PREDICATES[mode]
-    adjacency = [
-        [j for j, gold in enumerate(golds) if predicate(pred, gold)] for pred in preds
-    ]
-    gold_owner: list[int | None] = [None] * len(golds)
-
-    def augment(i: int, visited: list[bool]) -> bool:
-        for j in adjacency[i]:
-            if visited[j]:
-                continue
-            visited[j] = True
-            if gold_owner[j] is None or augment(gold_owner[j], visited):
-                gold_owner[j] = i
-                return True
-        return False
-
-    matched = 0
-    for i in range(len(preds)):
-        if augment(i, [False] * len(golds)):
+    matched = i = j = 0
+    while i < len(preds) and j < len(golds):
+        p, g = preds[i], golds[j]
+        if p.start < g.end and g.start < p.end:
             matched += 1
+            i += 1
+            j += 1
+        elif p.end < g.end:
+            i += 1
+        else:
+            j += 1
     return matched
+
+
+def _loose(preds: Sequence[Span], golds: Sequence[Span]) -> int:
+    return sum(
+        _sweep([p for p in preds if p.label == label], [g for g in golds if g.label == label])
+        for label in {p.label for p in preds} & {g.label for g in golds}
+    )
+
+
+_range = attrgetter("start", "end")
+_MATCHERS: dict[MatchMode, Callable[[list[Span], list[Span]], int]] = {
+    "strict": lambda preds, golds: len(set(preds) & set(golds)),
+    "loose": _loose,
+    "unlabelled": lambda preds, golds: len(set(map(_range, preds)) & set(map(_range, golds))),
+    "loose-unlabelled": _sweep,
+}
 
 
 def span_f1(
@@ -149,13 +152,15 @@ def span_f1(
         raise AlignmentError(
             f"{len(gold_spans)} gold utterances vs {len(pred_spans)} predicted"
         )
-    if mode not in _PREDICATES:
+    if mode not in _MATCHERS:
         raise ValueError(f"unknown match mode {mode!r}")
+    match = _MATCHERS[mode]
     matched = predicted = gold = 0
     for golds, preds in zip(gold_spans, pred_spans):
-        _check_disjoint(golds, "gold")
-        _check_disjoint(preds, "predicted")
-        matched += _max_matching(preds, golds, mode)
+        golds = _check_disjoint(golds, "gold")
+        preds = _check_disjoint(preds, "predicted")
+        if golds and preds:
+            matched += match(preds, golds)
         predicted += len(preds)
         gold += len(golds)
     return PRF(matched=matched, predicted=predicted, gold=gold)
@@ -195,6 +200,7 @@ class GroupScores:
     strict: PRF
     loose: PRF
     unlabelled: PRF
+    loose_unlabelled: PRF  # diagnostic only: not serialized
 
     def to_dict(self) -> dict:
         return {
@@ -212,18 +218,17 @@ class EvalReport:
     strict: PRF
     loose: PRF
     unlabelled: PRF
+    loose_unlabelled: PRF  # diagnostic only: not serialized
     per_group: Mapping[str, GroupScores]
     utterance_count: int
 
+    def _overall(self) -> GroupScores:
+        return GroupScores(self.utterance_count, self.intent_accuracy, self.strict,
+                           self.loose, self.unlabelled, self.loose_unlabelled)
+
     def to_dict(self) -> dict:
-        return {
-            "utterances": self.utterance_count,
-            "intent_accuracy": self.intent_accuracy,
-            "strict": self.strict.to_dict(),
-            "loose": self.loose.to_dict(),
-            "unlabelled": self.unlabelled.to_dict(),
-            "per_group": {k: v.to_dict() for k, v in sorted(self.per_group.items())},
-        }
+        per_group = {k: v.to_dict() for k, v in sorted(self.per_group.items())}
+        return {**self._overall().to_dict(), "per_group": per_group}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
@@ -236,31 +241,26 @@ class EvalReport:
             "unlabelled_p", "unlabelled_r", "unlabelled_f1",
         )
 
-        def row(group: str, count: int, acc: float, s: PRF, lo: PRF, un: PRF) -> tuple:
-            return (
-                group, str(count), f"{acc:.6f}",
-                f"{s.precision:.6f}", f"{s.recall:.6f}", f"{s.f1:.6f}",
-                f"{lo.precision:.6f}", f"{lo.recall:.6f}", f"{lo.f1:.6f}",
-                f"{un.precision:.6f}", f"{un.recall:.6f}", f"{un.f1:.6f}",
-            )
+        def row(group: str, s: GroupScores) -> tuple:
+            prfs = (s.strict, s.loose, s.unlabelled)
+            return (group, str(s.utterance_count), f"{s.intent_accuracy:.6f}",
+                    *(f"{x:.6f}" for prf in prfs for x in (prf.precision, prf.recall, prf.f1)))
 
-        rows = [header, row("all", self.utterance_count, self.intent_accuracy,
-                            self.strict, self.loose, self.unlabelled)]
-        for group, scores in sorted(self.per_group.items()):
-            rows.append(row(group, scores.utterance_count, scores.intent_accuracy,
-                            scores.strict, scores.loose, scores.unlabelled))
+        rows = [header, row("all", self._overall())]
+        rows += [row(group, scores) for group, scores in sorted(self.per_group.items())]
         return "\n".join("\t".join(r) for r in rows) + "\n"
 
 
-def _score_pairs(pairs: Sequence[tuple], repair: RepairPolicy) -> GroupScores:
-    gold_spans = [extract_spans(g.slot_tags, repair) for g, _ in pairs]
-    pred_spans = [extract_spans(p.slot_tags, repair) for _, p in pairs]
+def _score(
+    gold_spans: Sequence[list[Span]], pred_spans: Sequence[list[Span]], hits: Sequence[bool]
+) -> GroupScores:
     return GroupScores(
-        utterance_count=len(pairs),
-        intent_accuracy=sum(g.intent == p.intent for g, p in pairs) / len(pairs),
+        utterance_count=len(hits),
+        intent_accuracy=sum(hits) / len(hits),
         strict=span_f1(gold_spans, pred_spans, "strict"),
         loose=span_f1(gold_spans, pred_spans, "loose"),
         unlabelled=span_f1(gold_spans, pred_spans, "unlabelled"),
+        loose_unlabelled=span_f1(gold_spans, pred_spans, "loose-unlabelled"),
     )
 
 
@@ -270,29 +270,35 @@ def evaluate(
     repair: RepairPolicy = "lenient",
     group_by: Literal["none", "variety"] = "none",
 ) -> EvalReport:
-    """Full report: intent accuracy plus all three span PRFs.
+    """Full report: intent accuracy plus all span PRFs.
 
     The default repair policy is lenient so that predictions containing stray
     I-tags are scored rather than rejected. Grouping uses the gold utterance's
     variety; utterances without one land in the "unknown" group.
     """
-    pairs = _aligned_pairs(gold, pred)
-    overall = _score_pairs(pairs, repair)
-
-    per_group: dict[str, GroupScores] = {}
-    if group_by == "variety":
-        buckets: dict[str, list[tuple]] = {}
-        for g, p in pairs:
-            buckets.setdefault(g.variety if g.variety is not None else "unknown", []).append((g, p))
-        per_group = {variety: _score_pairs(members, repair) for variety, members in buckets.items()}
-    elif group_by != "none":
+    if group_by not in ("none", "variety"):
         raise ValueError(f"unknown group_by {group_by!r}")
+    pairs = _aligned_pairs(gold, pred)
+    gold_spans = [extract_spans(g.slot_tags, repair) for g, _ in pairs]
+    pred_spans = [extract_spans(p.slot_tags, repair) for _, p in pairs]
+    hits = [g.intent == p.intent for g, p in pairs]
 
+    buckets: dict[str, list[int]] = {}
+    for i, (g, _) in enumerate(pairs):
+        key = "all" if group_by == "none" else g.variety if g.variety is not None else "unknown"
+        buckets.setdefault(key, []).append(i)
+    groups = {
+        key: _score([gold_spans[i] for i in members], [pred_spans[i] for i in members],
+                    [hits[i] for i in members])
+        for key, members in buckets.items()
+    }
+    zero, scores = PRF(0, 0, 0), groups.values()
     return EvalReport(
-        intent_accuracy=overall.intent_accuracy,
-        strict=overall.strict,
-        loose=overall.loose,
-        unlabelled=overall.unlabelled,
-        per_group=per_group,
-        utterance_count=overall.utterance_count,
+        intent_accuracy=sum(hits) / len(hits),
+        strict=sum((s.strict for s in scores), zero),
+        loose=sum((s.loose for s in scores), zero),
+        unlabelled=sum((s.unlabelled for s in scores), zero),
+        loose_unlabelled=sum((s.loose_unlabelled for s in scores), zero),
+        per_group=groups if group_by == "variety" else {},
+        utterance_count=len(pairs),
     )

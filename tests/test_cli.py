@@ -4,7 +4,8 @@ import pytest
 
 from conftest import make_checkpoint
 from sidkit.cli import main
-from sidkit.corpus import load_dataset
+from sidkit.corpus import extract_spans, load_dataset
+from sidkit.evaluate import span_f1
 from sidkit.surgery import read_checkpoint
 
 GOLD = (
@@ -194,6 +195,29 @@ def test_evaluate_single_mode(gold_file, capsys):
     assert report["mode"] == "loose"
     assert report["loose"]["f1"] == 1.0
     assert "strict" not in report
+
+
+def test_evaluate_loose_unlabelled_mode_matches_span_f1(gold_file, tmp_path, capsys):
+    # shifted boundaries and swapped labels: loose-unlabelled differs from every standard mode
+    pred_file = tmp_path / "pred.conll"
+    pred_file.write_text(
+        GOLD.replace("vekk\tO\nmæ\tB-datetime\nno\tI-datetime", "vekk\tB-x\nmæ\tI-x\nno\tO")
+        .replace("varmt\tB-weather/attribute", "varmt\tB-datetime"),
+        encoding="utf-8",
+    )
+    assert main([
+        "evaluate", "--gold", str(gold_file), "--pred", str(pred_file), "--mode", "loose-unlabelled",
+    ]) == 0
+    report = json.loads(capsys.readouterr().out)
+    gold, pred = load_dataset(gold_file), load_dataset(pred_file).by_id()
+    expected = span_f1(
+        [extract_spans(u.slot_tags, "lenient") for u in gold],
+        [extract_spans(pred[u.id].slot_tags, "lenient") for u in gold],
+        "loose-unlabelled",
+    )
+    assert report["loose-unlabelled"] == expected.to_dict()
+    assert expected.matched == 4 and expected.f1 == 1.0
+    assert set(report) == {"mode", "intent_accuracy", "loose-unlabelled"}
 
 
 def test_evaluate_alignment_failure_is_data_error(gold_file, tmp_path, capsys):

@@ -14,6 +14,7 @@ from sidkit.corpus import (
     Utterance,
     extract_spans,
     label_inventory,
+    load_dataset,
     parse_dataset,
     spans_to_tags,
     split_dataset,
@@ -137,6 +138,39 @@ def test_parse_accepts_line_iterables(tmp_path):
     with open(path, encoding="utf-8") as fh:
         d = parse_dataset(fh)
     assert d == parse_dataset(SAMPLE)
+
+
+TWO_BLOCKS = (
+    "# id: 1\n# intent: alarm/set\n# variety: north\nvekk\tO\nmæ\tB-datetime\n"
+    "\n"
+    "# id: 2\n# text: kor varmt\n# intent: weather/find\nkor\tO\nvarmt\tB-weather/attribute\n"
+)
+
+
+def test_parse_treats_crlf_and_lone_cr_as_lf():
+    lf = parse_dataset(TWO_BLOCKS)
+    assert parse_dataset(TWO_BLOCKS.replace("\n", "\r\n")) == lf
+    assert parse_dataset(TWO_BLOCKS.replace("\n", "\r")) == lf
+    crlf_lines = TWO_BLOCKS.replace("\n", "\r\n").splitlines(keepends=True)
+    assert parse_dataset(crlf_lines) == lf
+    assert lf.utterances[0].slot_tags == ("O", "B-datetime")
+
+
+def test_parse_strips_one_leading_bom(tmp_path):
+    lf = parse_dataset(TWO_BLOCKS)
+    assert parse_dataset("\ufeff" + TWO_BLOCKS) == lf
+    path = tmp_path / "bom.conll"
+    path.write_text("\ufeff" + TWO_BLOCKS.replace("\n", "\r\n"), encoding="utf-8")
+    assert load_dataset(path, name="") == lf
+    # only one mark is a byte-order mark; a second one starts the first line
+    with pytest.raises(ParseError):
+        parse_dataset("\ufeff\ufeff" + TWO_BLOCKS)
+
+
+def test_utterance_rejects_carriage_return_in_comment_fields():
+    # a CR would read back as a line break, so the round trip could not hold
+    with pytest.raises(ValueError, match="newline"):
+        Utterance(id="1", tokens=("a",), slot_tags=("O",), intent="x", raw_text="a\rb")
 
 
 def test_three_block_file_round_trips_byte_identically():

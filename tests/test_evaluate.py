@@ -1,9 +1,18 @@
+import importlib
 import random
 
 import pytest
 
 from conftest import random_bio_tags, random_corpus
-from sidkit.corpus import Dataset, Span, Utterance, extract_spans
+from sidkit.corpus import (
+    BioFormatError,
+    Dataset,
+    Span,
+    Utterance,
+    extract_spans,
+    parse_dataset,
+    write_dataset,
+)
 from sidkit.evaluate import (
     MODES,
     PRF,
@@ -135,6 +144,25 @@ def test_overlapping_spans_within_one_side_rejected():
         span_f1([[Span(0, 3, "a"), Span(2, 4, "b")]], [[]], "strict")
     with pytest.raises(SpanOverlapError):
         span_f1([[]], [[Span(0, 3, "a"), Span(2, 4, "b")]], "strict")
+
+
+def test_overlap_rejected_in_unsorted_input():
+    overlapping = [[Span(4, 6, "a"), Span(0, 2, "b"), Span(1, 3, "a")]]
+    for mode in MODES + ("loose-unlabelled",):
+        with pytest.raises(SpanOverlapError):
+            span_f1(overlapping, [[]], mode)
+        with pytest.raises(SpanOverlapError):
+            span_f1([[]], overlapping, mode)
+
+
+def test_unsorted_input_scores_like_sorted():
+    rng = random.Random(13)
+    labels = ["a", "b"]
+    for _ in range(100):
+        gold = extract_spans(random_bio_tags(rng, 12, labels))
+        pred = extract_spans(random_bio_tags(rng, 12, labels))
+        for mode in MODES + ("loose-unlabelled",):
+            assert span_f1([gold[::-1]], [pred[::-1]], mode) == span_f1([gold], [pred], mode)
 
 
 def test_span_f1_matches_bruteforce_on_random_pairs():
@@ -275,6 +303,83 @@ def test_grouped_counts_sum_to_overall():
         s.intent_accuracy * s.utterance_count for s in report.per_group.values()
     ) / report.utterance_count
     assert acc == pytest.approx(report.intent_accuracy)
+
+
+ALL_MODES = ("strict", "loose", "unlabelled", "loose_unlabelled")
+
+
+def _gold_and_noisy_pred(seed, size=60):
+    rng = random.Random(seed)
+    gold = random_corpus(rng, size, ["a", "b"], varieties=["north", "west", "bokmål"])
+    pred = Dataset(
+        name="pred",
+        utterances=tuple(
+            Utterance(
+                id=u.id, tokens=u.tokens,
+                slot_tags=tuple(random_bio_tags(rng, len(u.tokens), ["a", "b"])),
+                intent=rng.choice(["intent/a", "intent/b"]), variety=u.variety,
+            )
+            for u in gold.utterances
+        ),
+    )
+    return gold, pred
+
+
+@pytest.mark.parametrize("group_by", ["none", "variety"])
+def test_evaluate_scans_each_side_once(monkeypatch, group_by):
+    corpus = importlib.import_module("sidkit.corpus")
+    scan = corpus._scan_tags
+    calls = []
+
+    def counting_scan(*args, **kwargs):
+        calls.append(None)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(corpus, "_scan_tags", counting_scan)
+    gold, pred = _gold_and_noisy_pred(3)
+    evaluate(gold, pred, group_by=group_by)
+    assert len(calls) == 2 * len(gold)
+
+
+def test_grouped_and_ungrouped_agree_in_every_mode():
+    gold, pred = _gold_and_noisy_pred(17)
+    flat = evaluate(gold, pred)
+    grouped = evaluate(gold, pred, group_by="variety")
+    assert flat.per_group == {}
+    assert grouped.intent_accuracy == flat.intent_accuracy
+    gold_spans = [extract_spans(u.slot_tags, "lenient") for u in gold]
+    pred_spans = [extract_spans(u.slot_tags, "lenient") for u in pred]
+    for mode in ALL_MODES:
+        assert getattr(grouped, mode) == getattr(flat, mode)
+        assert getattr(flat, mode) == span_f1(gold_spans, pred_spans, mode.replace("_", "-"))
+        summed = sum((getattr(s, mode) for s in grouped.per_group.values()), PRF(0, 0, 0))
+        assert summed == getattr(grouped, mode)
+
+
+def test_loose_unlabelled_left_out_of_reports():
+    gold, pred = _gold_and_noisy_pred(23, size=10)
+    report = evaluate(gold, pred, group_by="variety")
+    assert "loose_unlabelled" not in report.to_json()
+    assert "loose_unlabelled" not in report.to_tsv()
+
+
+def test_crlf_predictions_score_like_lf():
+    gold, pred = _gold_and_noisy_pred(29, size=20)
+    gold_text, pred_text = write_dataset(gold), write_dataset(pred)
+    lf = evaluate(parse_dataset(gold_text), parse_dataset(pred_text))
+    crlf = evaluate(parse_dataset(gold_text), parse_dataset(pred_text.replace("\n", "\r\n")))
+    assert crlf == lf
+    assert evaluate(parse_dataset(gold_text), parse_dataset(gold_text.replace("\n", "\r\n"))).strict.f1 == 1.0
+
+
+@pytest.mark.parametrize("group_by", ["none", "variety"])
+def test_strict_repair_raises_through_evaluate(group_by):
+    gold = Dataset(name="g", utterances=(_utt(0, "a", tags=("B-x", "I-x"), variety="north"),))
+    pred = Dataset(name="p", utterances=(_utt(0, "a", tags=("B-x", "I-y"), variety="north"),))
+    with pytest.raises(BioFormatError):
+        evaluate(gold, pred, repair="strict", group_by=group_by)
+    with pytest.raises(BioFormatError):
+        evaluate(pred, gold, repair="strict", group_by=group_by)
 
 
 def test_evaluate_lenient_repair_handles_stray_i_tags():
