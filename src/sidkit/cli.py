@@ -9,6 +9,7 @@ All file I/O is UTF-8; reports are JSON or TSV.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from .corpus import (
     unseen_label_report,
     validate_bio,
 )
-from .correlation import CorrelationError, correlate, pearson, spearman
+from .correlation import CorrelationError, correlate, pearson, spearman  # pearson: bench/tracing.py probes it
 from .evaluate import EvalError, evaluate, span_f1  # span_f1: bench/tracing.py probes it by name
 from .noise import (
     NoiseConfig,
@@ -151,10 +152,7 @@ def cmd_noise(args: argparse.Namespace) -> int:
         if args.fraction is not None or args.alphabet_from is not None:
             raise NoiseError("--config cannot be combined with --fraction/--alphabet-from")
         if args.seed is not None:
-            cfg = NoiseConfig(
-                word_fraction=cfg.word_fraction, alphabet=cfg.alphabet,
-                op_weights=cfg.op_weights, seed=args.seed,
-            )
+            cfg = dataclasses.replace(cfg, seed=args.seed)
     else:
         if args.fraction is None or args.alphabet_from is None:
             raise NoiseError("either --config or both --fraction and --alphabet-from are required")
@@ -261,14 +259,9 @@ def cmd_correlate(args: argparse.Namespace) -> int:
             raise CorrelationError(f"column {spec!r}: {exc}") from exc
 
     x, y = column(args.x), column(args.y)
-    if args.method == "t":
-        result = correlate(x, y)
-    else:
-        r, p_r = pearson(x, y)
-        rho, p_rho = spearman(x, y, method="exact")
-        from .correlation import CorrelationResult
-
-        result = CorrelationResult(r=r, p_r=p_r, rho=rho, p_rho=p_rho, n=len(x))
+    result = correlate(x, y)
+    if args.method == "exact":
+        result = dataclasses.replace(result, p_rho=spearman(x, y, method="exact")[1])
     _write_report(result.to_json() if args.report == "json" else result.to_tsv(), args.out)
     return 0
 

@@ -82,6 +82,11 @@ class Utterance:
                 if not tok:
                     raise ValueError(f"utterance {self.id!r}: empty token")
                 raise ValueError(f"utterance {self.id!r}: token {tok!r} contains whitespace")
+        # a tab or line break in a slot tag would split its token line when written
+        joined = "".join(self.slot_tags)
+        if "\t" in joined or "\n" in joined or "\r" in joined:
+            tag = next(t for t in self.slot_tags if "\t" in t or "\n" in t or "\r" in t)
+            raise ValueError(f"utterance {self.id!r}: slot tag {tag!r} contains a tab or line break")
         # comment-carried fields must survive a write/parse cycle losslessly
         for field_name in ("id", "intent", "variety", "raw_text"):
             value = getattr(self, field_name)
@@ -337,51 +342,36 @@ def _scan_tags(
     """
     spans: list[Span] = []
     violations: list[BioViolation] = []
-    open_start: int | None = None
-    open_label: str | None = None
-
-    def close(end: int) -> None:
-        nonlocal open_start, open_label
-        if open_start is not None:
-            assert open_label is not None
-            spans.append(Span(open_start, end, open_label))
-        open_start, open_label = None, None
-
-    prev_label: str | None = None  # label of preceding B/I tag, None after O/malformed
+    start = 0
+    label: str | None = None  # label of the open span, None after O or a malformed tag
     for i, tag in enumerate(tags):
         if tag == "O":
-            close(i)
-            prev_label = None
+            new_label = None
         elif _is_bi_tag(tag):
-            label = tag[2:]
-            if tag[0] == "B":
-                close(i)
-                open_start, open_label = i, label
-            else:  # I-
-                if prev_label is None:
+            new_label = tag[2:]
+            if tag[0] == "I":
+                if new_label == label:
+                    continue  # the open span goes on
+                if label is None:
                     violations.append(
                         BioViolation(utterance_id, i, "I-without-B", f"{tag} not preceded by B/I tag")
                     )
-                    close(i)
-                    open_start, open_label = i, label
-                elif prev_label != label:
+                else:
                     violations.append(
                         BioViolation(
-                            utterance_id, i, "I-label-mismatch",
-                            f"{tag} follows a {prev_label!r} span",
+                            utterance_id, i, "I-label-mismatch", f"{tag} follows a {label!r} span"
                         )
                     )
-                    close(i)
-                    open_start, open_label = i, label
-                # else: continues the open span
-            prev_label = label
         else:
             violations.append(
                 BioViolation(utterance_id, i, "malformed-tag", f"{tag!r} is not O, B-<label> or I-<label>")
             )
-            close(i)
-            prev_label = None
-    close(len(tags))
+            new_label = None
+        if label is not None:
+            spans.append(Span(start, i, label))
+        start, label = i, new_label
+    if label is not None:
+        spans.append(Span(start, len(tags), label))
     return spans, violations
 
 

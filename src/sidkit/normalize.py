@@ -63,10 +63,6 @@ def _match_case(replacement: str, templates: str) -> str:
     )
 
 
-def _is_consonant(ch: str) -> bool:
-    return ch.lower() in CONSONANTS
-
-
 def apply_rule(token: str, rule: str, offset: int) -> str:
     """Replay a single traced rewrite at its recorded offset."""
     if rule == "thick-l":

@@ -19,6 +19,8 @@ NamingScheme, not hard-coded key lists.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +52,13 @@ _FLOAT_NUMPY: dict[str, str] = {"F64": "<f8", "F32": "<f4", "F16": "<f2"}
 _HEADER_LEN_BYTES = 8
 
 
+def _nbytes(name: str, dtype: str, shape: Sequence[int]) -> int:
+    """Byte size of a tensor with this dtype and shape: the container's size rule."""
+    if dtype not in DTYPE_SIZES:
+        raise CheckpointFormatError(f"tensor {name!r}: unknown dtype {dtype!r}")
+    return math.prod(shape) * DTYPE_SIZES[dtype]
+
+
 @dataclass(frozen=True)
 class TensorEntry:
     name: str
@@ -58,10 +67,9 @@ class TensorEntry:
     data_offsets: tuple[int, int]  # relative to the data region
 
     def __post_init__(self) -> None:
-        if self.dtype not in DTYPE_SIZES:
-            raise CheckpointFormatError(f"tensor {self.name!r}: unknown dtype {self.dtype!r}")
         if any(not isinstance(d, int) or d < 0 for d in self.shape):
             raise CheckpointFormatError(f"tensor {self.name!r}: bad shape {self.shape}")
+        nbytes = _nbytes(self.name, self.dtype, self.shape)
         if len(self.data_offsets) != 2 or not all(isinstance(o, int) for o in self.data_offsets):
             raise CheckpointFormatError(
                 f"tensor {self.name!r}: data_offsets must be two integers, got {self.data_offsets}"
@@ -69,22 +77,15 @@ class TensorEntry:
         begin, end = self.data_offsets
         if not 0 <= begin <= end:
             raise CheckpointFormatError(f"tensor {self.name!r}: bad byte range [{begin}, {end})")
-        if end - begin != self.nbytes:
+        if end - begin != nbytes:
             raise CheckpointFormatError(
                 f"tensor {self.name!r}: byte range holds {end - begin} bytes but "
-                f"dtype/shape imply {self.nbytes}"
+                f"dtype/shape imply {nbytes}"
             )
 
     @property
-    def num_elements(self) -> int:
-        n = 1
-        for d in self.shape:
-            n *= d
-        return n
-
-    @property
     def nbytes(self) -> int:
-        return self.num_elements * DTYPE_SIZES[self.dtype]
+        return self.data_offsets[1] - self.data_offsets[0]
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,6 @@ class CheckpointIndex:
 
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
-
-    def entry(self, name: str) -> TensorEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
 
 
 class Checkpoint:
@@ -230,14 +225,11 @@ def write_checkpoint(
     entries: list[TensorEntry] = []
     for name in names:
         dtype, shape, _ = tensors[name]
-        num_elements = 1
-        for dim in shape:
-            num_elements *= dim
         entry = TensorEntry(
             name=name,
             dtype=dtype,
             shape=tuple(shape),
-            data_offsets=(offset, offset + DTYPE_SIZES[dtype] * num_elements),
+            data_offsets=(offset, offset + _nbytes(name, dtype, shape)),
         )
         entries.append(entry)
         offset = entry.data_offsets[1]
@@ -346,21 +338,30 @@ def _prefix_match(name: str, prefix: str) -> bool:
     return prefix.endswith(".") or name[len(prefix)] == "."
 
 
+def _resolve_groups(scheme: NamingScheme, groups: Sequence[GroupId], names: Iterable[str]) -> set[str]:
+    """Names in any of the groups, each name placed by ``scheme.classify``.
+
+    A name in several groups is an error even if none of them is requested,
+    and so is a requested group that is unknown, out of range or empty.
+    """
+    members: dict[GroupId | None, set[str]] = {}
+    for name in names:
+        members.setdefault(scheme.classify(name), set()).add(name)
+    selected: set[str] = set()
+    for group in groups:
+        if isinstance(group, int):
+            scheme.layer_prefix(group)  # rejects indices outside [0, num_layers)
+        elif group not in ("embeddings", "heads"):
+            raise SchemeError(f"unknown group {group!r}")
+        if group not in members:
+            raise SchemeError(f"group {group!r} matches no tensor names; scheme misconfigured?")
+        selected |= members[group]
+    return selected
+
+
 def layer_group(scheme: NamingScheme, group: GroupId, names: Iterable[str]) -> set[str]:
     """All names belonging to one group; empty resolution is an error."""
-    names = list(names)
-    if group == "embeddings":
-        selected = {n for n in names if any(_prefix_match(n, p) for p in scheme.embeddings_prefixes)}
-    elif group == "heads":
-        selected = {n for n in names if any(_prefix_match(n, p) for p in scheme.head_prefixes)}
-    elif isinstance(group, int):
-        prefix = scheme.layer_prefix(group)
-        selected = {n for n in names if _prefix_match(n, prefix)}
-    else:
-        raise SchemeError(f"unknown group {group!r}")
-    if not selected:
-        raise SchemeError(f"group {group!r} matches no tensor names; scheme misconfigured?")
-    return selected
+    return _resolve_groups(scheme, [group], names)
 
 
 def group_coverage(scheme: NamingScheme, names: Iterable[str]) -> dict[str, GroupId | None]:
@@ -384,6 +385,12 @@ def _splice(
     out_path: str | Path,
 ) -> Checkpoint:
     """Write base with the named tensors' bytes taken verbatim from donor."""
+    if os.path.exists(out_path):
+        for source in (base, donor):
+            if os.path.samefile(out_path, source.path):
+                raise SurgeryError(
+                    f"output {out_path} is the input {source.path}; write to another file"
+                )
     tensors: dict[str, tuple[str, Sequence[int], TensorSource]] = {}
     for entry in base.index.entries:
         if entry.name in donor_names:
@@ -400,13 +407,6 @@ def _splice(
         tensors[entry.name] = (entry.dtype, entry.shape, source)
     write_checkpoint(out_path, tensors, metadata=base.index.metadata)
     return read_checkpoint(out_path)
-
-
-def _resolve_groups(scheme: NamingScheme, groups: Sequence[GroupId], names: list[str]) -> set[str]:
-    selected: set[str] = set()
-    for group in groups:
-        selected |= layer_group(scheme, group, names)
-    return selected
 
 
 def revert_layers(

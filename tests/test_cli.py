@@ -5,6 +5,7 @@ import pytest
 from conftest import make_checkpoint
 from sidkit.cli import main
 from sidkit.corpus import extract_spans, load_dataset
+from sidkit.correlation import pearson, spearman
 from sidkit.evaluate import span_f1
 from sidkit.surgery import read_checkpoint
 
@@ -270,6 +271,19 @@ def test_correlate_by_index_without_header(tmp_path, capsys):
     assert report["rho"] == 1.0
 
 
+def test_correlate_exact_reports_permutation_p(tmp_path, capsys):
+    x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    y = [2.0, 1.0, 4.0, 3.0, 7.0, 5.0, 6.0]
+    table = tmp_path / "data.tsv"
+    table.write_text("x\ty\n" + "".join(f"{a}\t{b}\n" for a, b in zip(x, y)), encoding="utf-8")
+    assert main(["correlate", "--in", str(table), "--x", "x", "--y", "y", "--method", "exact"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    r, p_r = pearson(x, y)
+    rho, p_exact = spearman(x, y, method="exact")
+    assert report == {"n": 7, "r": r, "p_r": p_r, "rho": rho, "p_rho": p_exact}
+    assert p_exact != spearman(x, y)[1]
+
+
 def test_correlate_missing_column(tmp_path, capsys):
     table = tmp_path / "data.tsv"
     table.write_text("a\tb\n1\t2\n", encoding="utf-8")
@@ -327,3 +341,32 @@ def test_surgery_with_scheme_file(tmp_path, capsys):
     ])
     assert code == 0
     assert out.read_bytes() == a.read_bytes()
+
+
+def test_surgery_refuses_output_that_is_an_input(tmp_path, capsys):
+    a = make_checkpoint(tmp_path / "a.safetensors", seed=35)
+    b = make_checkpoint(tmp_path / "b.safetensors", seed=36)
+    before = a.read_bytes()
+    code = main([
+        "surgery", "revert", "--a", str(a), "--b", str(b), "--layers", "0,1", "--out", str(a),
+    ])
+    assert code == 1
+    assert str(a) in capsys.readouterr().err
+    assert a.read_bytes() == before
+
+
+def test_surgery_revert_rejects_name_in_two_groups(tmp_path, capsys):
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(
+        json.dumps({"embeddings_prefixes": ["embeddings.", "encoder."]}), encoding="utf-8"
+    )
+    a = make_checkpoint(tmp_path / "a.safetensors", seed=37)
+    b = make_checkpoint(tmp_path / "b.safetensors", seed=38)
+    out = tmp_path / "r.safetensors"
+    code = main([
+        "surgery", "revert", "--a", str(a), "--b", str(b), "--embeddings",
+        "--scheme", str(scheme_path), "--out", str(out),
+    ])
+    assert code == 1
+    assert "several groups" in capsys.readouterr().err
+    assert not out.exists()

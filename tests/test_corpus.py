@@ -75,6 +75,38 @@ def test_lenient_extraction_matches_reference_exhaustively():
     assert count == sum(5**k for k in range(6))
 
 
+def reference_violations(tags):
+    """(position, kind) of every BIO violation, judged from each tag and its predecessor."""
+
+    def label_of(tag):
+        return tag[2:] if len(tag) > 2 and tag[0] in "BI" and tag[1] == "-" else None
+
+    found = []
+    for i, tag in enumerate(tags):
+        if tag != "O" and label_of(tag) is None:
+            found.append((i, "malformed-tag"))
+        elif tag.startswith("I-"):
+            previous = label_of(tags[i - 1]) if i > 0 else None
+            if previous is None:
+                found.append((i, "I-without-B"))
+            elif previous != label_of(tag):
+                found.append((i, "I-label-mismatch"))
+    return found
+
+
+def test_scan_with_malformed_tags_matches_reference_exhaustively():
+    # Every sequence of length <= 5 over two labels plus one malformed tag.
+    count = 0
+    for length in range(6):
+        for tags in itertools.product(["O", "B-a", "I-a", "B-b", "I-b", "B-"], repeat=length):
+            utt = Utterance(id="u", tokens=("t",) * length, slot_tags=tags, intent="x")
+            assert extract_spans(tags, "lenient") == reference_lenient_spans(tags), tags
+            violations = [(v.position, v.kind) for v in validate_bio(utt)]
+            assert violations == reference_violations(tags), tags
+            count += 1
+    assert count == sum(6**k for k in range(6))
+
+
 # ---------------------------------------------------------------------------
 # Utterance / Dataset invariants
 # ---------------------------------------------------------------------------
@@ -171,6 +203,16 @@ def test_utterance_rejects_carriage_return_in_comment_fields():
     # a CR would read back as a line break, so the round trip could not hold
     with pytest.raises(ValueError, match="newline"):
         Utterance(id="1", tokens=("a",), slot_tags=("O",), intent="x", raw_text="a\rb")
+
+
+def test_utterance_rejects_tab_and_line_breaks_in_slot_tags():
+    # "B-x\ty" would be written as a third column and read back as "B-x";
+    # "B-x\ny" would split its token line, so the written file would not parse.
+    for tag in ("B-x\ty", "B-x\ny", "B-x\ry"):
+        with pytest.raises(ValueError, match="slot tag") as exc:
+            Utterance(id="u7", tokens=("a", "b"), slot_tags=("O", tag), intent="x")
+        assert "'u7'" in str(exc.value)
+        assert repr(tag) in str(exc.value)
 
 
 def test_three_block_file_round_trips_byte_identically():

@@ -1,8 +1,12 @@
 import json
+import os
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import NUMPY_DTYPES, make_checkpoint
 from sidkit.surgery import (
@@ -135,6 +139,12 @@ def test_non_json_header_rejected(tmp_path):
         read_checkpoint(path)
 
 
+def test_write_rejects_unknown_dtype(tmp_path):
+    path = tmp_path / "x.safetensors"
+    with pytest.raises(CheckpointFormatError, match="unknown dtype 'X'"):
+        write_checkpoint(path, {"t": ("X", (2,), b"\x00\x00")})
+
+
 # ---------------------------------------------------------------------------
 # Naming scheme and groups
 # ---------------------------------------------------------------------------
@@ -199,6 +209,97 @@ def test_ambiguous_scheme_detected():
     )
     with pytest.raises(SchemeError, match="several groups"):
         group_coverage(scheme, ["encoder.layer.0.w"])
+
+
+def _prefix_filter(scheme, group, names):
+    """The per-prefix filter that defined groups before layer_group used classify."""
+
+    def prefix_match(name, prefix):
+        if name == prefix:
+            return True
+        if not name.startswith(prefix):
+            return False
+        return prefix.endswith(".") or name[len(prefix)] == "."
+
+    if group == "embeddings":
+        prefixes = scheme.embeddings_prefixes
+    elif group == "heads":
+        prefixes = scheme.head_prefixes
+    else:
+        prefixes = (scheme.layer_prefix(group),)
+    return {n for n in names if any(prefix_match(n, p) for p in prefixes)}
+
+
+def _filter_layer_group(scheme, group, names):
+    """layer_group as the per-prefix filter computed it, errors included."""
+    if group not in ("embeddings", "heads") and not isinstance(group, int):
+        raise SchemeError(f"unknown group {group!r}")
+    selected = _prefix_filter(scheme, group, names)
+    if not selected:
+        raise SchemeError(f"group {group!r} matches no tensor names; scheme misconfigured?")
+    return selected
+
+
+@st.composite
+def schemes_and_names(draw):
+    template = draw(st.sampled_from(["encoder.layer.{i}.", "encoder.layer.{i}", "h{i}", "blocks.{i}.mlp"]))
+    scheme = NamingScheme(
+        embeddings_prefixes=tuple(draw(st.lists(
+            st.sampled_from(["embeddings.", "embeddings", "encoder.", "h"]),
+            min_size=1, max_size=2, unique=True,
+        ))),
+        layer_template=template,
+        head_prefixes=tuple(draw(st.lists(
+            st.sampled_from(["classifier.", "classifier", "pooler", "blocks.1"]),
+            min_size=1, max_size=2, unique=True,
+        ))),
+        num_layers=draw(st.integers(1, 12)),
+    )
+    # indices past num_layers, with leading zeros, or not numbers at all
+    index = st.one_of(st.integers(0, 14).map(str), st.sampled_from(["00", "01", "011", "-1", "x"]))
+    stem = st.one_of(
+        index.map(lambda i: template.replace("{i}", i)),
+        st.sampled_from(["embeddings", "embeddings.", "classifier", "classifier.", "pooler", "encoder"]),
+    )
+    # "" leaves a name equal to its stem, which may be a whole prefix
+    suffix = st.sampled_from(["", ".", ".w", "w", "0.w", ".0.bias"])
+    names = draw(st.lists(st.tuples(stem, suffix).map("".join), max_size=25, unique=True))
+    return scheme, names
+
+
+@settings(max_examples=300, deadline=None)
+@given(schemes_and_names())
+def test_layer_group_agrees_with_per_prefix_filter(case):
+    scheme, names = case
+    groups = ["embeddings", "heads", *range(scheme.num_layers)]
+    members = [_prefix_filter(scheme, g, names) for g in groups]
+    ambiguous = any(sum(n in m for m in members) > 1 for n in names)
+    for group in [*groups, scheme.num_layers, scheme.num_layers + 3, -1, "layers"]:
+        if ambiguous:
+            with pytest.raises(SchemeError, match="several groups"):
+                layer_group(scheme, group, names)
+            continue
+        try:
+            expected = _filter_layer_group(scheme, group, names)
+        except SchemeError as exc:
+            with pytest.raises(SchemeError, match=re.escape(str(exc))):
+                layer_group(scheme, group, names)
+        else:
+            assert layer_group(scheme, group, names) == expected
+
+
+def test_ambiguous_scheme_rejected_by_revert_swap_and_layer_group(tmp_path):
+    scheme = NamingScheme(embeddings_prefixes=("embeddings.", "encoder."))
+    a = make_checkpoint(tmp_path / "a.safetensors", seed=40)
+    b = make_checkpoint(tmp_path / "b.safetensors", seed=41)
+    out = tmp_path / "out.safetensors"
+    with pytest.raises(SchemeError, match="several groups"):
+        revert_layers(a, b, ["embeddings"], scheme, out)
+    with pytest.raises(SchemeError, match="several groups"):
+        swap_layers(a, b, [0, 1], scheme, out)
+    with pytest.raises(SchemeError, match="several groups"):
+        layer_group(scheme, "heads", read_checkpoint(a).names())
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +388,21 @@ def test_assembled_model_tensor_audit(tmp_path):
     # heads must come from the recipient
     for name in layer_group(SCHEME, "heads", rec):
         assert result[name] == rec[name]
+
+
+@pytest.mark.parametrize("alias", ["base", "donor", "hard link to base"])
+def test_output_aliasing_an_input_is_rejected(tmp_path, alias):
+    ft = make_checkpoint(tmp_path / "ft.safetensors", seed=42)
+    pre = make_checkpoint(tmp_path / "pre.safetensors", seed=43)
+    before = (ft.read_bytes(), pre.read_bytes())
+    out = {"base": ft, "donor": pre}.get(alias, tmp_path / "link.safetensors")
+    if alias == "hard link to base":
+        os.link(ft, out)
+    with pytest.raises(SurgeryError, match=re.escape(str(out))):
+        revert_layers(ft, pre, [0, 1], SCHEME, out)
+    with pytest.raises(SurgeryError, match=re.escape(str(out))):
+        swap_layers(ft, pre, [0, 1], SCHEME, out, include_embeddings=True)
+    assert (ft.read_bytes(), pre.read_bytes()) == before
 
 
 def test_swap_rejects_non_integer_layers(tmp_path):
