@@ -66,6 +66,34 @@ DATA_ERRORS = (
 )
 
 
+class InputPath(str):
+    """A file flag's value that the command reads; a pipeline step digests it first."""
+
+
+class OutputPath(str):
+    """A file flag's value that the command writes; a pipeline step digests it after."""
+
+
+class UsageError(Exception):
+    """``UsageError(parser, message)``, raised where argparse's ``parser.error`` would exit."""
+
+
+class CommandParser(argparse.ArgumentParser):
+    """The ``sidkit`` parser; ``commands`` maps each subcommand to its parser (top level only)."""
+
+    commands: dict[str, argparse.ArgumentParser]
+
+    def error(self, message: str):
+        raise UsageError(self, message)
+
+    def parse_command(self, argv: list[str] | None = None) -> argparse.Namespace:
+        """Parse one command line and apply the checks argparse cannot express."""
+        args = self.parse_args(argv)
+        if args.command == "surgery" and args.action in ("revert", "swap") and args.out is None:
+            self.error("surgery revert/swap require --out")
+        return args
+
+
 def _write_report(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -316,8 +344,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> CommandParser:
+    parser = CommandParser(
         prog="sidkit",
         description="Tooling for dialectal slot-and-intent detection experiments.",
     )
@@ -329,52 +357,53 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("parse-check", help="parse a dataset and report BIO violations")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
+    p.add_argument("--in", type=InputPath, dest="infile", required=True)
+    p.add_argument("--out", type=OutputPath, default=None, help="write the JSON report here instead of stdout")
     _add_format_flags(p)
     p.set_defaults(handler=cmd_parse_check)
 
     p = sub.add_parser("stats", help="label/intent inventory, optionally with unseen-label report")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--unseen-from", default=None, help="training set to compare against")
+    p.add_argument("--in", type=InputPath, dest="infile", required=True)
+    p.add_argument("--unseen-from", type=InputPath, default=None, help="training set to compare against")
     p.add_argument("--report", choices=("json", "tsv"), default="json")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=OutputPath, default=None)
     _add_format_flags(p)
     p.set_defaults(handler=cmd_stats)
 
     p = sub.add_parser("split", help="deterministic train/dev split")
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--in", type=InputPath, dest="infile", required=True)
     p.add_argument("--ratio", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--strategy", choices=("uniform", "grouped"), default="uniform")
     p.add_argument("--group-delimiter", default="-")
-    p.add_argument("--out1", required=True)
-    p.add_argument("--out2", required=True)
+    p.add_argument("--out1", type=OutputPath, required=True)
+    p.add_argument("--out2", type=OutputPath, required=True)
     _add_format_flags(p)
     p.set_defaults(handler=cmd_split)
 
     p = sub.add_parser("noise", help="inject seeded character-level noise")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--in", type=InputPath, dest="infile", required=True)
+    p.add_argument("--out", type=OutputPath, required=True)
     p.add_argument("--fraction", type=float, default=None)
-    p.add_argument("--alphabet-from", default=None, help="text file supplying insertion letters")
+    p.add_argument("--alphabet-from", type=InputPath, default=None, help="text file supplying insertion letters")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--op-weights", default=None, help="delete,insert,both weights (e.g. 1,1,1)")
-    p.add_argument("--config", default=None, help="JSON noise config mirroring these flags")
+    p.add_argument("--config", type=InputPath, default=None, help="JSON noise config mirroring these flags")
     _add_format_flags(p)
     p.set_defaults(handler=cmd_noise)
 
     p = sub.add_parser("normalize", help="normalize dialect-transcription spellings")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--trace", default=None, help="write per-token rule traces as JSONL")
+    p.add_argument("--in", type=InputPath, dest="infile", required=True)
+    p.add_argument("--out", type=OutputPath, required=True)
+    p.add_argument("--trace", type=OutputPath, default=None, help="write per-token rule traces as JSONL")
     p.set_defaults(handler=cmd_normalize)
 
     p = sub.add_parser("evaluate", help="intent accuracy and span F1 report")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred", required=True)
+    p.add_argument("--gold", type=InputPath, required=True)
+    p.add_argument("--pred", type=InputPath, required=True)
     p.add_argument("--group-by", choices=("none", "variety"), default="none")
     p.add_argument(
         "--mode", choices=("all", "strict", "loose", "unlabelled", "loose-unlabelled"),
@@ -382,42 +411,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--repair", choices=("lenient", "strict"), default="lenient")
     p.add_argument("--report", choices=("json", "tsv"), default="json")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=OutputPath, default=None)
     _add_format_flags(p)
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("subword-ratio", help="split-word ratio under a vocabulary")
-    p.add_argument("--vocab", required=True, help="one subword per line")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--compare", default=None, help="second corpus; also report the ratio difference")
+    p.add_argument("--vocab", type=InputPath, required=True, help="one subword per line")
+    p.add_argument("--in", type=InputPath, dest="infile", required=True)
+    p.add_argument("--compare", type=InputPath, default=None, help="second corpus; also report the ratio difference")
     p.add_argument("--format", choices=("text", "conll"), default="text")
     p.add_argument("--letters-only", action="store_true")
     p.add_argument("--marker", default="##", help="continuation marker")
     p.add_argument("--unk", default="[UNK]")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=OutputPath, default=None)
     _add_format_flags(p)
     p.set_defaults(handler=cmd_subword_ratio)
 
     p = sub.add_parser("correlate", help="Pearson/Spearman with two-tailed p-values")
-    p.add_argument("--in", dest="infile", required=True, help="TSV table")
+    p.add_argument("--in", type=InputPath, dest="infile", required=True, help="TSV table")
     p.add_argument("--x", required=True, help="column name or 0-based index")
     p.add_argument("--y", required=True, help="column name or 0-based index")
     p.add_argument("--method", choices=("t", "exact"), default="t")
     p.add_argument("--report", choices=("json", "tsv"), default="json")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=OutputPath, default=None)
     p.set_defaults(handler=cmd_correlate)
 
     p = sub.add_parser("surgery", help="checkpoint layer reverting/swapping and MAV diagnostics")
     p.add_argument("action", choices=("revert", "swap", "mav"))
-    p.add_argument("--a", required=True,
+    p.add_argument("--a", type=InputPath, required=True,
                    help="revert: fine-tuned file; swap: recipient; mav: first file")
-    p.add_argument("--b", required=True,
+    p.add_argument("--b", type=InputPath, required=True,
                    help="revert: pretrained file; swap: donor; mav: second file")
-    p.add_argument("--out", default=None, help="output checkpoint (revert/swap) or MAV report")
+    p.add_argument("--out", type=OutputPath, default=None, help="output checkpoint (revert/swap) or MAV report")
     p.add_argument("--layers", default=None, help="comma-separated layer indices, e.g. 0,1")
     p.add_argument("--embeddings", action="store_true", help="include the embeddings group")
     p.add_argument("--heads", action="store_true", help="include task heads (revert only)")
-    p.add_argument("--scheme", default=None, help="JSON naming scheme")
+    p.add_argument("--scheme", type=InputPath, default=None, help="JSON naming scheme")
     p.set_defaults(handler=cmd_surgery)
 
     p = sub.add_parser("pipeline", help="run an ordered step list with a provenance manifest")
@@ -429,10 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "surgery" and args.action in ("revert", "swap") and args.out is None:
-        parser.error("surgery revert/swap require --out")
+    try:
+        args = build_parser().parse_command(argv)
+    except UsageError as exc:  # argparse's own report: usage line, message, exit 2
+        argparse.ArgumentParser.error(*exc.args)
     try:
         return args.handler(args)
     except DATA_ERRORS as exc:

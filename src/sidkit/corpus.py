@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .rng import SplitMix64, derive_seed, round_half_up
+from .rng import SplitMix64, derive_seed, share_count
 
 
 class CorpusError(Exception):
@@ -308,7 +308,10 @@ def _write_block(utt: Utterance, options: FormatOptions) -> str:
         cols = ["_"] * width
         cols[options.token_col] = token
         cols[options.tag_col] = tag
-        lines.append("\t".join(cols))
+        line = "\t".join(cols)
+        if line.startswith(_COMMENT_PREFIX):  # only a tag in column 0 can start like a comment
+            raise ValueError(f"utterance {utt.id!r}: slot tag {tag!r} would be read back as a comment")
+        lines.append(line)
     return "\n".join(lines)
 
 
@@ -583,7 +586,7 @@ def split_dataset(
         raise SplitError(f"ratio must be in (0, 1), got {ratio}")
 
     n = len(dataset)
-    target = round_half_up(ratio * n)
+    target = share_count(ratio, n)
     rng = SplitMix64(derive_seed(seed, b"split"))
 
     if strategy == "uniform":

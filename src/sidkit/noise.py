@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Literal
 
 from .corpus import Dataset, Utterance
-from .rng import SplitMix64, derive_seed, round_half_up
+from .rng import SplitMix64, derive_seed, share_count
 
 
 class NoiseError(Exception):
@@ -186,7 +186,7 @@ def noise_utterance(utterance: Utterance, cfg: NoiseConfig) -> Utterance:
     """Apply seeded noise to one utterance's alphabetic tokens."""
     rng = SplitMix64(derive_seed(cfg.seed, utterance.id.encode("utf-8")))
     alpha_positions = [i for i, tok in enumerate(utterance.tokens) if tok.isalpha()]
-    n_select = round_half_up(cfg.word_fraction * len(alpha_positions))
+    n_select = share_count(cfg.word_fraction, len(alpha_positions))
     if n_select == 0:
         return utterance
     selected = sorted(rng.sample(alpha_positions, n_select))

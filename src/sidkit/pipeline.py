@@ -10,48 +10,28 @@ A pipeline config is JSON:
     ]}
 
 Steps run in order through the regular CLI dispatch, so a pipeline step
-behaves exactly like the equivalent command line. The manifest records, per
-step, the argv, the effective seed, and SHA-256 digests of every declared
-input and output file; it contains no timestamps, so re-running an identical
-pipeline reproduces the manifest byte for byte. A failing step aborts the run
-and the manifest records the partial state.
+behaves exactly like the equivalent command line; a step cannot run a nested
+pipeline. The whole config is checked, and every step's argv parsed, before
+the first step runs: a bad step raises PipelineError naming it, and nothing
+runs. The manifest records, per step, the argv, the effective seed, and
+SHA-256 digests of every file flag of its subcommand (the flags
+``cli.build_parser`` types ``InputPath`` before the step, ``OutputPath``
+after); it contains no timestamps, so re-running an identical pipeline
+reproduces the manifest byte for byte. A failing step aborts the run and the
+manifest records the partial state.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
-from typing import Mapping
+from typing import Container
 
 
 class PipelineError(Exception):
     pass
-
-
-# Declared file-argument roles per command (first argv token).
-COMMAND_INPUTS: dict[str, set[str]] = {
-    "parse-check": {"in"},
-    "stats": {"in", "unseen-from"},
-    "split": {"in"},
-    "noise": {"in", "alphabet-from", "config"},
-    "normalize": {"in"},
-    "evaluate": {"gold", "pred"},
-    "subword-ratio": {"vocab", "in", "compare"},
-    "correlate": {"in"},
-    "surgery": {"a", "b", "scheme"},
-}
-COMMAND_OUTPUTS: dict[str, set[str]] = {
-    "parse-check": {"out"},
-    "stats": {"out"},
-    "split": {"out1", "out2"},
-    "noise": {"out"},
-    "normalize": {"out", "trace"},
-    "evaluate": {"out"},
-    "subword-ratio": {"out"},
-    "correlate": {"out"},
-    "surgery": {"out"},
-}
 
 
 def sha256_file(path: str | Path) -> str:
@@ -62,22 +42,37 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _build_argv(command: str, args: Mapping[str, object]) -> list[str]:
+def _step_argv(i: int, step: object, commands: Container[str]) -> list[str]:
+    """Check one step's shape and build its argv; raises PipelineError naming the step."""
+    if not isinstance(step, dict):
+        raise PipelineError(f"step {i}: must be a JSON object")
+    unknown = set(step) - {"name", "command", "args"}
+    if unknown:
+        raise PipelineError(f"step {i}: unknown keys {sorted(unknown)}")
+    command, args = step.get("command"), step.get("args", {})
+    if not isinstance(command, str):
+        raise PipelineError(f"step {i}: 'command' must be a string")
+    if not isinstance(args, dict):
+        raise PipelineError(f"step {i}: 'args' must be a JSON object")
     argv = command.split()
+    if not argv or argv[0] not in commands:
+        raise PipelineError(f"step {i}: unknown command {command!r}")
+    if argv[0] == "pipeline":
+        raise PipelineError(f"step {i}: a step cannot run a nested pipeline")
     for key, value in args.items():
-        flag = f"--{key}"
         if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        elif value is None:
-            continue
-        else:
-            argv.extend([flag, str(value)])
+            argv += [f"--{key}"] if value else []
+        elif isinstance(value, (str, int, float)):
+            argv += [f"--{key}", str(value)]
+        elif value is not None:
+            raise PipelineError(f"step {i}: argument {key!r} must be a string, number, boolean or null")
     return argv
 
 
-def _digest_existing(paths: list[str]) -> dict[str, str]:
-    return {p: sha256_file(p) for p in sorted(paths) if Path(p).is_file()}
+def _digest_role(parsed: argparse.Namespace, role: type) -> dict[str, str]:
+    """SHA-256 of each existing file named by a parsed flag value of type ``role``."""
+    paths = sorted(value for value in vars(parsed).values() if isinstance(value, role))
+    return {p: sha256_file(p) for p in paths if Path(p).is_file()}
 
 
 def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = None) -> int:
@@ -106,34 +101,27 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
         "status": "ok",
     }
 
-    status = 0
+    parser = cli.build_parser()
+    checked = []
     for i, step in enumerate(steps):
-        unknown = set(step) - {"name", "command", "args"}
-        if unknown:
-            raise PipelineError(f"step {i}: unknown keys {sorted(unknown)}")
-        if "command" not in step:
-            raise PipelineError(f"step {i}: missing 'command'")
-        command = step["command"]
-        args = step.get("args", {})
-        base = command.split()[0]
-        if base not in COMMAND_INPUTS:
-            raise PipelineError(f"step {i}: unknown command {command!r}")
-
-        argv = _build_argv(command, args)
-        inputs = _digest_existing([str(args[k]) for k in COMMAND_INPUTS[base] if k in args])
-
+        argv = _step_argv(i, step, parser.commands)
         try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors inside a step
-            code = int(exc.code or 0)
+            checked.append((argv, parser.parse_command(argv)))
+        except cli.UsageError as exc:
+            raise PipelineError(f"step {i}: {exc.args[1]}") from None
 
+    status = 0
+    for i, (step, (argv, parsed)) in enumerate(zip(steps, checked)):
+        args = step.get("args", {})
+        inputs = _digest_role(parsed, cli.InputPath)
+        code = cli.main(argv)
         record = {
             "name": step.get("name", f"step{i}"),
-            "command": command,
+            "command": step["command"],
             "argv": argv,
             "seed": args.get("seed"),
             "inputs": inputs,
-            "outputs": _digest_existing([str(args[k]) for k in COMMAND_OUTPUTS[base] if k in args]),
+            "outputs": _digest_role(parsed, cli.OutputPath),
             "status": "ok" if code == 0 else f"failed ({code})",
         }
         manifest["steps"].append(record)

@@ -8,6 +8,7 @@ version, platform, or hash randomization.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence, TypeVar
 
@@ -109,3 +110,16 @@ def round_half_up(x: float) -> int:
     if x < 0:
         raise ValueError(f"expected non-negative value, got {x}")
     return math.floor(x + 0.5)
+
+
+def share_count(fraction: float, n: int) -> int:
+    """``round_half_up(fraction * n)`` on ``Fraction(str(fraction))``, exactly (0.7 of 45 is 32)."""
+    num, den = _decimal_ratio(float(fraction))
+    return (2 * num * n + den) // (2 * den)
+
+
+@functools.lru_cache(maxsize=16)
+def _decimal_ratio(fraction: float) -> tuple[int, int]:
+    from fractions import Fraction  # imported here: loading it costs every CLI start about 3 ms
+
+    return Fraction(str(fraction)).as_integer_ratio()

@@ -263,6 +263,19 @@ def test_parse_custom_column_map():
     assert parse_dataset(rewritten, options) == d
 
 
+def test_write_refuses_a_token_line_that_reads_as_a_comment():
+    # with the tag in column 0, a tag "# x" would start its token line like a comment
+    options = FormatOptions(token_col=1, tag_col=0)
+    d = Dataset(name="d", utterances=(Utterance("u1", ("a", "b"), ("# x", "O"), "i"),))
+    with pytest.raises(ValueError, match="comment") as exc:
+        write_dataset(d, options)
+    assert "'u1'" in str(exc.value)
+    assert "'# x'" in str(exc.value)
+    for tag in ("#x", "#", "x # y"):
+        d = Dataset(name="d", utterances=(Utterance("u1", ("a", "b"), (tag, "O"), "i"),))
+        assert parse_dataset(write_dataset(d, options), options, name="d") == d
+
+
 def test_variety_from_options():
     d = parse_dataset("# id: 1\n# intent: x\na\tO\n", FormatOptions(variety="west"))
     assert d.utterances[0].variety == "west"
@@ -448,6 +461,12 @@ def _numbered_dataset(n, id_fn=str):
 def test_split_sizes():
     part1, part2 = split_dataset(_numbered_dataset(10), 0.9, seed=1)
     assert (len(part1), len(part2)) == (9, 1)
+
+
+def test_split_size_is_exact_at_a_half_boundary():
+    # 0.58 * 25 is 14.499... as a float; the exact share is 14.5, which rounds up
+    part1, part2 = split_dataset(_numbered_dataset(25), 0.58, seed=1)
+    assert (len(part1), len(part2)) == (15, 10)
 
 
 def test_split_deterministic_and_partitioning():

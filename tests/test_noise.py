@@ -157,6 +157,15 @@ def test_selection_count_is_exact_per_sentence():
             assert modified == round_half_up(fraction * n_alpha)
 
 
+def test_selection_count_is_exact_at_a_half_boundary():
+    # 0.7 * 45 is 31.499... as a float; the exact share is 31.5, which rounds up
+    tokens = tuple(f"ord{chr(97 + i % 26)}{chr(97 + i // 26)}" for i in range(45))
+    utt = Utterance(id="u", tokens=tokens, slot_tags=("O",) * 45, intent="i")
+    cfg = NoiseConfig(word_fraction=0.7, alphabet=CFG.alphabet, seed=13)
+    noised = noise_utterance(utt, cfg)
+    assert sum(a != b for a, b in zip(utt.tokens, noised.tokens)) == 32
+
+
 def test_non_alphabetic_tokens_never_modified():
     corpus = synthetic_corpus()
     cfg = NoiseConfig(word_fraction=1.0, alphabet=CFG.alphabet, seed=3)

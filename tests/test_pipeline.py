@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sidkit.cli import main
+from sidkit.cli import InputPath, OutputPath, build_parser, main
 from sidkit.pipeline import PipelineError, run_pipeline, sha256_file
 
 GOLD = (
@@ -117,3 +117,116 @@ def test_default_manifest_path(tmp_path, monkeypatch):
     config = write_config(tmp_path, [])
     assert main(["pipeline", "--config", str(config)]) == 0
     assert (tmp_path / "pipe.json.manifest.json").exists()
+
+
+# Each config step below is invalid; it sits second, after a valid step.
+INVALID_STEPS = {
+    "step-not-object": ["normalize", "must be a JSON object"],
+    "command-not-string": [{"command": ["normalize"], "args": {}}, "'command' must be a string"],
+    "args-not-object": [{"command": "normalize", "args": ["--in", "x"]}, "'args' must be a JSON object"],
+    "arg-value-list": [
+        {"command": "normalize", "args": {"in": ["raw.txt"], "out": "o.txt"}},
+        "argument 'in' must be a string, number, boolean or null",
+    ],
+    "arg-value-object": [
+        {"command": "normalize", "args": {"in": {"a": 1}, "out": "o.txt"}},
+        "argument 'in' must be a string, number, boolean or null",
+    ],
+    "nested-pipeline": [{"command": "pipeline", "args": {"config": "pipe.json"}}, "nested pipeline"],
+    "empty-command": [{"command": "", "args": {"in": "raw.txt"}}, "unknown command ''"],
+    "missing-flag": [{"command": "normalize", "args": {"in": "raw.txt"}}, "--out"],
+    "unknown-flag": [
+        {"command": "normalize", "args": {"in": "raw.txt", "out": "o.txt", "bogus": 1}},
+        "unrecognized arguments: --bogus",
+    ],
+    "surgery-without-out": [
+        {"command": "surgery revert", "args": {"a": "x", "b": "y"}},
+        "surgery revert/swap require --out",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_STEPS))
+def test_invalid_step_exits_1_before_any_step_runs(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.txt").write_text("soL\n", encoding="utf-8")
+    bad_step, message = INVALID_STEPS[case]
+    config = write_config(
+        tmp_path,
+        [{"name": "clean", "command": "normalize", "args": {"in": "raw.txt", "out": "clean.txt"}},
+         bad_step],
+    )
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["pipeline", "--config", str(config), "--manifest", "m.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sidkit: error: step 1: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_second_invalid_step_leaves_first_output_unwritten(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.txt").write_text("soL\n", encoding="utf-8")
+    config = write_config(
+        tmp_path,
+        [{"name": "clean", "command": "normalize", "args": {"in": "raw.txt", "out": "clean.txt"}},
+         {"name": "broken", "command": "evaluate", "args": {"gold": "clean.txt", "mode": "bogus"}}],
+    )
+    with pytest.raises(PipelineError, match="step 1: "):
+        run_pipeline(config, tmp_path / "m.json")
+    assert not (tmp_path / "clean.txt").exists()
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_manifest_digests_every_file_flag_of_a_step(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gold.conll").write_text(GOLD, encoding="utf-8")
+    (tmp_path / "train.conll").write_text(GOLD, encoding="utf-8")
+    config = write_config(
+        tmp_path,
+        [{"name": "unseen", "command": "stats",
+          "args": {"in": "gold.conll", "unseen-from": "train.conll", "report": "tsv", "out": "s.tsv"}}],
+    )
+    assert run_pipeline(config, tmp_path / "m.json") == 0
+    step = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["steps"][0]
+    assert sorted(step["inputs"]) == ["gold.conll", "train.conll"]
+    assert step["outputs"] == {"s.tsv": sha256_file(tmp_path / "s.tsv")}
+
+
+# The file-flag tables the pipeline kept before the parser declared each flag's role.
+ORACLE_INPUTS = {
+    "parse-check": {"in"},
+    "stats": {"in", "unseen-from"},
+    "split": {"in"},
+    "noise": {"in", "alphabet-from", "config"},
+    "normalize": {"in"},
+    "evaluate": {"gold", "pred"},
+    "subword-ratio": {"vocab", "in", "compare"},
+    "correlate": {"in"},
+    "surgery": {"a", "b", "scheme"},
+}
+ORACLE_OUTPUTS = {
+    "parse-check": {"out"},
+    "stats": {"out"},
+    "split": {"out1", "out2"},
+    "noise": {"out"},
+    "normalize": {"out", "trace"},
+    "evaluate": {"out"},
+    "subword-ratio": {"out"},
+    "correlate": {"out"},
+    "surgery": {"out"},
+}
+
+
+def test_parser_file_roles_match_the_old_tables():
+    def flags(parser, role):
+        return {
+            action.option_strings[0][2:] for action in parser._actions if action.type is role
+        }
+
+    commands = build_parser().commands
+    assert set(commands) == set(ORACLE_INPUTS) | {"pipeline"}
+    for name, parser in commands.items():
+        assert flags(parser, InputPath) == ORACLE_INPUTS.get(name, set()), name
+        assert flags(parser, OutputPath) == ORACLE_OUTPUTS.get(name, set()), name
