@@ -174,13 +174,25 @@ def cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_noise_config(path: str) -> NoiseConfig:
+    return NoiseConfig.from_json(Path(path).read_text(encoding="utf-8"))
+
+
+def effective_seed(args: argparse.Namespace) -> int | None:
+    """The seed a parsed command runs with: ``--seed`` if given, else for
+    noise the ``--config`` file's seed or 0; None for unseeded commands."""
+    seed = getattr(args, "seed", None)
+    if seed is None and args.command == "noise":
+        seed = 0 if args.config is None else _read_noise_config(args.config).seed
+    return seed
+
+
 def cmd_noise(args: argparse.Namespace) -> int:
+    seed = effective_seed(args)
     if args.config is not None:
-        cfg = NoiseConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+        cfg = dataclasses.replace(_read_noise_config(args.config), seed=seed)
         if args.fraction is not None or args.alphabet_from is not None:
             raise NoiseError("--config cannot be combined with --fraction/--alphabet-from")
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
     else:
         if args.fraction is None or args.alphabet_from is None:
             raise NoiseError("either --config or both --fraction and --alphabet-from are required")
@@ -194,7 +206,7 @@ def cmd_noise(args: argparse.Namespace) -> int:
             word_fraction=args.fraction,
             alphabet=load_alphabet(args.alphabet_from),
             op_weights=weights,
-            seed=args.seed if args.seed is not None else 0,
+            seed=seed,
         )
     print(f"seed: {cfg.seed}", file=sys.stderr)
     options = _format_options(args)

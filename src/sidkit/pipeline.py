@@ -112,14 +112,13 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
 
     status = 0
     for i, (step, (argv, parsed)) in enumerate(zip(steps, checked)):
-        args = step.get("args", {})
         inputs = _digest_role(parsed, cli.InputPath)
         code = cli.main(argv)
         record = {
             "name": step.get("name", f"step{i}"),
             "command": step["command"],
             "argv": argv,
-            "seed": args.get("seed"),
+            "seed": cli.effective_seed(parsed) if code == 0 else getattr(parsed, "seed", None),
             "inputs": inputs,
             "outputs": _digest_role(parsed, cli.OutputPath),
             "status": "ok" if code == 0 else f"failed ({code})",

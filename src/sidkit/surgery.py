@@ -10,10 +10,12 @@ emits canonical files, so write(read(f)) == f whenever f is canonical.
 
 Surgery (reverting layers to their pretrained state, swapping layers between
 two fine-tuned checkpoints) copies tensor bytes verbatim - no parameter is
-ever converted or averaged - and streams one tensor at a time, so checkpoints
-far larger than memory are fine. Which tensors belong to the embeddings, to
-encoder layer i, or to the task heads is decided by a configurable
-NamingScheme, not hard-coded key lists.
+ever converted or averaged - in chunks of at most COPY_CHUNK_BYTES, so
+checkpoints and single tensors far larger than memory are fine. MAV decodes
+MAV_CHUNK_ELEMENTS parameters at a time and is the only code that imports
+numpy. Which tensors belong to the embeddings, to encoder layer i, or to the
+task heads is decided by a configurable NamingScheme, not hard-coded key
+lists.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CheckpointFormatError(Exception):
@@ -50,6 +53,9 @@ DTYPE_SIZES: dict[str, int] = {
 _FLOAT_NUMPY: dict[str, str] = {"F64": "<f8", "F32": "<f4", "F16": "<f2"}
 
 _HEADER_LEN_BYTES = 8
+
+COPY_CHUNK_BYTES = 1 << 20  # largest read of one splice copy step
+MAV_CHUNK_ELEMENTS = 1 << 16  # parameters per tensor that MAV decodes at once
 
 
 def _nbytes(name: str, dtype: str, shape: Sequence[int]) -> int:
@@ -126,27 +132,34 @@ class Checkpoint:
         except KeyError:
             raise SurgeryError(f"tensor {name!r} not present in {self.path.name}") from None
 
-    def tensor_bytes(self, name: str) -> bytes:
-        """Raw little-endian bytes of one tensor (file reopened per call)."""
-        entry = self.entry(name)
-        begin, end = entry.data_offsets
+    def tensor_bytes(self, name: str, start: int = 0, stop: int | None = None) -> bytes:
+        """Raw little-endian bytes ``[start, stop)`` of one tensor's data, the
+        whole tensor by default (file reopened per call, so no handle is held)."""
+        begin, end = self.entry(name).data_offsets
+        stop = end - begin if stop is None else stop
+        if not 0 <= start <= stop <= end - begin:
+            raise SurgeryError(f"tensor {name!r}: byte range [{start}, {stop}) outside [0, {end - begin})")
         with open(self.path, "rb") as fh:
-            fh.seek(self._data_start + begin)
-            data = fh.read(end - begin)
-        if len(data) != end - begin:
+            fh.seek(self._data_start + begin + start)
+            data = fh.read(stop - start)
+        if len(data) != stop - start:
             raise CheckpointFormatError(f"tensor {name!r}: data region truncated")
         return data
 
-    def tensor_f64(self, name: str) -> np.ndarray:
-        """Tensor decoded to float64 (floats only; BF16 widened manually)."""
+    def tensor_f64(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Elements ``[start, stop)`` of a float tensor decoded to float64
+        (the whole tensor by default; BF16 widened manually)."""
+        import numpy as np
+
         entry = self.entry(name)
-        raw = self.tensor_bytes(name)
-        if entry.dtype in _FLOAT_NUMPY:
-            return np.frombuffer(raw, dtype=_FLOAT_NUMPY[entry.dtype]).astype(np.float64)
+        if entry.dtype not in _FLOAT_NUMPY and entry.dtype != "BF16":
+            raise SurgeryError(f"tensor {name!r}: dtype {entry.dtype} is not a float type")
+        size = DTYPE_SIZES[entry.dtype]
+        raw = self.tensor_bytes(name, start * size, None if stop is None else stop * size)
         if entry.dtype == "BF16":
             as_u16 = np.frombuffer(raw, dtype="<u2").astype(np.uint32) << 16
             return as_u16.view(np.float32).astype(np.float64)
-        raise SurgeryError(f"tensor {name!r}: dtype {entry.dtype} is not a float type")
+        return np.frombuffer(raw, dtype=_FLOAT_NUMPY[entry.dtype]).astype(np.float64)
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
@@ -195,15 +208,28 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     index = CheckpointIndex(entries=tuple(entries), metadata=metadata)
     data_start = _HEADER_LEN_BYTES + header_len
     data_size = file_size - data_start
-    for entry in index.entries:
-        if entry.data_offsets[1] > data_size:
+    covered = 0  # the data region must be fully indexed: no holes, no trailing bytes
+    for entry in sorted(index.entries, key=lambda e: e.data_offsets):
+        begin, end = entry.data_offsets
+        if end > data_size:
             raise CheckpointFormatError(
                 f"{path.name}: tensor {entry.name!r} extends past end of file"
             )
+        if begin > covered:
+            raise CheckpointFormatError(
+                f"{path.name}: {begin - covered} unindexed bytes at file offset "
+                f"{data_start + covered}, before tensor {entry.name!r}"
+            )
+        covered = end  # ranges do not overlap, so ends never decrease
+    if covered < data_size:
+        raise CheckpointFormatError(
+            f"{path.name}: {data_size - covered} trailing bytes at file offset "
+            f"{data_start + covered}, after the last tensor"
+        )
     return Checkpoint(path, index, data_start)
 
 
-TensorSource = Union[bytes, Callable[[], bytes]]
+TensorSource = Union[bytes, Iterable[bytes]]
 
 
 def write_checkpoint(
@@ -214,8 +240,8 @@ def write_checkpoint(
     """Write a canonical container: sorted names, data in name order.
 
     ``tensors`` maps name -> (dtype, shape, source); a source is either the
-    raw bytes or a zero-argument callable producing them, which keeps at most
-    one tensor's data in memory during the write.
+    raw bytes or an iterable of byte chunks, read lazily in name order, so a
+    chunked source keeps only one chunk in memory during the write.
     """
     names = sorted(tensors)
     header: dict[str, object] = {}
@@ -245,12 +271,13 @@ def write_checkpoint(
         fh.write(header_bytes)
         for name, entry in zip(names, entries):
             source = tensors[name][2]
-            data = source() if callable(source) else source
-            if len(data) != entry.nbytes:
+            written = 0
+            for chunk in [source] if isinstance(source, (bytes, bytearray, memoryview)) else source:
+                written += fh.write(chunk)
+            if written != entry.nbytes:
                 raise CheckpointFormatError(
-                    f"tensor {name!r}: source provided {len(data)} bytes, expected {entry.nbytes}"
+                    f"tensor {name!r}: source provided {written} bytes, expected {entry.nbytes}"
                 )
-            fh.write(data)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +405,12 @@ def _as_checkpoint(cp: Checkpoint | str | Path) -> Checkpoint:
     return cp if isinstance(cp, Checkpoint) else read_checkpoint(cp)
 
 
+def _copy_chunks(cp: Checkpoint, name: str) -> Iterator[bytes]:
+    nbytes = cp.entry(name).nbytes
+    for start in range(0, nbytes, COPY_CHUNK_BYTES):
+        yield cp.tensor_bytes(name, start, min(start + COPY_CHUNK_BYTES, nbytes))
+
+
 def _splice(
     base: Checkpoint,
     donor: Checkpoint,
@@ -393,7 +426,9 @@ def _splice(
                 )
     tensors: dict[str, tuple[str, Sequence[int], TensorSource]] = {}
     for entry in base.index.entries:
+        owner = base
         if entry.name in donor_names:
+            owner = donor
             donor_entry = donor.entry(entry.name)
             if donor_entry.dtype != entry.dtype or donor_entry.shape != entry.shape:
                 raise SurgeryError(
@@ -401,10 +436,7 @@ def _splice(
                     f"({entry.dtype}{list(entry.shape)} vs "
                     f"{donor_entry.dtype}{list(donor_entry.shape)})"
                 )
-            source: TensorSource = (lambda n=entry.name: donor.tensor_bytes(n))
-        else:
-            source = (lambda n=entry.name: base.tensor_bytes(n))
-        tensors[entry.name] = (entry.dtype, entry.shape, source)
+        tensors[entry.name] = (entry.dtype, entry.shape, _copy_chunks(owner, entry.name))
     write_checkpoint(out_path, tensors, metadata=base.index.metadata)
     return read_checkpoint(out_path)
 
@@ -499,8 +531,15 @@ def mav_report(
 
     Both checkpoints must hold the same tensors (names, dtypes, shapes).
     The global variance is the population variance of (a_i - b_i) over every
-    parameter in the file.
+    parameter in the file. Tensors are decoded MAV_CHUNK_ELEMENTS parameters
+    at a time, so memory stays constant whatever the tensor sizes. Each chunk
+    adds its |a - b| sum to its group, and its count, mean and sum of squared
+    deviations (n, mean, M2) are merged into the running totals pairwise
+    (Chan, Golub & LeVeque 1979), which stays accurate where E[x^2] - E[x]^2
+    cancels: a shift much larger than the spread of the differences.
     """
+    import numpy as np
+
     a = _as_checkpoint(a)
     b = _as_checkpoint(b)
     names_a, names_b = set(a.names()), set(b.names())
@@ -510,9 +549,7 @@ def mav_report(
 
     abs_sums: dict[str, float] = {}
     counts: dict[str, int] = {}
-    diff_sum = 0.0
-    diff_sq_sum = 0.0
-    total = 0
+    total, mean, m2 = 0, 0.0, 0.0
     for name in sorted(names_a):
         ea, eb = a.entry(name), b.entry(name)
         if ea.dtype != eb.dtype or ea.shape != eb.shape:
@@ -520,21 +557,27 @@ def mav_report(
                 f"tensor {name!r}: dtype/shape mismatch "
                 f"({ea.dtype}{list(ea.shape)} vs {eb.dtype}{list(eb.shape)})"
             )
-        diff = a.tensor_f64(name) - b.tensor_f64(name)
         key = _group_key(scheme.classify(name))
-        abs_sums[key] = abs_sums.get(key, 0.0) + float(np.abs(diff).sum())
-        counts[key] = counts.get(key, 0) + diff.size
-        diff_sum += float(diff.sum())
-        diff_sq_sum += float((diff * diff).sum())
-        total += diff.size
+        size = math.prod(ea.shape)
+        for start in range(0, size, MAV_CHUNK_ELEMENTS):
+            stop = min(start + MAV_CHUNK_ELEMENTS, size)
+            diff = a.tensor_f64(name, start, stop) - b.tensor_f64(name, start, stop)
+            n = diff.size
+            chunk_mean = float(diff.sum()) / n
+            dev = diff - chunk_mean
+            chunk_m2 = float((dev * dev).sum())
+            abs_sums[key] = abs_sums.get(key, 0.0) + float(np.abs(diff).sum())
+            counts[key] = counts.get(key, 0) + n
+            delta = chunk_mean - mean
+            total += n
+            mean += delta * n / total
+            m2 += chunk_m2 + delta * delta * (total - n) * n / total
 
     if total == 0:
         raise SurgeryError("checkpoints contain no parameters")
-    mean = diff_sum / total
-    variance = max(diff_sq_sum / total - mean * mean, 0.0)
     return MavReport(
         per_group={key: abs_sums[key] / counts[key] for key in abs_sums},
-        global_variance=variance,
+        global_variance=m2 / total,
         parameter_count=total,
         per_group_counts=counts,
     )

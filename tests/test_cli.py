@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -370,3 +374,42 @@ def test_surgery_revert_rejects_name_in_two_groups(tmp_path, capsys):
     assert code == 1
     assert "several groups" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_surgery_rejects_checkpoint_with_trailing_bytes(tmp_path, capsys):
+    a = make_checkpoint(tmp_path / "a.safetensors", seed=32)
+    b = make_checkpoint(tmp_path / "b.safetensors", seed=33)
+    size = b.stat().st_size
+    with open(b, "ab") as fh:
+        fh.write(b"\x00\x00")
+    assert main(["surgery", "mav", "--a", str(a), "--b", str(b)]) == 1
+    err = capsys.readouterr().err
+    assert f"b.safetensors: 2 trailing bytes at file offset {size}" in err
+    assert "Traceback" not in err
+
+
+def _fresh_python(code, cwd):
+    """Run ``code`` in a new interpreter that imports sidkit from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_no_numpy(tmp_path):
+    assert _fresh_python("import sys, sidkit.cli; print('numpy' in sys.modules)", tmp_path) == "False"
+
+
+def test_only_surgery_mav_loads_numpy(tmp_path):
+    make_checkpoint(tmp_path / "a.safetensors", seed=34)
+    make_checkpoint(tmp_path / "b.safetensors", seed=35)
+    code = (
+        "import sys; from sidkit.cli import main; "
+        "rc = main(['surgery', '{}', '--a', 'a.safetensors', '--b', 'b.safetensors', "
+        "'--layers', '0,1', '--out', '{}']); print(rc, 'numpy' in sys.modules)"
+    )
+    assert _fresh_python(code.format("revert", "reverted.safetensors"), tmp_path) == "0 False"
+    assert read_checkpoint(tmp_path / "reverted.safetensors").names()
+    assert _fresh_python(code.format("mav", "mav.json"), tmp_path) == "0 True"

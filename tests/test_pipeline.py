@@ -230,3 +230,44 @@ def test_parser_file_roles_match_the_old_tables():
     for name, parser in commands.items():
         assert flags(parser, InputPath) == ORACLE_INPUTS.get(name, set()), name
         assert flags(parser, OutputPath) == ORACLE_OUTPUTS.get(name, set()), name
+
+
+@pytest.mark.parametrize(
+    ("config_seed", "args_seed", "recorded"),
+    [(None, None, 0), (11, None, 11), (11, 3, 3)],
+)
+def test_manifest_records_effective_noise_seed(tmp_path, monkeypatch, config_seed, args_seed, recorded):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gold.conll").write_text(GOLD, encoding="utf-8")
+    args = {"in": "gold.conll", "out": "noised.conll", "seed": args_seed}
+    if config_seed is None:
+        (tmp_path / "alpha.txt").write_text("abc", encoding="utf-8")
+        args.update({"fraction": 0.5, "alphabet-from": "alpha.txt"})
+    else:
+        (tmp_path / "noise.json").write_text(
+            json.dumps({"word_fraction": 0.5, "alphabet": "abc", "seed": config_seed}), encoding="utf-8"
+        )
+        args["config"] = "noise.json"
+    config = write_config(tmp_path, [{"command": "noise", "args": args}])
+    assert run_pipeline(config, tmp_path / "manifest.json") == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["steps"][0]["seed"] == recorded
+
+
+def test_manifest_seed_of_failed_noise_step_is_the_flag(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gold.conll").write_text(GOLD, encoding="utf-8")
+    (tmp_path / "noise.json").write_text("{not json", encoding="utf-8")
+    config = write_config(tmp_path, [{"command": "noise", "args": {
+        "in": "gold.conll", "out": "noised.conll", "config": "noise.json"}}])
+    assert run_pipeline(config, tmp_path / "manifest.json") == 1
+    step = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["steps"][0]
+    assert (step["status"], step["seed"]) == ("failed (1)", None)
+
+
+def test_manifest_seed_of_unseeded_step_is_null(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.txt").write_text("soL\n", encoding="utf-8")
+    config = write_config(tmp_path, [{"command": "normalize", "args": {"in": "raw.txt", "out": "clean.txt"}}])
+    assert run_pipeline(config, tmp_path / "manifest.json") == 0
+    assert json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["steps"][0]["seed"] is None

@@ -517,3 +517,219 @@ def test_mav_rejects_integer_tensors(tmp_path):
         write_checkpoint(p, {"embeddings.ids": ("I32", (4,), data)})
     with pytest.raises(SurgeryError, match="float"):
         mav_report(path_a, path_b, NamingScheme(num_layers=1))
+
+
+# ---------------------------------------------------------------------------
+# Fully indexed data region, ranged reads, chunked copies and streaming MAV
+# ---------------------------------------------------------------------------
+
+
+def _raw_container(path, entries, data_len):
+    header = json.dumps(
+        {name: {"dtype": "F32", "shape": [(end - begin) // 4], "data_offsets": [begin, end]}
+         for name, (begin, end) in entries.items()},
+        separators=(",", ":"),
+    ).encode()
+    path.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * data_len)
+    return 8 + len(header)  # file offset of the data region
+
+
+def test_gap_between_tensors_rejected(tmp_path):
+    path = tmp_path / "gap.safetensors"
+    data_start = _raw_container(path, {"a": (0, 8), "b": (12, 20)}, 20)
+    with pytest.raises(CheckpointFormatError) as exc:
+        read_checkpoint(path)
+    message = str(exc.value)
+    assert message.startswith("gap.safetensors: ")
+    assert f"4 unindexed bytes at file offset {data_start + 8}, before tensor 'b'" in message
+
+
+def test_gap_before_first_tensor_rejected(tmp_path):
+    path = tmp_path / "lead.safetensors"
+    data_start = _raw_container(path, {"a": (4, 12)}, 12)
+    with pytest.raises(CheckpointFormatError, match=f"at file offset {data_start}, before tensor 'a'"):
+        read_checkpoint(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "tail.safetensors"
+    data_start = _raw_container(path, {"a": (0, 8)}, 11)
+    with pytest.raises(CheckpointFormatError) as exc:
+        read_checkpoint(path)
+    assert str(exc.value) == (
+        f"tail.safetensors: 3 trailing bytes at file offset {data_start + 8}, after the last tensor"
+    )
+
+
+def test_trailing_bytes_after_no_tensors_rejected(tmp_path):
+    path = tmp_path / "empty.safetensors"
+    _raw_container(path, {}, 1)
+    with pytest.raises(CheckpointFormatError, match="1 trailing bytes"):
+        read_checkpoint(path)
+
+
+def test_contiguous_ranges_in_any_header_order_accepted(tmp_path):
+    path = tmp_path / "ok.safetensors"
+    _raw_container(path, {"b": (8, 16), "a": (0, 8), "z": (16, 16)}, 16)
+    assert sorted(read_checkpoint(path).names()) == ["a", "b", "z"]
+
+
+def test_tensor_bytes_reads_a_byte_range(tmp_path):
+    data = np.arange(10, dtype="<f4").tobytes()
+    path = tmp_path / "r.safetensors"
+    write_checkpoint(path, {"a": ("F32", (2,), b"\x01" * 8), "t": ("F32", (10,), data)})
+    cp = read_checkpoint(path)
+    assert cp.tensor_bytes("t", 4, 12) == data[4:12]
+    assert cp.tensor_bytes("t", 36) == data[36:]
+    assert cp.tensor_bytes("t", 40, 40) == b""
+    for start, stop in ((0, 41), (8, 4), (-1, 4)):
+        with pytest.raises(SurgeryError, match="outside"):
+            cp.tensor_bytes("t", start, stop)
+
+
+def test_tensor_f64_decodes_an_element_range(tmp_path):
+    values = np.linspace(-3.0, 3.0, 9)
+    bf16 = (values.astype("<f4").view("<u4") >> 16).astype("<u2")
+    path = tmp_path / "f.safetensors"
+    write_checkpoint(path, {
+        "h": ("F16", (9,), values.astype("<f2").tobytes()),
+        "b": ("BF16", (9,), bf16.tobytes()),
+    })
+    cp = read_checkpoint(path)
+    assert cp.tensor_f64("h", 2, 5).tolist() == values.astype("<f2")[2:5].astype(np.float64).tolist()
+    assert cp.tensor_f64("b", 7).tolist() == (bf16[7:].astype(np.uint32) << 16).view("<f4").tolist()
+
+
+def test_write_checkpoint_streams_chunk_sources(tmp_path):
+    path = tmp_path / "c.safetensors"
+    write_checkpoint(path, {"t": ("F32", (3,), iter([b"\x00" * 4, b"", b"\x01" * 8]))})
+    assert read_checkpoint(path).tensor_bytes("t") == b"\x00" * 4 + b"\x01" * 8
+    with pytest.raises(CheckpointFormatError, match="source provided 16 bytes, expected 12"):
+        write_checkpoint(path, {"t": ("F32", (3,), (b"\x00" * 8 for _ in range(2)))})
+
+
+def test_splice_of_tensor_larger_than_copy_chunk_is_byte_exact(tmp_path, monkeypatch):
+    from sidkit import surgery
+
+    rng = np.random.default_rng(40)
+    words = int(2.5 * surgery.COPY_CHUNK_BYTES) // 4 + 3  # three chunks, the last one partial
+    tensors = {
+        "embeddings.word.weight": ("F32", (words,)),
+        "encoder.layer.0.w": ("F32", (7,)),
+        "classifier.w": ("F16", (5,)),
+    }
+
+    def write(path):
+        write_checkpoint(path, {
+            name: (dtype, shape, rng.standard_normal(shape).astype(NUMPY_DTYPES[dtype]).tobytes())
+            for name, (dtype, shape) in tensors.items()
+        })
+        return read_checkpoint(path)
+
+    base, donor = write(tmp_path / "base.safetensors"), write(tmp_path / "donor.safetensors")
+    reads = []
+    original = surgery.Checkpoint.tensor_bytes
+
+    def recording(self, name, start=0, stop=None):
+        data = original(self, name, start, stop)
+        reads.append(len(data))
+        return data
+
+    monkeypatch.setattr(surgery.Checkpoint, "tensor_bytes", recording)
+    out = swap_layers(base, donor, [], SCHEME, tmp_path / "out.safetensors", include_embeddings=True)
+    assert max(reads) == surgery.COPY_CHUNK_BYTES
+    assert sum(reads) == sum(base.entry(name).nbytes for name in tensors)
+    monkeypatch.undo()
+    assert out.tensor_bytes("embeddings.word.weight") == donor.tensor_bytes("embeddings.word.weight")
+    assert out.tensor_bytes("encoder.layer.0.w") == base.tensor_bytes("encoder.layer.0.w")
+    assert out.tensor_bytes("classifier.w") == base.tensor_bytes("classifier.w")
+
+
+def _two_pass_mav(a_path, b_path, scheme):
+    """Whole-array oracle: per-group mean |a - b| and np.var of all a - b."""
+    a, b = read_checkpoint(a_path), read_checkpoint(b_path)
+    diffs = {}
+    for name in a.names():
+        dtype = NUMPY_DTYPES[a.entry(name).dtype]
+        diff = (np.frombuffer(a.tensor_bytes(name), dtype=dtype).astype(np.float64)
+                - np.frombuffer(b.tensor_bytes(name), dtype=dtype).astype(np.float64))
+        key = scheme.classify(name)
+        key = f"layer {key}" if isinstance(key, int) else key
+        diffs.setdefault(key, []).append(diff)
+    per_group = {key: float(np.abs(np.concatenate(d)).mean()) for key, d in diffs.items()}
+    return per_group, float(np.var(np.concatenate([x for d in diffs.values() for x in d])))
+
+
+def _mav_pair(tmp_path, sizes, make_b):
+    rng = np.random.default_rng(41)
+    a_tensors, b_tensors = {}, {}
+    for name, size in sizes.items():
+        va = rng.standard_normal(size)
+        a_tensors[name] = ("F64", (size,), va.tobytes())
+        b_tensors[name] = ("F64", (size,), make_b(va, rng).tobytes())
+    write_checkpoint(tmp_path / "a.safetensors", a_tensors)
+    write_checkpoint(tmp_path / "b.safetensors", b_tensors)
+    return tmp_path / "a.safetensors", tmp_path / "b.safetensors"
+
+
+def test_mav_over_several_chunks_equals_two_pass_numpy(tmp_path):
+    from sidkit.surgery import MAV_CHUNK_ELEMENTS
+
+    scheme = NamingScheme(num_layers=2)
+    sizes = {
+        "embeddings.w": 3 * MAV_CHUNK_ELEMENTS + 17,
+        "encoder.layer.0.w": MAV_CHUNK_ELEMENTS,
+        "encoder.layer.1.w": 5,
+    }
+    a, b = _mav_pair(tmp_path, sizes, lambda va, rng: 0.5 * va + rng.standard_normal(va.size) + 0.3)
+    report = mav_report(a, b, scheme)
+    per_group, variance = _two_pass_mav(a, b, scheme)
+    assert report.parameter_count == sum(sizes.values())
+    assert report.per_group_counts == {"embeddings": sizes["embeddings.w"],
+                                       "layer 0": MAV_CHUNK_ELEMENTS, "layer 1": 5}
+    assert report.per_group == pytest.approx(per_group, rel=1e-12)
+    assert report.global_variance == pytest.approx(variance, rel=1e-12)
+
+
+def test_mav_variance_exact_under_dominant_shift(tmp_path):
+    # a - b is 1e4 plus noise of standard deviation 1e-3: E[x^2] - E[x]^2
+    # loses about 1.7 % here; the merged (n, mean, M2) must not.
+    scheme = NamingScheme(num_layers=1)
+    sizes = {"embeddings.w": 70_000, "encoder.layer.0.w": 30_000}
+    a, b = _mav_pair(tmp_path, sizes, lambda va, rng: va - (1e4 + 1e-3 * rng.standard_normal(va.size)))
+    report = mav_report(a, b, scheme)
+    per_group, variance = _two_pass_mav(a, b, scheme)
+    assert variance == pytest.approx(1e-6, rel=0.05)
+    assert report.global_variance == pytest.approx(variance, rel=1e-9)
+    assert report.per_group == pytest.approx(per_group, rel=1e-12)
+
+
+def test_mav_peak_allocation_does_not_grow_with_tensor_size(tmp_path):
+    import tracemalloc
+
+    from sidkit.surgery import MAV_CHUNK_ELEMENTS
+
+    bound = 8 * MAV_CHUNK_ELEMENTS * 8  # a few float64 chunks; one tensor is 24 chunks
+    scheme = NamingScheme(num_layers=1)
+    for chunks in (2, 24):
+        root = tmp_path / str(chunks)
+        root.mkdir()
+        a, b = _mav_pair(root, {"embeddings.w": chunks * MAV_CHUNK_ELEMENTS}, lambda va, rng: va + 1.0)
+        tracemalloc.start()
+        try:
+            mav_report(a, b, scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (chunks, peak)
+
+
+def test_mav_skips_a_group_of_empty_tensors(tmp_path):
+    path = tmp_path / "e.safetensors"
+    write_checkpoint(path, {
+        "embeddings.w": ("F32", (0, 3), b""),
+        "encoder.layer.0.w": ("F32", (2,), b"\x00" * 8),
+    })
+    report = mav_report(path, path, NamingScheme(num_layers=1))
+    assert report.per_group == {"layer 0": 0.0}
+    assert report.parameter_count == 2
