@@ -20,6 +20,7 @@ from .corpus import (
     FormatOptions,
     label_inventory,
     load_dataset,
+    read_text,
     save_dataset,
     split_dataset,
     unseen_label_report,
@@ -175,7 +176,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def _read_noise_config(path: str) -> NoiseConfig:
-    return NoiseConfig.from_json(Path(path).read_text(encoding="utf-8"))
+    return NoiseConfig.from_json(read_text(path))
 
 
 def effective_seed(args: argparse.Namespace) -> int | None:
@@ -216,14 +217,16 @@ def cmd_noise(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    text = Path(args.infile).read_text(encoding="utf-8")
+    text = read_text(args.infile)
     Path(args.out).write_text(normalize_text(text), encoding="utf-8")
     if args.trace is not None:
+        lines: dict[str, str] = {}  # token -> its JSONL line, "" when no rule applied
         with open(args.trace, "w", encoding="utf-8") as fh:
             for token in text.split():
-                trace = trace_token(token)
-                if trace.applied:
-                    fh.write(trace.to_json() + "\n")
+                if token not in lines:
+                    trace = trace_token(token)
+                    lines[token] = trace.to_json() + "\n" if trace.applied else ""
+                fh.write(lines[token])
     return 0
 
 
@@ -259,7 +262,7 @@ def cmd_subword_ratio(args: argparse.Namespace) -> int:
     def corpus_of(path: str):
         if args.format == "conll":
             return load_dataset(path, _format_options(args))
-        return Path(path).read_text(encoding="utf-8")
+        return read_text(path)
 
     ratio = split_word_ratio(vocab, corpus_of(args.infile), letters_only=args.letters_only)
     payload: dict = {"file": args.infile, "split_word_ratio": ratio}
@@ -275,7 +278,7 @@ def cmd_subword_ratio(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     rows = [
         line.split("\t")
-        for line in Path(args.infile).read_text(encoding="utf-8").splitlines()
+        for line in read_text(args.infile).splitlines()
         if line.strip()
     ]
     if not rows:
@@ -323,7 +326,7 @@ def _parse_layers(spec: str | None) -> list[int]:
 def _load_scheme(path: str | None) -> NamingScheme:
     if path is None:
         return NamingScheme()
-    return NamingScheme.from_json(Path(path).read_text(encoding="utf-8"))
+    return NamingScheme.from_json(read_text(path))
 
 
 def cmd_surgery(args: argparse.Namespace) -> int:

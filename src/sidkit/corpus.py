@@ -33,7 +33,7 @@ class CorpusError(Exception):
 
 
 class ParseError(CorpusError):
-    """Raised when an input file does not follow the block format."""
+    """Raised when an input file is not UTF-8 or does not follow the block format."""
 
 
 class BioFormatError(CorpusError):
@@ -315,15 +315,30 @@ def _write_block(utt: Utterance, options: FormatOptions) -> str:
     return "\n".join(lines)
 
 
+def read_text(path: str | Path) -> str:
+    """A file's text, decoded as UTF-8 with newlines read as ``Path.read_text`` reads them.
+
+    An invalid byte raises ParseError naming the file, the 1-based line and
+    column (in bytes) and the byte.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        data, at = exc.object, exc.start  # read() decodes the whole file in one call
+        line = data.count(b"\n", 0, at) + 1
+        column = at - data.rfind(b"\n", 0, at)
+        raise ParseError(
+            f"{path}: invalid UTF-8 byte 0x{data[at]:02x} at line {line}, column {column}"
+        ) from None
+
+
 def load_dataset(
     path: str | Path,
     options: FormatOptions = DEFAULT_FORMAT,
     name: str | None = None,
 ) -> Dataset:
     path = Path(path)
-    return parse_dataset(
-        path.read_text(encoding="utf-8"), options, name=name if name is not None else path.stem
-    )
+    return parse_dataset(read_text(path), options, name=name if name is not None else path.stem)
 
 
 def save_dataset(dataset: Dataset, path: str | Path, options: FormatOptions = DEFAULT_FORMAT) -> None:

@@ -3,13 +3,15 @@
 p-values come from the exact t-transform t = r * sqrt((n-2) / (1-r^2))
 against Student's t distribution with n-2 degrees of freedom, evaluated
 through the regularized incomplete beta function (continued-fraction
-expansion, no external dependencies). For small samples an exact permutation
-p-value for Spearman's rho is available as well.
+expansion, no external dependencies). For small samples (n <= 10) an exact
+permutation p-value for Spearman's rho is available as well: a dynamic
+program over subsets of used rank positions counts the permutations by their
+rank cross-product sum, the null distribution of rho (cf. Best & Roberts
+1975, Algorithm AS 89), in n * 2**(n-1) big-integer shift-and-adds.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -164,9 +166,15 @@ def spearman(
     """Spearman's rho (Pearson on average-tie ranks) and a two-tailed p.
 
     ``method="t"`` uses the same t-transform as Pearson, which is the usual
-    approximation for n around ten and up. ``method="exact"`` enumerates all
-    permutations of one rank vector (n <= 10) and reports the fraction with
-    |rho| at least as extreme.
+    approximation for n around ten and up. ``method="exact"`` reports the
+    fraction of all n! permutations of one rank vector with |rho| at least as
+    extreme (n <= 10). It counts them by dynamic programming instead of
+    enumerating them: with ranks doubled to integers, rho rises with
+    S = sum(rx_i * ry_perm(i)), so each set of used y positions keeps its
+    count of partial permutations for every partial S, packed into one int
+    with a fixed-width field per value of S. Filling one x position per
+    layer, a transition is one shift and one add; at n = 10 that is 5,120 of
+    them on ints of about 35 kbit.
     """
     n = _validate_xy(x, y)
     rx, ry = average_ranks(x), average_ranks(y)
@@ -178,24 +186,31 @@ def spearman(
     if n > 10:
         raise CorrelationError(f"exact permutation p is limited to n <= 10, got {n}")
 
-    # rho is an increasing affine function of sum(rx_i * ry_perm(i)) because
-    # the rank multisets (hence means and variances) are permutation
-    # invariant; enumerate that sum instead of recomputing rho each time.
-    observed = math.fsum(a * b for a, b in zip(rx, ry))
-    mean_r = (n + 1) / 2
-    sxx = math.fsum((a - mean_r) ** 2 for a in rx)
-    syy = math.fsum((b - mean_r) ** 2 for b in ry)
-    scale = math.sqrt(sxx * syy)
-    center = n * mean_r * mean_r
-    extreme = 0
-    total = 0
-    threshold = abs((observed - center) / scale) - 1e-12
-    for perm in itertools.permutations(ry):
-        s = math.fsum(a * b for a, b in zip(rx, perm))
-        if abs((s - center) / scale) >= threshold:
-            extreme += 1
-        total += 1
-    return rho, extreme / total
+    # rho is an increasing affine function of S because the rank multisets
+    # (hence means and variances) are permutation invariant; average ranks
+    # are multiples of 1/2, so doubled ranks make S an exact integer.
+    ax = [round(2 * r) for r in rx]
+    ay = [round(2 * r) for r in ry]
+    width = math.factorial(n).bit_length() + 1  # a field never holds more than n! counts
+    layer = {0: 1}  # used y positions (bit mask) -> packed counts by partial S
+    for a in ax:
+        after: dict[int, int] = {}
+        for used, counts in layer.items():
+            for j, b in enumerate(ay):
+                bit = 1 << j
+                if not used & bit:
+                    after[used | bit] = after.get(used | bit, 0) + (counts << width * a * b)
+        layer = after
+    (counts,) = layer.values()
+    center = n * (n + 1) ** 2  # S when rho = 0: n times the squared mean doubled rank
+    observed = abs(sum(a * b for a, b in zip(ax, ay)) - center)
+    field = (1 << width) - 1
+    extreme = sum(
+        counts >> width * s & field
+        for s in range(counts.bit_length() // width + 1)
+        if abs(s - center) >= observed
+    )
+    return rho, extreme / math.factorial(n)
 
 
 @dataclass(frozen=True)

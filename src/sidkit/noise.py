@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
 
-from .corpus import Dataset, Utterance
+from .corpus import Dataset, Utterance, read_text
 from .rng import SplitMix64, derive_seed, share_count
 
 
@@ -58,7 +58,7 @@ def build_alphabet(reference: str) -> Alphabet:
 
 
 def load_alphabet(path: str | Path) -> Alphabet:
-    return build_alphabet(Path(path).read_text(encoding="utf-8"))
+    return build_alphabet(read_text(path))
 
 
 @dataclass(frozen=True)

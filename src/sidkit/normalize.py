@@ -143,6 +143,14 @@ def normalize_token(token: str) -> str:
 
 
 def normalize_text(text: str) -> str:
-    """Normalize each whitespace-delimited token; whitespace kept verbatim."""
-    parts = _WHITESPACE_SPLIT.split(text)
-    return "".join(part if part.isspace() or not part else normalize_token(part) for part in parts)
+    """Normalize each whitespace-delimited token; whitespace kept verbatim.
+
+    Each distinct token is traced once per call, however often it occurs.
+    """
+    parts = _WHITESPACE_SPLIT.split(text)  # token, whitespace, token, ...; edge tokens may be ""
+    outputs = {"": ""}
+    for token in parts[::2]:
+        if token not in outputs:
+            outputs[token] = trace_token(token).output
+    parts[::2] = [outputs[token] for token in parts[::2]]
+    return "".join(parts)

@@ -13,11 +13,12 @@ into the correlation analysis.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
-from .corpus import Dataset
+from .corpus import Dataset, read_text
 
 
 class SubwordError(Exception):
@@ -45,7 +46,7 @@ class SubwordVocab:
         unk_token: str = "[UNK]",
     ) -> "SubwordVocab":
         """One subword per line, UTF-8; blank lines ignored."""
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
         return cls(
             tokens=frozenset(line for line in lines if line.strip()),
             continuation_marker=continuation_marker,
@@ -95,16 +96,17 @@ def _iter_words(corpus: Corpus, letters_only: bool) -> Iterable[str]:
 def split_word_ratio(vocab: SubwordVocab, corpus: Corpus, letters_only: bool = False) -> float:
     """Fraction of words split into multiple pieces or unsegmentable.
 
-    Computed over word tokens (every occurrence counts), not types.
+    Computed over word tokens (every occurrence counts), not types; each
+    word type is segmented once.
     """
     total = 0
     split = 0
     unk = [vocab.unk_token]
-    for word in _iter_words(corpus, letters_only):
-        total += 1
+    for word, count in Counter(_iter_words(corpus, letters_only)).items():
+        total += count
         pieces = tokenize_word(vocab, word)
         if len(pieces) > 1 or pieces == unk:
-            split += 1
+            split += count
     if total == 0:
         raise SubwordError("corpus contains no words")
     return split / total

@@ -103,12 +103,6 @@ class CheckpointIndex:
         names = [e.name for e in self.entries]
         if len(set(names)) != len(names):
             raise CheckpointFormatError("duplicate tensor names in index")
-        ordered = sorted(self.entries, key=lambda e: e.data_offsets[0])
-        for a, b in zip(ordered, ordered[1:]):
-            if b.data_offsets[0] < a.data_offsets[1]:
-                raise CheckpointFormatError(
-                    f"tensors {a.name!r} and {b.name!r} have overlapping byte ranges"
-                )
 
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
@@ -208,19 +202,27 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     index = CheckpointIndex(entries=tuple(entries), metadata=metadata)
     data_start = _HEADER_LEN_BYTES + header_len
     data_size = file_size - data_start
-    covered = 0  # the data region must be fully indexed: no holes, no trailing bytes
-    for entry in sorted(index.entries, key=lambda e: e.data_offsets):
+    # The tensors must tile the data region: sorted by (begin, end, name), each
+    # one begins where the previous one ended, so there are no overlaps, holes
+    # or trailing bytes, and neither outcome nor message depends on header order.
+    covered = 0
+    previous = None
+    for entry in sorted(index.entries, key=lambda e: (*e.data_offsets, e.name)):
         begin, end = entry.data_offsets
         if end > data_size:
             raise CheckpointFormatError(
                 f"{path.name}: tensor {entry.name!r} extends past end of file"
+            )
+        if begin < covered:
+            raise CheckpointFormatError(
+                f"{path.name}: tensors {previous.name!r} and {entry.name!r} have overlapping byte ranges"
             )
         if begin > covered:
             raise CheckpointFormatError(
                 f"{path.name}: {begin - covered} unindexed bytes at file offset "
                 f"{data_start + covered}, before tensor {entry.name!r}"
             )
-        covered = end  # ranges do not overlap, so ends never decrease
+        covered, previous = end, entry
     if covered < data_size:
         raise CheckpointFormatError(
             f"{path.name}: {data_size - covered} trailing bytes at file offset "

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,57 @@ def test_normalize_with_trace(tmp_path):
     assert out.read_text(encoding="utf-8") == "vatn  sol\nbakst issjn\n"
     records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
     assert {r["input"] for r in records} == {"vat'n", "soL", "bakkst"}
+
+
+def test_normalize_output_and_trace_match_per_token_loop(tmp_path, monkeypatch):
+    import sidkit.cli
+    from sidkit.normalize import trace_token
+
+    raw = "vat'n  soL\r\nbakkst vat'n\tsoL  soL\r\n\r\nissjn L'aLLkst bakkst’ vat'n \u00a0 kattne katt\r\n"
+    src = tmp_path / "raw.txt"
+    src.write_bytes(raw.encode("utf-8"))
+    out, trace = tmp_path / "clean.txt", tmp_path / "trace.jsonl"
+    calls = []
+    monkeypatch.setattr(sidkit.cli, "trace_token", lambda token: calls.append(token) or trace_token(token))
+    assert main(["normalize", "--in", str(src), "--out", str(out), "--trace", str(trace)]) == 0
+
+    # Oracle: the per-token loops, tracing every occurrence; the file is read with newlines translated.
+    text = raw.replace("\r\n", "\n")
+    expected_out = "".join(
+        part if part.isspace() or not part else trace_token(part).output for part in re.split(r"(\s+)", text)
+    )
+    expected_trace = "".join(
+        trace_token(token).to_json() + "\n" for token in text.split() if trace_token(token).applied
+    )
+    assert out.read_bytes() == expected_out.encode("utf-8")
+    assert trace.read_bytes() == expected_trace.encode("utf-8")
+    assert sorted(calls) == sorted(set(text.split()))
+
+
+@pytest.mark.parametrize(
+    "reader,argv",
+    [
+        ("corpus", ["parse-check", "--in", "{bad}"]),
+        ("second corpus", ["stats", "--in", "{gold}", "--unseen-from", "{bad}"]),
+        ("vocabulary", ["subword-ratio", "--vocab", "{bad}", "--in", "{gold}"]),
+        ("text corpus", ["subword-ratio", "--vocab", "{vocab}", "--in", "{bad}"]),
+        ("alphabet", ["noise", "--in", "{gold}", "--out", "{out}", "--fraction", "0.5", "--alphabet-from", "{bad}"]),
+        ("noise config", ["noise", "--in", "{gold}", "--out", "{out}", "--config", "{bad}"]),
+        ("transcript", ["normalize", "--in", "{bad}", "--out", "{out}"]),
+        ("table", ["correlate", "--in", "{bad}", "--x", "0", "--y", "1"]),
+        ("naming scheme", ["surgery", "revert", "--a", "{gold}", "--b", "{gold}", "--out", "{out}", "--scheme", "{bad}"]),
+    ],
+)
+def test_undecodable_input_names_file_and_line(reader, argv, gold_file, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# ok\r\nab\xffcd\n")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("[UNK]\nab\n", encoding="utf-8")
+    paths = {"bad": bad, "gold": gold_file, "vocab": vocab, "out": tmp_path / "out"}
+    assert main([arg.format(**paths) for arg in argv]) == 1, reader
+    err = capsys.readouterr().err
+    assert f"{bad}: invalid UTF-8 byte 0xff at line 2, column 3" in err, reader
+    assert "Traceback" not in err
 
 
 def test_evaluate_self_is_perfect(gold_file, capsys):

@@ -228,6 +228,51 @@ def test_spearman_exact_limit():
         spearman(list(range(11)), list(range(11)), method="exact")
 
 
+def exact_p_by_enumeration(x, y):
+    """Oracle: the fraction of all permutations of y's ranks whose rank
+    cross-product sum lies at least as far from its null mean as the
+    observed one. Ranks are multiples of 1/2, so these float sums are exact."""
+    from itertools import permutations
+
+    rx, ry = average_ranks(x), average_ranks(y)
+    n = len(x)
+    center = n * (n + 1) ** 2 / 4
+
+    def distance(ys):
+        return abs(sum(a * b for a, b in zip(rx, ys)) - center)
+
+    observed = distance(ry)
+    hits = sum(distance(perm) >= observed for perm in permutations(ry))
+    return hits / math.factorial(n)
+
+
+def test_spearman_exact_matches_enumeration_with_ties():
+    rng = random.Random(61)
+    for n in range(3, 9):
+        for _ in range(6):
+            # few distinct values, so most samples are tie-heavy
+            x = [rng.randint(0, 3) for _ in range(n)]
+            y = [rng.choice([rng.randint(0, 2), rng.uniform(-3, 3)]) for _ in range(n)]
+            if len(set(x)) < 2 or len(set(y)) < 2:
+                continue
+            assert spearman(x, y, method="exact")[1] == exact_p_by_enumeration(x, y), (x, y)
+        x, y = random_vectors(rng, n)
+        assert spearman(x, y, method="exact")[1] == exact_p_by_enumeration(x, y), (x, y)
+
+
+def test_spearman_exact_at_the_cap():
+    import time
+
+    x = list(range(10))
+    start = time.perf_counter()
+    assert spearman(x, x, method="exact")[1] == 2 / math.factorial(10)
+    rng = random.Random(67)
+    y = [rng.randint(0, 4) for _ in range(10)]
+    z = [rng.uniform(-3, 3) for _ in range(10)]
+    assert spearman(z, y, method="exact")[1] == spearman(z, [-v for v in y], method="exact")[1]
+    assert time.perf_counter() - start < 1.0
+
+
 def test_correlate_bundle():
     rng = random.Random(53)
     x, y = random_vectors(rng, 12)

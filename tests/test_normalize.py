@@ -1,4 +1,6 @@
 import random
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -79,6 +81,40 @@ def test_normalize_text_preserves_whitespace():
     assert normalize_text("a\tb\nc") == "a\tb\nc"
 
 
+# Mixed whitespace (tabs, CRLF, no-break space), repeated tokens, apostrophes
+# of both kinds and uppercase L.
+REPEATED_TEXT = (
+    "vat'n  soL\r\nbakkst vat'n\tsoL  soL\r\n\r\n issjn L'aLLkst bakkst’ vat'n"
+    " \u00a0 hassjt\n  kattne kattne katt\r\n"
+)
+
+
+def normalize_per_token(text):
+    """Oracle: the per-token loop, tracing every occurrence."""
+    parts = re.split(r"(\s+)", text)
+    return "".join(part if part.isspace() or not part else trace_token(part).output for part in parts)
+
+
+def test_normalize_text_matches_per_token_loop():
+    for text in ("", " ", "soL", "\tsoL vat'n\n", REPEATED_TEXT, REPEATED_TEXT.replace("\r\n", "\n")):
+        assert normalize_text(text) == normalize_per_token(text), text
+
+
+def test_normalize_text_traces_each_distinct_token_once(monkeypatch):
+    import sidkit.normalize
+
+    calls = Counter()
+    original = sidkit.normalize.trace_token
+
+    def counting(token):
+        calls[token] += 1
+        return original(token)
+
+    monkeypatch.setattr(sidkit.normalize, "trace_token", counting)
+    normalize_text(REPEATED_TEXT)
+    assert calls == Counter(set(REPEATED_TEXT.split()))
+
+
 def test_traces_replay_to_output():
     for source in list(RULE_FIXTURES) + ["L'aLLkst", "vass'n", "arssjt"]:
         trace = trace_token(source)
@@ -92,6 +128,7 @@ def test_trace_json_shape():
 
 
 NORWEGIAN = "abcdefghijklmnopqrstuvwxyzæøåABCDEFGHIJKLMNOPQRSTUVWXYZÆØÅ'"
+NORWEGIAN_WITH_SPACE = NORWEGIAN + "’ \t\r\n\u00a0"
 
 
 def test_idempotent_on_random_strings():
@@ -126,3 +163,8 @@ def test_cluster_rule_reaches_a_true_fixpoint(s):
     from sidkit.normalize import _rule3_step
 
     assert _rule3_step(normalize_token(s)) is None
+
+
+@given(st.text(alphabet=NORWEGIAN_WITH_SPACE, max_size=60))
+def test_normalize_text_matches_per_token_loop_property(s):
+    assert normalize_text(s) == normalize_per_token(s)

@@ -121,6 +121,37 @@ def test_ratio_over_dataset_tokens():
     assert split_word_ratio(vocab, d) == 0.25
 
 
+def split_ratio_per_token(vocab, words):
+    """Oracle: segment every occurrence."""
+    total = split = 0
+    for word in words:
+        total += 1
+        pieces = tokenize_word(vocab, word)
+        split += len(pieces) > 1 or pieces == [vocab.unk_token]
+    return split / total
+
+
+def test_ratio_by_word_type_matches_per_token_loop():
+    vocab = SubwordVocab(tokens=frozenset({"hei", "he", "##i", "du", "##r", "[UNK]"}))
+    words = "hei du heir zz hei 12 du du hei heir x7 zz hei".split()
+    dataset = Dataset(
+        name="d",
+        utterances=(
+            Utterance(id="1", tokens=tuple(words[:6]), slot_tags=("O",) * 6, intent="x"),
+            Utterance(id="2", tokens=tuple(words[6:]), slot_tags=("O",) * (len(words) - 6), intent="x"),
+        ),
+    )
+    for letters_only in (False, True):
+        expected = split_ratio_per_token(vocab, [w for w in words if w.isalpha() or not letters_only])
+        for corpus in (dataset, " ".join(words), (w for w in words)):
+            assert split_word_ratio(vocab, corpus, letters_only=letters_only) == expected
+
+
+def test_ratio_rejects_an_empty_word():
+    with pytest.raises(SubwordError):
+        split_word_ratio(VOCAB, iter(["hei", "", "hei"]))
+
+
 def test_letters_only_filter():
     vocab = SubwordVocab(tokens=frozenset({"hei", "[UNK]"}))
     assert split_word_ratio(vocab, "hei 123 !", letters_only=True) == 0.0

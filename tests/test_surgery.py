@@ -574,6 +574,31 @@ def test_contiguous_ranges_in_any_header_order_accepted(tmp_path):
     assert sorted(read_checkpoint(path).names()) == ["a", "b", "z"]
 
 
+def test_empty_tensor_at_a_shared_offset_loads_in_either_header_order(tmp_path):
+    for order in (("a", "z"), ("z", "a")):
+        ranges = {"a": (0, 8), "z": (0, 0)}
+        path = tmp_path / f"{''.join(order)}.safetensors"
+        _raw_container(path, {name: ranges[name] for name in order}, 8)
+        assert sorted(read_checkpoint(path).names()) == ["a", "z"]
+
+
+@pytest.mark.parametrize("ranges", [
+    {"a": (0, 8), "b": (4, 12)},
+    {"a": (0, 8), "b": (4, 4)},  # an empty tensor inside another one
+    {"a": (0, 8), "b": (0, 8)},
+])
+def test_overlap_names_file_and_tensors_in_either_header_order(tmp_path, ranges):
+    messages = set()
+    for order in (("a", "b"), ("b", "a")):
+        path = tmp_path / "ov.safetensors"
+        _raw_container(path, {name: ranges[name] for name in order}, 12)
+        with pytest.raises(CheckpointFormatError, match="overlapping byte ranges") as exc:
+            read_checkpoint(path)
+        assert str(exc.value).startswith("ov.safetensors: tensors ")
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+
+
 def test_tensor_bytes_reads_a_byte_range(tmp_path):
     data = np.arange(10, dtype="<f4").tobytes()
     path = tmp_path / "r.safetensors"
