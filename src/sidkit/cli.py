@@ -1,7 +1,9 @@
 """Command-line entry point: one subcommand per toolkit operation.
 
 Exit status: 0 on success, 1 on data errors (unparseable files, misaligned
-datasets, checkpoint format problems, failed checks), 2 on usage errors.
+datasets, checkpoint format problems, failed checks), 2 on usage errors. A
+data error is an OSError or a ValueError: every sidkit error class derives
+from ValueError, so ``main`` needs no table of them.
 Stochastic commands (noise, split) echo their effective seed to stderr.
 All file I/O is UTF-8; reports are JSON or TSV.
 """
@@ -13,10 +15,10 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import __version__
 from .corpus import (
-    CorpusError,
     FormatOptions,
     label_inventory,
     load_dataset,
@@ -27,7 +29,7 @@ from .corpus import (
     validate_bio,
 )
 from .correlation import CorrelationError, correlate, pearson, spearman  # pearson: bench/tracing.py probes it
-from .evaluate import EvalError, evaluate, span_f1  # span_f1: bench/tracing.py probes it by name
+from .evaluate import evaluate, span_f1  # span_f1: bench/tracing.py probes it by name
 from .noise import (
     NoiseConfig,
     NoiseError,
@@ -36,35 +38,14 @@ from .noise import (
     noise_dataset,
 )
 from .normalize import normalize_text, trace_token
-from .pipeline import PipelineError, run_pipeline
-from .subword import SubwordError, SubwordVocab, split_word_ratio
-from .surgery import (
-    CheckpointFormatError,
-    NamingScheme,
-    SchemeError,
-    SurgeryError,
-    mav_report,
-    revert_layers,
-    swap_layers,
-)
+from .pipeline import run_pipeline
+from .subword import SubwordVocab, split_word_ratio
+from .surgery import NamingScheme, SurgeryError, mav_report, revert_layers, swap_layers
+
+T = TypeVar("T")
 
 CORPUS_FORMAT_VERSION = 1
 CONTAINER_FORMAT_VERSION = 1
-
-DATA_ERRORS = (
-    CorpusError,
-    EvalError,
-    NoiseError,
-    SubwordError,
-    CorrelationError,
-    CheckpointFormatError,
-    SurgeryError,
-    SchemeError,
-    PipelineError,
-    OSError,
-    ValueError,
-    json.JSONDecodeError,
-)
 
 
 class InputPath(str):
@@ -175,8 +156,13 @@ def cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_noise_config(path: str) -> NoiseConfig:
-    return NoiseConfig.from_json(read_text(path))
+def _read_config(path: str, parse: Callable[[str], T]) -> T:
+    """``parse`` applied to a file's text; a ValueError it raises is raised again naming the file."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def effective_seed(args: argparse.Namespace) -> int | None:
@@ -184,14 +170,14 @@ def effective_seed(args: argparse.Namespace) -> int | None:
     noise the ``--config`` file's seed or 0; None for unseeded commands."""
     seed = getattr(args, "seed", None)
     if seed is None and args.command == "noise":
-        seed = 0 if args.config is None else _read_noise_config(args.config).seed
+        seed = 0 if args.config is None else _read_config(args.config, NoiseConfig.from_json).seed
     return seed
 
 
 def cmd_noise(args: argparse.Namespace) -> int:
     seed = effective_seed(args)
     if args.config is not None:
-        cfg = dataclasses.replace(_read_noise_config(args.config), seed=seed)
+        cfg = dataclasses.replace(_read_config(args.config, NoiseConfig.from_json), seed=seed)
         if args.fraction is not None or args.alphabet_from is not None:
             raise NoiseError("--config cannot be combined with --fraction/--alphabet-from")
     else:
@@ -323,14 +309,8 @@ def _parse_layers(spec: str | None) -> list[int]:
     return [int(part) for part in spec.split(",") if part != ""]
 
 
-def _load_scheme(path: str | None) -> NamingScheme:
-    if path is None:
-        return NamingScheme()
-    return NamingScheme.from_json(read_text(path))
-
-
 def cmd_surgery(args: argparse.Namespace) -> int:
-    scheme = _load_scheme(args.scheme)
+    scheme = NamingScheme() if args.scheme is None else _read_config(args.scheme, NamingScheme.from_json)
     layers = _parse_layers(args.layers)
     if args.action == "revert":
         groups: list = list(layers)
@@ -479,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         argparse.ArgumentParser.error(*exc.args)
     try:
         return args.handler(args)
-    except DATA_ERRORS as exc:
+    except (OSError, ValueError) as exc:  # every sidkit data error is a ValueError
         print(f"sidkit: error: {exc}", file=sys.stderr)
         return 1
 

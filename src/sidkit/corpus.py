@@ -19,6 +19,7 @@ column 1 = slot tag). Malformed slot tags are kept verbatim by the parser;
 
 from __future__ import annotations
 
+import io
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator, Literal, Sequence
 from .rng import SplitMix64, derive_seed, share_count
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     """Base class for corpus-level data errors."""
 
 
@@ -115,9 +116,6 @@ class Span:
         if not 0 <= self.start < self.end:
             raise ValueError(f"invalid span range [{self.start}, {self.end})")
 
-    def overlaps(self, other: "Span") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -142,16 +140,6 @@ class Dataset:
 
     def by_id(self) -> dict[str, Utterance]:
         return {utt.id: utt for utt in self.utterances}
-
-    def intents(self) -> set[str]:
-        return {utt.intent for utt in self.utterances}
-
-    def full_tags(self) -> set[str]:
-        return {tag for utt in self.utterances for tag in utt.slot_tags}
-
-    def slot_labels(self) -> set[str]:
-        """Distinct slot labels with the B-/I- prefix stripped."""
-        return {tag[2:] for tag in self.full_tags() if _is_bi_tag(tag)}
 
 
 @dataclass(frozen=True)
@@ -316,15 +304,21 @@ def _write_block(utt: Utterance, options: FormatOptions) -> str:
 
 
 def read_text(path: str | Path) -> str:
-    """A file's text, decoded as UTF-8 with newlines read as ``Path.read_text`` reads them.
+    """A file's text, decoded by :func:`decode_text`."""
+    return decode_text(Path(path).read_bytes(), path)
+
+
+def decode_text(data: bytes, path: str | Path) -> str:
+    """The bytes read from the file ``path``, decoded as UTF-8 with newlines read
+    as ``Path.read_text`` reads them.
 
     An invalid byte raises ParseError naming the file, the 1-based line and
     column (in bytes) and the byte.
     """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
-        data, at = exc.object, exc.start  # read() decodes the whole file in one call
+        at = exc.start  # read() decodes all of ``data`` in one call
         line = data.count(b"\n", 0, at) + 1
         column = at - data.rfind(b"\n", 0, at)
         raise ParseError(
@@ -484,15 +478,12 @@ class InventoryReport:
 
 def label_inventory(dataset: Dataset) -> InventoryReport:
     """Count distinct intents, slot labels (B/I merged), and full tags."""
-    intents: Counter[str] = Counter()
+    intents = Counter(utt.intent for utt in dataset.utterances)
+    full_tags = Counter(tag for utt in dataset.utterances for tag in utt.slot_tags)
     slot_labels: Counter[str] = Counter()
-    full_tags: Counter[str] = Counter()
-    for utt in dataset.utterances:
-        intents[utt.intent] += 1
-        for tag in utt.slot_tags:
-            full_tags[tag] += 1
-            if _is_bi_tag(tag):
-                slot_labels[tag[2:]] += 1
+    for tag, count in full_tags.items():  # first-seen order, as for the tags themselves
+        if _is_bi_tag(tag):
+            slot_labels[tag[2:]] += count
     return InventoryReport(
         name=dataset.name,
         utterance_count=len(dataset),
@@ -544,30 +535,21 @@ class UnseenReport:
 
 def unseen_label_report(train: Dataset, eval: Dataset) -> UnseenReport:
     """Intents, slot labels, and full tags in ``eval`` never seen in ``train``."""
-    eval_inv = label_inventory(eval)
-    train_intents = train.intents()
-    train_labels = train.slot_labels()
-    train_tags = train.full_tags()
+    train_inv, eval_inv = label_inventory(train), label_inventory(eval)
 
-    unseen_full = {
-        tag: count for tag, count in eval_inv.full_tag_counts.items() if tag not in train_tags
-    }
+    def unseen(counts: dict[str, int], train_counts: dict[str, int]) -> dict[str, int]:
+        return {key: count for key, count in counts.items() if key not in train_counts}
+
+    unseen_full = unseen(eval_inv.full_tag_counts, train_inv.full_tag_counts)
     return UnseenReport(
         train_name=train.name,
         eval_name=eval.name,
-        unseen_intents={
-            intent: count
-            for intent, count in eval_inv.intent_counts.items()
-            if intent not in train_intents
-        },
-        unseen_slot_labels={
-            label: count
-            for label, count in eval_inv.slot_label_counts.items()
-            if label not in train_labels
-        },
+        unseen_intents=unseen(eval_inv.intent_counts, train_inv.intent_counts),
+        unseen_slot_labels=unseen(eval_inv.slot_label_counts, train_inv.slot_label_counts),
         unseen_full_tags=unseen_full,
         unseen_i_tags_with_seen_b=tuple(
-            tag for tag in sorted(unseen_full) if tag.startswith("I-") and tag[2:] in train_labels
+            tag for tag in sorted(unseen_full)
+            if tag.startswith("I-") and tag[2:] in train_inv.slot_label_counts
         ),
     )
 

@@ -13,7 +13,10 @@ extra mode for diagnostics but is not part of the standard report.
 Each side's spans must be disjoint, so that matching is a set intersection
 (``strict``, ``unlabelled``) or one sweep over start-sorted spans (``loose``
 within each label, ``loose-unlabelled``). :func:`evaluate` extracts and
-matches every utterance once; group counts sum to the overall counts.
+matches every utterance once. Its :class:`EvalReport` is the
+:class:`GroupScores` of the whole corpus plus, when grouped, one per group;
+group counts sum to the overall counts. Input errors raise EvalError, a
+ValueError.
 
 A strict match is also a loose match and an unlabelled match, so strict F1
 can never exceed the other two; loose and unlabelled are not ordered with
@@ -23,14 +26,14 @@ respect to each other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Literal, Mapping, Sequence
 
 from .corpus import Dataset, RepairPolicy, Span, extract_spans
 
 
-class EvalError(Exception):
+class EvalError(ValueError):
     """Base class for evaluation input errors."""
 
 
@@ -213,22 +216,14 @@ class GroupScores:
 
 
 @dataclass(frozen=True)
-class EvalReport:
-    intent_accuracy: float
-    strict: PRF
-    loose: PRF
-    unlabelled: PRF
-    loose_unlabelled: PRF  # diagnostic only: not serialized
-    per_group: Mapping[str, GroupScores]
-    utterance_count: int
+class EvalReport(GroupScores):
+    """The scores over the whole corpus, plus one GroupScores per group when grouped."""
 
-    def _overall(self) -> GroupScores:
-        return GroupScores(self.utterance_count, self.intent_accuracy, self.strict,
-                           self.loose, self.unlabelled, self.loose_unlabelled)
+    per_group: Mapping[str, GroupScores] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         per_group = {k: v.to_dict() for k, v in sorted(self.per_group.items())}
-        return {**self._overall().to_dict(), "per_group": per_group}
+        return {**super().to_dict(), "per_group": per_group}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
@@ -246,7 +241,7 @@ class EvalReport:
             return (group, str(s.utterance_count), f"{s.intent_accuracy:.6f}",
                     *(f"{x:.6f}" for prf in prfs for x in (prf.precision, prf.recall, prf.f1)))
 
-        rows = [header, row("all", self._overall())]
+        rows = [header, row("all", self)]
         rows += [row(group, scores) for group, scores in sorted(self.per_group.items())]
         return "\n".join("\t".join(r) for r in rows) + "\n"
 
@@ -294,11 +289,11 @@ def evaluate(
     }
     zero, scores = PRF(0, 0, 0), groups.values()
     return EvalReport(
+        utterance_count=len(pairs),
         intent_accuracy=sum(hits) / len(hits),
         strict=sum((s.strict for s in scores), zero),
         loose=sum((s.loose for s in scores), zero),
         unlabelled=sum((s.unlabelled for s in scores), zero),
         loose_unlabelled=sum((s.loose_unlabelled for s in scores), zero),
         per_group=groups if group_by == "variety" else {},
-        utterance_count=len(pairs),
     )

@@ -15,6 +15,7 @@ and safe to compute in parallel.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
@@ -23,7 +24,7 @@ from .corpus import Dataset, Utterance, read_text
 from .rng import SplitMix64, derive_seed, share_count
 
 
-class NoiseError(Exception):
+class NoiseError(ValueError):
     """Raised when a noise operation cannot be applied as configured."""
 
 
@@ -71,8 +72,8 @@ class OpWeights:
 
     def __post_init__(self) -> None:
         values = (self.delete, self.insert, self.both)
-        if any(w < 0 for w in values):
-            raise ValueError("operation weights must be non-negative")
+        if not all(0 <= w <= sys.float_info.max for w in values):  # NaN fails too
+            raise ValueError(f"operation weights must be finite and non-negative, got {values}")
         if sum(values) == 0:
             raise ValueError("operation weights must not all be zero")
 
@@ -109,21 +110,36 @@ class NoiseConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "NoiseConfig":
+        """The config a JSON object gives; ``op_weights`` and ``seed`` are optional."""
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise NoiseError("noise config must be a JSON object")
         unknown = set(raw) - {"word_fraction", "alphabet", "op_weights", "seed"}
         if unknown:
-            raise ValueError(f"unknown noise config keys: {sorted(unknown)}")
-        weights = raw.get("op_weights", {})
+            raise NoiseError(f"unknown noise config keys: {sorted(unknown)}")
+        missing = {"word_fraction", "alphabet"} - set(raw)
+        if missing:
+            raise NoiseError(f"missing noise config keys: {sorted(missing)}")
+        alphabet, weights, seed = raw["alphabet"], raw.get("op_weights", {}), raw.get("seed", 0)
+        if not isinstance(alphabet, str):
+            raise NoiseError(f"alphabet must be a string, got {alphabet!r}")
+        if not isinstance(weights, dict) or not set(weights) <= set(_OPS):
+            raise NoiseError(f"op_weights must map delete, insert and both to numbers, got {weights!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise NoiseError(f"seed must be an integer, got {seed!r}")
         return cls(
-            word_fraction=raw["word_fraction"],
-            alphabet=Alphabet(chars=tuple(raw["alphabet"])),
-            op_weights=OpWeights(
-                delete=weights.get("delete", 1.0),
-                insert=weights.get("insert", 1.0),
-                both=weights.get("both", 1.0),
-            ),
-            seed=raw.get("seed", 0),
+            word_fraction=_number("word_fraction", raw["word_fraction"]),
+            alphabet=Alphabet(chars=tuple(alphabet)),
+            op_weights=OpWeights(**{op: _number(f"op_weights.{op}", w) for op, w in weights.items()}),
+            seed=seed,
         )
+
+
+def _number(key: str, value: object) -> float | int:
+    """A JSON number; NoiseError for any other value."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise NoiseError(f"{key} must be a number, got {value!r}")
+    return value
 
 
 def noise_word(word: str, op: NoiseOp, position: int, insert_char: str | None = None) -> str:

@@ -69,12 +69,9 @@ def apply_rule(token: str, rule: str, offset: int) -> str:
         return token[:offset] + "l" + token[offset + 1 :]
     if rule == "apostrophe":
         return token[:offset] + token[offset + 1 :]
-    if rule == "cluster-rst":
+    if rule in ("cluster-rst", "cluster-rsk"):  # ssjt -> rst, ssjk -> rsk
         templates = token[offset] + token[offset + 1] + token[offset + 3]
-        return token[:offset] + _match_case("rst", templates) + token[offset + 4 :]
-    if rule == "cluster-rsk":
-        templates = token[offset] + token[offset + 1] + token[offset + 3]
-        return token[:offset] + _match_case("rsk", templates) + token[offset + 4 :]
+        return token[:offset] + _match_case(rule[-3:], templates) + token[offset + 4 :]
     if rule == "cluster-drop":
         return token[:offset] + token[offset + 1 :]  # drop the first of the pair
     raise ValueError(f"unknown rule {rule!r}")

@@ -29,8 +29,10 @@ import json
 from pathlib import Path
 from typing import Container
 
+from .corpus import decode_text
 
-class PipelineError(Exception):
+
+class PipelineError(ValueError):
     pass
 
 
@@ -83,7 +85,10 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
     if manifest_path is None:
         manifest_path = config_path.with_suffix(config_path.suffix + ".manifest.json")
     config_bytes = config_path.read_bytes()
-    config = json.loads(config_bytes.decode("utf-8"))
+    try:
+        config = json.loads(decode_text(config_bytes, config_path))
+    except json.JSONDecodeError as exc:
+        raise PipelineError(f"{config_path}: {exc}") from None
 
     if not isinstance(config, dict):
         raise PipelineError("pipeline config must be a JSON object")

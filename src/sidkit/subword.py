@@ -21,7 +21,7 @@ from typing import Iterable, Union
 from .corpus import Dataset, read_text
 
 
-class SubwordError(Exception):
+class SubwordError(ValueError):
     pass
 
 

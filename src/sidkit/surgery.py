@@ -24,7 +24,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -32,15 +32,15 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class CheckpointFormatError(Exception):
+class CheckpointFormatError(ValueError):
     """The container file violates the format contract."""
 
 
-class SurgeryError(Exception):
+class SurgeryError(ValueError):
     """A surgery operation cannot be applied to these checkpoints."""
 
 
-class SchemeError(Exception):
+class SchemeError(ValueError):
     """The naming scheme does not fit the checkpoint's tensor names."""
 
 
@@ -304,8 +304,14 @@ class NamingScheme:
     num_layers: int = 12
 
     def __post_init__(self) -> None:
-        if self.layer_template.count("{i}") != 1:
+        for key in ("embeddings_prefixes", "head_prefixes"):
+            prefixes = getattr(self, key)
+            if not isinstance(prefixes, tuple) or not all(isinstance(p, str) and p for p in prefixes):
+                raise SchemeError(f"{key} must be a list of non-empty strings, got {prefixes!r}")
+        if not isinstance(self.layer_template, str) or self.layer_template.count("{i}") != 1:
             raise SchemeError("layer_template must contain exactly one {i} placeholder")
+        if not isinstance(self.num_layers, int) or isinstance(self.num_layers, bool):
+            raise SchemeError(f"num_layers must be an integer, got {self.num_layers!r}")
         if self.num_layers < 1:
             raise SchemeError(f"num_layers must be >= 1, got {self.num_layers}")
 
@@ -321,7 +327,15 @@ class NamingScheme:
             hits.append("embeddings")
         if any(_prefix_match(name, p) for p in self.head_prefixes):
             hits.append("heads")
-        for i in range(self.num_layers):
+        # A layer prefix is the template's head, then str(i): i is a digit prefix
+        # of the rest of the name, with no leading zero, and a longer one is a
+        # larger i, so the first match is the least i, whatever num_layers is.
+        head = self.layer_template.partition("{i}")[0]
+        rest = name[len(head):] if name.startswith(head) else ""
+        for k in range(1, len(rest) - len(rest.lstrip("0123456789")) + 1):
+            i = int(rest[:k])
+            if i >= self.num_layers or k > 1 and rest[0] == "0":
+                break
             if _prefix_match(name, self.layer_prefix(i)):
                 hits.append(i)
                 break
@@ -330,32 +344,18 @@ class NamingScheme:
         return hits[0] if hits else None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "embeddings_prefixes": list(self.embeddings_prefixes),
-                "layer_template": self.layer_template,
-                "head_prefixes": list(self.head_prefixes),
-                "num_layers": self.num_layers,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "NamingScheme":
+        """The scheme a JSON object gives; absent keys keep their defaults."""
         raw = json.loads(text)
-        unknown = set(raw) - {"embeddings_prefixes", "layer_template", "head_prefixes", "num_layers"}
+        if not isinstance(raw, dict):
+            raise SchemeError("a naming scheme must be a JSON object")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise SchemeError(f"unknown scheme keys: {sorted(unknown)}")
-        kwargs = {}
-        if "embeddings_prefixes" in raw:
-            kwargs["embeddings_prefixes"] = tuple(raw["embeddings_prefixes"])
-        if "head_prefixes" in raw:
-            kwargs["head_prefixes"] = tuple(raw["head_prefixes"])
-        if "layer_template" in raw:
-            kwargs["layer_template"] = raw["layer_template"]
-        if "num_layers" in raw:
-            kwargs["num_layers"] = raw["num_layers"]
-        return cls(**kwargs)
+        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
 
 
 def _prefix_match(name: str, prefix: str) -> bool:
@@ -413,6 +413,15 @@ def _copy_chunks(cp: Checkpoint, name: str) -> Iterator[bytes]:
         yield cp.tensor_bytes(name, start, min(start + COPY_CHUNK_BYTES, nbytes))
 
 
+def _check_layout(a: TensorEntry, b: TensorEntry) -> None:
+    """Raise SurgeryError unless two entries of one tensor agree in dtype and shape."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        raise SurgeryError(
+            f"tensor {a.name!r}: dtype/shape mismatch "
+            f"({a.dtype}{list(a.shape)} vs {b.dtype}{list(b.shape)})"
+        )
+
+
 def _splice(
     base: Checkpoint,
     donor: Checkpoint,
@@ -431,13 +440,7 @@ def _splice(
         owner = base
         if entry.name in donor_names:
             owner = donor
-            donor_entry = donor.entry(entry.name)
-            if donor_entry.dtype != entry.dtype or donor_entry.shape != entry.shape:
-                raise SurgeryError(
-                    f"tensor {entry.name!r}: dtype/shape mismatch "
-                    f"({entry.dtype}{list(entry.shape)} vs "
-                    f"{donor_entry.dtype}{list(donor_entry.shape)})"
-                )
+            _check_layout(entry, donor.entry(entry.name))
         tensors[entry.name] = (entry.dtype, entry.shape, _copy_chunks(owner, entry.name))
     write_checkpoint(out_path, tensors, metadata=base.index.metadata)
     return read_checkpoint(out_path)
@@ -553,14 +556,10 @@ def mav_report(
     counts: dict[str, int] = {}
     total, mean, m2 = 0, 0.0, 0.0
     for name in sorted(names_a):
-        ea, eb = a.entry(name), b.entry(name)
-        if ea.dtype != eb.dtype or ea.shape != eb.shape:
-            raise SurgeryError(
-                f"tensor {name!r}: dtype/shape mismatch "
-                f"({ea.dtype}{list(ea.shape)} vs {eb.dtype}{list(eb.shape)})"
-            )
+        entry = a.entry(name)
+        _check_layout(entry, b.entry(name))
         key = _group_key(scheme.classify(name))
-        size = math.prod(ea.shape)
+        size = math.prod(entry.shape)
         for start in range(0, size, MAV_CHUNK_ELEMENTS):
             stop = min(start + MAV_CHUNK_ELEMENTS, size)
             diff = a.tensor_f64(name, start, stop) - b.tensor_f64(name, start, stop)
