@@ -6,43 +6,60 @@ data error is an OSError or a ValueError: every sidkit error class derives
 from ValueError, so ``main`` needs no table of them.
 Stochastic commands (noise, split) echo their effective seed to stderr.
 All file I/O is UTF-8; reports are JSON or TSV.
+Importing this module loads no other sidkit module: each command imports
+the modules it runs when it runs, so start-up pays for nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import importlib
 import json
 import sys
 from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import __version__
-from .corpus import (
-    FormatOptions,
-    label_inventory,
-    load_dataset,
-    read_text,
-    save_dataset,
-    split_dataset,
-    unseen_label_report,
-    validate_bio,
-)
-from .correlation import CorrelationError, correlate, pearson, spearman  # pearson: bench/tracing.py probes it
-from .evaluate import evaluate, span_f1  # span_f1: bench/tracing.py probes it by name
-from .noise import (
-    NoiseConfig,
-    NoiseError,
-    OpWeights,
-    load_alphabet,
-    noise_dataset,
-)
-from .normalize import normalize_text, trace_token
-from .pipeline import run_pipeline
-from .subword import SubwordVocab, split_word_ratio
-from .surgery import NamingScheme, SurgeryError, mav_report, revert_layers, swap_layers
 
 T = TypeVar("T")
+
+
+def _lazy(module: str, name: str) -> Callable:
+    """A stand-in for ``sidkit.<module>.<name>`` that imports the module when called.
+
+    Each command then loads only the modules it uses. Handlers call these
+    stand-ins by their bare names, so a wrapper set on ``sidkit.cli`` (the
+    benchmark's tracer, a test's monkeypatch) still sees every call.
+    """
+
+    def forward(*args, **kwargs):
+        return getattr(importlib.import_module(f"sidkit.{module}"), name)(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    forward.target = (module, name)
+    return forward
+
+
+load_dataset = _lazy("corpus", "load_dataset")
+save_dataset = _lazy("corpus", "save_dataset")
+validate_bio = _lazy("corpus", "validate_bio")
+split_dataset = _lazy("corpus", "split_dataset")
+label_inventory = _lazy("corpus", "label_inventory")
+unseen_label_report = _lazy("corpus", "unseen_label_report")
+evaluate = _lazy("evaluate", "evaluate")
+span_f1 = _lazy("evaluate", "span_f1")  # called from evaluate(), bound here for the tracer
+noise_dataset = _lazy("noise", "noise_dataset")
+load_alphabet = _lazy("noise", "load_alphabet")
+normalize_text = _lazy("normalize", "normalize_text")
+trace_token = _lazy("normalize", "trace_token")
+split_word_ratio = _lazy("subword", "split_word_ratio")
+pearson = _lazy("correlation", "pearson")  # called from correlate(), bound here for the tracer
+spearman = _lazy("correlation", "spearman")
+correlate = _lazy("correlation", "correlate")
+revert_layers = _lazy("surgery", "revert_layers")
+swap_layers = _lazy("surgery", "swap_layers")
+mav_report = _lazy("surgery", "mav_report")
+run_pipeline = _lazy("pipeline", "run_pipeline")
 
 CORPUS_FORMAT_VERSION = 1
 CONTAINER_FORMAT_VERSION = 1
@@ -83,7 +100,9 @@ def _write_report(text: str, out: str | None) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
 
 
-def _format_options(args: argparse.Namespace) -> FormatOptions:
+def _format_options(args: argparse.Namespace):
+    from .corpus import FormatOptions
+
     return FormatOptions(
         token_col=args.token_col,
         tag_col=args.tag_col,
@@ -158,6 +177,8 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 def _read_config(path: str, parse: Callable[[str], T]) -> T:
     """``parse`` applied to a file's text; a ValueError it raises is raised again naming the file."""
+    from .corpus import read_text
+
     text = read_text(path)
     try:
         return parse(text)
@@ -170,14 +191,19 @@ def effective_seed(args: argparse.Namespace) -> int | None:
     noise the ``--config`` file's seed or 0; None for unseeded commands."""
     seed = getattr(args, "seed", None)
     if seed is None and args.command == "noise":
+        from .noise import NoiseConfig
+
         seed = 0 if args.config is None else _read_config(args.config, NoiseConfig.from_json).seed
     return seed
 
 
 def cmd_noise(args: argparse.Namespace) -> int:
-    seed = effective_seed(args)
+    from dataclasses import replace
+
+    from .noise import NoiseConfig, NoiseError, OpWeights
+
     if args.config is not None:
-        cfg = dataclasses.replace(_read_config(args.config, NoiseConfig.from_json), seed=seed)
+        cfg = _read_config(args.config, NoiseConfig.from_json)
         if args.fraction is not None or args.alphabet_from is not None:
             raise NoiseError("--config cannot be combined with --fraction/--alphabet-from")
     else:
@@ -193,8 +219,9 @@ def cmd_noise(args: argparse.Namespace) -> int:
             word_fraction=args.fraction,
             alphabet=load_alphabet(args.alphabet_from),
             op_weights=weights,
-            seed=seed,
         )
+    if args.seed is not None:  # effective_seed's rule, without parsing the config again
+        cfg = replace(cfg, seed=args.seed)
     print(f"seed: {cfg.seed}", file=sys.stderr)
     options = _format_options(args)
     dataset = load_dataset(args.infile, options)
@@ -203,6 +230,8 @@ def cmd_noise(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
+    from .corpus import read_text
+
     text = read_text(args.infile)
     Path(args.out).write_text(normalize_text(text), encoding="utf-8")
     if args.trace is not None:
@@ -243,6 +272,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_subword_ratio(args: argparse.Namespace) -> int:
+    from .corpus import read_text
+    from .subword import SubwordVocab
+
     vocab = SubwordVocab.from_file(args.vocab, continuation_marker=args.marker, unk_token=args.unk)
 
     def corpus_of(path: str):
@@ -262,6 +294,11 @@ def cmd_subword_ratio(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
+    from .corpus import read_text
+    from .correlation import CorrelationError
+
     rows = [
         line.split("\t")
         for line in read_text(args.infile).splitlines()
@@ -290,7 +327,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     x, y = column(args.x), column(args.y)
     result = correlate(x, y)
     if args.method == "exact":
-        result = dataclasses.replace(result, p_rho=spearman(x, y, method="exact")[1])
+        result = replace(result, p_rho=spearman(x, y, method="exact")[1])
     _write_report(result.to_json() if args.report == "json" else result.to_tsv(), args.out)
     return 0
 
@@ -310,6 +347,8 @@ def _parse_layers(spec: str | None) -> list[int]:
 
 
 def cmd_surgery(args: argparse.Namespace) -> int:
+    from .surgery import NamingScheme, SurgeryError
+
     scheme = NamingScheme() if args.scheme is None else _read_config(args.scheme, NamingScheme.from_json)
     layers = _parse_layers(args.layers)
     if args.action == "revert":

@@ -3,7 +3,7 @@
 p-values come from the exact t-transform t = r * sqrt((n-2) / (1-r^2))
 against Student's t distribution with n-2 degrees of freedom, evaluated
 through the regularized incomplete beta function (continued-fraction
-expansion, no external dependencies). For small samples (n <= 10) an exact
+expansion, no external dependencies). For small samples (n <= 14) an exact
 permutation p-value for Spearman's rho is available as well: a dynamic
 program over subsets of used rank positions counts the permutations by their
 rank cross-product sum, the null distribution of rho (cf. Best & Roberts
@@ -26,6 +26,7 @@ class ZeroVarianceError(CorrelationError):
     """A variable is constant, so the correlation is undefined."""
 
 
+EXACT_MAX_N = 14  # largest n for spearman(method="exact"); the paper's tables use n = 12
 _MAX_CF_ITERATIONS = 300
 _CF_EPS = 1e-15
 _TINY = 1e-300
@@ -161,13 +162,14 @@ def spearman(
     ``method="t"`` uses the same t-transform as Pearson, which is the usual
     approximation for n around ten and up. ``method="exact"`` reports the
     fraction of all n! permutations of one rank vector with |rho| at least as
-    extreme (n <= 10). It counts them by dynamic programming instead of
-    enumerating them: with ranks doubled to integers, rho rises with
+    extreme (n <= EXACT_MAX_N). It counts them by dynamic programming instead
+    of enumerating them: with ranks doubled to integers, rho rises with
     S = sum(rx_i * ry_perm(i)), so each set of used y positions keeps its
     count of partial permutations for every partial S, packed into one int
     with a fixed-width field per value of S. Filling one x position per
     layer, a transition is one shift and one add; at n = 10 that is 5,120 of
-    them on ints of about 35 kbit.
+    them on ints of about 35 kbit, and at n = 14 the 114,688 of them take
+    about 0.6 s and 90 MB (CPython 3.11 on a shared Xeon vCPU).
     """
     n = _validate_xy(x, y)
     rx, ry = average_ranks(x), average_ranks(y)
@@ -176,8 +178,8 @@ def spearman(
         return rho, p_t
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
-    if n > 10:
-        raise CorrelationError(f"exact permutation p is limited to n <= 10, got {n}")
+    if n > EXACT_MAX_N:
+        raise CorrelationError(f"exact permutation p is limited to n <= {EXACT_MAX_N}, got {n}")
 
     # rho is an increasing affine function of S because the rank multisets
     # (hence means and variances) are permutation invariant; average ranks

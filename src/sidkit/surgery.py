@@ -65,6 +65,11 @@ def _nbytes(name: str, dtype: str, shape: Sequence[int]) -> int:
     return math.prod(shape) * DTYPE_SIZES[dtype]
 
 
+def _is_int(value: object) -> bool:
+    """An integer, not a bool: JSON ``true`` is no dimension or offset."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TensorEntry:
     name: str
@@ -73,10 +78,10 @@ class TensorEntry:
     data_offsets: tuple[int, int]  # relative to the data region
 
     def __post_init__(self) -> None:
-        if any(not isinstance(d, int) or d < 0 for d in self.shape):
+        if any(not _is_int(d) or d < 0 for d in self.shape):
             raise CheckpointFormatError(f"tensor {self.name!r}: bad shape {self.shape}")
         nbytes = _nbytes(self.name, self.dtype, self.shape)
-        if len(self.data_offsets) != 2 or not all(isinstance(o, int) for o in self.data_offsets):
+        if len(self.data_offsets) != 2 or not all(_is_int(o) for o in self.data_offsets):
             raise CheckpointFormatError(
                 f"tensor {self.name!r}: data_offsets must be two integers, got {self.data_offsets}"
             )
@@ -310,7 +315,7 @@ class NamingScheme:
                 raise SchemeError(f"{key} must be a list of non-empty strings, got {prefixes!r}")
         if not isinstance(self.layer_template, str) or self.layer_template.count("{i}") != 1:
             raise SchemeError("layer_template must contain exactly one {i} placeholder")
-        if not isinstance(self.num_layers, int) or isinstance(self.num_layers, bool):
+        if not _is_int(self.num_layers):
             raise SchemeError(f"num_layers must be an integer, got {self.num_layers!r}")
         if self.num_layers < 1:
             raise SchemeError(f"num_layers must be >= 1, got {self.num_layers}")

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -440,6 +441,17 @@ def test_surgery_rejects_checkpoint_with_trailing_bytes(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_surgery_rejects_bool_shape_in_header(tmp_path, capsys):
+    a = make_checkpoint(tmp_path / "a.safetensors", seed=36)
+    header = b'{"t":{"dtype":"F32","shape":[true,2],"data_offsets":[0,8]}}'
+    b = tmp_path / "b.safetensors"
+    b.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 8)
+    assert main(["surgery", "mav", "--a", str(a), "--b", str(b)]) == 1
+    err = capsys.readouterr().err
+    assert "bad shape (True, 2)" in err
+    assert "Traceback" not in err
+
+
 def _fresh_python(code, cwd):
     """Run ``code`` in a new interpreter that imports sidkit from this checkout."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
@@ -452,6 +464,64 @@ def _fresh_python(code, cwd):
 
 def test_cli_import_loads_no_numpy(tmp_path):
     assert _fresh_python("import sys, sidkit.cli; print('numpy' in sys.modules)", tmp_path) == "False"
+
+
+def _sidkit_modules_after(code, cwd):
+    """The sidkit submodules a fresh interpreter holds after running ``code``."""
+    report = "; import sys; print(' '.join(sorted(m for m in sys.modules if m.startswith('sidkit.'))))"
+    return set(_fresh_python(code + report, cwd).split())
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    assert _sidkit_modules_after("import sidkit", tmp_path) == set()
+
+
+def test_each_command_loads_only_its_modules(tmp_path, gold_file):
+    make_checkpoint(tmp_path / "a.safetensors", seed=37)
+    make_checkpoint(tmp_path / "b.safetensors", seed=38)
+    revert = _sidkit_modules_after(
+        "from sidkit.cli import main; assert main(['surgery', 'revert', '--a', 'a.safetensors', "
+        "'--b', 'b.safetensors', '--layers', '0', '--out', 'r.safetensors']) == 0",
+        tmp_path,
+    )
+    assert revert == {"sidkit.cli", "sidkit.surgery"}
+    evaluate = _sidkit_modules_after(
+        f"from sidkit.cli import main; assert main(['evaluate', '--gold', {str(gold_file)!r}, "
+        f"'--pred', {str(gold_file)!r}, '--out', 'report.json']) == 0",
+        tmp_path,
+    )
+    assert evaluate == {"sidkit.cli", "sidkit.corpus", "sidkit.evaluate", "sidkit.rng"}
+
+
+def test_package_exports_are_the_defining_modules_objects(tmp_path):
+    code = (
+        "import importlib, sys, sidkit\n"
+        "assert sidkit.surgery is sys.modules['sidkit.surgery']\n"
+        "import sidkit.evaluate  # binds the submodule's name on the package\n"
+        "from sidkit import evaluate\n"
+        "assert evaluate is sys.modules['sidkit.evaluate'].evaluate\n"
+        "for name in sidkit.__all__:\n"
+        "    module = importlib.import_module('sidkit.' + sidkit._OWNER[name])\n"
+        "    assert getattr(sidkit, name) is getattr(module, name), name\n"
+        "assert set(dir(sidkit)) >= set(sidkit.__all__)\n"
+        "try:\n"
+        "    sidkit.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)"
+    )
+    assert _fresh_python(code, tmp_path) == "module 'sidkit' has no attribute 'no_such_name'"
+
+
+def test_every_lazy_cli_binding_resolves():
+    import importlib
+
+    import sidkit.cli
+
+    bound = {name: value.target for name, value in vars(sidkit.cli).items() if hasattr(value, "target")}
+    assert len(bound) == 20
+    for name, (module, attr) in bound.items():
+        assert attr == name
+        assert callable(getattr(importlib.import_module(f"sidkit.{module}"), attr)), name
 
 
 def test_only_surgery_mav_loads_numpy(tmp_path):

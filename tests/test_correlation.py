@@ -224,8 +224,8 @@ def test_spearman_exact_permutation_p():
 
 
 def test_spearman_exact_limit():
-    with pytest.raises(CorrelationError):
-        spearman(list(range(11)), list(range(11)), method="exact")
+    with pytest.raises(CorrelationError, match="n <= 14, got 15"):
+        spearman(list(range(15)), list(range(15)), method="exact")
 
 
 def exact_p_by_enumeration(x, y):
@@ -261,6 +261,15 @@ def test_spearman_exact_matches_enumeration_with_ties():
 
 
 def test_spearman_exact_at_the_cap():
+    # Distinct values: only x itself and its reversal reach |rho| = 1.
+    for n in (12, 13, 14):
+        x = list(range(n))
+        assert spearman(x, x, method="exact")[1] == 2 / math.factorial(n)
+    x = list(range(12))
+    assert spearman(x, x[::-1], method="exact")[1] == 2 / math.factorial(12)
+
+
+def test_spearman_exact_at_n_10_is_fast():
     import time
 
     x = list(range(10))

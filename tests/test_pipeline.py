@@ -271,3 +271,24 @@ def test_manifest_seed_of_unseeded_step_is_null(tmp_path, monkeypatch):
     config = write_config(tmp_path, [{"command": "normalize", "args": {"in": "raw.txt", "out": "clean.txt"}}])
     assert run_pipeline(config, tmp_path / "manifest.json") == 0
     assert json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["steps"][0]["seed"] is None
+
+
+def test_noise_config_is_parsed_once_per_run(tmp_path, monkeypatch):
+    from sidkit.noise import NoiseConfig
+
+    parses = []
+    parse = NoiseConfig.from_json
+    monkeypatch.setattr(NoiseConfig, "from_json", lambda text: parses.append(text) or parse(text))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gold.conll").write_text(GOLD, encoding="utf-8")
+    (tmp_path / "noise.json").write_text(
+        json.dumps({"word_fraction": 0.5, "alphabet": "abc", "seed": 11}), encoding="utf-8"
+    )
+    assert main(["noise", "--in", "gold.conll", "--out", "cli.conll", "--config", "noise.json"]) == 0
+    assert len(parses) == 1
+    config = write_config(tmp_path, [{"command": "noise", "args": {
+        "in": "gold.conll", "out": "step.conll", "config": "noise.json"}}])
+    assert run_pipeline(config, tmp_path / "manifest.json") == 0
+    assert len(parses) - 1 <= 2  # the step's run, then the manifest's seed
+    assert json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["steps"][0]["seed"] == 11
+    assert (tmp_path / "step.conll").read_bytes() == (tmp_path / "cli.conll").read_bytes()

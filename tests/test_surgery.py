@@ -132,6 +132,21 @@ def test_inconsistent_range_size_rejected(tmp_path):
         read_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    ("spec", "message"),
+    [
+        ({"dtype": "F32", "shape": [True, 2], "data_offsets": [0, 8]}, "bad shape"),
+        ({"dtype": "F32", "shape": [2], "data_offsets": [False, 8]}, "data_offsets must be two integers"),
+    ],
+)
+def test_json_bools_are_no_shape_or_offset(tmp_path, spec, message):
+    header = json.dumps({"t": spec}, separators=(",", ":")).encode()
+    path = tmp_path / "bools.safetensors"
+    path.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 8)
+    with pytest.raises(CheckpointFormatError, match=message):
+        read_checkpoint(path)
+
+
 def test_non_json_header_rejected(tmp_path):
     path = tmp_path / "junk.safetensors"
     path.write_bytes(struct.pack("<Q", 4) + b"junk")
