@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,7 +105,7 @@ class Utterance:
         return len(self.tokens)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Span:
     """A labeled slot over the half-open token range [start, end)."""
 
@@ -195,47 +196,57 @@ def parse_dataset(
     as LF, as in a file read with universal newlines. Malformed slot tags are
     kept verbatim; structural problems (ragged token lines, missing required
     intent) raise :class:`ParseError` with a line number.
+
+    Equal tokens, slot tags, intents and varieties are one shared string
+    object across the whole dataset.
     """
     if not isinstance(source, str):
         source = "\n".join(line.removesuffix("\n") for line in source)
     text = source.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    # A trailing newline yields one final empty chunk, not an empty line.
-    if lines[-1] == "":
-        lines.pop()
-
-    utterances: list[Utterance] = []
-    block_lines: list[tuple[int, str]] = []
-
-    def flush() -> None:
-        if not block_lines:
-            return
-        utterances.append(_parse_block(block_lines, options, default_id=str(len(utterances))))
-        block_lines.clear()
-
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip() == "":
-            flush()
-        else:
-            block_lines.append((lineno, line))
-    flush()
-
+    shared: dict[str, str] = {}  # one object per distinct token, tag, intent and variety
+    utterances = [
+        _parse_block(block, options, default_id=str(i), shared=shared)
+        for i, block in enumerate(_blocks(text))
+    ]
     try:
         return Dataset(name=name, utterances=tuple(utterances))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
+def _blocks(text: str) -> Iterator[list[tuple[int, str]]]:
+    """Each run of non-blank lines, with 1-based line numbers.
+
+    Lines are split out of one blank-line-separated chunk at a time, so no
+    list of every line of the document is ever held.
+    """
+    lineno = 1
+    for chunk in text.split("\n\n"):
+        block: list[tuple[int, str]] = []
+        for line in chunk.split("\n"):
+            if line.strip():
+                block.append((lineno, line))
+            elif block:  # a blank or whitespace-only line inside the chunk
+                yield block
+                block = []
+            lineno += 1
+        if block:
+            yield block
+        lineno += 1  # the empty line that ended the chunk
+
+
 def _parse_block(
     block: list[tuple[int, str]],
     options: FormatOptions,
     default_id: str,
+    shared: dict[str, str],
 ) -> Utterance:
     comments: dict[str, str] = {}
     tokens: list[str] = []
     tags: list[str] = []
     needed = max(options.token_col, options.tag_col) + 1
     first_lineno = block[0][0]
+    share = shared.setdefault
 
     for lineno, line in block:
         if line.startswith(_COMMENT_PREFIX):
@@ -249,22 +260,24 @@ def _parse_block(
                 f"line {lineno}: expected at least {needed} tab-separated columns, "
                 f"got {len(cols)}: {line!r}"
             )
-        tokens.append(cols[options.token_col])
-        tags.append(cols[options.tag_col])
+        token, tag = cols[options.token_col], cols[options.tag_col]
+        tokens.append(share(token, token))
+        tags.append(share(tag, tag))
 
     intent = comments.get("intent")
     if intent is None:
         if options.require_intent:
             raise ParseError(f"block at line {first_lineno}: missing '# intent:' comment")
         intent = ""
+    variety = comments.get("variety", options.variety)
 
     try:
         return Utterance(
             id=comments.get("id", default_id),
             tokens=tuple(tokens),
             slot_tags=tuple(tags),
-            intent=intent,
-            variety=comments.get("variety", options.variety),
+            intent=share(intent, intent),
+            variety=variety if variety is None else share(variety, variety),
             raw_text=comments.get("text"),
         )
     except ValueError as exc:
@@ -319,8 +332,9 @@ def decode_text(data: bytes, path: str | Path) -> str:
         return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         at = exc.start  # read() decodes all of ``data`` in one call
-        line = data.count(b"\n", 0, at) + 1
-        column = at - data.rfind(b"\n", 0, at)
+        # CRLF, CR and LF each end a line, as in the decoded text
+        line = 1 + data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
+        column = at - max(data.rfind(b"\n", 0, at), data.rfind(b"\r", 0, at))
         raise ParseError(
             f"{path}: invalid UTF-8 byte 0x{data[at]:02x} at line {line}, column {column}"
         ) from None
@@ -360,7 +374,7 @@ def _scan_tags(
         if tag == "O":
             new_label = None
         elif _is_bi_tag(tag):
-            new_label = tag[2:]
+            new_label = sys.intern(tag[2:])  # one label object per distinct label
             if tag[0] == "I":
                 if new_label == label:
                     continue  # the open span goes on

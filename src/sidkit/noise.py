@@ -55,7 +55,7 @@ def build_alphabet(reference: str) -> Alphabet:
     Characters are sorted by code point so the alphabet does not depend on
     the order in which the reference text presents them.
     """
-    return Alphabet(chars=tuple(sorted({ch for ch in reference if ch.isalpha()})))
+    return Alphabet(chars=tuple(sorted({ch for ch in set(reference) if ch.isalpha()})))
 
 
 def load_alphabet(path: str | Path) -> Alphabet:

@@ -1,7 +1,12 @@
+import copy
+import dataclasses
 import itertools
+import pickle
+import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sidkit.corpus import (
@@ -320,6 +325,73 @@ def test_parse_write_round_trip(dataset):
     assert parse_dataset(write_dataset(dataset), name="gen") == dataset
 
 
+blank_runs = st.lists(st.sampled_from(["", " ", "\t", "\x0b", "\x0c", " \t"]), min_size=1, max_size=4)
+
+
+@st.composite
+def documents(draw, min_size=0):
+    """A dataset and the LF-only lines of a document holding it: its blocks
+    separated (and perhaps led and followed) by runs of blank or
+    whitespace-only lines."""
+    dataset = draw(datasets().filter(lambda d: len(d) >= min_size))
+    lines = draw(blank_runs) if draw(st.booleans()) else []
+    for i, utt in enumerate(dataset.utterances):
+        if i:
+            lines += draw(blank_runs)
+        lines += write_dataset(Dataset(name="gen", utterances=(utt,))).rstrip("\n").split("\n")
+    if draw(st.booleans()):
+        lines += draw(blank_runs)
+    return dataset, lines
+
+
+def _as_text(draw, lines):
+    """The lines joined by one of LF, CRLF or CR, perhaps behind a byte-order mark."""
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@given(documents(), st.data())
+@settings(max_examples=200)
+def test_blank_runs_line_ends_and_bom_parse_like_the_lf_form(document, data):
+    dataset, lines = document
+    assert parse_dataset("\n".join(lines), name="gen") == dataset
+    assert parse_dataset(_as_text(data.draw, lines), name="gen") == dataset
+
+
+@given(documents(min_size=1), st.data())
+@settings(max_examples=200)
+def test_ragged_token_line_names_its_line(document, data):
+    _, lines = document
+    token_lines = [k for k, line in enumerate(lines) if line.strip() and not line.startswith("# ")]
+    k = data.draw(st.sampled_from(token_lines))
+    lines[k] = "ragged"
+    with pytest.raises(ParseError, match=rf"^line {k + 1}: expected at least 2"):
+        parse_dataset(_as_text(data.draw, lines))
+
+
+corpus_bytes = st.binary(max_size=64) | st.lists(
+    st.sampled_from([
+        b"# id: 1", b"# id: 2", b"# intent: x", b"# variety: ", b"# text:  a ", b"# ", b"a\tO",
+        b"\tB-x", b"a\tI-", b"a b\tO", b"\t\t", b"\n", b"\r", b"\r\n", b" ", b"\x0b", b"\x1c",
+        b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xc3\xa6", b"\xe2\x80\xa8", b"\x85",
+    ]),
+    max_size=24,
+).map(b"".join)
+
+
+@given(corpus_bytes)
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_arbitrary_bytes_load_or_raise_parse_error(tmp_path, data):
+    path = tmp_path / "any.conll"
+    path.write_bytes(data)
+    try:
+        dataset = load_dataset(path)
+    except ParseError:
+        return
+    assert all(isinstance(utt, Utterance) for utt in dataset)
+
+
 # ---------------------------------------------------------------------------
 # BIO validation and spans
 # ---------------------------------------------------------------------------
@@ -381,6 +453,89 @@ def test_span_round_trip_for_well_formed_sequences(tags):
         return
     spans = extract_spans(utt_tags, "strict")
     assert spans_to_tags(spans, len(tags)) == utt_tags
+
+
+# ---------------------------------------------------------------------------
+# Shared strings and the slotted Span
+# ---------------------------------------------------------------------------
+
+
+def _synthetic_corpus(seed, size=2000, word_types=500):
+    rng = random.Random(seed)
+    words = sorted({"".join(rng.choices("abdefghijklmnoprstuvyæøå", k=rng.randint(2, 9)))
+                    for _ in range(word_types)})
+    labels = ["datetime", "location", "reminder/todo", "weather/attribute", "person", "event"]
+    blocks = []
+    for i in range(size):
+        tokens = rng.choices(words, k=rng.randint(3, 20))
+        tags, open_label = [], None
+        for _ in tokens:
+            if open_label and rng.random() < 0.5:
+                tags.append(f"I-{open_label}")
+            elif rng.random() < 0.3:
+                open_label = rng.choice(labels)
+                tags.append(f"B-{open_label}")
+            else:
+                open_label = None
+                tags.append("O")
+        blocks.append("\n".join([
+            f"# id: {i}",
+            f"# text: {' '.join(tokens)}",
+            f"# intent: {rng.choice(['alarm/set', 'weather/find', 'reminder/set_reminder'])}",
+            f"# variety: {rng.choice(['north', 'west', 'trøndersk', 'east'])}",
+            *(f"{token}\t{tag}" for token, tag in zip(tokens, tags)),
+        ]))
+    return "\n\n".join(blocks) + "\n"
+
+
+def test_parsed_dataset_retains_under_two_and_a_half_times_its_text():
+    text = _synthetic_corpus(seed=3)
+    tracemalloc.start()
+    try:
+        dataset = parse_dataset(text)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == 2000
+    assert retained < 2.5 * len(text.encode("utf-8")), retained / len(text.encode("utf-8"))
+
+
+def test_equal_tokens_tags_intents_and_varieties_are_one_object():
+    first, second = parse_dataset(
+        "# id: 1\n# intent: a/b\n# variety: north\nvekk\tB-datetime\nmæ\tO\n"
+        "\n"
+        "# id: 2\n# intent: a/b\n# variety: north\nmæ\tO\nvekk\tB-datetime\n"
+    )
+    assert first.tokens[0] is second.tokens[1] and first.tokens[1] is second.tokens[0]
+    assert first.slot_tags[0] is second.slot_tags[1] and first.slot_tags[1] is second.slot_tags[0]
+    assert first.intent is second.intent and first.variety is second.variety
+
+
+def test_span_labels_from_two_utterances_are_one_object():
+    tags = ["".join(["B-", "date", "time"]), "".join(["I-", "datetime"])]  # fresh strings each
+    (a,), (b,) = extract_spans(tags[:1], "strict"), extract_spans(["O", "O", tags[1]], "lenient")
+    assert a.label == b.label == "datetime"
+    assert a.label is b.label
+
+
+def test_span_is_slotted_and_round_trips():
+    span = Span(1, 3, "datetime")
+    assert not hasattr(span, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        span.start = 0
+    assert pickle.loads(pickle.dumps(span)) == span
+    assert copy.deepcopy(span) == span
+    assert dataclasses.replace(span, end=5) == Span(1, 5, "datetime")
+    with pytest.raises(ValueError, match="invalid span range"):
+        dataclasses.replace(span, end=1)
+
+
+def test_span_sorts_and_hashes_as_its_field_tuple():
+    fields = [(2, 3, "b"), (0, 4, "a"), (0, 2, "b"), (0, 2, "a"), (1, 2, "a")]
+    spans = [Span(*f) for f in fields]
+    assert [dataclasses.astuple(s) for s in sorted(spans)] == sorted(fields)
+    assert [hash(s) for s in spans] == [hash(f) for f in fields]
+    assert len({Span(0, 2, "a"), Span(0, 2, "a"), Span(0, 2, "b")}) == 2
 
 
 # ---------------------------------------------------------------------------

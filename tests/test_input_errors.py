@@ -144,6 +144,8 @@ def test_classify_does_not_scan_every_layer_index():
     [
         (b'{"steps": [\xff]}', "invalid UTF-8 byte 0xff at line 1, column 12"),
         (b'{"steps": [\r\n\r\n  \xff]}', "invalid UTF-8 byte 0xff at line 3, column 3"),
+        (b'{"steps": [\r\r  \xff]}', "invalid UTF-8 byte 0xff at line 3, column 3"),
+        (b'{"steps":\r[\n\r\n\xff]}', "invalid UTF-8 byte 0xff at line 4, column 1"),
         (b'{"steps": [}', "Expecting value: line 1 column 12 (char 11)"),
     ],
 )
