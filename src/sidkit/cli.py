@@ -13,6 +13,7 @@ the modules it runs when it runs, so start-up pays for nothing else.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import sys
@@ -378,7 +379,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> CommandParser:
+    """The ``sidkit`` parser, built once per process; parsing a command line leaves it unchanged."""
     parser = CommandParser(
         prog="sidkit",
         description="Tooling for dialectal slot-and-intent detection experiments.",

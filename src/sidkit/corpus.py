@@ -15,14 +15,21 @@ carry "key: value" pairs (id, text, intent, variety). Token lines are
 tab-separated with a configurable column map (default: column 0 = token,
 column 1 = slot tag). Malformed slot tags are kept verbatim by the parser;
 ``validate_bio`` reports them.
+
+Inside a :class:`DatasetStore` scope (a pipeline run holds one),
+``load_dataset`` and ``save_dataset`` keep the datasets they parse or write,
+so a later load of an unchanged file with the same format options parses
+nothing.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence
@@ -217,13 +224,16 @@ def parse_dataset(
 def _blocks(text: str) -> Iterator[list[tuple[int, str]]]:
     """Each run of non-blank lines, with 1-based line numbers.
 
-    Lines are split out of one blank-line-separated chunk at a time, so no
-    list of every line of the document is ever held.
+    ``str.find`` walks the text one blank-line-separated chunk at a time, so
+    only the lines of the current chunk are held, never a list of every chunk
+    or every line of the document.
     """
     lineno = 1
-    for chunk in text.split("\n\n"):
+    start = 0
+    while True:
+        stop = text.find("\n\n", start)
         block: list[tuple[int, str]] = []
-        for line in chunk.split("\n"):
+        for line in text[start:stop if stop >= 0 else len(text)].split("\n"):
             if line.strip():
                 block.append((lineno, line))
             elif block:  # a blank or whitespace-only line inside the chunk
@@ -232,6 +242,9 @@ def _blocks(text: str) -> Iterator[list[tuple[int, str]]]:
             lineno += 1
         if block:
             yield block
+        if stop < 0:
+            return
+        start = stop + 2
         lineno += 1  # the empty line that ended the chunk
 
 
@@ -291,10 +304,14 @@ def write_dataset(dataset: Dataset, options: FormatOptions = DEFAULT_FORMAT) -> 
     field-for-field (given ``options.variety`` is None, so varieties are
     carried by block comments alone).
     """
-    blocks = [_write_block(utt, options) for utt in dataset.utterances]
-    if not blocks:
-        return ""
-    return "\n\n".join(blocks) + "\n"
+    return "".join(_written_blocks(dataset, options))
+
+
+def _written_blocks(dataset: Dataset, options: FormatOptions) -> Iterator[str]:
+    """``write_dataset``'s text, one block and the line breaks after it at a time."""
+    last = len(dataset.utterances) - 1
+    for i, utt in enumerate(dataset.utterances):
+        yield _write_block(utt, options) + ("\n" if i == last else "\n\n")
 
 
 def _write_block(utt: Utterance, options: FormatOptions) -> str:
@@ -340,17 +357,106 @@ def decode_text(data: bytes, path: str | Path) -> str:
         ) from None
 
 
+class DatasetStore:
+    """The datasets parsed or written in a ``with DatasetStore():`` scope.
+
+    Each entry sits under its file's absolute path with the SHA-256 of the
+    file's bytes and the FormatOptions it was parsed or written with.
+    ``load_dataset`` serves a dataset from the store only when all three
+    match. The scope lives in a ContextVar, so a thread started inside it
+    sees no store; outside every scope nothing is stored or hashed.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[str, tuple[bytes, FormatOptions, Dataset]] = {}
+
+    def __enter__(self) -> "DatasetStore":
+        self._token = _active_store.set(self)
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        _active_store.reset(self._token)
+
+    def keep(self, paths: Iterable[str | Path]) -> None:
+        """Drop every entry whose file is not one of ``paths``."""
+        wanted = {os.path.abspath(p) for p in paths}
+        for key in self._entries.keys() - wanted:
+            del self._entries[key]
+
+    def get(self, path: Path, digest: bytes, options: FormatOptions) -> Dataset | None:
+        entry = self._entries.get(os.path.abspath(path))
+        return entry[2] if entry is not None and entry[:2] == (digest, options) else None
+
+    def put(self, path: Path, digest: bytes, options: FormatOptions, dataset: Dataset) -> None:
+        self._entries[os.path.abspath(path)] = (digest, options, dataset)
+
+
+_active_store: ContextVar[DatasetStore | None] = ContextVar("sidkit_dataset_store", default=None)
+
+
 def load_dataset(
     path: str | Path,
     options: FormatOptions = DEFAULT_FORMAT,
     name: str | None = None,
 ) -> Dataset:
+    """Parse the file ``path``; the dataset is named ``name`` or the file's stem.
+
+    Inside a :class:`DatasetStore` scope, a file whose bytes and ``options``
+    match a stored entry is not parsed again.
+    """
     path = Path(path)
-    return parse_dataset(read_text(path), options, name=name if name is not None else path.stem)
+    name = name if name is not None else path.stem
+    data = path.read_bytes()
+    store = _active_store.get()
+    if store is None:
+        return parse_dataset(decode_text(data, path), options, name=name)
+    from hashlib import sha256
+
+    digest = sha256(data).digest()
+    stored = store.get(path, digest, options)
+    if stored is not None:
+        return Dataset(name=name, utterances=stored.utterances)
+    dataset = parse_dataset(decode_text(data, path), options, name=name)
+    store.put(path, digest, options, dataset)
+    return dataset
 
 
 def save_dataset(dataset: Dataset, path: str | Path, options: FormatOptions = DEFAULT_FORMAT) -> None:
-    Path(path).write_text(write_dataset(dataset, options), encoding="utf-8")
+    """Write ``write_dataset(dataset, options)`` to ``path`` as UTF-8, a block at a time.
+
+    The blocks go to a temp file in the target's directory, which replaces
+    the target only once every block is written; on any error the temp file
+    is removed and the old target is left as it was. Inside a
+    :class:`DatasetStore` scope the dataset is stored when the file reads
+    back as it exactly: ``options.variety`` is None or every utterance has
+    a variety.
+    """
+    path = Path(path)
+    store = _active_store.get()
+    if store is not None and (options.variety is None or all(u.variety is not None for u in dataset)):
+        from hashlib import sha256
+
+        digest = sha256()
+    else:
+        digest = None
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:  # name the target, as a direct write would
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            for block in _written_blocks(dataset, options):
+                data = block.encode("utf-8")
+                fh.write(data)
+                if digest is not None:
+                    digest.update(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    if digest is not None:
+        store.put(path, digest.digest(), options, dataset)
 
 
 # ---------------------------------------------------------------------------

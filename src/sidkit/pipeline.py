@@ -19,6 +19,13 @@ SHA-256 digests of every file flag of its subcommand (the flags
 after); it contains no timestamps, so re-running an identical pipeline
 reproduces the manifest byte for byte. A failing step aborts the run and the
 manifest records the partial state.
+
+The run holds a ``corpus.DatasetStore``: a step that loads a corpus file an
+earlier step of the run parsed or wrote, with the same bytes and format
+flags, reuses that dataset instead of parsing the file again, so every
+output stays byte-identical to the equivalent command lines. After each
+step the store drops every file that no later step reads (an ``InputPath``
+flag of a later step).
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import json
 from pathlib import Path
 from typing import Container
 
-from .corpus import decode_text
+from .corpus import DatasetStore, decode_text
 
 
 class PipelineError(ValueError):
@@ -71,10 +78,14 @@ def _step_argv(i: int, step: object, commands: Container[str]) -> list[str]:
     return argv
 
 
+def _paths(parsed: argparse.Namespace, role: type) -> list[str]:
+    """The parsed flag values of type ``role``, sorted."""
+    return sorted(value for value in vars(parsed).values() if isinstance(value, role))
+
+
 def _digest_role(parsed: argparse.Namespace, role: type) -> dict[str, str]:
     """SHA-256 of each existing file named by a parsed flag value of type ``role``."""
-    paths = sorted(value for value in vars(parsed).values() if isinstance(value, role))
-    return {p: sha256_file(p) for p in paths if Path(p).is_file()}
+    return {p: sha256_file(p) for p in _paths(parsed, role) if Path(p).is_file()}
 
 
 def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = None) -> int:
@@ -116,23 +127,25 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
             raise PipelineError(f"step {i}: {exc.args[1]}") from None
 
     status = 0
-    for i, (step, (argv, parsed)) in enumerate(zip(steps, checked)):
-        inputs = _digest_role(parsed, cli.InputPath)
-        code = cli.main(argv)
-        record = {
-            "name": step.get("name", f"step{i}"),
-            "command": step["command"],
-            "argv": argv,
-            "seed": cli.effective_seed(parsed) if code == 0 else getattr(parsed, "seed", None),
-            "inputs": inputs,
-            "outputs": _digest_role(parsed, cli.OutputPath),
-            "status": "ok" if code == 0 else f"failed ({code})",
-        }
-        manifest["steps"].append(record)
-        if code != 0:
-            manifest["status"] = "failed"
-            status = 1
-            break
+    with DatasetStore() as store:
+        for i, (step, (argv, parsed)) in enumerate(zip(steps, checked)):
+            inputs = _digest_role(parsed, cli.InputPath)
+            code = cli.main(argv)
+            store.keep(p for _, later in checked[i + 1 :] for p in _paths(later, cli.InputPath))
+            record = {
+                "name": step.get("name", f"step{i}"),
+                "command": step["command"],
+                "argv": argv,
+                "seed": cli.effective_seed(parsed) if code == 0 else getattr(parsed, "seed", None),
+                "inputs": inputs,
+                "outputs": _digest_role(parsed, cli.OutputPath),
+                "status": "ok" if code == 0 else f"failed ({code})",
+            }
+            manifest["steps"].append(record)
+            if code != 0:
+                manifest["status"] = "failed"
+                status = 1
+                break
 
     Path(manifest_path).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

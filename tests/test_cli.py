@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_checkpoint
-from sidkit.cli import main
+from sidkit.cli import build_parser, main
 from sidkit.corpus import extract_spans, load_dataset
 from sidkit.correlation import pearson, spearman
 from sidkit.evaluate import span_f1
@@ -535,3 +535,47 @@ def test_only_surgery_mav_loads_numpy(tmp_path):
     assert _fresh_python(code.format("revert", "reverted.safetensors"), tmp_path) == "0 False"
     assert read_checkpoint(tmp_path / "reverted.safetensors").names()
     assert _fresh_python(code.format("mav", "mav.json"), tmp_path) == "0 True"
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_commands_in_one_process_match_separate_runs(tmp_path, monkeypatch):
+    argvs = [
+        ["stats", "--in", "gold.conll", "--report", "tsv", "--out", "stats.tsv"],
+        ["stats", "--in", "gold.conll", "--out", "stats.json"],  # --report back at its default
+        ["split", "--in", "gold.conll", "--ratio", "0.5", "--seed", "3", "--strategy", "grouped",
+         "--out1", "a.conll", "--out2", "b.conll"],
+        ["noise", "--in", "gold.conll", "--out", "n.conll", "--fraction", "0.5",
+         "--alphabet-from", "gold.conll", "--seed", "2", "--op-weights", "1,0,0"],
+        ["noise", "--in", "gold.conll", "--out", "n0.conll", "--fraction", "0.5",
+         "--alphabet-from", "gold.conll"],  # --seed and --op-weights back at their defaults
+        ["evaluate", "--gold", "gold.conll", "--pred", "n.conll", "--mode", "strict",
+         "--report", "tsv", "--out", "strict.tsv"],
+        ["evaluate", "--gold", "gold.conll", "--pred", "n.conll", "--out", "all.json"],
+    ]
+    together, apart = tmp_path / "together", tmp_path / "apart"
+    for path in (together, apart):
+        path.mkdir()
+        (path / "gold.conll").write_text(GOLD, encoding="utf-8")
+    for argv in argvs:
+        _fresh_python(f"from sidkit.cli import main; raise SystemExit(main({argv!r}))", apart)
+    monkeypatch.chdir(together)
+    assert [main(argv) for argv in argvs] == [0] * len(argvs)
+    assert sorted(os.listdir(together)) == sorted(os.listdir(apart))
+    for name in os.listdir(apart):
+        assert (together / name).read_bytes() == (apart / name).read_bytes(), name
+
+
+def test_commands_outside_a_pipeline_import_no_hashlib(tmp_path, gold_file):
+    gold = str(gold_file)
+    code = (
+        "import sys; from sidkit.cli import main; "
+        f"main(['parse-check', '--in', {gold!r}, '--out', 'check.json']); "
+        f"main(['evaluate', '--gold', {gold!r}, '--pred', {gold!r}, '--out', 'eval.json']); "
+        f"main(['split', '--in', {gold!r}, '--ratio', '0.5', '--seed', '1', "
+        "'--out1', 'a.conll', '--out2', 'b.conll']); "
+        "print('hashlib' in sys.modules)"
+    )
+    assert _fresh_python(code, tmp_path) == "False"

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import os
 import pickle
 import random
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from sidkit.corpus import (
     BioFormatError,
     Dataset,
+    DatasetStore,
     FormatOptions,
     ParseError,
     Span,
@@ -21,6 +23,7 @@ from sidkit.corpus import (
     label_inventory,
     load_dataset,
     parse_dataset,
+    save_dataset,
     spans_to_tags,
     split_dataset,
     unseen_label_report,
@@ -320,9 +323,85 @@ def datasets(draw):
 
 
 @given(datasets())
-@settings(max_examples=100)
-def test_parse_write_round_trip(dataset):
-    assert parse_dataset(write_dataset(dataset), name="gen") == dataset
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_parse_write_round_trip(tmp_path, dataset):
+    text = write_dataset(dataset)
+    assert parse_dataset(text, name="gen") == dataset
+    save_dataset(dataset, tmp_path / "gen.conll")
+    assert (tmp_path / "gen.conll").read_bytes() == text.encode("utf-8")
+
+
+def test_failed_save_leaves_the_old_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "out.conll"
+    target.write_bytes(b"old bytes\n")
+    utterances = [Utterance(str(i), ("a",), ("O",), "i") for i in range(500)]
+    late = Utterance("late", ("a",), ("# x",), "i")  # reads back as a comment when in column 0
+    with pytest.raises(ValueError, match="comment"):
+        save_dataset(Dataset("d", (*utterances, late)), target, FormatOptions(token_col=1, tag_col=0))
+    assert target.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["out.conll"]
+
+
+def test_save_into_a_missing_directory_names_the_target(tmp_path):
+    target = tmp_path / "missing" / "out.conll"
+    with pytest.raises(FileNotFoundError) as exc:
+        save_dataset(Dataset("d", ()), target)
+    assert exc.value.filename == str(target)
+
+
+# ---------------------------------------------------------------------------
+# The dataset store
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def format_options(draw):
+    token_col, tag_col = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+    return FormatOptions(
+        token_col=token_col,
+        tag_col=tag_col,
+        require_intent=draw(st.booleans()),
+        variety=draw(st.sampled_from([None, "east"])),
+    )
+
+
+@given(datasets(), format_options())
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_store_serves_what_a_load_outside_it_reads(tmp_path, dataset, options):
+    path = tmp_path / "saved.conll"
+    with DatasetStore():
+        save_dataset(dataset, path, options)
+        inside = load_dataset(path, options)
+    assert inside == load_dataset(path, options)
+    # stored only when the file reads back as the dataset exactly
+    exact = options.variety is None or all(utt.variety is not None for utt in dataset)
+    assert (inside.utterances is dataset.utterances) == exact
+
+
+def test_store_parses_a_rewritten_file_again(tmp_path):
+    path = tmp_path / "d.conll"
+    path.write_text("# id: 1\n# intent: a\nx\tO\n", encoding="utf-8")
+    with DatasetStore():
+        first = load_dataset(path)
+        assert load_dataset(path, name="again").utterances is first.utterances
+        path.write_text("# id: 1\n# intent: b\nx\tO\n", encoding="utf-8")
+        second = load_dataset(path)
+    assert second.utterances[0].intent == "b"
+    assert second == load_dataset(path)
+
+
+def test_store_parses_a_file_loaded_with_other_options_again(tmp_path):
+    path = tmp_path / "d.conll"
+    path.write_text("# id: 1\n# intent: a\nx\tO\tB-y\n", encoding="utf-8")
+    other = FormatOptions(tag_col=2, variety="west")
+    with DatasetStore():
+        first = load_dataset(path)
+        second = load_dataset(path, other)
+        third = load_dataset(path)
+    assert first.utterances[0].slot_tags == ("O",) and first.utterances[0].variety is None
+    assert second == load_dataset(path, other)
+    assert second.utterances[0].slot_tags == ("B-y",) and second.utterances[0].variety == "west"
+    assert third == first
 
 
 blank_runs = st.lists(st.sampled_from(["", " ", "\t", "\x0b", "\x0c", " \t"]), min_size=1, max_size=4)
@@ -498,6 +577,33 @@ def test_parsed_dataset_retains_under_two_and_a_half_times_its_text():
         tracemalloc.stop()
     assert len(dataset) == 2000
     assert retained < 2.5 * len(text.encode("utf-8")), retained / len(text.encode("utf-8"))
+
+
+def test_parse_transient_is_under_half_the_text():
+    text = _synthetic_corpus(seed=5, size=7000)
+    assert 1.8e6 < len(text) < 2.5e6
+    tracemalloc.start()
+    try:
+        dataset = parse_dataset(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == 7000
+    assert peak - retained < 0.5 * len(text), (peak - retained) / len(text)
+
+
+def test_save_peak_is_under_a_quarter_of_the_file(tmp_path):
+    dataset = parse_dataset(_synthetic_corpus(seed=6, size=7000))
+    path = tmp_path / "big.conll"
+    tracemalloc.start()
+    try:
+        save_dataset(dataset, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1.8e6
+    assert peak < 0.25 * size, peak / size
 
 
 def test_equal_tokens_tags_intents_and_varieties_are_one_object():

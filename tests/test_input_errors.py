@@ -6,7 +6,9 @@ Every sidkit data error derives from ValueError, so ``main`` turns exactly
 
 import importlib
 import json
+import math
 import pkgutil
+import struct
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import sidkit
 from conftest import make_checkpoint
 from sidkit.cli import UsageError, main
-from sidkit.surgery import NamingScheme, SchemeError
+from sidkit.surgery import DTYPE_SIZES, CheckpointFormatError, NamingScheme, SchemeError, read_checkpoint
 
 CORPUS = "# id: 1\n# intent: a/b\nvekk\tO\nmæ\tB-datetime\n\n# id: 2\n# intent: c/d\nkor\tO\n"
 
@@ -213,3 +215,43 @@ def test_any_json_config_exits_0_1_or_2(noise, scheme, pipeline, tmp_path, monke
     _assert_clean_exit(_run_noise, tmp_path, noise, capsys)
     _assert_clean_exit(_run_surgery, tmp_path, scheme, capsys)
     _assert_clean_exit(_run_pipeline, tmp_path, pipeline, capsys)
+
+
+# ---------------------------------------------------------------------------
+# Arbitrary checkpoint headers
+# ---------------------------------------------------------------------------
+
+@st.composite
+def checkpoint_files(draw):
+    """A header and the length of the data region after it: tensors that tile
+    the region, each field perhaps replaced by any JSON value, and entries
+    that are any JSON value; or a header that is any JSON value at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(json_values), draw(st.integers(0, 72))
+    header, end = {}, 0
+    for name in draw(st.lists(st.sampled_from(["a", "b", "c", ""]) | st.text(max_size=4), unique=True, max_size=4)):
+        dtype = draw(st.sampled_from(sorted(DTYPE_SIZES)))
+        shape = draw(st.lists(st.integers(0, 3), max_size=2))
+        size = math.prod(shape) * DTYPE_SIZES[dtype]
+        entry = {"dtype": dtype, "shape": shape, "data_offsets": [end, end + size]}
+        end += size
+        for key in draw(st.lists(st.sampled_from([*entry, "extra"]), unique=True, max_size=2)):
+            entry[key] = draw(json_values | st.lists(st.integers(-4, 72), max_size=3))
+        header[name] = draw(st.just(entry) | json_values) if draw(st.integers(0, 5)) == 0 else entry
+    if draw(st.booleans()):
+        header["__metadata__"] = draw(st.dictionaries(st.text(max_size=4), st.text(max_size=4)) | json_values)
+    return header, end + draw(st.sampled_from([0, 0, 0, 1, 4]) | st.integers(0, 72))  # plus padding
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=checkpoint_files())
+def test_any_checkpoint_header_loads_or_raises_checkpoint_format_error(case, tmp_path):
+    header, data_len = case
+    raw = json.dumps(header).encode("utf-8")
+    path = tmp_path / "any.safetensors"
+    path.write_bytes(struct.pack("<Q", len(raw)) + raw + bytes(data_len))
+    try:
+        checkpoint = read_checkpoint(path)
+    except CheckpointFormatError:
+        return
+    assert sorted(checkpoint.names()) == sorted(name for name in header if name != "__metadata__")

@@ -1,9 +1,11 @@
 import json
+import os
 
 import pytest
 
+from sidkit import cli, corpus
 from sidkit.cli import InputPath, OutputPath, build_parser, main
-from sidkit.pipeline import PipelineError, run_pipeline, sha256_file
+from sidkit.pipeline import PipelineError, _step_argv, run_pipeline, sha256_file
 
 GOLD = (
     "# id: 1\n# intent: alarm/set\nvekk\tO\nmekk\tB-datetime\n"
@@ -292,3 +294,106 @@ def test_noise_config_is_parsed_once_per_run(tmp_path, monkeypatch):
     assert len(parses) - 1 <= 2  # the step's run, then the manifest's seed
     assert json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["steps"][0]["seed"] == 11
     assert (tmp_path / "step.conll").read_bytes() == (tmp_path / "cli.conll").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The dataset store of a run
+# ---------------------------------------------------------------------------
+
+CORPUS = "".join(
+    f"# id: {g}-{k}\n# intent: {'alarm/set' if g % 2 else 'weather/find'}\n# variety: {'ns'[k]}\n"
+    f"vekk\tO\nmæ{g}\tB-datetime\nkl\tI-datetime\n\n"
+    for g in range(12) for k in range(2)
+)
+STORE_STEPS = [
+    {"command": "split", "args": {"in": "corpus.conll", "ratio": 0.5, "seed": 3, "strategy": "grouped",
+                                  "out1": "train.conll", "out2": "heldout.conll"}},
+    {"command": "noise", "args": {"in": "train.conll", "out": "noised.conll", "fraction": 0.5,
+                                  "alphabet-from": "alpha.txt", "seed": 4}},
+    {"command": "stats", "args": {"in": "heldout.conll", "unseen-from": "train.conll", "out": "stats.json"}},
+    {"command": "evaluate", "args": {"gold": "train.conll", "pred": "noised.conll", "group-by": "variety",
+                                     "out": "eval.json"}},
+]
+
+
+def _store_inputs(path):
+    path.mkdir()
+    (path / "corpus.conll").write_text(CORPUS, encoding="utf-8")
+    (path / "alpha.txt").write_text("abcæøå", encoding="utf-8")
+
+
+def _active_store():
+    return corpus._active_store.get()
+
+
+def test_steps_reuse_corpora_and_match_separate_command_lines(tmp_path, monkeypatch):
+    run, alone = tmp_path / "run", tmp_path / "alone"
+    _store_inputs(run)
+    _store_inputs(alone)
+    monkeypatch.chdir(alone)
+    for i, step in enumerate(STORE_STEPS):
+        assert main(_step_argv(i, step, build_parser().commands)) == 0
+
+    parses, held = [], []
+    parse, step_main = corpus.parse_dataset, cli.main
+    monkeypatch.setattr(corpus, "parse_dataset", lambda *a, **k: parses.append(a) or parse(*a, **k))
+    monkeypatch.setattr(cli, "main", lambda argv: held.append(sorted(
+        os.path.basename(p) for p in _active_store()._entries)) or step_main(argv))
+    monkeypatch.chdir(run)
+    assert run_pipeline(write_config(run, STORE_STEPS), run / "manifest.json") == 0
+
+    assert len(parses) == 1  # corpus.conll; every later load is served by the store
+    assert held == [
+        [],
+        ["heldout.conll", "train.conll"],  # corpus.conll is read by no later step
+        ["heldout.conll", "noised.conll", "train.conll"],
+        ["noised.conll", "train.conll"],
+    ]
+    assert _active_store() is None
+    for name in os.listdir(alone):
+        assert (run / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+def test_no_store_is_active_after_a_run(tmp_path, monkeypatch):
+    _store_inputs(tmp_path / "in")
+    monkeypatch.chdir(tmp_path / "in")
+    assert run_pipeline(write_config(tmp_path, STORE_STEPS[:2]), tmp_path / "ok.json") == 0
+    assert _active_store() is None
+
+    failing = [STORE_STEPS[0], {"command": "evaluate", "args": {"gold": "train.conll", "pred": "none.conll"}}]
+    assert run_pipeline(write_config(tmp_path, failing), tmp_path / "failed.json") == 1
+    assert _active_store() is None
+
+    seen = []
+
+    def explode(dataset, cfg):
+        seen.append(_active_store())
+        raise RuntimeError("not a data error")
+
+    monkeypatch.setattr(cli, "noise_dataset", explode)
+    with pytest.raises(RuntimeError, match="not a data error"):
+        run_pipeline(write_config(tmp_path, STORE_STEPS[:2]), tmp_path / "raised.json")
+    assert seen[0] is not None
+    assert _active_store() is None
+
+
+def test_a_thread_started_during_a_run_sees_no_store(tmp_path, monkeypatch):
+    import threading
+
+    _store_inputs(tmp_path / "in")
+    monkeypatch.chdir(tmp_path / "in")
+    seen = {}
+    noise = cli.noise_dataset
+
+    def noise_from_a_thread(dataset, cfg):
+        seen["step"] = _active_store()
+        thread = threading.Thread(target=lambda: seen.setdefault("thread", _active_store()))
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        return noise(dataset, cfg)
+
+    monkeypatch.setattr(cli, "noise_dataset", noise_from_a_thread)
+    assert run_pipeline(write_config(tmp_path, STORE_STEPS[:2]), tmp_path / "m.json") == 0
+    assert seen["step"] is not None
+    assert "thread" in seen and seen["thread"] is None
