@@ -27,10 +27,12 @@ from __future__ import annotations
 import io
 import json
 import os
+import stat
 import sys
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -321,15 +323,14 @@ def _write_block(utt: Utterance, options: FormatOptions) -> str:
     lines.append(f"# intent: {utt.intent}")
     if utt.variety is not None:
         lines.append(f"# variety: {utt.variety}")
-    width = max(options.token_col, options.tag_col) + 1
-    for token, tag in zip(utt.tokens, utt.slot_tags):
-        cols = ["_"] * width
-        cols[options.token_col] = token
-        cols[options.tag_col] = tag
-        line = "\t".join(cols)
-        if line.startswith(_COMMENT_PREFIX):  # only a tag in column 0 can start like a comment
-            raise ValueError(f"utterance {utt.id!r}: slot tag {tag!r} would be read back as a comment")
-        lines.append(line)
+    if options.tag_col == 0:  # only a tag in column 0 can start a line like a comment
+        for tag in utt.slot_tags:
+            if tag.startswith(_COMMENT_PREFIX):
+                raise ValueError(f"utterance {utt.id!r}: slot tag {tag!r} would be read back as a comment")
+    columns: list[Iterable[str]] = [repeat("_")] * (max(options.token_col, options.tag_col) + 1)
+    columns[options.token_col] = utt.tokens
+    columns[options.tag_col] = utt.slot_tags
+    lines.extend(map("\t".join, zip(*columns)))
     return "\n".join(lines)
 
 
@@ -424,9 +425,12 @@ def load_dataset(
 def save_dataset(dataset: Dataset, path: str | Path, options: FormatOptions = DEFAULT_FORMAT) -> None:
     """Write ``write_dataset(dataset, options)`` to ``path`` as UTF-8, a block at a time.
 
-    The blocks go to a temp file in the target's directory, which replaces
-    the target only once every block is written; on any error the temp file
-    is removed and the old target is left as it was. Inside a
+    The blocks go to a temp file in the directory of the file ``path``
+    names, after symlinks are resolved; once every block is written, the
+    temp file takes that file's permission bits (when it exists) and
+    replaces it, so a symlinked ``path`` stays a link to the new bytes. On
+    any error the temp file is removed and the old target is left as it
+    was. Inside a
     :class:`DatasetStore` scope the dataset is stored when the file reads
     back as it exactly: ``options.variety`` is None or every utterance has
     a variety.
@@ -439,7 +443,8 @@ def save_dataset(dataset: Dataset, path: str | Path, options: FormatOptions = DE
         digest = sha256()
     else:
         digest = None
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     try:
         fh = open(tmp, "xb")
     except OSError as exc:  # name the target, as a direct write would
@@ -451,7 +456,11 @@ def save_dataset(dataset: Dataset, path: str | Path, options: FormatOptions = DE
                 fh.write(data)
                 if digest is not None:
                     digest.update(data)
-        os.replace(tmp, path)
+            try:
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+            except FileNotFoundError:  # a new file keeps the umask's bits
+                pass
+        os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

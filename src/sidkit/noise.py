@@ -9,7 +9,11 @@ so alignment with the annotation never breaks.
 
 Randomness is keyed per utterance (run seed mixed with a hash of the
 utterance id), which makes outputs reproducible, independent of corpus order,
-and safe to compute in parallel.
+and safe to compute in parallel. Each edited word draws its op, then its
+position, then its character. ``noise_dataset`` computes a config's draw
+tables (the running sums of the op weights, each letter's place in the
+alphabet) once; a draw from them takes the same raw values and yields the
+same op or character as ``SplitMix64.weighted_choice`` and ``choice`` would.
 """
 
 from __future__ import annotations
@@ -172,34 +176,68 @@ def noise_word(word: str, op: NoiseOp, position: int, insert_char: str | None = 
     raise NoiseError(f"unknown op {op!r}")
 
 
-def _noise_token(word: str, rng: SplitMix64, cfg: NoiseConfig) -> str:
+class _Draws:
+    """The draw tables of one NoiseConfig, computed once for a whole dataset.
+
+    Each draw consumes the same raw values, and yields the same op or
+    character, as the ``SplitMix64`` helper it stands for.
+    """
+
+    def __init__(self, cfg: NoiseConfig) -> None:
+        weights = cfg.op_weights.as_tuple()
+        self.total = sum(weights)
+        bounds, acc = [], 0.0
+        for weight in weights:  # the running sums of SplitMix64.weighted_choice
+            acc += weight
+            bounds.append(acc)
+        self.bounds = tuple(zip(bounds, _OPS))
+        self.chars = cfg.alphabet.chars
+        self.index = {ch: i for i, ch in enumerate(self.chars)}
+
+    def op(self, rng: SplitMix64) -> NoiseOp:
+        """``rng.weighted_choice(_OPS, weights)``."""
+        u = rng.next_float() * self.total
+        for bound, op in self.bounds:
+            if u < bound:
+                return op
+        return _OPS[-1]  # guards against accumulated float error
+
+    def substitute(self, rng: SplitMix64, old: str) -> str:
+        """``rng.choice`` over the alphabet without ``old``, without building that tuple."""
+        skip = self.index.get(old, len(self.chars))
+        n = len(self.chars) - (skip < len(self.chars))
+        if n == 0:
+            raise NoiseError(
+                "substitution drawn but the alphabet offers no character different "
+                f"from {old!r}"
+            )
+        k = rng.next_below(n)
+        return self.chars[k + (k >= skip)]
+
+
+def _noise_token(word: str, rng: SplitMix64, draws: _Draws) -> str:
     # Draw order is part of the output contract: op, then position, then char.
-    if len(word) == 1:
-        op: NoiseOp = "insert"  # deletion would empty the token
-    else:
-        op = rng.weighted_choice(_OPS, cfg.op_weights.as_tuple())
+    op: NoiseOp = "insert" if len(word) == 1 else draws.op(rng)  # deletion would empty a length-1 token
 
     if op == "delete":
         return noise_word(word, "delete", rng.next_below(len(word)))
     if op == "insert":
-        if not cfg.alphabet.chars:
+        if not draws.chars:
             raise NoiseError("insertion drawn but the alphabet is empty")
         position = rng.next_below(len(word) + 1)
-        return noise_word(word, "insert", position, rng.choice(cfg.alphabet.chars))
+        return noise_word(word, "insert", position, rng.choice(draws.chars))
     position = rng.next_below(len(word))
     # A substitution must change the word, or the per-sentence edit count
     # would silently drop below the configured fraction.
-    candidates = tuple(ch for ch in cfg.alphabet.chars if ch != word[position])
-    if not candidates:
-        raise NoiseError(
-            "substitution drawn but the alphabet offers no character different "
-            f"from {word[position]!r}"
-        )
-    return noise_word(word, "both", position, rng.choice(candidates))
+    return noise_word(word, "both", position, draws.substitute(rng, word[position]))
 
 
 def noise_utterance(utterance: Utterance, cfg: NoiseConfig) -> Utterance:
     """Apply seeded noise to one utterance's alphabetic tokens."""
+    return _noise_utterance(utterance, cfg, _Draws(cfg))
+
+
+def _noise_utterance(utterance: Utterance, cfg: NoiseConfig, draws: _Draws) -> Utterance:
     rng = SplitMix64(derive_seed(cfg.seed, utterance.id.encode("utf-8")))
     alpha_positions = [i for i, tok in enumerate(utterance.tokens) if tok.isalpha()]
     n_select = share_count(cfg.word_fraction, len(alpha_positions))
@@ -208,7 +246,7 @@ def noise_utterance(utterance: Utterance, cfg: NoiseConfig) -> Utterance:
     selected = sorted(rng.sample(alpha_positions, n_select))
     tokens = list(utterance.tokens)
     for i in selected:
-        tokens[i] = _noise_token(tokens[i], rng, cfg)
+        tokens[i] = _noise_token(tokens[i], rng, draws)
     return Utterance(
         id=utterance.id,
         tokens=tuple(tokens),
@@ -221,7 +259,8 @@ def noise_utterance(utterance: Utterance, cfg: NoiseConfig) -> Utterance:
 
 def noise_dataset(dataset: Dataset, cfg: NoiseConfig) -> Dataset:
     """Noised copy of a dataset; fully determined by (dataset, cfg)."""
+    draws = _Draws(cfg)
     return Dataset(
         name=dataset.name,
-        utterances=tuple(noise_utterance(utt, cfg) for utt in dataset.utterances),
+        utterances=tuple(_noise_utterance(utt, cfg, draws) for utt in dataset.utterances),
     )

@@ -9,6 +9,12 @@ The split-word ratio of a corpus is the fraction of words that either
 tokenize into more than one piece or cannot be segmented at all. Differences
 in this ratio between training and evaluation corpora are the quantity fed
 into the correlation analysis.
+
+Greedy matching tries the whole word first, so a word is one piece exactly
+when it is itself in the vocabulary; any other word splits into several
+pieces or collapses to the unknown token. The ratio therefore needs no
+segmentation: a word is split iff it is not a vocabulary piece or it is the
+unknown token.
 """
 
 from __future__ import annotations
@@ -96,20 +102,18 @@ def _iter_words(corpus: Corpus, letters_only: bool) -> Iterable[str]:
 def split_word_ratio(vocab: SubwordVocab, corpus: Corpus, letters_only: bool = False) -> float:
     """Fraction of words split into multiple pieces or unsegmentable.
 
-    Computed over word tokens (every occurrence counts), not types; each
-    word type is segmented once.
+    Computed over word tokens (every occurrence counts), not types. Equal to
+    counting the words whose ``tokenize_word`` pieces are more than one or
+    ``[unk]``, without segmenting any word (see the module docstring).
     """
-    total = 0
-    split = 0
-    unk = [vocab.unk_token]
-    for word, count in Counter(_iter_words(corpus, letters_only)).items():
-        total += count
-        pieces = tokenize_word(vocab, word)
-        if len(pieces) > 1 or pieces == unk:
-            split += count
+    counts = Counter(_iter_words(corpus, letters_only))
+    if "" in counts:
+        raise SubwordError("cannot tokenize an empty word")
+    total = sum(counts.values())
     if total == 0:
         raise SubwordError("corpus contains no words")
-    return split / total
+    tokens, unk = vocab.tokens, vocab.unk_token
+    return sum(count for word, count in counts.items() if word not in tokens or word == unk) / total
 
 
 def ratio_difference(

@@ -7,21 +7,24 @@ would otherwise surface only when the traced benchmark runs.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
+
+from sidkit.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def _load_probes():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.PROBES
+    return module
 
 
 def test_every_probe_target_resolves():
     missing = []
-    for module_name, attr, _, _ in _load_probes():
+    for module_name, attr, _, _ in _load_tracing().PROBES:
         owner = importlib.import_module(module_name)
         *path, name = attr.split(".")
         for part in path:
@@ -29,3 +32,36 @@ def test_every_probe_target_resolves():
         if name not in owner.__dict__:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+CORPUS = "".join(
+    f"# id: {g}-{k}\n# intent: alarm/set\nvekk\tO\nmæ\tO\nkl{g}\tB-datetime\nhalv\tI-datetime\n\n"
+    for g in range(6) for k in range(2)
+)
+TRACED_STEPS = [
+    {"command": "normalize", "args": {"in": "transcript.txt", "out": "norm.txt"}},
+    {"command": "split", "args": {"in": "corpus.conll", "ratio": 0.5, "seed": 1, "strategy": "grouped",
+                                  "out1": "train.conll", "out2": "heldout.conll"}},
+    {"command": "noise", "args": {"in": "train.conll", "out": "noised.conll", "fraction": 0.5,
+                                  "alphabet-from": "norm.txt", "seed": 1}},
+    {"command": "subword-ratio", "args": {"vocab": "vocab.txt", "in": "noised.conll", "compare": "heldout.conll",
+                                          "format": "conll", "out": "ratio.json"}},
+]
+
+
+def test_a_traced_pipeline_records_every_text_layer(tmp_path, monkeypatch):
+    """The spans the traced benchmark reads fire on a small text pipeline."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.conll").write_text(CORPUS, encoding="utf-8")
+    (tmp_path / "transcript.txt").write_text("æ e itj kjem ikkje\nka du sei\n", encoding="utf-8")
+    (tmp_path / "vocab.txt").write_text("[UNK]\nvekk\nmæ\nkl\n##1\nhalv\n", encoding="utf-8")
+    (tmp_path / "pipe.json").write_text(json.dumps({"steps": TRACED_STEPS}), encoding="utf-8")
+    tracing = _load_tracing()
+    with tracing.Tracer() as tracer:
+        assert main(["pipeline", "--config", "pipe.json", "--manifest", "manifest.json"]) == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"subword.ratio", "noise.noise", "corpus.write", "normalize.normalize"} <= names
+    metrics = tracing.layer_metrics(tracer.spans, {})
+    assert metrics["noise.words_edited"] > 0
+    assert metrics["subword.words"] > 0 and metrics["normalize.tokens"] > 0
+    assert metrics["pipeline.steps"] == len(TRACED_STEPS)

@@ -4,6 +4,7 @@ import itertools
 import os
 import pickle
 import random
+import stat
 import tracemalloc
 
 import pytest
@@ -349,6 +350,36 @@ def test_save_into_a_missing_directory_names_the_target(tmp_path):
     assert exc.value.filename == str(target)
 
 
+def test_save_through_a_symlink_writes_the_linked_file(tmp_path):
+    real = tmp_path / "data" / "real.conll"
+    real.parent.mkdir()
+    real.write_bytes(b"old bytes\n")
+    real.chmod(0o600)
+    link = tmp_path / "link.conll"
+    link.symlink_to(real)
+    dataset = Dataset("d", (Utterance("1", ("a",), ("O",), "i"),))
+    save_dataset(dataset, link)
+    assert link.is_symlink() and link.resolve() == real.resolve()
+    assert real.read_bytes() == write_dataset(dataset).encode("utf-8")
+    assert stat.S_IMODE(real.stat().st_mode) == 0o600
+    assert os.listdir(real.parent) == ["real.conll"]
+    assert sorted(os.listdir(tmp_path)) == ["data", "link.conll"]
+
+
+def test_save_keeps_the_permission_bits_of_the_file_it_replaces(tmp_path):
+    dataset = Dataset("d", (Utterance("1", ("a",), ("O",), "i"),))
+    for mode in (0o600, 0o640, 0o444):
+        target = tmp_path / f"{mode:o}.conll"
+        target.write_bytes(b"old bytes\n")
+        target.chmod(mode)
+        save_dataset(dataset, target)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert target.read_bytes() == write_dataset(dataset).encode("utf-8")
+    open(tmp_path / "plain", "xb").close()
+    save_dataset(dataset, tmp_path / "new.conll")  # a new file gets the bits the umask leaves
+    assert (tmp_path / "new.conll").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
 # ---------------------------------------------------------------------------
 # The dataset store
 # ---------------------------------------------------------------------------
@@ -402,6 +433,60 @@ def test_store_parses_a_file_loaded_with_other_options_again(tmp_path):
     assert second == load_dataset(path, other)
     assert second.utterances[0].slot_tags == ("B-y",) and second.utterances[0].variety == "west"
     assert third == first
+
+
+# ---------------------------------------------------------------------------
+# The writer against a per-line reference
+# ---------------------------------------------------------------------------
+
+
+def reference_write(dataset, options):
+    """``write_dataset`` built one token line at a time."""
+    blocks = []
+    for utt in dataset:
+        lines = [f"# id: {utt.id}"]
+        if utt.raw_text is not None:
+            lines.append(f"# text: {utt.raw_text}")
+        lines.append(f"# intent: {utt.intent}")
+        if utt.variety is not None:
+            lines.append(f"# variety: {utt.variety}")
+        width = max(options.token_col, options.tag_col) + 1
+        for token, tag in zip(utt.tokens, utt.slot_tags):
+            cols = ["_"] * width
+            cols[options.token_col] = token
+            cols[options.tag_col] = tag
+            line = "\t".join(cols)
+            if line.startswith("# "):
+                raise ValueError(f"utterance {utt.id!r}: slot tag {tag!r} would be read back as a comment")
+            lines.append(line)
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n" if blocks else ""
+
+
+@st.composite
+def datasets_with_hash_tags(draw):
+    """``datasets()`` with some slot tags replaced by ones that start with "#"."""
+    utterances = []
+    for utt in draw(datasets()):
+        tags = [draw(st.sampled_from(["# x", "# ", "#x", "#", "x # y"])) if draw(st.integers(0, 7)) == 0
+                else tag for tag in utt.slot_tags]
+        utterances.append(dataclasses.replace(utt, slot_tags=tuple(tags)))
+    return Dataset(name="gen", utterances=tuple(utterances))
+
+
+@given(datasets_with_hash_tags(), format_options())
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_writer_matches_a_per_line_reference(tmp_path, dataset, options):
+    try:
+        expected = reference_write(dataset, options)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            write_dataset(dataset, options)
+        assert str(got.value) == str(exc)
+        return
+    assert write_dataset(dataset, options) == expected
+    save_dataset(dataset, tmp_path / "w.conll", options)
+    assert (tmp_path / "w.conll").read_bytes() == expected.encode("utf-8")
 
 
 blank_runs = st.lists(st.sampled_from(["", " ", "\t", "\x0b", "\x0c", " \t"]), min_size=1, max_size=4)

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sidkit.corpus import Dataset, Utterance
 from sidkit.noise import (
+    _OPS,
     Alphabet,
     NoiseConfig,
     NoiseError,
@@ -12,8 +15,9 @@ from sidkit.noise import (
     noise_dataset,
     noise_utterance,
     noise_word,
+    _Draws,
 )
-from sidkit.rng import round_half_up
+from sidkit.rng import SplitMix64, round_half_up
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -288,3 +292,91 @@ def test_config_json_round_trip():
 def test_noise_utterance_with_no_alphabetic_words():
     utt = Utterance(id="0", tokens=("3", "!", "pm."), slot_tags=("O", "O", "O"), intent="x")
     assert noise_utterance(utt, CFG) == utt
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs and the draw tables
+# ---------------------------------------------------------------------------
+
+PIN_SENTENCES = {
+    "u1": "hei på deg i dag 12 x",  # single letters in ("i") and out of ("x") the alphabet
+    "u2": "zzz kan du vekke meg a !",  # "zzz": no letter of it is in the alphabet
+    "u3": "ø qq morgen tidlig ja",
+}
+# The noised sentences of PIN_SENTENCES under alphabet "abeinø" and seed 5, per
+# (word fraction, op weights); recorded from the implementation that drew every
+# op with SplitMix64.weighted_choice and every substitute from a fresh tuple.
+PINNED = {
+    (0.1, (1, 1, 1)): ["hei på deg ii dag 12 x", "zzz kan du vkke meg a !", "ø qq morgen tiblig ja"],
+    (0.1, (0, 0, 1)): ["hei på deg ii dag 12 x", "zzz kan du vøkke meg a !", "ø qq morgen tiblig ja"],
+    (0.1, (1, 0, 0)): ["hei på deg ii dag 12 x", "zzz kan du vkke meg a !", "ø qq morgen tilig ja"],
+    (0.1, (0.3, 2.5, 1e-3)): ["hei på deg ii dag 12 x", "zzz kan du veakke meg a !", "ø qq morgen btidlig ja"],
+    (0.5, (1, 1, 1)): ["hei på neg ni dag 12 xi", "zzz kan dui vakke meg ea !", "ø qø morgen tidløg ji"],
+    (0.5, (0, 0, 1)): ["hei på neg ni dag 12 xi", "zzz kan di vakke meg ea !", "ø qø morgen tidløg ji"],
+    (0.5, (1, 0, 0)): ["hei på eg ai dag 12 øx", "zzz kan d veke meg øa !", "ø q morgen tilig j"],
+    (0.5, (0.3, 2.5, 1e-3)): ["hei på deng ni dag 12 xi", "zzz kan dui veøkke meg ea !", "ø qøq morgen tidligb jba"],
+    (1.0, (1, 1, 1)): ["heøi p deeg øi ag 12 bx", "zzø ka d venkke mbeg ai !", "øe qa moørgen tidig j"],
+    (1.0, (0, 0, 1)): ["hii pn dee ie dab 12 xb", "zzø kaø de veike mei aø !", "øe qa mørgen tidnig aa"],
+    (1.0, (1, 0, 0)): ["hi p dg ie da 12 ix", "zz kn d vekk mg ia !", "øe q mrgen tidli j"],
+    (1.0, (0.3, 2.5, 1e-3)): ["heøi npå edeg ie dabg 12 xb", "øzzz kain due ivekke mieg aø !", "øe qaq moørgen tidling jaa"],
+}
+
+
+@pytest.mark.parametrize("fraction, weights", sorted(PINNED))
+def test_noised_tokens_are_pinned(fraction, weights):
+    corpus = Dataset(name="pin", utterances=tuple(
+        Utterance(id=i, tokens=tuple(s.split()), slot_tags=("O",) * len(s.split()), intent="x")
+        for i, s in PIN_SENTENCES.items()
+    ))
+    cfg = NoiseConfig(fraction, Alphabet(chars=tuple("abeinø")), OpWeights(*weights), seed=5)
+    noised = noise_dataset(corpus, cfg)
+    assert [" ".join(utt.tokens) for utt in noised] == PINNED[fraction, weights]
+    assert [noise_utterance(utt, cfg) for utt in corpus] == list(noised)
+
+
+finite_weights = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.integers(0, 10**6)
+
+
+class FixedFloat(SplitMix64):
+    """A generator whose every float draw is ``value``."""
+
+    def __init__(self, value):
+        super().__init__(0)
+        self.value = value
+
+    def next_float(self):
+        return self.value
+
+
+@given(
+    st.tuples(finite_weights, finite_weights, finite_weights).filter(any),
+    st.integers(0, 2**64 - 1),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+@example((0.1, 0.2, 0.3), 0, 0.5)  # u lands on the second running sum, 0.30000000000000004
+@settings(max_examples=500)
+def test_op_table_draws_what_weighted_choice_draws(weights, seed, value):
+    expected, got = SplitMix64(seed), SplitMix64(seed)
+    draws = _Draws(NoiseConfig(0.5, Alphabet(chars=()), OpWeights(*weights)))
+    assert draws.op(got) == expected.weighted_choice(_OPS, weights)
+    assert got.next_u64() == expected.next_u64()  # the same number of draws was taken
+    # any float in [0, 1), including those that land on a bound
+    assert draws.op(FixedFloat(value)) == FixedFloat(value).weighted_choice(_OPS, weights)
+
+
+@given(
+    st.lists(st.sampled_from("abcdeøåxyz"), min_size=1, max_size=10, unique=True),
+    st.sampled_from("abcdeøåxyz"),
+    st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=500)
+def test_substitute_draws_what_the_tuple_choice_draws(chars, old, seed):
+    candidates = tuple(ch for ch in chars if ch != old)
+    draws = _Draws(NoiseConfig(0.5, Alphabet(chars=tuple(chars))))
+    expected, got = SplitMix64(seed), SplitMix64(seed)
+    if not candidates:
+        with pytest.raises(NoiseError, match=f"no character different from {old!r}"):
+            draws.substitute(got, old)
+        return
+    assert draws.substitute(got, old) == expected.choice(candidates)
+    assert got.next_u64() == expected.next_u64()

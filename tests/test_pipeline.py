@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from sidkit import cli, corpus
+from sidkit import cli, corpus, subword
 from sidkit.cli import InputPath, OutputPath, build_parser, main
 from sidkit.pipeline import PipelineError, _step_argv, run_pipeline, sha256_file
 
@@ -397,3 +397,32 @@ def test_a_thread_started_during_a_run_sees_no_store(tmp_path, monkeypatch):
     assert run_pipeline(write_config(tmp_path, STORE_STEPS[:2]), tmp_path / "m.json") == 0
     assert seen["step"] is not None
     assert "thread" in seen and seen["thread"] is None
+
+
+SUBWORD_STEPS = [
+    {"command": "subword-ratio", "args": {"vocab": "vocab.txt", "in": "corpus.conll", "compare": "gold.conll",
+                                          "format": "conll", "out": "r1.json"}},
+    {"command": "subword-ratio", "args": {"vocab": "vocab.txt", "in": "gold.conll", "compare": "corpus.conll",
+                                          "format": "conll", "letters-only": True, "out": "r2.json"}},
+    {"command": "subword-ratio", "args": {"vocab": "vocab.txt", "in": "text.txt", "out": "r3.json"}},
+    {"command": "subword-ratio", "args": {"vocab": "vocab.txt", "in": "text.txt", "compare": "text.txt",
+                                          "out": "r4.json"}},
+]
+
+
+def test_subword_steps_segment_no_word_and_match_separate_command_lines(tmp_path, monkeypatch):
+    run, alone = tmp_path / "run", tmp_path / "alone"
+    for path in (run, alone):
+        _store_inputs(path)
+        (path / "gold.conll").write_text(GOLD, encoding="utf-8")
+        (path / "text.txt").write_text("vekk mæ1 kl zz\nkor mekk 12 mæ3\n", encoding="utf-8")
+        (path / "vocab.txt").write_text("[UNK]\nvekk\nmæ\n##1\n##2\nkl\nkor\n##kk\n", encoding="utf-8")
+    monkeypatch.chdir(alone)
+    for i, step in enumerate(SUBWORD_STEPS):
+        assert main(_step_argv(i, step, build_parser().commands)) == 0
+
+    monkeypatch.setattr(subword, "tokenize_word", None)
+    monkeypatch.chdir(run)
+    assert run_pipeline(write_config(run, SUBWORD_STEPS), run / "manifest.json") == 0
+    for name in os.listdir(alone):
+        assert (run / name).read_bytes() == (alone / name).read_bytes(), name

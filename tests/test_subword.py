@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sidkit import subword
 from sidkit.corpus import Dataset, Utterance
 from sidkit.subword import (
     SubwordError,
@@ -193,3 +196,39 @@ def test_empty_corpus_errors():
         split_word_ratio(vocab, "")
     with pytest.raises(SubwordError):
         split_word_ratio(vocab, "123", letters_only=True)
+
+
+# ---------------------------------------------------------------------------
+# The ratio without segmentation
+# ---------------------------------------------------------------------------
+
+words = st.text(alphabet="abø1", min_size=1, max_size=4)
+
+
+@st.composite
+def vocabularies(draw):
+    marker = draw(st.sampled_from(["##", "@@", ""]))
+    unk = draw(st.sampled_from(["[UNK]", "<unk>", "a", "ab"]))  # an unk may also be a word
+    pieces = draw(st.sets(st.text(alphabet="abø", min_size=1, max_size=4), max_size=10))
+    return SubwordVocab(
+        tokens=frozenset({marker + p if draw(st.booleans()) else p for p in pieces} | {unk}),
+        continuation_marker=marker,
+        unk_token=unk,
+    )
+
+
+@given(vocabularies(), st.lists(words, max_size=16), st.booleans())
+@settings(max_examples=500)
+def test_ratio_equals_the_per_token_segmentation(vocab, corpus, letters_only):
+    kept = [w for w in corpus if w.isalpha() or not letters_only]
+    if not kept:
+        with pytest.raises(SubwordError, match="no words"):
+            split_word_ratio(vocab, corpus, letters_only=letters_only)
+        return
+    assert split_word_ratio(vocab, corpus, letters_only=letters_only) == split_ratio_per_token(vocab, kept)
+
+
+def test_ratio_segments_no_word(monkeypatch):
+    monkeypatch.setattr(subword, "tokenize_word", None)
+    vocab = SubwordVocab(tokens=frozenset({"hei", "he", "##i", "du", "x", "[UNK]"}), unk_token="x")
+    assert split_word_ratio(vocab, "hei du heir x zz hei 12 du x") == 5 / 9
