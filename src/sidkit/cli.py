@@ -5,7 +5,10 @@ datasets, checkpoint format problems, failed checks), 2 on usage errors. A
 data error is an OSError or a ValueError: every sidkit error class derives
 from ValueError, so ``main`` needs no table of them.
 Stochastic commands (noise, split) echo their effective seed to stderr.
-All file I/O is UTF-8; reports are JSON or TSV.
+All file I/O is UTF-8; reports are JSON or TSV. An output flag that names
+the same file as an input or another output is a data error, raised before
+anything is read or written; every output goes through
+``files.replace_file``.
 Importing this module loads no other sidkit module: each command imports
 the modules it runs when it runs, so start-up pays for nothing else.
 """
@@ -15,9 +18,10 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
+import itertools
 import json
+import os
 import sys
-from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import __version__
@@ -87,18 +91,45 @@ class CommandParser(argparse.ArgumentParser):
         raise UsageError(self, message)
 
     def parse_command(self, argv: list[str] | None = None) -> argparse.Namespace:
-        """Parse one command line and apply the checks argparse cannot express."""
+        """Parse one command line and apply the checks argparse cannot express.
+
+        A usage error raises UsageError. An output flag that names the same
+        file as another output or an input flag of the command raises
+        ValueError naming both flags, before anything is read or written.
+        """
         args = self.parse_args(argv)
         if args.command == "surgery" and args.action in ("revert", "swap") and args.out is None:
             self.error("surgery revert/swap require --out")
+        files = [
+            (action.option_strings[0], value)
+            for action in self.commands[args.command]._actions
+            if isinstance(value := getattr(args, action.dest, None), (InputPath, OutputPath))
+        ]
+        for (flag, path), (other_flag, other) in itertools.combinations(files, 2):
+            if OutputPath in (type(path), type(other)) and _same_file(path, other):
+                raise ValueError(
+                    f"{flag} {path!r} and {other_flag} {other!r} name the same file; "
+                    "an output must not overwrite an input or another output"
+                )
         return args
 
 
+def _same_file(a: str, b: str) -> bool:
+    """``os.path.samefile`` when both paths exist, else equal ``os.path.realpath``."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _write_report(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        sys.stdout.write(text)
+        return
+    from .files import replace_file
+
+    with replace_file(out) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _format_options(args: argparse.Namespace):
@@ -232,16 +263,18 @@ def cmd_noise(args: argparse.Namespace) -> int:
 
 def cmd_normalize(args: argparse.Namespace) -> int:
     from .corpus import read_text
+    from .files import replace_file
 
     text = read_text(args.infile)
-    Path(args.out).write_text(normalize_text(text), encoding="utf-8")
+    with replace_file(args.out) as fh:
+        fh.write(normalize_text(text).encode("utf-8"))
     if args.trace is not None:
-        lines: dict[str, str] = {}  # token -> its JSONL line, "" when no rule applied
-        with open(args.trace, "w", encoding="utf-8") as fh:
+        lines: dict[str, bytes] = {}  # token -> its JSONL line, b"" when no rule applied
+        with replace_file(args.trace) as fh:
             for token in text.split():
                 if token not in lines:
                     trace = trace_token(token)
-                    lines[token] = trace.to_json() + "\n" if trace.applied else ""
+                    lines[token] = (trace.to_json() + "\n").encode("utf-8") if trace.applied else b""
                 fh.write(lines[token])
     return 0
 
@@ -487,8 +520,8 @@ def build_parser() -> CommandParser:
     p.set_defaults(handler=cmd_surgery)
 
     p = sub.add_parser("pipeline", help="run an ordered step list with a provenance manifest")
-    p.add_argument("--config", required=True)
-    p.add_argument("--manifest", default=None, help="defaults to <config>.manifest.json")
+    p.add_argument("--config", type=InputPath, required=True)
+    p.add_argument("--manifest", type=OutputPath, default=None, help="defaults to <config>.manifest.json")
     p.set_defaults(handler=cmd_pipeline)
 
     return parser
@@ -497,10 +530,9 @@ def build_parser() -> CommandParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_command(argv)
+        return args.handler(args)
     except UsageError as exc:  # argparse's own report: usage line, message, exit 2
         argparse.ArgumentParser.error(*exc.args)
-    try:
-        return args.handler(args)
     except (OSError, ValueError) as exc:  # every sidkit data error is a ValueError
         print(f"sidkit: error: {exc}", file=sys.stderr)
         return 1

@@ -27,7 +27,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import stat
 import sys
 from collections import Counter
 from contextvars import ContextVar
@@ -36,6 +35,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence
 
+from .files import replace_file
 from .rng import SplitMix64, derive_seed, share_count
 
 
@@ -425,12 +425,8 @@ def load_dataset(
 def save_dataset(dataset: Dataset, path: str | Path, options: FormatOptions = DEFAULT_FORMAT) -> None:
     """Write ``write_dataset(dataset, options)`` to ``path`` as UTF-8, a block at a time.
 
-    The blocks go to a temp file in the directory of the file ``path``
-    names, after symlinks are resolved; once every block is written, the
-    temp file takes that file's permission bits (when it exists) and
-    replaces it, so a symlinked ``path`` stays a link to the new bytes. On
-    any error the temp file is removed and the old target is left as it
-    was. Inside a
+    The file is written through :func:`sidkit.files.replace_file`, so
+    ``path`` is replaced only once every block is written. Inside a
     :class:`DatasetStore` scope the dataset is stored when the file reads
     back as it exactly: ``options.variety`` is None or every utterance has
     a variety.
@@ -443,27 +439,12 @@ def save_dataset(dataset: Dataset, path: str | Path, options: FormatOptions = DE
         digest = sha256()
     else:
         digest = None
-    target = Path(os.path.realpath(path))
-    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        fh = open(tmp, "xb")
-    except OSError as exc:  # name the target, as a direct write would
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with fh:
-            for block in _written_blocks(dataset, options):
-                data = block.encode("utf-8")
-                fh.write(data)
-                if digest is not None:
-                    digest.update(data)
-            try:
-                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
-            except FileNotFoundError:  # a new file keeps the umask's bits
-                pass
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replace_file(path) as fh:
+        for block in _written_blocks(dataset, options):
+            data = block.encode("utf-8")
+            fh.write(data)
+            if digest is not None:
+                digest.update(data)
     if digest is not None:
         store.put(path, digest.digest(), options, dataset)
 

@@ -1,0 +1,55 @@
+"""Output files: the one place sidkit creates, truncates or replaces a file.
+
+Every writer (corpora, checkpoints, reports, normalize outputs, pipeline
+manifests) writes through :func:`replace_file`, so a failed write never
+leaves a half-written output behind. This module imports nothing from
+sidkit, so a command that writes pays for no other module.
+"""
+
+from __future__ import annotations
+
+import os
+import stat
+from contextlib import contextmanager, suppress
+from typing import BinaryIO, Iterator
+
+
+@contextmanager
+def replace_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
+    """A binary handle whose bytes become the file ``path`` once the block ends without error.
+
+    The bytes go to a temp file in the directory of the file ``path``
+    names, after symlinks are resolved. When the block ends, the temp file
+    takes the permission bits of that file (when it exists) and replaces
+    it, so a symlinked ``path`` stays a link to the new bytes. On any error
+    the temp file is removed and the old file is left as it was; an error
+    raised before anything is written names ``path``.
+
+    A ``path`` that exists and is not a regular file (a FIFO, a device,
+    ``/dev/stdout``) cannot be replaced, so it is written through in place.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:  # name the target, as a direct write would
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            yield fh
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

@@ -13,12 +13,16 @@ Steps run in order through the regular CLI dispatch, so a pipeline step
 behaves exactly like the equivalent command line; a step cannot run a nested
 pipeline. The whole config is checked, and every step's argv parsed, before
 the first step runs: a bad step raises PipelineError naming it, and nothing
-runs. The manifest records, per step, the argv, the effective seed, and
+runs. A step whose output names one of its inputs or another of its outputs
+is such a bad step (``cli.CommandParser.parse_command`` refuses it). The
+manifest records, per step, the argv, the effective seed, and
 SHA-256 digests of every file flag of its subcommand (the flags
 ``cli.build_parser`` types ``InputPath`` before the step, ``OutputPath``
 after); it contains no timestamps, so re-running an identical pipeline
 reproduces the manifest byte for byte. A failing step aborts the run and the
-manifest records the partial state.
+manifest records the partial state. The manifest, like every step output,
+is written through ``files.replace_file``: it replaces the old manifest only
+once it is written whole.
 
 The run holds a ``corpus.DatasetStore``: a step that loads a corpus file an
 earlier step of the run parsed or wrote, with the same bytes and format
@@ -37,6 +41,7 @@ from pathlib import Path
 from typing import Container
 
 from .corpus import DatasetStore, decode_text
+from .files import replace_file
 
 
 class PipelineError(ValueError):
@@ -125,6 +130,8 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
             checked.append((argv, parser.parse_command(argv)))
         except cli.UsageError as exc:
             raise PipelineError(f"step {i}: {exc.args[1]}") from None
+        except ValueError as exc:  # an output that names an input or another output
+            raise PipelineError(f"step {i}: {exc}") from None
 
     status = 0
     with DatasetStore() as store:
@@ -147,7 +154,6 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
                 status = 1
                 break
 
-    Path(manifest_path).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with replace_file(manifest_path) as fh:
+        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return status

@@ -15,7 +15,9 @@ checkpoints and single tensors far larger than memory are fine. MAV decodes
 MAV_CHUNK_ELEMENTS parameters at a time and is the only code that imports
 numpy. Which tensors belong to the embeddings, to encoder layer i, or to the
 task heads is decided by a configurable NamingScheme, not hard-coded key
-lists.
+lists. A checkpoint is written to a temp file that replaces the output only
+once the whole file is written (``files.replace_file``), so a failed revert
+or swap leaves any earlier file at ``out_path`` intact.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
+
+from .files import replace_file
 
 if TYPE_CHECKING:
     import numpy as np
@@ -248,7 +252,8 @@ def write_checkpoint(
 
     ``tensors`` maps name -> (dtype, shape, source); a source is either the
     raw bytes or an iterable of byte chunks, read lazily in name order, so a
-    chunked source keeps only one chunk in memory during the write.
+    chunked source keeps only one chunk in memory during the write. ``path``
+    is replaced only once every tensor is written (``files.replace_file``).
     """
     names = sorted(tensors)
     header: dict[str, object] = {}
@@ -273,7 +278,7 @@ def write_checkpoint(
         }
 
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replace_file(path) as fh:
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
         for name, entry in zip(names, entries):

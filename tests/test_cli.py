@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_checkpoint
-from sidkit.cli import build_parser, main
+from sidkit.cli import InputPath, OutputPath, build_parser, main
 from sidkit.corpus import extract_spans, load_dataset
 from sidkit.correlation import pearson, spearman
 from sidkit.evaluate import span_f1
@@ -484,13 +485,13 @@ def test_each_command_loads_only_its_modules(tmp_path, gold_file):
         "'--b', 'b.safetensors', '--layers', '0', '--out', 'r.safetensors']) == 0",
         tmp_path,
     )
-    assert revert == {"sidkit.cli", "sidkit.surgery"}
+    assert revert == {"sidkit.cli", "sidkit.files", "sidkit.surgery"}
     evaluate = _sidkit_modules_after(
         f"from sidkit.cli import main; assert main(['evaluate', '--gold', {str(gold_file)!r}, "
         f"'--pred', {str(gold_file)!r}, '--out', 'report.json']) == 0",
         tmp_path,
     )
-    assert evaluate == {"sidkit.cli", "sidkit.corpus", "sidkit.evaluate", "sidkit.rng"}
+    assert evaluate == {"sidkit.cli", "sidkit.corpus", "sidkit.evaluate", "sidkit.files", "sidkit.rng"}
 
 
 def test_package_exports_are_the_defining_modules_objects(tmp_path):
@@ -579,3 +580,48 @@ def test_commands_outside_a_pipeline_import_no_hashlib(tmp_path, gold_file):
         "print('hashlib' in sys.modules)"
     )
     assert _fresh_python(code, tmp_path) == "False"
+
+
+# Arguments a command line needs to parse, other than its file flags.
+REQUIRED_ARGS = {"split": ["--ratio", "0.5", "--seed", "1"], "correlate": ["--x", "0", "--y", "1"],
+                 "surgery": ["revert"]}
+
+
+def _file_flags(command):
+    return [a.option_strings[0] for a in build_parser().commands[command]._actions
+            if a.type in (InputPath, OutputPath)]
+
+
+def _aliasing_flag_pairs():
+    """(command, flag, later flag) for each pair of file flags of which one is an output."""
+    for command, parser in build_parser().commands.items():
+        outputs = {a.option_strings[0] for a in parser._actions if a.type is OutputPath}
+        for first, second in itertools.combinations(_file_flags(command), 2):
+            if first in outputs or second in outputs:
+                yield command, first, second
+
+
+@pytest.mark.parametrize("alias", ["same string", "./ prefix", "symlink", "hard link", "missing file"])
+@pytest.mark.parametrize(("command", "first", "second"), list(_aliasing_flag_pairs()))
+def test_an_output_naming_the_file_of_another_file_flag_is_refused(
+    tmp_path, monkeypatch, capsys, command, first, second, alias
+):
+    monkeypatch.chdir(tmp_path)
+    if alias != "missing file":
+        Path("shared").write_bytes(b"old bytes\n")
+    if alias == "symlink":
+        os.symlink("shared", "link")
+    if alias == "hard link":
+        os.link("shared", "hard")
+    other = {"./ prefix": "./shared", "symlink": "link", "hard link": "hard"}.get(alias, "shared")
+    before = sorted(os.listdir())
+    argv = [command, *REQUIRED_ARGS.get(command, [])]
+    for flag in _file_flags(command):  # each other flag names a file of its own
+        argv += [flag, {first: "shared", second: other}.get(flag, flag.lstrip("-"))]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{first} 'shared' and {second} '{other}' name the same file" in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir()) == before
+    if alias != "missing file":
+        assert Path("shared").read_bytes() == b"old bytes\n"

@@ -1,10 +1,8 @@
 import copy
 import dataclasses
 import itertools
-import os
 import pickle
 import random
-import stat
 import tracemalloc
 
 import pytest
@@ -332,52 +330,11 @@ def test_parse_write_round_trip(tmp_path, dataset):
     assert (tmp_path / "gen.conll").read_bytes() == text.encode("utf-8")
 
 
-def test_failed_save_leaves_the_old_target_and_no_temp_file(tmp_path):
-    target = tmp_path / "out.conll"
-    target.write_bytes(b"old bytes\n")
-    utterances = [Utterance(str(i), ("a",), ("O",), "i") for i in range(500)]
-    late = Utterance("late", ("a",), ("# x",), "i")  # reads back as a comment when in column 0
-    with pytest.raises(ValueError, match="comment"):
-        save_dataset(Dataset("d", (*utterances, late)), target, FormatOptions(token_col=1, tag_col=0))
-    assert target.read_bytes() == b"old bytes\n"
-    assert os.listdir(tmp_path) == ["out.conll"]
-
-
 def test_save_into_a_missing_directory_names_the_target(tmp_path):
     target = tmp_path / "missing" / "out.conll"
     with pytest.raises(FileNotFoundError) as exc:
         save_dataset(Dataset("d", ()), target)
     assert exc.value.filename == str(target)
-
-
-def test_save_through_a_symlink_writes_the_linked_file(tmp_path):
-    real = tmp_path / "data" / "real.conll"
-    real.parent.mkdir()
-    real.write_bytes(b"old bytes\n")
-    real.chmod(0o600)
-    link = tmp_path / "link.conll"
-    link.symlink_to(real)
-    dataset = Dataset("d", (Utterance("1", ("a",), ("O",), "i"),))
-    save_dataset(dataset, link)
-    assert link.is_symlink() and link.resolve() == real.resolve()
-    assert real.read_bytes() == write_dataset(dataset).encode("utf-8")
-    assert stat.S_IMODE(real.stat().st_mode) == 0o600
-    assert os.listdir(real.parent) == ["real.conll"]
-    assert sorted(os.listdir(tmp_path)) == ["data", "link.conll"]
-
-
-def test_save_keeps_the_permission_bits_of_the_file_it_replaces(tmp_path):
-    dataset = Dataset("d", (Utterance("1", ("a",), ("O",), "i"),))
-    for mode in (0o600, 0o640, 0o444):
-        target = tmp_path / f"{mode:o}.conll"
-        target.write_bytes(b"old bytes\n")
-        target.chmod(mode)
-        save_dataset(dataset, target)
-        assert stat.S_IMODE(target.stat().st_mode) == mode
-        assert target.read_bytes() == write_dataset(dataset).encode("utf-8")
-    open(tmp_path / "plain", "xb").close()
-    save_dataset(dataset, tmp_path / "new.conll")  # a new file gets the bits the umask leaves
-    assert (tmp_path / "new.conll").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,10 @@ INVALID_STEPS = {
         {"command": "surgery revert", "args": {"a": "x", "b": "y"}},
         "surgery revert/swap require --out",
     ],
+    "output-names-input": [
+        {"command": "normalize", "args": {"in": "raw.txt", "out": "./raw.txt"}},
+        "--in 'raw.txt' and --out './raw.txt' name the same file",
+    ],
 }
 
 
@@ -196,7 +200,8 @@ def test_manifest_digests_every_file_flag_of_a_step(tmp_path, monkeypatch):
     assert step["outputs"] == {"s.tsv": sha256_file(tmp_path / "s.tsv")}
 
 
-# The file-flag tables the pipeline kept before the parser declared each flag's role.
+# The file-flag tables the pipeline kept before the parser declared each flag's role,
+# plus `pipeline`'s own flags, typed so that an output cannot alias an input there either.
 ORACLE_INPUTS = {
     "parse-check": {"in"},
     "stats": {"in", "unseen-from"},
@@ -207,6 +212,7 @@ ORACLE_INPUTS = {
     "subword-ratio": {"vocab", "in", "compare"},
     "correlate": {"in"},
     "surgery": {"a", "b", "scheme"},
+    "pipeline": {"config"},
 }
 ORACLE_OUTPUTS = {
     "parse-check": {"out"},
@@ -218,6 +224,7 @@ ORACLE_OUTPUTS = {
     "subword-ratio": {"out"},
     "correlate": {"out"},
     "surgery": {"out"},
+    "pipeline": {"manifest"},
 }
 
 
@@ -228,10 +235,10 @@ def test_parser_file_roles_match_the_old_tables():
         }
 
     commands = build_parser().commands
-    assert set(commands) == set(ORACLE_INPUTS) | {"pipeline"}
+    assert set(commands) == set(ORACLE_INPUTS)
     for name, parser in commands.items():
-        assert flags(parser, InputPath) == ORACLE_INPUTS.get(name, set()), name
-        assert flags(parser, OutputPath) == ORACLE_OUTPUTS.get(name, set()), name
+        assert flags(parser, InputPath) == ORACLE_INPUTS[name], name
+        assert flags(parser, OutputPath) == ORACLE_OUTPUTS[name], name
 
 
 @pytest.mark.parametrize(
