@@ -132,6 +132,23 @@ def _write_report(text: str, out: str | None) -> None:
         fh.write(text.encode("utf-8"))
 
 
+def _layers(spec: str) -> list[int]:
+    """``--layers``: comma-separated layer indices; empty items are skipped."""
+    try:
+        return [int(part) for part in spec.split(",") if part != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {spec!r}") from None
+
+
+def _op_weights(spec: str) -> tuple[float, float, float]:
+    """``--op-weights``: three comma-separated numbers, delete,insert,both."""
+    try:
+        delete, insert, both = map(float, spec.split(","))
+    except ValueError:  # not three items, or an item that is not a number
+        raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {spec!r}") from None
+    return delete, insert, both
+
+
 def _format_options(args: argparse.Namespace):
     from .corpus import FormatOptions
 
@@ -241,16 +258,10 @@ def cmd_noise(args: argparse.Namespace) -> int:
     else:
         if args.fraction is None or args.alphabet_from is None:
             raise NoiseError("either --config or both --fraction and --alphabet-from are required")
-        weights = OpWeights()
-        if args.op_weights is not None:
-            parts = args.op_weights.split(",")
-            if len(parts) != 3:
-                raise NoiseError("--op-weights expects three comma-separated numbers: delete,insert,both")
-            weights = OpWeights(delete=float(parts[0]), insert=float(parts[1]), both=float(parts[2]))
         cfg = NoiseConfig(
             word_fraction=args.fraction,
             alphabet=load_alphabet(args.alphabet_from),
-            op_weights=weights,
+            op_weights=OpWeights() if args.op_weights is None else OpWeights(*args.op_weights),
         )
     if args.seed is not None:  # effective_seed's rule, without parsing the config again
         cfg = replace(cfg, seed=args.seed)
@@ -374,19 +385,12 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def _parse_layers(spec: str | None) -> list[int]:
-    if not spec:
-        return []
-    return [int(part) for part in spec.split(",") if part != ""]
-
-
 def cmd_surgery(args: argparse.Namespace) -> int:
     from .surgery import NamingScheme, SurgeryError
 
     scheme = NamingScheme() if args.scheme is None else _read_config(args.scheme, NamingScheme.from_json)
-    layers = _parse_layers(args.layers)
     if args.action == "revert":
-        groups: list = list(layers)
+        groups: list = list(args.layers)
         if args.embeddings:
             groups.append("embeddings")
         if args.heads:
@@ -396,7 +400,7 @@ def cmd_surgery(args: argparse.Namespace) -> int:
     if args.action == "swap":
         if args.heads:
             raise SurgeryError("task heads are never swapped")
-        swap_layers(args.a, args.b, layers, scheme, args.out, include_embeddings=args.embeddings)
+        swap_layers(args.a, args.b, args.layers, scheme, args.out, include_embeddings=args.embeddings)
         return 0
     report = mav_report(args.a, args.b, scheme)
     _write_report(report.to_json(), args.out)
@@ -460,7 +464,7 @@ def build_parser() -> CommandParser:
     p.add_argument("--fraction", type=float, default=None)
     p.add_argument("--alphabet-from", type=InputPath, default=None, help="text file supplying insertion letters")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--op-weights", default=None, help="delete,insert,both weights (e.g. 1,1,1)")
+    p.add_argument("--op-weights", type=_op_weights, default=None, help="delete,insert,both weights (e.g. 1,1,1)")
     p.add_argument("--config", type=InputPath, default=None, help="JSON noise config mirroring these flags")
     _add_format_flags(p)
     p.set_defaults(handler=cmd_noise)
@@ -513,7 +517,7 @@ def build_parser() -> CommandParser:
     p.add_argument("--b", type=InputPath, required=True,
                    help="revert: pretrained file; swap: donor; mav: second file")
     p.add_argument("--out", type=OutputPath, default=None, help="output checkpoint (revert/swap) or MAV report")
-    p.add_argument("--layers", default=None, help="comma-separated layer indices, e.g. 0,1")
+    p.add_argument("--layers", type=_layers, default="", help="comma-separated layer indices, e.g. 0,1")
     p.add_argument("--embeddings", action="store_true", help="include the embeddings group")
     p.add_argument("--heads", action="store_true", help="include task heads (revert only)")
     p.add_argument("--scheme", type=InputPath, default=None, help="JSON naming scheme")

@@ -10,13 +10,12 @@ predicted and gold spans, micro-averaged over the corpus:
 ``loose-unlabelled`` (any token overlap, label ignored) is available as an
 extra mode for diagnostics but is not part of the standard report.
 
-Each side's spans must be disjoint, so that matching is a set intersection
-(``strict``, ``unlabelled``) or one sweep over start-sorted spans (``loose``
-within each label, ``loose-unlabelled``). :func:`evaluate` extracts and
-matches every utterance once. Its :class:`EvalReport` is the
-:class:`GroupScores` of the whole corpus plus, when grouped, one per group;
-group counts sum to the overall counts. Input errors raise EvalError, a
-ValueError.
+Each side's spans must be disjoint, so in every mode that matching is one
+left-to-right sweep over start-sorted spans; the modes differ only in which
+pairs of spans match. :func:`evaluate` extracts and matches every utterance
+once. Its :class:`EvalReport` is the :class:`GroupScores` of the whole
+corpus plus, when grouped, one per group; group counts sum to the overall
+counts. Input errors raise EvalError, a ValueError.
 
 A strict match is also a loose match and an unlabelled match, so strict F1
 can never exceed the other two; loose and unlabelled are not ordered with
@@ -26,11 +25,11 @@ respect to each other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence, get_args
 
-from .corpus import Dataset, RepairPolicy, Span, extract_spans
+from .corpus import BioFormatError, Dataset, RepairPolicy, Span, Utterance, extract_spans
 
 
 class EvalError(ValueError):
@@ -109,63 +108,40 @@ def _check_disjoint(spans: Sequence[Span], side: str) -> list[Span]:
     return ordered
 
 
-def _sweep(preds: Sequence[Span], golds: Sequence[Span]) -> int:
-    """Maximum matching of overlapping spans, both sides disjoint and start-sorted.
-
-    An overlapping leftmost pair is in some maximum matching; otherwise the
-    leftmost span that ends first overlaps nothing further right.
-    """
-    matched = i = j = 0
-    while i < len(preds) and j < len(golds):
-        p, g = preds[i], golds[j]
-        if p.start < g.end and g.start < p.end:
-            matched += 1
-            i += 1
-            j += 1
-        elif p.end < g.end:
-            i += 1
-        else:
-            j += 1
-    return matched
-
-
-def _loose(preds: Sequence[Span], golds: Sequence[Span]) -> int:
-    return sum(
-        _sweep([p for p in preds if p.label == label], [g for g in golds if g.label == label])
-        for label in {p.label for p in preds} & {g.label for g in golds}
-    )
-
-
-_range = attrgetter("start", "end")
-_MATCHERS: dict[MatchMode, Callable[[list[Span], list[Span]], int]] = {
-    "strict": lambda preds, golds: len(set(preds) & set(golds)),
-    "loose": _loose,
-    "unlabelled": lambda preds, golds: len(set(map(_range, preds)) & set(map(_range, golds))),
-    "loose-unlabelled": _sweep,
-}
-
-
 def span_f1(
     gold_spans: Sequence[Sequence[Span]],
     pred_spans: Sequence[Sequence[Span]],
     mode: MatchMode,
 ) -> PRF:
-    """PRF over per-utterance span sets; counts accumulate over the corpus."""
+    """PRF over per-utterance span sets; counts accumulate over the corpus.
+
+    Each utterance is one sweep over both sides' start-sorted spans. Two
+    leftmost spans that match are in some maximum matching; otherwise the one
+    that ends first matches nothing further right, so the sweep drops it.
+    """
     if len(gold_spans) != len(pred_spans):
-        raise AlignmentError(
-            f"{len(gold_spans)} gold utterances vs {len(pred_spans)} predicted"
-        )
-    if mode not in _MATCHERS:
+        raise AlignmentError(f"{len(gold_spans)} gold utterances vs {len(pred_spans)} predicted")
+    if mode not in get_args(MatchMode):
         raise ValueError(f"unknown match mode {mode!r}")
-    match = _MATCHERS[mode]
+    overlap, labelled = mode.startswith("loose"), mode in ("strict", "loose")
     matched = predicted = gold = 0
     for golds, preds in zip(gold_spans, pred_spans):
         golds = _check_disjoint(golds, "gold")
         preds = _check_disjoint(preds, "predicted")
-        if golds and preds:
-            matched += match(preds, golds)
         predicted += len(preds)
         gold += len(golds)
+        i = j = 0
+        while i < len(preds) and j < len(golds):
+            p, g = preds[i], golds[j]
+            hit = p.start < g.end and g.start < p.end if overlap else p.start == g.start and p.end == g.end
+            if hit and (p.label == g.label or not labelled):
+                matched += 1
+                i += 1
+                j += 1
+            elif p.end < g.end:
+                i += 1
+            else:
+                j += 1
     return PRF(matched=matched, predicted=predicted, gold=gold)
 
 
@@ -259,6 +235,19 @@ def _score(
     )
 
 
+def _spans(where: str, utterances: Iterable[Utterance], repair: RepairPolicy) -> list[list[Span]]:
+    """Each utterance's spans; a BioFormatError is raised again naming ``where`` and the utterance."""
+    spans = []
+    for utt in utterances:
+        try:
+            spans.append(extract_spans(utt.slot_tags, repair))
+        except BioFormatError as exc:
+            exc.violation = replace(exc.violation, utterance_id=utt.id)
+            exc.args = (f"{where}, utterance {utt.id!r}: {exc}",)
+            raise
+    return spans
+
+
 def evaluate(
     gold: Dataset,
     pred: Dataset,
@@ -274,8 +263,8 @@ def evaluate(
     if group_by not in ("none", "variety"):
         raise ValueError(f"unknown group_by {group_by!r}")
     pairs = _aligned_pairs(gold, pred)
-    gold_spans = [extract_spans(g.slot_tags, repair) for g, _ in pairs]
-    pred_spans = [extract_spans(p.slot_tags, repair) for _, p in pairs]
+    gold_spans = _spans(f"gold dataset {gold.name!r}", (g for g, _ in pairs), repair)
+    pred_spans = _spans(f"predicted dataset {pred.name!r}", (p for _, p in pairs), repair)
     hits = [g.intent == p.intent for g, p in pairs]
 
     buckets: dict[str, list[int]] = {}

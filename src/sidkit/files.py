@@ -9,9 +9,14 @@ sidkit, so a command that writes pays for no other module.
 from __future__ import annotations
 
 import os
+import re
 import stat
+import sys
 from contextlib import contextmanager, suppress
 from typing import BinaryIO, Iterator
+
+_STANDARD = {"/dev/stdout": "/dev/fd/1", "/dev/stderr": "/dev/fd/2"}
+_DESCRIPTOR = re.compile(r"(?:/dev/fd|/proc/self/fd)/(\d+)", re.ASCII)
 
 
 @contextmanager
@@ -25,15 +30,24 @@ def replace_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
     the temp file is removed and the old file is left as it was; an error
     raised before anything is written names ``path``.
 
-    A ``path`` that exists and is not a regular file (a FIFO, a device,
-    ``/dev/stdout``) cannot be replaced, so it is written through in place.
+    A ``path`` that names an open descriptor (``/dev/stdout``, ``/dev/fd/N``
+    and the like) is written through that descriptor, so ``--out /dev/stdout
+    >> log`` appends to ``log``. Any other ``path`` that exists and is not a
+    regular file (a FIFO, a device) cannot be replaced, so it is written
+    through in place.
     """
+    named = _DESCRIPTOR.fullmatch(_STANDARD.get(os.fspath(path), os.fspath(path)))
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "wb") as fh:
+    if named or mode is not None and not stat.S_ISREG(mode):
+        sys.stdout.flush()  # what a pipeline step printed stays before this output
+        try:
+            fh = os.fdopen(os.dup(int(named[1])), "wb") if named else open(path, "wb")
+        except OSError as exc:  # os.dup names no file in its error
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        with fh:
             yield fh
         return
     target = os.path.realpath(path)

@@ -403,11 +403,6 @@ def layer_group(scheme: NamingScheme, group: GroupId, names: Iterable[str]) -> s
     return _resolve_groups(scheme, [group], names)
 
 
-def group_coverage(scheme: NamingScheme, names: Iterable[str]) -> dict[str, GroupId | None]:
-    """Classification of every name; None marks tensors outside all groups."""
-    return {name: scheme.classify(name) for name in names}
-
-
 # ---------------------------------------------------------------------------
 # Surgery
 # ---------------------------------------------------------------------------
@@ -492,13 +487,10 @@ def swap_layers(
     for layer in layers:
         if not isinstance(layer, int):
             raise SurgeryError(f"swap layers must be integer indices, got {layer!r}")
-    recipient = _as_checkpoint(recipient)
-    donor = _as_checkpoint(donor)
     groups: list[GroupId] = list(layers)
     if include_embeddings:
         groups.append("embeddings")
-    selected = _resolve_groups(scheme, groups, recipient.names())
-    return _splice(recipient, donor, selected, out_path)
+    return revert_layers(recipient, donor, groups, scheme, out_path)
 
 
 # ---------------------------------------------------------------------------

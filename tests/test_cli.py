@@ -155,14 +155,18 @@ def test_noise_requires_fraction_or_config(gold_file, tmp_path, capsys):
     assert "fraction" in capsys.readouterr().err
 
 
-def test_noise_bad_op_weights(gold_file, tmp_path, capsys):
+@pytest.mark.parametrize("weights", ["1,2", "1,x,1", "1,1,1,1"])
+def test_noise_bad_op_weights(gold_file, tmp_path, capsys, weights):
     alphabet = tmp_path / "dev.txt"
     alphabet.write_text("abc", encoding="utf-8")
-    code = main([
-        "noise", "--in", str(gold_file), "--out", str(tmp_path / "x.conll"),
-        "--fraction", "0.2", "--alphabet-from", str(alphabet), "--op-weights", "1,2",
-    ])
-    assert code == 1
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "noise", "--in", str(gold_file), "--out", str(tmp_path / "x.conll"),
+            "--fraction", "0.2", "--alphabet-from", str(alphabet), "--op-weights", weights,
+        ])
+    assert exc.value.code == 2
+    assert "argument --op-weights: expected three comma-separated numbers" in capsys.readouterr().err
+    assert not (tmp_path / "x.conll").exists()
 
 
 def test_normalize_with_trace(tmp_path):
@@ -279,6 +283,27 @@ def test_evaluate_loose_unlabelled_mode_matches_span_f1(gold_file, tmp_path, cap
     assert set(report) == {"mode", "intent_accuracy", "loose-unlabelled"}
 
 
+def test_evaluate_strict_repair_names_side_dataset_and_utterance(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+    gold.write_text("# id: a\n# intent: x\nin\tO\noslo\tB-loc\n", encoding="utf-8")
+    pred.write_text("# id: a\n# intent: x\nin\tO\noslo\tI-loc\n", encoding="utf-8")
+    assert main(["evaluate", "--gold", str(gold), "--pred", str(pred), "--repair", "strict"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "sidkit: error: predicted dataset 'pred', utterance 'a': BIO violation at position 1: "
+        "I-without-B (I-loc not preceded by B/I tag)\n"
+    )
+
+
+def test_evaluate_mode_choices_are_the_match_modes():
+    from typing import get_args
+
+    from sidkit.evaluate import MatchMode
+
+    mode = next(a for a in build_parser().commands["evaluate"]._actions if a.dest == "mode")
+    assert tuple(mode.choices) == ("all", *get_args(MatchMode))
+
+
 def test_evaluate_alignment_failure_is_data_error(gold_file, tmp_path, capsys):
     other = tmp_path / "other.conll"
     other.write_text("# id: zz\n# intent: x\na\tO\n", encoding="utf-8")
@@ -373,6 +398,17 @@ def test_surgery_revert_requires_out(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["surgery", "revert", "--a", str(a), "--b", str(a)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("action", ["revert", "swap"])
+def test_surgery_malformed_layers_is_usage_error(action, tmp_path, capsys):
+    a = make_checkpoint(tmp_path / "a.safetensors", seed=32)
+    with pytest.raises(SystemExit) as exc:
+        main(["surgery", action, "--a", str(a), "--b", str(a), "--layers", "0,a",
+              "--out", str(tmp_path / "x.safetensors")])
+    assert exc.value.code == 2
+    assert "argument --layers: expected comma-separated integers, got '0,a'" in capsys.readouterr().err
+    assert not (tmp_path / "x.safetensors").exists()
 
 
 def test_surgery_swap_refuses_heads(tmp_path, capsys):

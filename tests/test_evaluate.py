@@ -167,11 +167,20 @@ def test_unsorted_input_scores_like_sorted():
 
 def test_span_f1_matches_bruteforce_on_random_pairs():
     rng = random.Random(99)
-    labels = ["a", "b", "c"]
-    for _ in range(300):
-        n = rng.randint(1, 10)
-        gold = [extract_spans(random_bio_tags(rng, n, labels))]
-        pred = [extract_spans(random_bio_tags(rng, n, labels))]
+
+    def spans(n, labels):
+        """Well-formed spans, or lenient ones from any mix of O, B- and I- tags, in either order."""
+        if rng.random() < 0.5:
+            tags = random_bio_tags(rng, n, labels)
+        else:  # stray I- tags: a lenient span also ends where an I-label-mismatch starts one
+            tags = [rng.choice(["O", *(f"{bi}-{label}" for bi in "BI" for label in labels)]) for _ in range(n)]
+        found = extract_spans(tags, "lenient")
+        return found[::-1] if rng.random() < 0.5 else found
+
+    for _ in range(2000):
+        labels = ["a", "b", "c", "d"][: rng.randint(1, 4)]
+        n = rng.randint(1, 14)
+        gold, pred = [spans(n, labels)], [spans(n, labels)]
         for mode in MODES + ("loose-unlabelled",):
             ours = span_f1(gold, pred, mode)
             oracle = bruteforce_prf(gold, pred, mode)
@@ -376,10 +385,11 @@ def test_crlf_predictions_score_like_lf():
 def test_strict_repair_raises_through_evaluate(group_by):
     gold = Dataset(name="g", utterances=(_utt(0, "a", tags=("B-x", "I-x"), variety="north"),))
     pred = Dataset(name="p", utterances=(_utt(0, "a", tags=("B-x", "I-y"), variety="north"),))
-    with pytest.raises(BioFormatError):
+    with pytest.raises(BioFormatError, match="^predicted dataset 'p', utterance '0': BIO violation"):
         evaluate(gold, pred, repair="strict", group_by=group_by)
-    with pytest.raises(BioFormatError):
+    with pytest.raises(BioFormatError, match="^gold dataset 'p', utterance '0': BIO violation") as exc:
         evaluate(pred, gold, repair="strict", group_by=group_by)
+    assert exc.value.violation.utterance_id == "0"
 
 
 def test_evaluate_lenient_repair_handles_stray_i_tags():

@@ -183,6 +183,19 @@ def test_noise_to_dev_stdout_writes_the_corpus_to_the_pipe(tmp_path, inputs):
     assert result.stdout == (tmp_path / "n.conll").read_bytes()
 
 
+@pytest.mark.parametrize("path", ["/dev/stdout", "/dev/fd/1", "/proc/self/fd/1"])
+def test_report_to_dev_stdout_appends_to_the_redirected_file(tmp_path, inputs, path):
+    assert main(["stats", "--in", str(inputs / "c.conll"), "--out", str(tmp_path / "r.json")]) == 0
+    log = tmp_path / "log.txt"
+    log.write_bytes(b"old line\n")
+    argv = [sys.executable, "-m", "sidkit.cli", "stats", "--in", str(inputs / "c.conll"), "--out", path]
+    with open(log, "ab") as stdout:
+        result = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=stdout,
+                                stderr=subprocess.PIPE, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert log.read_bytes() == b"old line\n" + (tmp_path / "r.json").read_bytes()
+
+
 _MODE = re.compile(r"[rwxabt+]+")
 
 

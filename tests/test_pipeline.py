@@ -145,6 +145,15 @@ INVALID_STEPS = {
         {"command": "surgery revert", "args": {"a": "x", "b": "y"}},
         "surgery revert/swap require --out",
     ],
+    "op-weights-not-numbers": [
+        {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "fraction": 0.2,
+                                      "alphabet-from": "raw.txt", "op-weights": "1,x,1"}},
+        "argument --op-weights: expected three comma-separated numbers",
+    ],
+    "layers-not-integers": [
+        {"command": "surgery revert", "args": {"a": "x", "b": "y", "out": "z", "layers": "0,a"}},
+        "argument --layers: expected comma-separated integers",
+    ],
     "output-names-input": [
         {"command": "normalize", "args": {"in": "raw.txt", "out": "./raw.txt"}},
         "--in 'raw.txt' and --out './raw.txt' name the same file",

@@ -14,7 +14,6 @@ from sidkit.surgery import (
     NamingScheme,
     SchemeError,
     SurgeryError,
-    group_coverage,
     layer_group,
     mav_report,
     read_checkpoint,
@@ -184,8 +183,7 @@ def test_delimiter_aware_matching():
 
 def test_groups_partition_synthetic_checkpoint(tmp_path):
     cp = read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=3))
-    coverage = group_coverage(SCHEME, cp.names())
-    assert None not in coverage.values()
+    assert None not in {SCHEME.classify(name) for name in cp.names()}
     union = set()
     for group in ["embeddings", "heads", *range(12)]:
         members = layer_group(SCHEME, group, cp.names())
@@ -223,7 +221,7 @@ def test_ambiguous_scheme_detected():
         embeddings_prefixes=("encoder.",), layer_template="encoder.layer.{i}.", num_layers=2
     )
     with pytest.raises(SchemeError, match="several groups"):
-        group_coverage(scheme, ["encoder.layer.0.w"])
+        scheme.classify("encoder.layer.0.w")
 
 
 def _prefix_filter(scheme, group, names):
