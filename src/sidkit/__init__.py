@@ -23,7 +23,7 @@ _EXPORTS = {
     "normalize": ("RuleTrace", "normalize_text", "normalize_token", "trace_token"),
     "subword": ("SubwordVocab", "ratio_difference", "split_word_ratio", "tokenize_word"),
     "surgery": (
-        "CheckpointIndex", "MavReport", "NamingScheme", "layer_group", "mav_report",
+        "MavReport", "NamingScheme", "layer_group", "mav_report",
         "read_checkpoint", "revert_layers", "swap_layers", "write_checkpoint",
     ),
 }

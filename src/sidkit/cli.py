@@ -20,6 +20,7 @@ import functools
 import importlib
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Callable, TypeVar
@@ -320,7 +321,7 @@ def cmd_subword_ratio(args: argparse.Namespace) -> int:
     from .corpus import read_text
     from .subword import SubwordVocab
 
-    vocab = SubwordVocab.from_file(args.vocab, continuation_marker=args.marker, unk_token=args.unk)
+    vocab = SubwordVocab.from_file(args.vocab, unk_token=args.unk)
 
     def corpus_of(path: str):
         if args.format == "conll":
@@ -344,11 +345,9 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     from .corpus import read_text
     from .correlation import CorrelationError
 
-    rows = [
-        line.split("\t")
-        for line in read_text(args.infile).splitlines()
-        if line.strip()
-    ]
+    lines = read_text(args.infile).split("\n")
+    numbers = [i for i, line in enumerate(lines, 1) if line.strip()]  # 1-based line of each row
+    rows = [lines[i - 1].split("\t") for i in numbers]
     if not rows:
         raise CorrelationError(f"{args.infile}: empty table")
 
@@ -365,9 +364,15 @@ def cmd_correlate(args: argparse.Namespace) -> int:
                 raise CorrelationError(f"column {spec!r} not found in header {rows[0]}") from None
             start = 1
         try:
-            return [float(row[idx]) for row in rows[start:]]
+            values = [float(row[idx]) for row in rows[start:]]
         except (IndexError, ValueError) as exc:
             raise CorrelationError(f"column {spec!r}: {exc}") from exc
+        for line, value in zip(numbers[start:], values):
+            if not math.isfinite(value):
+                raise CorrelationError(
+                    f"{args.infile}: column {spec!r}, line {line}: {value} is not a finite number"
+                )
+        return values
 
     x, y = column(args.x), column(args.y)
     result = correlate(x, y)
@@ -495,7 +500,6 @@ def build_parser() -> CommandParser:
     p.add_argument("--compare", type=InputPath, default=None, help="second corpus; also report the ratio difference")
     p.add_argument("--format", choices=("text", "conll"), default="text")
     p.add_argument("--letters-only", action="store_true")
-    p.add_argument("--marker", default="##", help="continuation marker")
     p.add_argument("--unk", default="[UNK]")
     p.add_argument("--out", type=OutputPath, default=None)
     _add_format_flags(p)

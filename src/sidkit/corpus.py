@@ -341,11 +341,17 @@ def read_text(path: str | Path) -> str:
 
 def decode_text(data: bytes, path: str | Path) -> str:
     """The bytes read from the file ``path``, decoded as UTF-8 with newlines read
-    as ``Path.read_text`` reads them.
+    as ``Path.read_text`` reads them, less one leading byte-order mark.
 
     An invalid byte raises ParseError naming the file, the 1-based line and
     column (in bytes) and the byte.
     """
+    return _decode_utf8(data, path).removeprefix("\ufeff")
+
+
+def _decode_utf8(data: bytes, path: str | Path) -> str:
+    """:func:`decode_text` keeping a leading byte-order mark, for a corpus:
+    ``parse_dataset`` drops one mark, so a file with two still fails to parse."""
     try:
         return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
@@ -410,14 +416,14 @@ def load_dataset(
     data = path.read_bytes()
     store = _active_store.get()
     if store is None:
-        return parse_dataset(decode_text(data, path), options, name=name)
+        return parse_dataset(_decode_utf8(data, path), options, name=name)
     from hashlib import sha256
 
     digest = sha256(data).digest()
     stored = store.get(path, digest, options)
     if stored is not None:
         return Dataset(name=name, utterances=stored.utterances)
-    dataset = parse_dataset(decode_text(data, path), options, name=name)
+    dataset = parse_dataset(_decode_utf8(data, path), options, name=name)
     store.put(path, digest, options, dataset)
     return dataset
 

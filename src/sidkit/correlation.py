@@ -118,6 +118,10 @@ def _validate_xy(x: Sequence[float], y: Sequence[float]) -> int:
         raise CorrelationError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise CorrelationError(f"need at least 3 observations, got {len(x)}")
+    for label, values in (("x", x), ("y", y)):
+        # pearson's clamp to [-1, 1] would turn a NaN r into 1.0
+        if not all(map(math.isfinite, values)):
+            raise CorrelationError(f"{label} holds a non-finite value")
     return len(x)
 
 

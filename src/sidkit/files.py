@@ -19,6 +19,13 @@ _STANDARD = {"/dev/stdout": "/dev/fd/1", "/dev/stderr": "/dev/fd/2"}
 _DESCRIPTOR = re.compile(r"(?:/dev/fd|/proc/self/fd)/(\d+)", re.ASCII)
 
 
+def named_descriptor(path: str | os.PathLike) -> int | None:
+    """The open descriptor ``path`` names (``/dev/stdout``, ``/dev/fd/N``,
+    ``/proc/self/fd/N`` and the like), or None for any other path."""
+    named = _DESCRIPTOR.fullmatch(_STANDARD.get(os.fspath(path), os.fspath(path)))
+    return int(named[1]) if named else None
+
+
 @contextmanager
 def replace_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
     """A binary handle whose bytes become the file ``path`` once the block ends without error.
@@ -36,15 +43,15 @@ def replace_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
     regular file (a FIFO, a device) cannot be replaced, so it is written
     through in place.
     """
-    named = _DESCRIPTOR.fullmatch(_STANDARD.get(os.fspath(path), os.fspath(path)))
+    descriptor = named_descriptor(path)
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
-    if named or mode is not None and not stat.S_ISREG(mode):
+    if descriptor is not None or mode is not None and not stat.S_ISREG(mode):
         sys.stdout.flush()  # what a pipeline step printed stays before this output
         try:
-            fh = os.fdopen(os.dup(int(named[1])), "wb") if named else open(path, "wb")
+            fh = os.fdopen(os.dup(descriptor), "wb") if descriptor is not None else open(path, "wb")
         except OSError as exc:  # os.dup names no file in its error
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         with fh:

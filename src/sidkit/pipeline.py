@@ -18,7 +18,8 @@ is such a bad step (``cli.CommandParser.parse_command`` refuses it). The
 manifest records, per step, the argv, the effective seed, and
 SHA-256 digests of every file flag of its subcommand (the flags
 ``cli.build_parser`` types ``InputPath`` before the step, ``OutputPath``
-after); it contains no timestamps, so re-running an identical pipeline
+after, except an output that names an open descriptor such as
+``/dev/stdout``); it contains no timestamps, so re-running an identical pipeline
 reproduces the manifest byte for byte. A failing step aborts the run and the
 manifest records the partial state. The manifest, like every step output,
 is written through ``files.replace_file``: it replaces the old manifest only
@@ -41,7 +42,7 @@ from pathlib import Path
 from typing import Container
 
 from .corpus import DatasetStore, decode_text
-from .files import replace_file
+from .files import named_descriptor, replace_file
 
 
 class PipelineError(ValueError):
@@ -89,8 +90,18 @@ def _paths(parsed: argparse.Namespace, role: type) -> list[str]:
 
 
 def _digest_role(parsed: argparse.Namespace, role: type) -> dict[str, str]:
-    """SHA-256 of each existing file named by a parsed flag value of type ``role``."""
-    return {p: sha256_file(p) for p in _paths(parsed, role) if Path(p).is_file()}
+    """SHA-256 of each existing file named by a parsed flag value of type ``role``.
+
+    An output that names an open descriptor is not digested: with ``--out
+    /dev/stdout >> log`` the file is ``log``, which holds more than the step wrote.
+    """
+    from .cli import OutputPath
+
+    return {
+        p: sha256_file(p)
+        for p in _paths(parsed, role)
+        if Path(p).is_file() and (role is not OutputPath or named_descriptor(p) is None)
+    }
 
 
 def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = None) -> int:

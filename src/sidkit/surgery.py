@@ -7,6 +7,9 @@ relative to the start of the data region), optionally a "__metadata__"
 string map, then the contiguous data region. Canonical files have header
 keys sorted and tensor data laid out in that same order; the writer always
 emits canonical files, so write(read(f)) == f whenever f is canonical.
+``read_checkpoint`` validates a file's header and returns a frozen
+``Checkpoint`` handle (its path, tensor entries, metadata and the file offset
+of the data region); tensor bytes are read from the file only on demand.
 
 Surgery (reverting layers to their pretrained state, swapping layers between
 two fine-tuned checkpoints) copies tensor bytes verbatim - no parameter is
@@ -103,31 +106,26 @@ class TensorEntry:
         return self.data_offsets[1] - self.data_offsets[0]
 
 
-@dataclass(frozen=True)
-class CheckpointIndex:
+@dataclass(frozen=True, eq=False)
+class Checkpoint:
+    """Read-only handle: the header ``read_checkpoint`` parsed, plus lazy,
+    range-based tensor access. ``data_start`` is the file offset of the data
+    region. Fields cannot be reassigned, so a handle is safe to share across
+    threads; handles compare and hash by identity."""
+
+    path: Path
     entries: tuple[TensorEntry, ...]
-    metadata: dict[str, str] | None = None
+    metadata: dict[str, str] | None
+    data_start: int
 
     def __post_init__(self) -> None:
-        names = [e.name for e in self.entries]
-        if len(set(names)) != len(names):
+        by_name = {e.name: e for e in self.entries}
+        if len(by_name) != len(self.entries):
             raise CheckpointFormatError("duplicate tensor names in index")
+        object.__setattr__(self, "_by_name", by_name)
 
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
-
-
-class Checkpoint:
-    """Read-only handle: parsed index plus lazy, range-based tensor access."""
-
-    def __init__(self, path: str | Path, index: CheckpointIndex, data_start: int) -> None:
-        self.path = Path(path)
-        self.index = index
-        self._data_start = data_start
-        self._by_name = {e.name: e for e in index.entries}
-
-    def names(self) -> list[str]:
-        return self.index.names()
 
     def entry(self, name: str) -> TensorEntry:
         try:
@@ -143,7 +141,7 @@ class Checkpoint:
         if not 0 <= start <= stop <= end - begin:
             raise SurgeryError(f"tensor {name!r}: byte range [{start}, {stop}) outside [0, {end - begin})")
         with open(self.path, "rb") as fh:
-            fh.seek(self._data_start + begin + start)
+            fh.seek(self.data_start + begin + start)
             data = fh.read(stop - start)
         if len(data) != stop - start:
             raise CheckpointFormatError(f"tensor {name!r}: data region truncated")
@@ -208,7 +206,6 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
         except (KeyError, TypeError) as exc:
             raise CheckpointFormatError(f"{path.name}: malformed entry for {name!r}: {exc}") from exc
 
-    index = CheckpointIndex(entries=tuple(entries), metadata=metadata)
     data_start = _HEADER_LEN_BYTES + header_len
     data_size = file_size - data_start
     # The tensors must tile the data region: sorted by (begin, end, name), each
@@ -216,7 +213,7 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     # or trailing bytes, and neither outcome nor message depends on header order.
     covered = 0
     previous = None
-    for entry in sorted(index.entries, key=lambda e: (*e.data_offsets, e.name)):
+    for entry in sorted(entries, key=lambda e: (*e.data_offsets, e.name)):
         begin, end = entry.data_offsets
         if end > data_size:
             raise CheckpointFormatError(
@@ -237,7 +234,7 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
             f"{path.name}: {data_size - covered} trailing bytes at file offset "
             f"{data_start + covered}, after the last tensor"
         )
-    return Checkpoint(path, index, data_start)
+    return Checkpoint(path, tuple(entries), metadata, data_start)
 
 
 TensorSource = Union[bytes, Iterable[bytes]]
@@ -441,13 +438,13 @@ def _splice(
                     f"output {out_path} is the input {source.path}; write to another file"
                 )
     tensors: dict[str, tuple[str, Sequence[int], TensorSource]] = {}
-    for entry in base.index.entries:
+    for entry in base.entries:
         owner = base
         if entry.name in donor_names:
             owner = donor
             _check_layout(entry, donor.entry(entry.name))
         tensors[entry.name] = (entry.dtype, entry.shape, _copy_chunks(owner, entry.name))
-    write_checkpoint(out_path, tensors, metadata=base.index.metadata)
+    write_checkpoint(out_path, tensors, metadata=base.metadata)
     return read_checkpoint(out_path)
 
 

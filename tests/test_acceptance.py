@@ -298,8 +298,8 @@ def test_criterion_6_surgery_byte_exactness(tmp_path):
         rewritten = tmp_path / "rewritten.safetensors"
         write_checkpoint(
             rewritten,
-            {e.name: (e.dtype, e.shape, cp.tensor_bytes(e.name)) for e in cp.index.entries},
-            metadata=cp.index.metadata,
+            {e.name: (e.dtype, e.shape, cp.tensor_bytes(e.name)) for e in cp.entries},
+            metadata=cp.metadata,
         )
         assert rewritten.read_bytes() == finetuned.read_bytes()
 
@@ -322,12 +322,12 @@ def test_criterion_6_surgery_byte_exactness(tmp_path):
         base_report = mav_report(finetuned, pretrained, scheme)
         a_cp, b_cp = read_checkpoint(finetuned), read_checkpoint(pretrained)
         doubled_tensors = {}
-        for entry in a_cp.index.entries:
+        for entry in a_cp.entries:
             va = np.frombuffer(a_cp.tensor_bytes(entry.name), dtype="<f8")
             vb = np.frombuffer(b_cp.tensor_bytes(entry.name), dtype="<f8")
             doubled_tensors[entry.name] = ("F64", entry.shape, (va + 2.0 * (vb - va)).tobytes())
         doubled_path = tmp_path / "doubled.safetensors"
-        write_checkpoint(doubled_path, doubled_tensors, metadata=a_cp.index.metadata)
+        write_checkpoint(doubled_path, doubled_tensors, metadata=a_cp.metadata)
         doubled_report = mav_report(finetuned, doubled_path, scheme)
         for key, value in base_report.per_group.items():
             assert math.isclose(doubled_report.per_group[key], 2 * value, rel_tol=1e-12)

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import make_checkpoint
 from sidkit.cli import InputPath, OutputPath, build_parser, main
-from sidkit.corpus import extract_spans, load_dataset
+from sidkit.corpus import ParseError, extract_spans, load_dataset
 from sidkit.correlation import pearson, spearman
 from sidkit.evaluate import span_f1
 from sidkit.surgery import read_checkpoint
@@ -231,6 +231,67 @@ def test_undecodable_input_names_file_and_line(reader, argv, gold_file, tmp_path
     assert "Traceback" not in err
 
 
+# Per input kind: the file's LF text and the command reading it as in.txt, ending with its output flag.
+BOM_CASES = {
+    "vocabulary": ("[UNK]\nvekk\nmæ\n", ["subword-ratio", "--vocab", "in.txt", "--in", "text.txt", "--out"]),
+    "text corpus": ("vekk mæ\nno vekk\n", ["subword-ratio", "--vocab", "vocab.txt", "--in", "in.txt", "--out"]),
+    "alphabet": (
+        "abcæøå\nxyz\n",
+        ["noise", "--in", "gold.conll", "--fraction", "0.5", "--seed", "3", "--alphabet-from", "in.txt", "--out"],
+    ),
+    "transcript": ("vat'n  soL\nbakkst issjn\n", ["normalize", "--in", "in.txt", "--trace", "trace.jsonl", "--out"]),
+    "table": ("a\tb\n1\t2\n2\t1\n3\t4\n4\t3\n", ["correlate", "--in", "in.txt", "--x", "a", "--y", "b", "--out"]),
+    "noise config": (
+        '{\n  "word_fraction": 0.5,\n  "alphabet": "xyz",\n  "seed": 3\n}\n',
+        ["noise", "--in", "gold.conll", "--config", "in.txt", "--out"],
+    ),
+    "naming scheme": (
+        '{\n  "num_layers": 12\n}\n',
+        ["surgery", "mav", "--a", "a.safetensors", "--b", "b.safetensors", "--scheme", "in.txt", "--out"],
+    ),
+    "pipeline config": (
+        '{"steps": [\n  {"command": "stats", "args": {"in": "gold.conll", "out": "stats.json"}}\n]}\n',
+        ["pipeline", "--config", "in.txt", "--manifest"],
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", list(BOM_CASES))
+def test_bom_and_crlf_input_reads_like_the_lf_copy(reader, tmp_path, monkeypatch, capsys):
+    text, argv = BOM_CASES[reader]
+
+    def run(name: str, data: bytes) -> tuple:
+        work = tmp_path / name
+        work.mkdir()
+        (work / "in.txt").write_bytes(data)
+        (work / "gold.conll").write_text(GOLD, encoding="utf-8")
+        (work / "vocab.txt").write_text("[UNK]\nvekk\nmæ\n", encoding="utf-8")
+        (work / "text.txt").write_text("vekk mæ no\n", encoding="utf-8")
+        make_checkpoint(work / "a.safetensors", seed=1)
+        make_checkpoint(work / "b.safetensors", seed=2)
+        monkeypatch.chdir(work)
+        code = main(argv + ["out.json"])
+        outputs = {path.name: path.read_bytes() for path in sorted(work.iterdir()) if path.name != "in.txt"}
+        if reader == "pipeline config":  # the manifest's digest of the config bytes differs, and only it
+            manifest = json.loads(outputs.pop("out.json"))
+            assert manifest.pop("config_digest")
+            outputs["out.json"] = manifest
+        return code, capsys.readouterr(), outputs
+
+    plain = run("plain", text.encode("utf-8"))
+    assert plain[0] == 0, plain[1].err
+    assert run("bom", b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8")) == plain, reader
+
+
+def test_corpus_file_drops_only_one_bom(tmp_path, capsys):
+    path = tmp_path / "two.conll"
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + GOLD.encode("utf-8"))
+    with pytest.raises(ParseError):
+        load_dataset(path)
+    assert main(["parse-check", "--in", str(path)]) == 1
+    assert "sidkit: error:" in capsys.readouterr().err
+
+
 def test_evaluate_self_is_perfect(gold_file, capsys):
     assert main(["evaluate", "--gold", str(gold_file), "--pred", str(gold_file)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -335,6 +396,15 @@ def test_subword_ratio_conll_format(gold_file, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["split_word_ratio"] == 0.0
 
 
+def test_subword_ratio_has_no_marker_flag(gold_file, tmp_path, capsys):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("[UNK]\nvekk\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["subword-ratio", "--vocab", str(vocab), "--in", str(gold_file), "--marker", "@@"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --marker @@" in capsys.readouterr().err
+
+
 def test_correlate_by_header_name(tmp_path, capsys):
     table = tmp_path / "data.tsv"
     rows = ["diff\tscore"] + [f"{i}\t{20 - 2 * i}" for i in range(10)]
@@ -371,6 +441,22 @@ def test_correlate_missing_column(tmp_path, capsys):
     table = tmp_path / "data.tsv"
     table.write_text("a\tb\n1\t2\n", encoding="utf-8")
     assert main(["correlate", "--in", str(table), "--x", "a", "--y", "nope"]) == 1
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--x", "--y"])
+def test_correlate_refuses_a_non_finite_cell(tmp_path, capsys, bad, flag):
+    table = tmp_path / "data.tsv"
+    cells = {"x": ["1", "2", "3", "4"], "y": ["2", "1", "4", "3"]}
+    cells[flag[2:]][1] = bad
+    table.write_text("x\ty\n\n" + "".join(f"{a}\t{b}\n" for a, b in zip(cells["x"], cells["y"])),
+                     encoding="utf-8")
+    out = tmp_path / "corr.json"
+    assert main(["correlate", "--in", str(table), "--x", "x", "--y", "y", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"sidkit: error: {table}: column {flag[2:]!r}, line 4: {float(bad)} is not a finite number\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_surgery_swap_and_mav(tmp_path, capsys):

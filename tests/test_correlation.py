@@ -158,6 +158,16 @@ def test_pearson_input_validation():
         pearson([1, 2, 3], [4, 4, 4])
 
 
+@pytest.mark.parametrize("func", [pearson, spearman, correlate])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_non_finite_input_is_refused(func, bad, side):
+    values = {"x": [1.0, 2.0, 3.0, 4.0], "y": [2.0, 1.0, 4.0, 3.0]}
+    values[side][1] = bad
+    with pytest.raises(CorrelationError, match=f"{side} holds a non-finite value"):
+        func(values["x"], values["y"])
+
+
 # ---------------------------------------------------------------------------
 # Ranks and Spearman
 # ---------------------------------------------------------------------------

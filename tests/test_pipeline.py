@@ -1,11 +1,16 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sidkit import cli, corpus, subword
 from sidkit.cli import InputPath, OutputPath, build_parser, main
 from sidkit.pipeline import PipelineError, _step_argv, run_pipeline, sha256_file
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 GOLD = (
     "# id: 1\n# intent: alarm/set\nvekk\tO\nmekk\tB-datetime\n"
@@ -75,6 +80,28 @@ def test_rerun_reproduces_manifest_byte_for_byte(tmp_path, monkeypatch):
     assert run_pipeline(config, manifest_path) == 0
     assert manifest_path.read_bytes() == first
     assert (tmp_path / "report.json").read_bytes() == first_report
+
+
+def test_rerun_appending_to_one_log_through_dev_stdout_reproduces_the_manifest(tmp_path):
+    (tmp_path / "gold.conll").write_text(GOLD, encoding="utf-8")
+    config = write_config(tmp_path, [
+        {"command": "parse-check", "args": {"in": "gold.conll"}},
+        {"command": "stats", "args": {"in": "gold.conll", "out": "/dev/stdout"}},
+    ])
+    log = tmp_path / "log.txt"
+    for manifest in ("m1.json", "m2.json"):
+        with open(log, "ab") as stdout:
+            result = subprocess.run(
+                [sys.executable, "-m", "sidkit.cli", "pipeline", "--config", str(config), "--manifest", manifest],
+                cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=stdout,
+                stderr=subprocess.PIPE, timeout=120,
+            )
+        assert result.returncode == 0, result.stderr
+    assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+    steps = json.loads((tmp_path / "m1.json").read_text(encoding="utf-8"))["steps"]
+    assert steps[1]["outputs"] == {}
+    assert steps[1]["inputs"] == {"gold.conll": sha256_file(tmp_path / "gold.conll")}
+    assert log.read_bytes().count(b'"name": "gold"') == 2  # each run's stats report is in the log
 
 
 def test_failing_step_aborts_and_records_partial_state(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import NUMPY_DTYPES, make_checkpoint
 from sidkit.surgery import (
+    Checkpoint,
     CheckpointFormatError,
     NamingScheme,
     SchemeError,
@@ -36,8 +38,8 @@ def test_read_write_round_trip_byte_identical(tmp_path):
     dst = tmp_path / "b.safetensors"
     write_checkpoint(
         dst,
-        {e.name: (e.dtype, e.shape, cp.tensor_bytes(e.name)) for e in cp.index.entries},
-        metadata=cp.index.metadata,
+        {e.name: (e.dtype, e.shape, cp.tensor_bytes(e.name)) for e in cp.entries},
+        metadata=cp.metadata,
     )
     assert src.read_bytes() == dst.read_bytes()
 
@@ -80,7 +82,25 @@ def test_scalar_tensor_round_trip(tmp_path):
 def test_metadata_preserved(tmp_path):
     path = tmp_path / "m.safetensors"
     write_checkpoint(path, {"t": ("F32", (1,), b"\x00" * 4)}, metadata={"k": "v"})
-    assert read_checkpoint(path).index.metadata == {"k": "v"}
+    assert read_checkpoint(path).metadata == {"k": "v"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("path", "other.safetensors"), ("entries", ()), ("metadata", {"k": "w"}), ("data_start", 0)],
+)
+def test_checkpoint_handle_fields_cannot_be_reassigned(tmp_path, field, value):
+    cp = read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1))
+    before = getattr(cp, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cp, field, value)
+    assert getattr(cp, field) is before
+
+
+def test_checkpoint_handle_refuses_duplicate_names(tmp_path):
+    entry = read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1)).entries[0]
+    with pytest.raises(CheckpointFormatError, match="duplicate tensor names in index"):
+        Checkpoint(tmp_path / "a.safetensors", (entry, entry), None, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +475,14 @@ def test_mav_constant_shift_on_one_layer(tmp_path):
     a_path = make_checkpoint(tmp_path / "a.safetensors", seed=23, dtype="F64")
     a = read_checkpoint(a_path)
     tensors = {
-        e.name: (e.dtype, e.shape, a.tensor_bytes(e.name)) for e in a.index.entries
+        e.name: (e.dtype, e.shape, a.tensor_bytes(e.name)) for e in a.entries
     }
     shift = 0.125  # exactly representable
     for name in layer_group(SCHEME, 5, a.names()):
         arr = np.frombuffer(a.tensor_bytes(name), dtype="<f8") + shift
         tensors[name] = ("F64", a.entry(name).shape, arr.astype("<f8").tobytes())
     b_path = tmp_path / "b.safetensors"
-    write_checkpoint(b_path, tensors, metadata=a.index.metadata)
+    write_checkpoint(b_path, tensors, metadata=a.metadata)
 
     report = mav_report(a_path, b_path, SCHEME)
     assert report.per_group["layer 5"] == pytest.approx(shift, rel=0, abs=0)
@@ -482,12 +502,12 @@ def test_mav_symmetry_and_linearity(tmp_path):
     # c = a + 2(b - a): doubles every difference exactly in float64
     a, b = read_checkpoint(a_path), read_checkpoint(b_path)
     tensors = {}
-    for entry in a.index.entries:
+    for entry in a.entries:
         va = np.frombuffer(a.tensor_bytes(entry.name), dtype="<f8")
         vb = np.frombuffer(b.tensor_bytes(entry.name), dtype="<f8")
         tensors[entry.name] = ("F64", entry.shape, (va + 2.0 * (vb - va)).tobytes())
     c_path = tmp_path / "c.safetensors"
-    write_checkpoint(c_path, tensors, metadata=a.index.metadata)
+    write_checkpoint(c_path, tensors, metadata=a.metadata)
 
     doubled = mav_report(a_path, c_path, SCHEME)
     for key in forward.per_group:
