@@ -31,6 +31,7 @@ import sys
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence
@@ -183,9 +184,32 @@ DEFAULT_FORMAT = FormatOptions()
 _COMMENT_PREFIX = "# "
 _KNOWN_COMMENT_KEYS = ("id", "text", "intent", "variety")
 
+# Bounds of the tag and span caches below, which last as long as the process;
+# an entry takes about 200 bytes (a tag's entry also keeps the tag and label).
+_TAG_CACHE_SIZE = 1024
+_SPAN_CACHE_SIZE = 16384
 
-def _is_bi_tag(tag: str) -> bool:
-    return len(tag) > 2 and tag[0] in "BI" and tag[1] == "-"
+
+@lru_cache(maxsize=_TAG_CACHE_SIZE)
+def _classify_tag(tag: str) -> tuple[str | None, bool, bool]:
+    """``(label, is an I-tag, is malformed)`` for one slot tag.
+
+    The one B/I rule: ``B-<label>`` and ``I-<label>`` need a non-empty label,
+    which is interned, so equal labels are one object; ``O`` has no label and
+    anything else is malformed.
+    """
+    if tag == "O":
+        return None, False, False
+    if len(tag) > 2 and tag[0] in "BI" and tag[1] == "-":
+        return sys.intern(tag[2:]), tag[0] == "I", False
+    return None, False, True
+
+
+@lru_cache(maxsize=_SPAN_CACHE_SIZE)
+def _shared_span(start: int, end: int, label: str) -> Span:
+    """One Span object per distinct ``(start, end, label)``. Span is frozen,
+    so a shared object compares, hashes and reads as a new one would."""
+    return Span(start, end, label)
 
 
 # ---------------------------------------------------------------------------
@@ -467,39 +491,42 @@ def _scan_tags(
 
     Lenient semantics: a violating I-X opens a new span (as if it were B-X);
     a malformed tag closes any open span and is otherwise treated as O.
+
+    Each distinct tag is classified once (``_classify_tag``) and each distinct
+    span is built once (``_shared_span``), so equal spans are one object;
+    the lists returned are new on every call. The caches keep at most 1,024
+    tags (about 0.2 MB plus the tags and labels) and 16,384 spans (about
+    3.5 MB); beyond that, a tag or span is classified or built again.
     """
     spans: list[Span] = []
     violations: list[BioViolation] = []
     start = 0
     label: str | None = None  # label of the open span, None after O or a malformed tag
+    classify, span = _classify_tag, _shared_span
     for i, tag in enumerate(tags):
-        if tag == "O":
-            new_label = None
-        elif _is_bi_tag(tag):
-            new_label = sys.intern(tag[2:])  # one label object per distinct label
-            if tag[0] == "I":
-                if new_label == label:
-                    continue  # the open span goes on
-                if label is None:
-                    violations.append(
-                        BioViolation(utterance_id, i, "I-without-B", f"{tag} not preceded by B/I tag")
+        new_label, is_i, malformed = classify(tag)
+        if is_i:
+            if new_label == label:
+                continue  # the open span goes on
+            if label is None:
+                violations.append(
+                    BioViolation(utterance_id, i, "I-without-B", f"{tag} not preceded by B/I tag")
+                )
+            else:
+                violations.append(
+                    BioViolation(
+                        utterance_id, i, "I-label-mismatch", f"{tag} follows a {label!r} span"
                     )
-                else:
-                    violations.append(
-                        BioViolation(
-                            utterance_id, i, "I-label-mismatch", f"{tag} follows a {label!r} span"
-                        )
-                    )
-        else:
+                )
+        elif malformed:
             violations.append(
                 BioViolation(utterance_id, i, "malformed-tag", f"{tag!r} is not O, B-<label> or I-<label>")
             )
-            new_label = None
         if label is not None:
-            spans.append(Span(start, i, label))
+            spans.append(span(start, i, label))
         start, label = i, new_label
     if label is not None:
-        spans.append(Span(start, len(tags), label))
+        spans.append(span(start, len(tags), label))
     return spans, violations
 
 
@@ -598,8 +625,9 @@ def label_inventory(dataset: Dataset) -> InventoryReport:
     full_tags = Counter(tag for utt in dataset.utterances for tag in utt.slot_tags)
     slot_labels: Counter[str] = Counter()
     for tag, count in full_tags.items():  # first-seen order, as for the tags themselves
-        if _is_bi_tag(tag):
-            slot_labels[tag[2:]] += count
+        label = _classify_tag(tag)[0]
+        if label is not None:
+            slot_labels[label] += count
     return InventoryReport(
         name=dataset.name,
         utterance_count=len(dataset),
@@ -665,7 +693,7 @@ def unseen_label_report(train: Dataset, eval: Dataset) -> UnseenReport:
         unseen_full_tags=unseen_full,
         unseen_i_tags_with_seen_b=tuple(
             tag for tag in sorted(unseen_full)
-            if tag.startswith("I-") and tag[2:] in train_inv.slot_label_counts
+            if (kind := _classify_tag(tag))[1] and kind[0] in train_inv.slot_label_counts
         ),
     )
 

@@ -12,10 +12,17 @@ extra mode for diagnostics but is not part of the standard report.
 
 Each side's spans must be disjoint, so in every mode that matching is one
 left-to-right sweep over start-sorted spans; the modes differ only in which
-pairs of spans match. :func:`evaluate` extracts and matches every utterance
+pairs of spans match. A side whose spans are already start-sorted and
+disjoint, as extracted spans always are, is checked in one linear pass and
+not sorted again. :func:`evaluate` extracts and matches every utterance
 once. Its :class:`EvalReport` is the :class:`GroupScores` of the whole
 corpus plus, when grouped, one per group; group counts sum to the overall
 counts. Input errors raise EvalError, a ValueError.
+
+The BIO scan behind extraction classifies each distinct slot tag once and
+builds each distinct span once, so equal spans share one ``Span`` object.
+Its caches hold at most 1,024 tags and 16,384 spans: about 0.2 MB plus the
+tags themselves, and about 3.5 MB, when full.
 
 A strict match is also a loose match and an unlabelled match, so strict F1
 can never exceed the other two; loose and unlabelled are not ordered with
@@ -99,8 +106,22 @@ class PRF:
         }
 
 
-def _check_disjoint(spans: Sequence[Span], side: str) -> list[Span]:
-    """The spans sorted by start; raises if any two of them overlap."""
+def _check_disjoint(spans: Iterable[Span], side: str) -> Sequence[Span]:
+    """The spans sorted by start; raises if any two of them overlap.
+
+    One linear pass returns a list or tuple that is already start-sorted and
+    disjoint (what ``extract_spans`` returns) as it is; only other input is
+    sorted and checked pair by pair.
+    """
+    if not isinstance(spans, (list, tuple)):
+        spans = list(spans)
+    end = 0
+    for span in spans:
+        if span.start < end:
+            break
+        end = span.end
+    else:
+        return spans
     ordered = sorted(spans, key=attrgetter("start"))
     for a, b in zip(ordered, ordered[1:]):
         if b.start < a.end:

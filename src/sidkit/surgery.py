@@ -31,6 +31,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 from .files import replace_file
@@ -110,19 +111,27 @@ class TensorEntry:
 class Checkpoint:
     """Read-only handle: the header ``read_checkpoint`` parsed, plus lazy,
     range-based tensor access. ``data_start`` is the file offset of the data
-    region. Fields cannot be reassigned, so a handle is safe to share across
-    threads; handles compare and hash by identity."""
+    region. Fields cannot be reassigned and ``metadata`` is a read-only copy
+    of the mapping given, so a handle is safe to share across threads;
+    handles compare and hash by identity."""
 
     path: Path
     entries: tuple[TensorEntry, ...]
-    metadata: dict[str, str] | None
+    metadata: Mapping[str, str] | None
     data_start: int
 
     def __post_init__(self) -> None:
+        if self.metadata is not None:
+            object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
         by_name = {e.name: e for e in self.entries}
         if len(by_name) != len(self.entries):
             raise CheckpointFormatError("duplicate tensor names in index")
         object.__setattr__(self, "_by_name", by_name)
+
+    def __reduce__(self) -> tuple:
+        # a mappingproxy does not pickle, so a copy or pickle rebuilds the handle
+        metadata = None if self.metadata is None else dict(self.metadata)
+        return Checkpoint, (self.path, self.entries, metadata, self.data_start)
 
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
@@ -192,7 +201,7 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
                 isinstance(k, str) and isinstance(v, str) for k, v in spec.items()
             ):
                 raise CheckpointFormatError(f"{path.name}: __metadata__ must map strings to strings")
-            metadata = dict(spec)
+            metadata = spec
             continue
         try:
             entries.append(

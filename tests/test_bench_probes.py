@@ -10,6 +10,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import sidkit.cli
 from sidkit.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -65,3 +66,31 @@ def test_a_traced_pipeline_records_every_text_layer(tmp_path, monkeypatch):
     assert metrics["noise.words_edited"] > 0
     assert metrics["subword.words"] > 0 and metrics["normalize.tokens"] > 0
     assert metrics["pipeline.steps"] == len(TRACED_STEPS)
+
+
+def _scored_corpus(stray_i: bool) -> str:
+    tag = "I-datetime" if stray_i else "B-datetime"
+    return "".join(
+        f"# id: {k}\n# intent: alarm/set\n# variety: {variety}\nvekk\tO\nkl{k}\t{tag}\nhalv\tI-datetime\n\n"
+        for k, variety in enumerate(["north", "west", "north", "east"])
+    )
+
+
+def test_traced_scoring_keeps_every_score_probe_busy(tmp_path, monkeypatch):
+    """The spans behind the score workload's busy metrics fire on a small gold/pred pair."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gold.conll").write_text(_scored_corpus(stray_i=False), encoding="utf-8")
+    (tmp_path / "pred.conll").write_text(_scored_corpus(stray_i=True), encoding="utf-8")
+    tracing = _load_tracing()
+    with tracing.Tracer() as tracer:
+        # through the module, so the traced main records which command each scan served
+        assert sidkit.cli.main(["evaluate", "--gold", "gold.conll", "--pred", "pred.conll",
+                                "--group-by", "variety", "--report", "json", "--out", "eval.json"]) == 0
+        assert sidkit.cli.main(["parse-check", "--in", "pred.conll", "--out", "check.json"]) == 1
+    modes = {span[4]["mode"] for span in tracer.spans if span[0] == "evaluate.match"}
+    assert modes == {"strict", "loose", "unlabelled", "loose-unlabelled"}
+    metrics = tracing.layer_metrics(tracer.spans, {})
+    assert metrics["evaluate.match_loose_s"] > 0
+    assert metrics["evaluate.bio_scans_per_pair"] == 2
+    assert metrics["evaluate.spans"] > 0
+    assert metrics["corpus.bio_scan_calls"] > 0 and metrics["corpus.violations"] == 4

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sidkit import corpus
 from sidkit.corpus import (
     BioFormatError,
+    BioViolation,
     Dataset,
     DatasetStore,
     FormatOptions,
@@ -112,6 +114,77 @@ def test_scan_with_malformed_tags_matches_reference_exhaustively():
             assert violations == reference_violations(tags), tags
             count += 1
     assert count == sum(6**k for k in range(6))
+
+
+def per_occurrence_scan(tags, utterance_id=""):
+    """Reference for ``_scan_tags`` without its caches: every tag occurrence is
+    classified, and every span built, on its own."""
+    spans, violations = [], []
+    start, label = 0, None
+    for i, tag in enumerate(tags):
+        if tag == "O":
+            new_label = None
+        elif len(tag) > 2 and tag[0] in "BI" and tag[1] == "-":
+            new_label = tag[2:]
+            if tag[0] == "I":
+                if new_label == label:
+                    continue
+                if label is None:
+                    violations.append(
+                        BioViolation(utterance_id, i, "I-without-B", f"{tag} not preceded by B/I tag")
+                    )
+                else:
+                    violations.append(
+                        BioViolation(utterance_id, i, "I-label-mismatch", f"{tag} follows a {label!r} span")
+                    )
+        else:
+            violations.append(
+                BioViolation(utterance_id, i, "malformed-tag", f"{tag!r} is not O, B-<label> or I-<label>")
+            )
+            new_label = None
+        if label is not None:
+            spans.append(Span(start, i, label))
+        start, label = i, new_label
+    if label is not None:
+        spans.append(Span(start, len(tags), label))
+    return spans, violations
+
+
+SCAN_TAGS = ["O", "B-a", "I-a", "B-b", "I-b", "B-", "I-", "b-a", "O-x"]
+
+
+@pytest.fixture(params=["cleared", "overflowed"])
+def scan_caches(request):
+    """The tag and span caches, emptied, or else filled past the span bound."""
+    corpus._classify_tag.cache_clear()
+    corpus._shared_span.cache_clear()
+    if request.param == "overflowed":
+        n = corpus._SPAN_CACHE_SIZE + 100
+        tags = ["B-a"] * n  # n distinct one-token spans
+        assert corpus._scan_tags(tags) == per_occurrence_scan(tags)
+        info = corpus._shared_span.cache_info()
+        assert info.misses == n and info.currsize == corpus._SPAN_CACHE_SIZE
+    return request.param
+
+
+@given(st.lists(st.sampled_from(SCAN_TAGS), max_size=16))
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cached_scan_matches_the_per_occurrence_scan(scan_caches, tags):
+    if scan_caches == "cleared":
+        corpus._classify_tag.cache_clear()
+        corpus._shared_span.cache_clear()
+    assert corpus._scan_tags(tags, "u") == per_occurrence_scan(tags, "u")
+    assert corpus._scan_tags(tuple(tags), "u") == per_occurrence_scan(tags, "u")
+
+
+def test_extract_spans_returns_a_new_list_of_shared_spans_each_call():
+    tags = ["B-a", "I-a", "O", "B-b"]
+    first = extract_spans(tags)
+    first.append(Span(4, 5, "c"))
+    second = extract_spans(tags)
+    assert second == [Span(0, 2, "a"), Span(3, 4, "b")]
+    assert second is not first
+    assert second[0] is first[0] and second[1] is first[1]
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +800,20 @@ def test_unseen_i_tag_with_seen_b():
     assert report.unseen_slot_labels == {}
     assert report.unseen_intents == {}
     assert report.unseen_i_tags_with_seen_b == ("I-a",)
+
+
+def test_inventory_and_unseen_report_read_labels_by_one_b_i_rule():
+    train = _dataset(Utterance(id="1", tokens=("x", "y"), slot_tags=("B-a", "B-"), intent="i"))
+    eval_ = _dataset(
+        Utterance(id="1", tokens=("t",) * 7, slot_tags=("B-", "I-", "b-a", "O-x", "I-a", "I-b", "O"), intent="i")
+    )
+    inv = label_inventory(eval_)
+    assert inv.slot_label_counts == {"a": 1, "b": 1}
+    assert inv.full_tag_counts == {"B-": 1, "I-": 1, "b-a": 1, "O-x": 1, "I-a": 1, "I-b": 1, "O": 1}
+    report = unseen_label_report(train, eval_)
+    assert report.unseen_slot_labels == {"b": 1}
+    assert report.unseen_i_tags_with_seen_b == ("I-a",)
+    assert "I-" in report.unseen_full_tags and "B-" not in report.unseen_full_tags
 
 
 def test_unseen_identical_datasets_all_empty():

@@ -165,6 +165,42 @@ def test_unsorted_input_scores_like_sorted():
             assert span_f1([gold[::-1]], [pred[::-1]], mode) == span_f1([gold], [pred], mode)
 
 
+def sort_then_check(spans, side):
+    """Reference for the disjointness check: sort every side by start, then
+    compare each pair of neighbours."""
+    ordered = sorted(spans, key=lambda span: span.start)
+    for a, b in zip(ordered, ordered[1:]):
+        if b.start < a.end:
+            raise SpanOverlapError(f"{side} spans {a} and {b} overlap")
+    return ordered
+
+
+ONE_SIDE = {
+    "sorted-disjoint": [Span(0, 2, "a"), Span(3, 4, "b"), Span(5, 7, "a")],
+    "touching": [Span(0, 2, "a"), Span(2, 4, "b"), Span(4, 5, "a")],
+    "unsorted-disjoint": [Span(5, 7, "a"), Span(0, 2, "a"), Span(2, 4, "b")],
+    "sorted-overlapping": [Span(0, 3, "a"), Span(2, 4, "b"), Span(5, 6, "a")],
+}
+CONTAINERS = {"list": list, "tuple": tuple, "generator": lambda spans: (span for span in spans)}
+
+
+@pytest.mark.parametrize("container", CONTAINERS)
+@pytest.mark.parametrize("case", ONE_SIDE)
+def test_disjoint_check_scores_or_rejects_like_sort_then_check(case, container):
+    spans, other = ONE_SIDE[case], [Span(0, 2, "a"), Span(2, 3, "a"), Span(5, 7, "b")]
+    wrap = CONTAINERS[container]
+    for side, gold, pred in (("gold", spans, other), ("predicted", other, spans)):
+        for mode in MODES + ("loose-unlabelled",):
+            try:
+                sort_then_check(spans, side)
+            except SpanOverlapError as expected:
+                with pytest.raises(SpanOverlapError) as raised:
+                    span_f1([wrap(gold)], [wrap(pred)], mode)
+                assert str(raised.value) == str(expected)
+            else:
+                assert span_f1([wrap(gold)], [wrap(pred)], mode) == bruteforce_prf([gold], [pred], mode)
+
+
 def test_span_f1_matches_bruteforce_on_random_pairs():
     rng = random.Random(99)
 

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import os
+import pickle
 import re
 import struct
 
@@ -95,6 +97,40 @@ def test_checkpoint_handle_fields_cannot_be_reassigned(tmp_path, field, value):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(cp, field, value)
     assert getattr(cp, field) is before
+
+
+def test_checkpoint_metadata_cannot_be_edited_in_place(tmp_path):
+    cp = read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1))
+    with pytest.raises(TypeError):
+        cp.metadata["origin"] = "edited"
+    assert cp.metadata == {"origin": "synthetic"}
+
+
+def test_revert_after_attempted_metadata_edit_writes_the_metadata_on_disk(tmp_path):
+    finetuned = read_checkpoint(make_checkpoint(tmp_path / "ft.safetensors", seed=1))
+    pretrained = make_checkpoint(tmp_path / "pt.safetensors", seed=2)
+    with pytest.raises(TypeError):
+        finetuned.metadata["origin"] = "edited"
+    out = revert_layers(finetuned, pretrained, [0], SCHEME, tmp_path / "out.safetensors")
+    assert out.metadata == read_checkpoint(tmp_path / "ft.safetensors").metadata == {"origin": "synthetic"}
+
+
+def test_checkpoint_keeps_a_copy_of_the_metadata_it_is_given(tmp_path):
+    entry = read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1)).entries[0]
+    given = {"k": "v"}
+    cp = Checkpoint(tmp_path / "a.safetensors", (entry,), given, 8)
+    given["k"] = "w"
+    assert cp.metadata == {"k": "v"}
+
+
+def test_checkpoint_pickles_and_deep_copies_with_read_only_metadata(tmp_path):
+    cp = read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1))
+    for clone in (pickle.loads(pickle.dumps(cp)), copy.deepcopy(cp)):
+        assert (clone.path, clone.entries, clone.data_start) == (cp.path, cp.entries, cp.data_start)
+        assert clone.metadata == {"origin": "synthetic"}
+        with pytest.raises(TypeError):
+            clone.metadata["origin"] = "edited"
+        assert clone.tensor_bytes(cp.names()[0]) == cp.tensor_bytes(cp.names()[0])
 
 
 def test_checkpoint_handle_refuses_duplicate_names(tmp_path):
