@@ -21,7 +21,7 @@ _EXPORTS = {
     "evaluate": ("PRF", "EvalReport", "evaluate", "intent_accuracy", "span_f1"),
     "noise": ("Alphabet", "NoiseConfig", "OpWeights", "build_alphabet", "noise_dataset", "noise_word"),
     "normalize": ("RuleTrace", "normalize_text", "normalize_token", "trace_token"),
-    "subword": ("SubwordVocab", "ratio_difference", "split_word_ratio", "tokenize_word"),
+    "subword": ("SubwordVocab", "split_word_ratio", "tokenize_word"),
     "surgery": (
         "MavReport", "NamingScheme", "layer_group", "mav_report",
         "read_checkpoint", "revert_layers", "swap_layers", "write_checkpoint",

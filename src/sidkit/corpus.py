@@ -10,7 +10,8 @@ File format (CoNLL-style blocks, UTF-8):
     på<TAB>O
     møtet<TAB>B-reminder/todo
 
-Blocks are separated by a single blank line; comment lines start with "# " and
+Blocks are separated by any run of blank or whitespace-only lines (the writer
+puts exactly one empty line between blocks); comment lines start with "# " and
 carry "key: value" pairs (id, text, intent, variety). Token lines are
 tab-separated with a configurable column map (default: column 0 = token,
 column 1 = slot tag). Malformed slot tags are kept verbatim by the parser;
@@ -226,93 +227,88 @@ def parse_dataset(
 
     ``source`` may be a whole document string or an iterable of lines. One
     leading byte-order mark is dropped, and CRLF and lone CR line ends count
-    as LF, as in a file read with universal newlines. Malformed slot tags are
-    kept verbatim; structural problems (ragged token lines, missing required
+    as LF, as in a file read with universal newlines. Any run of blank or
+    whitespace-only lines ends a block. Malformed slot tags are kept
+    verbatim; structural problems (ragged token lines, missing required
     intent) raise :class:`ParseError` with a line number.
 
-    Equal tokens, slot tags, intents and varieties are one shared string
-    object across the whole dataset.
+    Each line is read once: ``str.find`` walks the text one chunk between
+    empty lines at a time, so only the lines of the current chunk are held,
+    never a list of every line of the document. Equal tokens, slot tags,
+    intents and varieties are one shared string object across the whole
+    dataset.
     """
     if not isinstance(source, str):
         source = "\n".join(line.removesuffix("\n") for line in source)
     text = source.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    needed = max(options.token_col, options.tag_col) + 1
     shared: dict[str, str] = {}  # one object per distinct token, tag, intent and variety
-    utterances = [
-        _parse_block(block, options, default_id=str(i), shared=shared)
-        for i, block in enumerate(_blocks(text))
-    ]
+    share = shared.setdefault
+    utterances: list[Utterance] = []
+    comments: dict[str, str] = {}
+    tokens: list[str] = []
+    tags: list[str] = []
+    first = 0  # line number of the open block's first line; 0 while no block is open
+    lineno = 0
+    start = 0
+    while True:
+        stop = text.find("\n\n", start)
+        # a chunk runs up to and including the first of the two line breaks,
+        # so its last line is the blank line that ends the open block
+        chunk = text[start : stop + 1 if stop >= 0 else len(text)]
+        for lineno, line in enumerate(chunk.split("\n"), lineno + 1):
+            if not line.strip():
+                if first:
+                    utterances.append(_utterance(comments, tokens, tags, first, len(utterances), options, shared))
+                    comments, tokens, tags, first = {}, [], [], 0
+                continue
+            first = first or lineno
+            if line.startswith(_COMMENT_PREFIX):
+                key, sep, value = line[len(_COMMENT_PREFIX) :].partition(":")
+                if sep and key.strip() in _KNOWN_COMMENT_KEYS:
+                    comments[key.strip()] = value.strip()
+                continue
+            cols = line.split("\t")
+            if len(cols) < needed:
+                raise ParseError(
+                    f"line {lineno}: expected at least {needed} tab-separated columns, "
+                    f"got {len(cols)}: {line!r}"
+                )
+            token, tag = cols[options.token_col], cols[options.tag_col]
+            tokens.append(share(token, token))
+            tags.append(share(tag, tag))
+        if stop < 0:
+            break
+        start = stop + 2
+    if first:
+        utterances.append(_utterance(comments, tokens, tags, first, len(utterances), options, shared))
     try:
         return Dataset(name=name, utterances=tuple(utterances))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
-def _blocks(text: str) -> Iterator[list[tuple[int, str]]]:
-    """Each run of non-blank lines, with 1-based line numbers.
-
-    ``str.find`` walks the text one blank-line-separated chunk at a time, so
-    only the lines of the current chunk are held, never a list of every chunk
-    or every line of the document.
-    """
-    lineno = 1
-    start = 0
-    while True:
-        stop = text.find("\n\n", start)
-        block: list[tuple[int, str]] = []
-        for line in text[start:stop if stop >= 0 else len(text)].split("\n"):
-            if line.strip():
-                block.append((lineno, line))
-            elif block:  # a blank or whitespace-only line inside the chunk
-                yield block
-                block = []
-            lineno += 1
-        if block:
-            yield block
-        if stop < 0:
-            return
-        start = stop + 2
-        lineno += 1  # the empty line that ended the chunk
-
-
-def _parse_block(
-    block: list[tuple[int, str]],
+def _utterance(
+    comments: dict[str, str],
+    tokens: list[str],
+    tags: list[str],
+    first_lineno: int,
+    index: int,
     options: FormatOptions,
-    default_id: str,
     shared: dict[str, str],
 ) -> Utterance:
-    comments: dict[str, str] = {}
-    tokens: list[str] = []
-    tags: list[str] = []
-    needed = max(options.token_col, options.tag_col) + 1
-    first_lineno = block[0][0]
-    share = shared.setdefault
-
-    for lineno, line in block:
-        if line.startswith(_COMMENT_PREFIX):
-            key, sep, value = line[len(_COMMENT_PREFIX) :].partition(":")
-            if sep and key.strip() in _KNOWN_COMMENT_KEYS:
-                comments[key.strip()] = value.strip()
-            continue
-        cols = line.split("\t")
-        if len(cols) < needed:
-            raise ParseError(
-                f"line {lineno}: expected at least {needed} tab-separated columns, "
-                f"got {len(cols)}: {line!r}"
-            )
-        token, tag = cols[options.token_col], cols[options.tag_col]
-        tokens.append(share(token, token))
-        tags.append(share(tag, tag))
-
+    """The Utterance of the block whose first line is ``first_lineno``; its id
+    is ``index`` when the block has no ``# id:`` comment."""
     intent = comments.get("intent")
     if intent is None:
         if options.require_intent:
             raise ParseError(f"block at line {first_lineno}: missing '# intent:' comment")
         intent = ""
     variety = comments.get("variety", options.variety)
-
+    share = shared.setdefault
     try:
         return Utterance(
-            id=comments.get("id", default_id),
+            id=comments.get("id", str(index)),
             tokens=tuple(tokens),
             slot_tags=tuple(tags),
             intent=share(intent, intent),
@@ -433,22 +429,27 @@ def load_dataset(
     """Parse the file ``path``; the dataset is named ``name`` or the file's stem.
 
     Inside a :class:`DatasetStore` scope, a file whose bytes and ``options``
-    match a stored entry is not parsed again.
+    match a stored entry is not parsed again. A :class:`ParseError` names
+    the file: ``<path>: <message>``.
     """
     path = Path(path)
     name = name if name is not None else path.stem
     data = path.read_bytes()
     store = _active_store.get()
-    if store is None:
-        return parse_dataset(_decode_utf8(data, path), options, name=name)
-    from hashlib import sha256
+    if store is not None:
+        from hashlib import sha256
 
-    digest = sha256(data).digest()
-    stored = store.get(path, digest, options)
-    if stored is not None:
-        return Dataset(name=name, utterances=stored.utterances)
-    dataset = parse_dataset(_decode_utf8(data, path), options, name=name)
-    store.put(path, digest, options, dataset)
+        digest = sha256(data).digest()
+        stored = store.get(path, digest, options)
+        if stored is not None:
+            return Dataset(name=name, utterances=stored.utterances)
+    text = _decode_utf8(data, path)  # its ParseError names the file already
+    try:
+        dataset = parse_dataset(text, options, name=name)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if store is not None:
+        store.put(path, digest, options, dataset)
     return dataset
 
 

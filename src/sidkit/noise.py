@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal
 
@@ -247,14 +247,7 @@ def _noise_utterance(utterance: Utterance, cfg: NoiseConfig, draws: _Draws) -> U
     tokens = list(utterance.tokens)
     for i in selected:
         tokens[i] = _noise_token(tokens[i], rng, draws)
-    return Utterance(
-        id=utterance.id,
-        tokens=tuple(tokens),
-        slot_tags=utterance.slot_tags,
-        intent=utterance.intent,
-        variety=utterance.variety,
-        raw_text=utterance.raw_text,
-    )
+    return replace(utterance, tokens=tuple(tokens))
 
 
 def noise_dataset(dataset: Dataset, cfg: NoiseConfig) -> Dataset:

@@ -114,13 +114,3 @@ def split_word_ratio(vocab: SubwordVocab, corpus: Corpus, letters_only: bool = F
         raise SubwordError("corpus contains no words")
     tokens, unk = vocab.tokens, vocab.unk_token
     return sum(count for word, count in counts.items() if word not in tokens or word == unk) / total
-
-
-def ratio_difference(
-    vocab: SubwordVocab, train: Corpus, eval: Corpus, letters_only: bool = False
-) -> float:
-    """Absolute split-ratio gap between two corpora (symmetric)."""
-    return abs(
-        split_word_ratio(vocab, train, letters_only)
-        - split_word_ratio(vocab, eval, letters_only)
-    )

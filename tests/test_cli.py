@@ -228,6 +228,7 @@ def test_undecodable_input_names_file_and_line(reader, argv, gold_file, tmp_path
     assert main([arg.format(**paths) for arg in argv]) == 1, reader
     err = capsys.readouterr().err
     assert f"{bad}: invalid UTF-8 byte 0xff at line 2, column 3" in err, reader
+    assert err.count(str(bad)) == 1, reader  # a corpus's decode error is not prefixed twice
     assert "Traceback" not in err
 
 
@@ -290,6 +291,40 @@ def test_corpus_file_drops_only_one_bom(tmp_path, capsys):
         load_dataset(path)
     assert main(["parse-check", "--in", str(path)]) == 1
     assert "sidkit: error:" in capsys.readouterr().err
+
+
+BAD_CORPORA = {
+    "ragged line": "# id: 1\n# intent: x\na\tO\nonlyone\n",
+    "missing intent": "# id: 1\na\tO\n",
+    "whitespace token": "# id: 1\n# intent: x\na b\tO\n",
+    "duplicate id": "# id: 1\n# intent: x\na\tO\n\n# id: 1\n# intent: x\nb\tO\n",
+}
+
+
+# Per command reading a corpus: its command line, reading the corpus as {bad}.
+CORPUS_READERS = {
+    "parse-check": ["parse-check", "--in", "{bad}"],
+    "stats": ["stats", "--in", "{bad}"],
+    "split": ["split", "--in", "{bad}", "--ratio", "0.5", "--seed", "1", "--out1", "{out}1", "--out2", "{out}2"],
+    "noise": ["noise", "--in", "{bad}", "--out", "{out}", "--fraction", "0.5", "--alphabet-from", "{vocab}"],
+    "evaluate gold": ["evaluate", "--gold", "{bad}", "--pred", "{gold}"],
+    "evaluate pred": ["evaluate", "--gold", "{gold}", "--pred", "{bad}"],
+    "subword-ratio conll": ["subword-ratio", "--vocab", "{vocab}", "--in", "{bad}", "--format", "conll"],
+}
+
+
+@pytest.mark.parametrize("problem", list(BAD_CORPORA))
+@pytest.mark.parametrize("reader", list(CORPUS_READERS))
+def test_corpus_parse_error_names_the_file(reader, problem, gold_file, tmp_path, capsys):
+    bad = tmp_path / "bad.conll"
+    bad.write_text(BAD_CORPORA[problem], encoding="utf-8")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("[UNK]\na\n", encoding="utf-8")
+    paths = {"bad": bad, "gold": gold_file, "vocab": vocab, "out": tmp_path / "out"}
+    assert main([arg.format(**paths) for arg in CORPUS_READERS[reader]]) == 1
+    err = capsys.readouterr().err
+    assert f"sidkit: error: {bad}: " in err, err
+    assert "Traceback" not in err
 
 
 def test_evaluate_self_is_perfect(gold_file, capsys):
@@ -385,6 +420,33 @@ def test_subword_ratio_with_compare(tmp_path, capsys):
     assert report["split_word_ratio"] == 0.0
     assert report["compare_ratio"] == 0.5
     assert report["ratio_difference"] == 0.5
+
+
+def _ratio_difference(vocab, a, b, capsys):
+    assert main(["subword-ratio", "--vocab", str(vocab), "--in", str(a), "--compare", str(b)]) == 0
+    return json.loads(capsys.readouterr().out)["ratio_difference"]
+
+
+def test_subword_ratio_difference_is_symmetric_and_zero_on_self(tmp_path, capsys):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("[UNK]\nhei\ndu\n", encoding="utf-8")
+    a = tmp_path / "a.txt"
+    a.write_text("hei zz", encoding="utf-8")
+    b = tmp_path / "b.txt"
+    b.write_text("hei du du", encoding="utf-8")
+    assert _ratio_difference(vocab, a, b, capsys) == _ratio_difference(vocab, b, a, capsys) == 0.5
+    assert _ratio_difference(vocab, a, a, capsys) == 0.0
+
+
+def test_subword_ratio_difference_arithmetic(tmp_path, capsys):
+    # ratios 0.30 and 0.18 differ by 0.12
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("[UNK]\na\n", encoding="utf-8")
+    a = tmp_path / "a.txt"
+    a.write_text(" ".join(["a"] * 70 + ["zz"] * 30), encoding="utf-8")
+    b = tmp_path / "b.txt"
+    b.write_text(" ".join(["a"] * 82 + ["zz"] * 18), encoding="utf-8")
+    assert _ratio_difference(vocab, a, b, capsys) == pytest.approx(0.12)
 
 
 def test_subword_ratio_conll_format(gold_file, tmp_path, capsys):

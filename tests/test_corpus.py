@@ -6,7 +6,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sidkit import corpus
@@ -584,6 +584,125 @@ def test_arbitrary_bytes_load_or_raise_parse_error(tmp_path, data):
     except ParseError:
         return
     assert all(isinstance(utt, Utterance) for utt in dataset)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: a two-walk parser, which first groups the lines into
+# blocks and then walks each block's lines again
+# ---------------------------------------------------------------------------
+
+
+def two_walk_blocks(text):
+    lineno = 1
+    start = 0
+    while True:
+        stop = text.find("\n\n", start)
+        block = []
+        for line in text[start:stop if stop >= 0 else len(text)].split("\n"):
+            if line.strip():
+                block.append((lineno, line))
+            elif block:
+                yield block
+                block = []
+            lineno += 1
+        if block:
+            yield block
+        if stop < 0:
+            return
+        start = stop + 2
+        lineno += 1
+
+
+def two_walk_block(block, options, default_id):
+    comments, tokens, tags = {}, [], []
+    needed = max(options.token_col, options.tag_col) + 1
+    for lineno, line in block:
+        if line.startswith("# "):
+            key, sep, value = line[2:].partition(":")
+            if sep and key.strip() in ("id", "text", "intent", "variety"):
+                comments[key.strip()] = value.strip()
+            continue
+        cols = line.split("\t")
+        if len(cols) < needed:
+            raise ParseError(
+                f"line {lineno}: expected at least {needed} tab-separated columns, "
+                f"got {len(cols)}: {line!r}"
+            )
+        tokens.append(cols[options.token_col])
+        tags.append(cols[options.tag_col])
+    intent = comments.get("intent")
+    if intent is None:
+        if options.require_intent:
+            raise ParseError(f"block at line {block[0][0]}: missing '# intent:' comment")
+        intent = ""
+    try:
+        return Utterance(
+            id=comments.get("id", default_id),
+            tokens=tuple(tokens),
+            slot_tags=tuple(tags),
+            intent=intent,
+            variety=comments.get("variety", options.variety),
+            raw_text=comments.get("text"),
+        )
+    except ValueError as exc:
+        raise ParseError(f"block at line {block[0][0]}: {exc}") from exc
+
+
+def two_walk_parse(text, options):
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    utterances = [
+        two_walk_block(block, options, str(i)) for i, block in enumerate(two_walk_blocks(text))
+    ]
+    try:
+        return Dataset(name="gen", utterances=tuple(utterances))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+PARSE_OPTIONS = [
+    FormatOptions(),
+    FormatOptions(require_intent=False),
+    FormatOptions(token_col=1, tag_col=0),
+    FormatOptions(tag_col=2, variety="east"),
+]
+BLANK_LINES = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+COMMENT_LINES = [
+    "# intent: x", "# intent: x", "# intent: x", "# intent: y", "# intent: ", "#  intent: y",
+    "# id: 1", "# id: 2", "# id:  a b ", "# variety: north", "# text:  a ", "# other: z", "# ", "# x\tO",
+]
+TOKEN_LINES = [
+    "a\tO\tB-x", "b\tB-x\tO", "O\ta\tI-x", "B-x\tb\tO", "a\t_\tB-x", "a\tB-x\ty\tz", "a\t# x\tO",
+    "a\tO", "a\t# x",
+]
+ODD_LINES = ["a", "a\t", "\t", "\t\t", "a b\tO", "#", "\x85\tO"]
+parse_lines = st.lists(
+    st.sampled_from(BLANK_LINES) | st.sampled_from(BLANK_LINES) | st.sampled_from(COMMENT_LINES)
+    | st.sampled_from(COMMENT_LINES) | st.sampled_from(TOKEN_LINES) | st.sampled_from(TOKEN_LINES)
+    | st.sampled_from(ODD_LINES) | st.text(st.sampled_from("ab#:\t \x0b\x85\u2028\r\n"), max_size=6),
+    max_size=24,
+)
+
+
+@given(
+    parse_lines,
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.integers(0, 2),
+    st.integers(0, 3),
+    st.sampled_from(PARSE_OPTIONS),
+)
+@example(["# intent: x", "a\tO"], "\n", 0, 0, PARSE_OPTIONS[0])  # no line break at the end
+@example(["# intent: x", "a\tO"], "\n", 1, 3, PARSE_OPTIONS[0])  # several blank lines at the end
+@settings(max_examples=500)
+def test_one_walk_parse_matches_the_two_walk_parse(lines, end, boms, ends, options):
+    text = "\ufeff" * boms + end.join(lines) + end * ends
+    try:
+        want = two_walk_parse(text, options)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_dataset(text, options, name="gen")
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_dataset(text, options, name="gen") == want
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from sidkit.corpus import Dataset, Utterance
 from sidkit.subword import (
     SubwordError,
     SubwordVocab,
-    ratio_difference,
     split_word_ratio,
     tokenize_word,
 )
@@ -170,24 +169,6 @@ def test_ratio_additivity_over_concatenation():
     combined = split_word_ratio(vocab, a + " " + b)
     na, nb = 3, 2
     assert combined == pytest.approx((ra * na + rb * nb) / (na + nb))
-
-
-def test_ratio_difference_symmetric_and_zero_on_self():
-    vocab = SubwordVocab(tokens=frozenset({"hei", "du", "[UNK]"}))
-    assert ratio_difference(vocab, "hei du", "hei du") == 0.0
-    d1 = ratio_difference(vocab, "hei zz", "hei du du")
-    d2 = ratio_difference(vocab, "hei du du", "hei zz")
-    assert d1 == d2 == 0.5
-
-
-def test_ratio_arithmetic():
-    # ratios 0.30 and 0.18 differ by 0.12
-    vocab = SubwordVocab(
-        tokens=frozenset({"a", "[UNK]"}),
-    )
-    train = " ".join(["a"] * 70 + ["zz"] * 30)
-    eval_ = " ".join(["a"] * 82 + ["zz"] * 18)
-    assert ratio_difference(vocab, train, eval_) == pytest.approx(0.12)
 
 
 def test_empty_corpus_errors():
