@@ -150,6 +150,17 @@ def _op_weights(spec: str) -> tuple[float, float, float]:
     return delete, insert, both
 
 
+def _variety(spec: str) -> str:
+    """``--variety``: a fallback variety that FormatOptions accepts."""
+    from .corpus import FormatOptions
+
+    try:
+        FormatOptions(variety=spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return spec
+
+
 def _format_options(args: argparse.Namespace):
     from .corpus import FormatOptions
 
@@ -168,7 +179,7 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
         "--no-require-intent", action="store_true",
         help="accept blocks without an '# intent:' comment",
     )
-    parser.add_argument("--variety", default=None, help="variety for blocks without a comment")
+    parser.add_argument("--variety", type=_variety, default=None, help="variety for blocks without a comment")
 
 
 # ---------------------------------------------------------------------------

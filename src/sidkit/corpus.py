@@ -17,6 +17,10 @@ tab-separated with a configurable column map (default: column 0 = token,
 column 1 = slot tag). Malformed slot tags are kept verbatim by the parser;
 ``validate_bio`` reports them.
 
+A block written as ``write_dataset`` writes it is read by one pattern match
+and built without checking again what the match proved; any other block is
+read line by line with every check. ``Utterance(...)`` always checks.
+
 Inside a :class:`DatasetStore` scope (a pipeline run holds one),
 ``load_dataset`` and ``save_dataset`` keep the datasets they parse or write,
 so a later load of an unchanged file with the same format options parses
@@ -28,6 +32,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import sys
 from collections import Counter
 from contextvars import ContextVar
@@ -67,12 +72,13 @@ class SplitError(CorpusError):
 RepairPolicy = Literal["strict", "lenient"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utterance:
     """One example: tokens with BIO slot tags plus an intent label.
 
     Slot tags are stored verbatim (including malformed ones); only structural
     invariants are enforced here. Use :func:`validate_bio` for tag syntax.
+    Slotted, so an instance holds its six fields and no ``__dict__``.
     """
 
     id: str
@@ -102,18 +108,41 @@ class Utterance:
             raise ValueError(f"utterance {self.id!r}: slot tag {tag!r} contains a tab or line break")
         # comment-carried fields must survive a write/parse cycle losslessly
         for field_name in ("id", "intent", "variety", "raw_text"):
-            value = getattr(self, field_name)
-            if value is None:
-                continue
-            if "\n" in value or "\r" in value:
-                raise ValueError(f"utterance {self.id!r}: {field_name} contains a newline")
-            if value != value.strip():
-                raise ValueError(
-                    f"utterance {self.id!r}: {field_name} {value!r} has leading/trailing whitespace"
-                )
+            problem = _comment_value_problem(field_name, getattr(self, field_name))
+            if problem:
+                raise ValueError(f"utterance {self.id!r}: {problem}")
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+
+def _comment_value_problem(field_name: str, value: str | None) -> str | None:
+    """Why ``value`` would not survive a write/parse cycle as a comment, if it would not."""
+    if value is not None and ("\n" in value or "\r" in value):
+        return f"{field_name} contains a newline"
+    if value is not None and value != value.strip():
+        return f"{field_name} {value!r} has leading/trailing whitespace"
+    return None
+
+
+def _trusted_utterance(
+    id: str,
+    tokens: tuple[str, ...],
+    slot_tags: tuple[str, ...],
+    intent: str,
+    variety: str | None,
+    raw_text: str | None,
+) -> Utterance:
+    """``Utterance(...)`` without the checks, for a caller that proved them."""
+    utterance = object.__new__(Utterance)
+    set_field = object.__setattr__
+    set_field(utterance, "id", id)
+    set_field(utterance, "tokens", tokens)
+    set_field(utterance, "slot_tags", slot_tags)
+    set_field(utterance, "intent", intent)
+    set_field(utterance, "variety", variety)
+    set_field(utterance, "raw_text", raw_text)
+    return utterance
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -178,6 +207,9 @@ class FormatOptions:
             raise ValueError("column indices must be non-negative")
         if self.token_col == self.tag_col:
             raise ValueError("token and tag columns must differ")
+        problem = _comment_value_problem("variety", self.variety)
+        if problem:
+            raise ValueError(problem)
 
 
 DEFAULT_FORMAT = FormatOptions()
@@ -230,18 +262,20 @@ def parse_dataset(
     as LF, as in a file read with universal newlines. Any run of blank or
     whitespace-only lines ends a block. Malformed slot tags are kept
     verbatim; structural problems (ragged token lines, missing required
-    intent) raise :class:`ParseError` with a line number.
+    intent, a duplicate id) raise :class:`ParseError` with a line number.
 
     Each line is read once: ``str.find`` walks the text one chunk between
     empty lines at a time, so only the lines of the current chunk are held,
-    never a list of every line of the document. Equal tokens, slot tags,
-    intents and varieties are one shared string object across the whole
-    dataset.
+    never a list of every line of the document. A chunk that is one written
+    block is read by ``_written_block``; any other, line by line. Equal
+    tokens, slot tags, intents and varieties are one shared string object
+    across the whole dataset.
     """
     if not isinstance(source, str):
         source = "\n".join(line.removesuffix("\n") for line in source)
     text = source.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     needed = max(options.token_col, options.tag_col) + 1
+    token_lines = _token_lines(options.token_col, options.tag_col)
     shared: dict[str, str] = {}  # one object per distinct token, tag, intent and variety
     share = shared.setdefault
     utterances: list[Utterance] = []
@@ -256,27 +290,32 @@ def parse_dataset(
         # a chunk runs up to and including the first of the two line breaks,
         # so its last line is the blank line that ends the open block
         chunk = text[start : stop + 1 if stop >= 0 else len(text)]
-        for lineno, line in enumerate(chunk.split("\n"), lineno + 1):
-            if not line.strip():
-                if first:
-                    utterances.append(_utterance(comments, tokens, tags, first, len(utterances), options, shared))
-                    comments, tokens, tags, first = {}, [], [], 0
-                continue
-            first = first or lineno
-            if line.startswith(_COMMENT_PREFIX):
-                key, sep, value = line[len(_COMMENT_PREFIX) :].partition(":")
-                if sep and key.strip() in _KNOWN_COMMENT_KEYS:
-                    comments[key.strip()] = value.strip()
-                continue
-            cols = line.split("\t")
-            if len(cols) < needed:
-                raise ParseError(
-                    f"line {lineno}: expected at least {needed} tab-separated columns, "
-                    f"got {len(cols)}: {line!r}"
-                )
-            token, tag = cols[options.token_col], cols[options.tag_col]
-            tokens.append(share(token, token))
-            tags.append(share(tag, tag))
+        utterance = _written_block(chunk, len(utterances), options, token_lines, shared)
+        if utterance is not None:
+            utterances.append(utterance)
+            lineno += chunk.count("\n") + 1
+        else:
+            for lineno, line in enumerate(chunk.split("\n"), lineno + 1):
+                if not line.strip():
+                    if first:
+                        utterances.append(_utterance(comments, tokens, tags, first, len(utterances), options, shared))
+                        comments, tokens, tags, first = {}, [], [], 0
+                    continue
+                first = first or lineno
+                if line.startswith(_COMMENT_PREFIX):
+                    key, sep, value = line[len(_COMMENT_PREFIX) :].partition(":")
+                    if sep and key.strip() in _KNOWN_COMMENT_KEYS:
+                        comments[key.strip()] = value.strip()
+                    continue
+                cols = line.split("\t")
+                if len(cols) < needed:
+                    raise ParseError(
+                        f"line {lineno}: expected at least {needed} tab-separated columns, "
+                        f"got {len(cols)}: {line!r}"
+                    )
+                token, tag = cols[options.token_col], cols[options.tag_col]
+                tokens.append(share(token, token))
+                tags.append(share(tag, tag))
         if stop < 0:
             break
         start = stop + 2
@@ -285,7 +324,54 @@ def parse_dataset(
     try:
         return Dataset(name=name, utterances=tuple(utterances))
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise _duplicate_id_error(text, utterances) from exc
+
+
+def _token_lines(token_col: int, tag_col: int) -> re.Pattern[str]:
+    """Token lines of exactly the written number of columns, a token without
+    whitespace, no tab or line break elsewhere and no line starting ``# ``."""
+    columns = ["[^\t\n]*"] * (max(token_col, tag_col) + 1)
+    columns[token_col] = r"\S+"
+    columns[0] = "(?!# )" + columns[0]
+    line = "\t".join(columns)
+    return re.compile(f"{line}(?:\n{line})*")  # re caches the compiled pattern
+
+
+def _written_block(
+    chunk: str, index: int, options: FormatOptions, token_lines: re.Pattern[str], shared: dict[str, str]
+) -> Utterance | None:
+    """The Utterance of ``chunk`` if it is ``# `` comments, with an intent
+    unless none is required, then lines ``token_lines`` matches; else None.
+    The match proves the token and tag checks of ``Utterance`` (``re``'s
+    ``\\s`` is ``str.isspace``), each comment is one stripped line and
+    FormatOptions checked ``options.variety``, so nothing is checked again."""
+    comments: dict[str, str] = {}
+    at = 0
+    while chunk.startswith(_COMMENT_PREFIX, at):
+        eol = chunk.find("\n", at)
+        if eol < 0:
+            return None  # a block without token lines
+        key, sep, value = chunk[at + len(_COMMENT_PREFIX) : eol].partition(":")
+        if sep and (key := key.strip()) in _KNOWN_COMMENT_KEYS:
+            comments[key] = value.strip()
+        at = eol + 1
+    end = len(chunk) - chunk.endswith("\n")  # before the blank line that ends the block
+    if (options.require_intent and "intent" not in comments) or token_lines.fullmatch(chunk, at, end) is None:
+        return None
+    share = shared.setdefault
+    cells = chunk[at:end].replace("\t", "\n").split("\n")
+    cells = tuple(map(share, cells, cells))
+    width = max(options.token_col, options.tag_col) + 1
+    intent = comments.get("intent", "")
+    variety = comments.get("variety", options.variety)
+    return _trusted_utterance(
+        comments["id"] if "id" in comments else str(index),
+        cells[options.token_col :: width],
+        cells[options.tag_col :: width],
+        share(intent, intent),
+        variety if variety is None else share(variety, variety),
+        comments.get("text"),
+    )
 
 
 def _utterance(
@@ -317,6 +403,21 @@ def _utterance(
         )
     except ValueError as exc:
         raise ParseError(f"block at line {first_lineno}: {exc}") from exc
+
+
+def _duplicate_id_error(text: str, utterances: list[Utterance]) -> ParseError:
+    """The error naming the first lines of the first block whose id an earlier
+    block used and of that block; each block of ``text`` gave one utterance."""
+    first_use: dict[str, int] = {}
+    for later, utterance in enumerate(utterances):
+        if (earlier := first_use.setdefault(utterance.id, later)) != later:
+            break
+    lines = text.split("\n")
+    starts = [n for n, (prev, line) in enumerate(zip(["", *lines], lines), 1) if line.strip() and not prev.strip()]
+    return ParseError(
+        f"line {starts[later]}: duplicate utterance id {utterance.id!r} "
+        f"(first used by the block at line {starts[earlier]})"
+    )
 
 
 def write_dataset(dataset: Dataset, options: FormatOptions = DEFAULT_FORMAT) -> str:

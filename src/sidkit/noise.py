@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
 
-from .corpus import Dataset, Utterance, read_text
+from .corpus import Dataset, Utterance, _trusted_utterance, read_text
 from .rng import SplitMix64, derive_seed, share_count
 
 
@@ -247,7 +247,12 @@ def _noise_utterance(utterance: Utterance, cfg: NoiseConfig, draws: _Draws) -> U
     tokens = list(utterance.tokens)
     for i in selected:
         tokens[i] = _noise_token(tokens[i], rng, draws)
-    return replace(utterance, tokens=tuple(tokens))
+    # a noised token is still a non-empty run of letters: alphabet entries are
+    # single letters and a length-1 token is never deleted, so nothing needs checking
+    return _trusted_utterance(
+        utterance.id, tuple(tokens), utterance.slot_tags,
+        utterance.intent, utterance.variety, utterance.raw_text,
+    )
 
 
 def noise_dataset(dataset: Dataset, cfg: NoiseConfig) -> Dataset:

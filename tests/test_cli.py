@@ -76,6 +76,26 @@ def test_parse_check_unreadable_file_is_data_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variety", [" nord", "nord ", "no\nrd"])
+@pytest.mark.parametrize("corpus_text", [GOLD, ""])
+def test_bad_variety_flag_is_usage_error(tmp_path, capsys, variety, corpus_text):
+    path = tmp_path / "in.conll"
+    path.write_text(corpus_text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["parse-check", "--in", str(path), "--variety", variety])
+    assert exc.value.code == 2
+    assert "argument --variety: variety" in capsys.readouterr().err
+
+
+def test_variety_flag_fills_blocks_without_a_variety_comment(tmp_path, capsys):
+    path = tmp_path / "in.conll"
+    path.write_text("# id: 1\n# intent: x\na\tO\n", encoding="utf-8")
+    out = tmp_path / "noised.conll"
+    assert main(["noise", "--in", str(path), "--out", str(out), "--fraction", "0", "--alphabet-from", str(path),
+                 "--variety", "nord"]) == 0
+    assert "# variety: nord\n" in out.read_text(encoding="utf-8")
+
+
 def test_stats_json(gold_file, capsys):
     assert main(["stats", "--in", str(gold_file)]) == 0
     report = json.loads(capsys.readouterr().out)

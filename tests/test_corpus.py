@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import pickle
 import random
@@ -206,7 +207,7 @@ def test_utterance_rejects_whitespace_and_empty_tokens():
 
 def test_dataset_rejects_duplicate_ids():
     utt = Utterance(id="1", tokens=("a",), slot_tags=("O",), intent="x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dataset 'd': duplicate utterance id '1'$"):
         Dataset(name="d", utterances=(utt, utt))
 
 
@@ -650,13 +651,17 @@ def two_walk_block(block, options, default_id):
 
 def two_walk_parse(text, options):
     text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
-    utterances = [
-        two_walk_block(block, options, str(i)) for i, block in enumerate(two_walk_blocks(text))
-    ]
-    try:
-        return Dataset(name="gen", utterances=tuple(utterances))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    blocks = list(two_walk_blocks(text))
+    utterances = [two_walk_block(block, options, str(i)) for i, block in enumerate(blocks)]
+    first_use = {}  # id -> first line of the first block with it
+    for block, utt in zip(blocks, utterances):
+        if utt.id in first_use:
+            raise ParseError(
+                f"line {block[0][0]}: duplicate utterance id {utt.id!r} "
+                f"(first used by the block at line {first_use[utt.id]})"
+            )
+        first_use[utt.id] = block[0][0]
+    return Dataset(name="gen", utterances=tuple(utterances))
 
 
 PARSE_OPTIONS = [
@@ -703,6 +708,156 @@ def test_one_walk_parse_matches_the_two_walk_parse(lines, end, boms, ends, optio
         assert str(got.value) == str(exc)
     else:
         assert parse_dataset(text, options, name="gen") == want
+
+
+# ---------------------------------------------------------------------------
+# The fast path for written blocks against the per-line parser
+# ---------------------------------------------------------------------------
+
+HOSTILE_KINDS = [
+    "blank run", "whitespace line", "line break inside a line", "bom inside", "comment after tokens",
+    "ragged", "extra column", "comment in column 0", "whitespace in token",
+]
+
+
+@st.composite
+def hostile_documents(draw):
+    """Format options and a text ``write_dataset`` wrote for them, with one
+    hostile line, perhaps other line ends and perhaps one or two BOMs."""
+    options = draw(st.sampled_from(PARSE_OPTIONS))
+    dataset = draw(datasets().filter(len))
+    lines = write_dataset(dataset, options).split("\n")
+    k = draw(st.sampled_from([i for i, line in enumerate(lines) if line and not line.startswith("# ")]))
+    cols = lines[k].split("\t")
+    kind = draw(st.sampled_from(HOSTILE_KINDS))
+    if kind == "blank run":
+        lines[k:k] = [""] * draw(st.integers(1, 3))
+    elif kind == "whitespace line":
+        lines.insert(k, draw(st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])))
+    elif kind == "line break inside a line":
+        at = draw(st.integers(0, len(lines[k])))
+        lines[k] = lines[k][:at] + draw(st.sampled_from(["\r", "\r\n"])) + lines[k][at:]
+    elif kind == "bom inside":
+        lines[k] = "\ufeff" + lines[k]
+    elif kind == "comment after tokens":
+        lines.insert(k + 1, draw(st.sampled_from(["# intent: y", "# id: 0", "# variety: x", "# other: z", "# "])))
+    elif kind == "ragged":
+        lines[k] = "\t".join(cols[:-1])
+    elif kind == "extra column":
+        lines[k] += "\tz"
+    elif kind == "comment in column 0":
+        lines[k] = "\t".join(["# x", *cols[1:]])
+    else:
+        cols[options.token_col] = "a" + draw(st.sampled_from(["\x1c", "\x85", "\u2028", " "])) + "b"
+        lines[k] = "\t".join(cols)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return options, "\ufeff" * draw(st.integers(0, 2)) + end.join(lines)
+
+
+@given(hostile_documents())
+@example((PARSE_OPTIONS[2], "# id: 1\n# intent: x\nO\ta\n# x\tb\n"))  # a "# " tag after a token line
+@example((PARSE_OPTIONS[0], "# id: 1\n# intent: x\na\x85b\tO\n"))  # a token split() splits
+@example((PARSE_OPTIONS[3], "# id: 1\n# intent: x\na\tO\tB-x\tz\n"))  # an extra column
+@settings(max_examples=500)
+def test_fast_path_parses_hostile_written_text_as_the_per_line_parser(document):
+    options, text = document
+    try:
+        want = two_walk_parse(text, options)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_dataset(text, options, name="gen")
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_dataset(text, options, name="gen") == want
+
+
+corpus_written_block = corpus._written_block
+
+
+@given(datasets().filter(len), format_options(), st.sampled_from(["", "\n"]))
+@settings(max_examples=200)
+def test_written_text_takes_only_the_fast_path(dataset, options, extra_end):
+    text = write_dataset(dataset, options) + extra_end
+    if options.variety is not None:  # blocks without a variety comment read the fallback
+        dataset = Dataset("gen", tuple(
+            u if u.variety is not None else dataclasses.replace(u, variety=options.variety) for u in dataset
+        ))
+    read = []
+
+    def written_block(chunk, *args):
+        read.append((chunk, corpus_written_block(chunk, *args)))
+        return read[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_written_block", written_block)
+        assert parse_dataset(text, options, name="gen") == dataset
+    assert [chunk for chunk, utterance in read if utterance is None and chunk.strip()] == []
+    assert sum(utterance is not None for _, utterance in read) == len(dataset)
+
+
+FIELDS = [field.name for field in dataclasses.fields(Utterance)]
+
+
+def assert_built_as_checked(utterance):
+    checked = Utterance(**{name: getattr(utterance, name) for name in FIELDS})
+    assert type(utterance) is Utterance
+    assert [getattr(utterance, name) for name in FIELDS] == [getattr(checked, name) for name in FIELDS]
+    assert utterance == checked and checked == utterance
+    assert hash(utterance) == hash(checked)
+
+
+@given(datasets(), st.sampled_from(PARSE_OPTIONS))
+@settings(max_examples=100)
+def test_parsed_utterances_equal_checked_ones(dataset, options):
+    for utterance in parse_dataset(write_dataset(dataset, options), options):
+        assert_built_as_checked(utterance)
+
+
+def test_fast_path_dataset_takes_no_more_memory_than_checked_utterances(monkeypatch):
+    text = _synthetic_corpus(seed=4)
+
+    def retained():
+        parse_dataset(text)  # warm the pattern cache first
+        gc.collect()  # empties the free lists, so every object of the parse is traced
+        tracemalloc.start()
+        try:
+            dataset = parse_dataset(text)
+            gc.collect()
+            return dataset, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    fast, fast_bytes = retained()
+    monkeypatch.setattr(corpus, "_written_block", lambda *args: None)  # every block read line by line
+    checked, checked_bytes = retained()
+    assert fast == checked
+    # Both keep the same strings and tuples, give or take one allocation's
+    # rounding (tens of bytes); a dict or inline-values array per Utterance
+    # would add 48 bytes or more for each of the 2,000.
+    assert fast_bytes <= checked_bytes + 1024, (fast_bytes, checked_bytes)
+
+
+def test_duplicate_id_names_the_lines_of_both_blocks(tmp_path):
+    text = "# id: 1\n# intent: x\na\tO\n\n\n# id: 2\n# intent: x\nb\tO\n\n# id: 1\n# intent: x\nc\tO\n"
+    message = "line 10: duplicate utterance id '1' (first used by the block at line 1)"
+    with pytest.raises(ParseError) as exc:
+        parse_dataset(text)
+    assert str(exc.value) == message
+    # an id given by a block's position clashes in the same way
+    with pytest.raises(ParseError, match=r"^line 5: duplicate utterance id '1' \(first used by the block at line 1\)$"):
+        parse_dataset("# id: 1\n# intent: x\na\tO\n\n# intent: x\nb\tO\n")
+    path = tmp_path / "dup.conll"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_format_options_refuse_a_variety_no_comment_can_carry():
+    for variety in (" nord", "nord ", "no\nrd", "no\rrd"):
+        with pytest.raises(ValueError, match="variety"):
+            FormatOptions(variety=variety)
+    assert FormatOptions(variety="").variety == ""
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +1023,18 @@ def test_span_is_slotted_and_round_trips():
     assert dataclasses.replace(span, end=5) == Span(1, 5, "datetime")
     with pytest.raises(ValueError, match="invalid span range"):
         dataclasses.replace(span, end=1)
+
+
+def test_utterance_is_slotted_and_round_trips():
+    utt = Utterance("1", ("vekk", "mæ"), ("O", "B-x"), "alarm/set", "north", "vekk mæ")
+    assert not hasattr(utt, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        utt.intent = "y"
+    for copied in (pickle.loads(pickle.dumps(utt)), copy.copy(utt), copy.deepcopy(utt)):
+        assert copied == utt and hash(copied) == hash(utt)
+    assert dataclasses.replace(utt, variety=None).variety is None
+    with pytest.raises(ValueError, match="contains whitespace"):
+        dataclasses.replace(utt, tokens=("a b", "c"))
 
 
 def test_span_sorts_and_hashes_as_its_field_tuple():

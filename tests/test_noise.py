@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -121,6 +122,24 @@ def synthetic_corpus(n_sentences=200, seed=0):
 
 
 CFG = NoiseConfig(word_fraction=0.2, alphabet=build_alphabet("abcdefghijæøå"), seed=7)
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.floats(0, 1),
+    st.sampled_from([(1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0.3, 2.5, 1e-3)]),
+    st.sampled_from(["abcdefghijæøå", "øØ", "xyz"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_noised_utterances_equal_checked_ones(seed, fraction, weights, letters):
+    cfg = NoiseConfig(fraction, build_alphabet(letters), OpWeights(*weights), seed)
+    names = [field.name for field in dataclasses.fields(Utterance)]
+    for utt in noise_dataset(synthetic_corpus(40, seed % 7), cfg):
+        checked = Utterance(**{name: getattr(utt, name) for name in names})
+        assert type(utt) is Utterance
+        assert [getattr(utt, name) for name in names] == [getattr(checked, name) for name in names]
+        assert utt == checked and checked == utt
+        assert hash(utt) == hash(checked)
 
 
 def test_zero_fraction_is_identity():
