@@ -18,7 +18,7 @@ _EXPORTS = {
         "split_dataset", "unseen_label_report", "validate_bio", "write_dataset",
     ),
     "correlation": ("correlate", "pearson", "spearman"),
-    "evaluate": ("PRF", "EvalReport", "evaluate", "intent_accuracy", "span_f1"),
+    "evaluate": ("PRF", "EvalReport", "evaluate", "span_f1"),
     "noise": ("Alphabet", "NoiseConfig", "OpWeights", "build_alphabet", "noise_dataset", "noise_word"),
     "normalize": ("RuleTrace", "normalize_text", "normalize_token", "trace_token"),
     "subword": ("SubwordVocab", "split_word_ratio", "tokenize_word"),

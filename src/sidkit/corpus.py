@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .files import replace_file
 from .rng import SplitMix64, derive_seed, share_count
@@ -267,19 +267,20 @@ def parse_dataset(
     Each line is read once: ``str.find`` walks the text one chunk between
     empty lines at a time, so only the lines of the current chunk are held,
     never a list of every line of the document. A chunk that is one written
-    block is read by ``_written_block``; any other, line by line. Equal
-    tokens, slot tags, intents and varieties are one shared string object
-    across the whole dataset.
+    block is checked by one ``_written_block`` match; any other is read line
+    by line. Either way ``_utterance`` reads the comments and builds the
+    utterance. Equal tokens, slot tags, intents and varieties are one shared
+    string object across the whole dataset.
     """
     if not isinstance(source, str):
         source = "\n".join(line.removesuffix("\n") for line in source)
     text = source.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
-    needed = max(options.token_col, options.tag_col) + 1
-    token_lines = _token_lines(options.token_col, options.tag_col)
+    width = max(options.token_col, options.tag_col) + 1
+    written = _written_pattern(options.token_col, options.tag_col)
     shared: dict[str, str] = {}  # one object per distinct token, tag, intent and variety
     share = shared.setdefault
     utterances: list[Utterance] = []
-    comments: dict[str, str] = {}
+    heads: list[str] = []  # the open block's comment lines
     tokens: list[str] = []
     tags: list[str] = []
     first = 0  # line number of the open block's first line; 0 while no block is open
@@ -290,7 +291,7 @@ def parse_dataset(
         # a chunk runs up to and including the first of the two line breaks,
         # so its last line is the blank line that ends the open block
         chunk = text[start : stop + 1 if stop >= 0 else len(text)]
-        utterance = _written_block(chunk, len(utterances), options, token_lines, shared)
+        utterance = _written_block(chunk, lineno + 1, len(utterances), options, written, shared)
         if utterance is not None:
             utterances.append(utterance)
             lineno += chunk.count("\n") + 1
@@ -298,19 +299,17 @@ def parse_dataset(
             for lineno, line in enumerate(chunk.split("\n"), lineno + 1):
                 if not line.strip():
                     if first:
-                        utterances.append(_utterance(comments, tokens, tags, first, len(utterances), options, shared))
-                        comments, tokens, tags, first = {}, [], [], 0
+                        utterances.append(_utterance(heads, tokens, tags, first, len(utterances), options, shared))
+                        heads, tokens, tags, first = [], [], [], 0
                     continue
                 first = first or lineno
                 if line.startswith(_COMMENT_PREFIX):
-                    key, sep, value = line[len(_COMMENT_PREFIX) :].partition(":")
-                    if sep and key.strip() in _KNOWN_COMMENT_KEYS:
-                        comments[key.strip()] = value.strip()
+                    heads.append(line)
                     continue
                 cols = line.split("\t")
-                if len(cols) < needed:
+                if len(cols) < width:
                     raise ParseError(
-                        f"line {lineno}: expected at least {needed} tab-separated columns, "
+                        f"line {lineno}: expected at least {width} tab-separated columns, "
                         f"got {len(cols)}: {line!r}"
                     )
                 token, tag = cols[options.token_col], cols[options.tag_col]
@@ -320,71 +319,65 @@ def parse_dataset(
             break
         start = stop + 2
     if first:
-        utterances.append(_utterance(comments, tokens, tags, first, len(utterances), options, shared))
+        utterances.append(_utterance(heads, tokens, tags, first, len(utterances), options, shared))
     try:
         return Dataset(name=name, utterances=tuple(utterances))
     except ValueError as exc:
         raise _duplicate_id_error(text, utterances) from exc
 
 
-def _token_lines(token_col: int, tag_col: int) -> re.Pattern[str]:
-    """Token lines of exactly the written number of columns, a token without
-    whitespace, no tab or line break elsewhere and no line starting ``# ``."""
+def _written_pattern(token_col: int, tag_col: int) -> re.Pattern[str]:
+    """A block as ``write_dataset`` writes it: ``# `` comment lines (group 1),
+    then token lines of exactly the written number of columns, a token
+    without whitespace, no tab or line break elsewhere and no line starting
+    ``# ``."""
     columns = ["[^\t\n]*"] * (max(token_col, tag_col) + 1)
     columns[token_col] = r"\S+"
     columns[0] = "(?!# )" + columns[0]
     line = "\t".join(columns)
-    return re.compile(f"{line}(?:\n{line})*")  # re caches the compiled pattern
+    return re.compile(f"((?:# [^\n]*\n)*){line}(?:\n{line})*")  # re caches the compiled pattern
 
 
 def _written_block(
-    chunk: str, index: int, options: FormatOptions, token_lines: re.Pattern[str], shared: dict[str, str]
+    chunk: str, first_lineno: int, index: int, options: FormatOptions, written: re.Pattern[str],
+    shared: dict[str, str],
 ) -> Utterance | None:
-    """The Utterance of ``chunk`` if it is ``# `` comments, with an intent
-    unless none is required, then lines ``token_lines`` matches; else None.
+    """The Utterance of ``chunk`` if ``written`` matches it whole, else None.
     The match proves the token and tag checks of ``Utterance`` (``re``'s
     ``\\s`` is ``str.isspace``), each comment is one stripped line and
     FormatOptions checked ``options.variety``, so nothing is checked again."""
-    comments: dict[str, str] = {}
-    at = 0
-    while chunk.startswith(_COMMENT_PREFIX, at):
-        eol = chunk.find("\n", at)
-        if eol < 0:
-            return None  # a block without token lines
-        key, sep, value = chunk[at + len(_COMMENT_PREFIX) : eol].partition(":")
-        if sep and (key := key.strip()) in _KNOWN_COMMENT_KEYS:
-            comments[key] = value.strip()
-        at = eol + 1
-    end = len(chunk) - chunk.endswith("\n")  # before the blank line that ends the block
-    if (options.require_intent and "intent" not in comments) or token_lines.fullmatch(chunk, at, end) is None:
+    match = written.fullmatch(chunk, 0, len(chunk) - chunk.endswith("\n"))
+    if match is None:
         return None
     share = shared.setdefault
-    cells = chunk[at:end].replace("\t", "\n").split("\n")
+    cells = chunk[match.end(1) : match.end()].replace("\t", "\n").split("\n")
     cells = tuple(map(share, cells, cells))
     width = max(options.token_col, options.tag_col) + 1
-    intent = comments.get("intent", "")
-    variety = comments.get("variety", options.variety)
-    return _trusted_utterance(
-        comments["id"] if "id" in comments else str(index),
-        cells[options.token_col :: width],
-        cells[options.tag_col :: width],
-        share(intent, intent),
-        variety if variety is None else share(variety, variety),
-        comments.get("text"),
+    return _utterance(
+        match[1].split("\n"), cells[options.token_col :: width], cells[options.tag_col :: width],
+        first_lineno, index, options, shared, _trusted_utterance,
     )
 
 
 def _utterance(
-    comments: dict[str, str],
-    tokens: list[str],
-    tags: list[str],
+    heads: Iterable[str],
+    tokens: Sequence[str],
+    tags: Sequence[str],
     first_lineno: int,
     index: int,
     options: FormatOptions,
     shared: dict[str, str],
+    build: Callable[..., Utterance] = Utterance,
 ) -> Utterance:
-    """The Utterance of the block whose first line is ``first_lineno``; its id
-    is ``index`` when the block has no ``# id:`` comment."""
+    """The Utterance ``build`` makes of the block whose comment lines are
+    ``heads`` and whose first line is ``first_lineno``; its id is ``index``
+    when the block has no ``# id:`` comment. A later comment with a known
+    key wins."""
+    comments: dict[str, str] = {}
+    for line in heads:
+        key, sep, value = line[len(_COMMENT_PREFIX) :].partition(":")
+        if sep and (key := key.strip()) in _KNOWN_COMMENT_KEYS:
+            comments[key] = value.strip()
     intent = comments.get("intent")
     if intent is None:
         if options.require_intent:
@@ -393,13 +386,13 @@ def _utterance(
     variety = comments.get("variety", options.variety)
     share = shared.setdefault
     try:
-        return Utterance(
-            id=comments.get("id", str(index)),
-            tokens=tuple(tokens),
-            slot_tags=tuple(tags),
-            intent=share(intent, intent),
-            variety=variety if variety is None else share(variety, variety),
-            raw_text=comments.get("text"),
+        return build(
+            comments["id"] if "id" in comments else str(index),
+            tuple(tokens),
+            tuple(tags),
+            share(intent, intent),
+            variety if variety is None else share(variety, variety),
+            comments.get("text"),
         )
     except ValueError as exc:
         raise ParseError(f"block at line {first_lineno}: {exc}") from exc
@@ -819,7 +812,9 @@ def split_dataset(
     ``strategy="grouped"`` keeps all utterances sharing a source-sentence key
     (the id prefix before the first ``group_delimiter``) in the same part, so
     translations of one sentence never straddle the split. Whole groups are
-    packed first-fit, in seeded random order, up to the target size.
+    packed first-fit, in seeded random order, up to the target size;
+    ``"uniform"`` packs one group per utterance, which takes the first
+    round(ratio*N) utterances of a seeded shuffle.
 
     Both parts preserve the original utterance order.
     """
@@ -832,12 +827,12 @@ def split_dataset(
     target = share_count(ratio, n)
     rng = SplitMix64(derive_seed(seed, b"split"))
 
-    if strategy == "uniform":
-        indices = list(range(n))
-        rng.shuffle(indices)
-        first = set(indices[:target])
+    if strategy == "uniform":  # one group per utterance
+        groups = [[i] for i in range(n)]
     elif strategy == "grouped":
-        groups: dict[str, list[int]] = {}
+        if not group_delimiter:
+            raise SplitError("the group delimiter is empty, so no utterance id has a group key")
+        by_key: dict[str, list[int]] = {}
         for i, utt in enumerate(dataset.utterances):
             key, sep, _ = utt.id.partition(group_delimiter)
             if not sep:
@@ -845,16 +840,15 @@ def split_dataset(
                     f"utterance id {utt.id!r} has no group key "
                     f"(missing delimiter {group_delimiter!r})"
                 )
-            groups.setdefault(key, []).append(i)
-        keys = list(groups)
-        rng.shuffle(keys)
-        first = set()
-        for key in keys:
-            members = groups[key]
-            if len(first) + len(members) <= target:
-                first.update(members)
+            by_key.setdefault(key, []).append(i)
+        groups = list(by_key.values())
     else:
         raise SplitError(f"unknown split strategy {strategy!r}")
+    rng.shuffle(groups)
+    first: set[int] = set()
+    for members in groups:
+        if len(first) + len(members) <= target:
+            first.update(members)
 
     part1 = tuple(utt for i, utt in enumerate(dataset.utterances) if i in first)
     part2 = tuple(utt for i, utt in enumerate(dataset.utterances) if i not in first)

@@ -185,12 +185,6 @@ def _aligned_pairs(gold: Dataset, pred: Dataset) -> list[tuple]:
     return pairs
 
 
-def intent_accuracy(gold: Dataset, pred: Dataset) -> float:
-    """Fraction of id-aligned utterances whose intent strings match exactly."""
-    pairs = _aligned_pairs(gold, pred)
-    return sum(g.intent == p.intent for g, p in pairs) / len(pairs)
-
-
 @dataclass(frozen=True)
 class GroupScores:
     """Scores over one slice of the corpus (a dialect group, or everything)."""

@@ -232,11 +232,6 @@ def _noise_token(word: str, rng: SplitMix64, draws: _Draws) -> str:
     return noise_word(word, "both", position, draws.substitute(rng, word[position]))
 
 
-def noise_utterance(utterance: Utterance, cfg: NoiseConfig) -> Utterance:
-    """Apply seeded noise to one utterance's alphabetic tokens."""
-    return _noise_utterance(utterance, cfg, _Draws(cfg))
-
-
 def _noise_utterance(utterance: Utterance, cfg: NoiseConfig, draws: _Draws) -> Utterance:
     rng = SplitMix64(derive_seed(cfg.seed, utterance.id.encode("utf-8")))
     alpha_positions = [i for i, tok in enumerate(utterance.tokens) if tok.isalpha()]

@@ -132,6 +132,19 @@ def test_split_writes_both_parts_and_echoes_seed(gold_file, tmp_path, capsys):
     assert (len(part1), len(part2)) == (3, 1)
 
 
+def test_split_with_an_empty_group_delimiter(gold_file, tmp_path, capsys):
+    out1, out2 = tmp_path / "p1.conll", tmp_path / "p2.conll"
+    args = ["split", "--in", str(gold_file), "--ratio", "0.5", "--seed", "1",
+            "--group-delimiter", "", "--out1", str(out1), "--out2", str(out2)]
+    assert main([*args, "--strategy", "grouped"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "\nsidkit: error: the group delimiter is empty, so no utterance id has a group key\n"
+    )
+    assert not out1.exists() and not out2.exists()
+    assert main(args) == 0  # uniform reads no group key, so it takes any delimiter
+    assert len(load_dataset(out1)) + len(load_dataset(out2)) == len(load_dataset(gold_file))
+
+
 def test_split_grouped_by_id_prefix(gold_file, tmp_path):
     out1, out2 = tmp_path / "p1.conll", tmp_path / "p2.conll"
     code = main([
@@ -525,6 +538,17 @@ def test_correlate_missing_column(tmp_path, capsys):
     assert main(["correlate", "--in", str(table), "--x", "a", "--y", "nope"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--x", "--y"])
+def test_correlate_reads_a_negative_number_as_a_header_name(tmp_path, capsys, flag):
+    table = tmp_path / "data.tsv"
+    table.write_text("a\tx\tb\n1\t2\t4\n2\t1\t3\n3\t4\t2\n4\t3\t1\n", encoding="utf-8")
+    args = {"--x": "x", "--y": "x", flag: "-1"}
+    assert main(["correlate", "--in", str(table), "--x", args["--x"], "--y", args["--y"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "sidkit: error: column '-1' not found in header ['a', 'x', 'b']\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag", ["--x", "--y"])
 def test_correlate_refuses_a_non_finite_cell(tmp_path, capsys, bad, flag):
@@ -715,6 +739,13 @@ def test_package_exports_are_the_defining_modules_objects(tmp_path):
         "    print(exc)"
     )
     assert _fresh_python(code, tmp_path) == "module 'sidkit' has no attribute 'no_such_name'"
+
+
+def test_every_export_is_documented_in_the_readme():
+    import sidkit
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [name for name in sidkit.__all__ if name not in set(re.findall(r"\w+", readme))] == []
 
 
 def test_every_lazy_cli_binding_resolves():

@@ -32,6 +32,7 @@ from sidkit.corpus import (
     validate_bio,
     write_dataset,
 )
+from sidkit.rng import SplitMix64, derive_seed, share_count
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +838,24 @@ def test_fast_path_dataset_takes_no_more_memory_than_checked_utterances(monkeypa
     assert fast_bytes <= checked_bytes + 1024, (fast_bytes, checked_bytes)
 
 
+@pytest.mark.parametrize("options", [options for options in PARSE_OPTIONS if options.require_intent])
+def test_a_written_block_without_intent_fails_as_read_line_by_line(options, monkeypatch):
+    blocks = [write_dataset(_dataset(u), options).rstrip("\n") for u in (
+        Utterance(id="a", tokens=("x", "y"), slot_tags=("O", "B-s"), intent="i"),
+        Utterance(id="b", tokens=("z",), slot_tags=("O",), intent="i", raw_text="z"),
+    )]
+    text = "\n\n".join([blocks[0], blocks[1].replace("# intent: i\n", "")])
+    first = len(blocks[0].split("\n")) + 2  # the second block's first line
+    message = f"block at line {first}: missing '# intent:' comment"
+    with pytest.raises(ParseError) as written:
+        parse_dataset(text, options)
+    assert any(entry.name == "_written_block" for entry in written.traceback)  # the fast path refused it
+    monkeypatch.setattr(corpus, "_written_block", lambda *args: None)  # every block read line by line
+    with pytest.raises(ParseError) as line_by_line:
+        parse_dataset(text, options)
+    assert str(written.value) == str(line_by_line.value) == message
+
+
 def test_duplicate_id_names_the_lines_of_both_blocks(tmp_path):
     text = "# id: 1\n# intent: x\na\tO\n\n\n# id: 2\n# intent: x\nb\tO\n\n# id: 1\n# intent: x\nc\tO\n"
     message = "line 10: duplicate utterance id '1' (first used by the block at line 1)"
@@ -1195,6 +1214,26 @@ def test_grouped_split_missing_key_errors():
     d = _numbered_dataset(4)  # ids carry no delimiter
     with pytest.raises(SplitError, match="group key"):
         split_dataset(d, 0.5, seed=1, strategy="grouped")
+
+
+@given(st.integers(1, 60), st.floats(0.01, 0.99), st.integers(0, 2**64 - 1))
+@settings(max_examples=200)
+def test_uniform_split_is_grouped_split_of_singleton_groups(n, ratio, seed):
+    d = _numbered_dataset(n, id_fn=lambda i: f"{i}-x")  # each id its own group
+    uniform = split_dataset(d, ratio, seed=seed)
+    assert uniform == split_dataset(d, ratio, seed=seed, strategy="grouped")
+    # the uniform rule itself: the first round(ratio*N) indices of one seeded shuffle
+    indices = list(range(n))
+    SplitMix64(derive_seed(seed, b"split")).shuffle(indices)
+    first = set(indices[: share_count(ratio, n)])
+    assert [u.id for u in uniform[0]] == [u.id for i, u in enumerate(d) if i in first]
+
+
+def test_split_with_an_empty_group_delimiter():
+    d = _numbered_dataset(6)
+    with pytest.raises(SplitError, match="^the group delimiter is empty"):
+        split_dataset(d, 0.5, seed=1, strategy="grouped", group_delimiter="")
+    assert split_dataset(d, 0.5, seed=1, group_delimiter="") == split_dataset(d, 0.5, seed=1)
 
 
 def test_split_rejects_bad_inputs():

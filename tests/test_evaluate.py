@@ -19,7 +19,6 @@ from sidkit.evaluate import (
     AlignmentError,
     SpanOverlapError,
     evaluate,
-    intent_accuracy,
     span_f1,
 )
 
@@ -285,24 +284,24 @@ def _utt(i, intent, tags=("O",), variety=None):
 def test_intent_accuracy_exact_match():
     gold = Dataset(name="g", utterances=(_utt(0, "a"), _utt(1, "b"), _utt(2, "c"), _utt(3, "d")))
     pred = Dataset(name="p", utterances=(_utt(0, "a"), _utt(1, "b"), _utt(2, "c"), _utt(3, "x")))
-    assert intent_accuracy(gold, gold) == 1.0
-    assert intent_accuracy(gold, pred) == 0.75
+    assert evaluate(gold, gold).intent_accuracy == 1.0
+    assert evaluate(gold, pred).intent_accuracy == 0.75
 
 
 def test_intent_accuracy_is_case_sensitive():
     gold = Dataset(name="g", utterances=(_utt(0, "Reminder"), _utt(1, "a"), _utt(2, "b")))
     pred = Dataset(name="p", utterances=(_utt(0, "reminder"), _utt(1, "a"), _utt(2, "b")))
-    assert intent_accuracy(gold, pred) == pytest.approx(2 / 3)
+    assert evaluate(gold, pred).intent_accuracy == pytest.approx(2 / 3)
 
 
 def test_alignment_errors():
     gold = Dataset(name="g", utterances=(_utt(0, "a"), _utt(1, "b")))
     shorter = Dataset(name="p", utterances=(_utt(0, "a"),))
     with pytest.raises(AlignmentError):
-        intent_accuracy(gold, shorter)
+        evaluate(gold, shorter)
     different_ids = Dataset(name="p", utterances=(_utt(0, "a"), _utt(9, "b")))
     with pytest.raises(AlignmentError):
-        intent_accuracy(gold, different_ids)
+        evaluate(gold, different_ids)
     different_lengths = Dataset(
         name="p", utterances=(_utt(0, "a"), _utt(1, "b", tags=("O", "O")))
     )

@@ -14,7 +14,6 @@ from sidkit.noise import (
     OpWeights,
     build_alphabet,
     noise_dataset,
-    noise_utterance,
     noise_word,
     _Draws,
 )
@@ -185,7 +184,7 @@ def test_selection_count_is_exact_at_a_half_boundary():
     tokens = tuple(f"ord{chr(97 + i % 26)}{chr(97 + i // 26)}" for i in range(45))
     utt = Utterance(id="u", tokens=tokens, slot_tags=("O",) * 45, intent="i")
     cfg = NoiseConfig(word_fraction=0.7, alphabet=CFG.alphabet, seed=13)
-    noised = noise_utterance(utt, cfg)
+    (noised,) = noise_dataset(Dataset(name="d", utterances=(utt,)), cfg)
     assert sum(a != b for a, b in zip(utt.tokens, noised.tokens)) == 32
 
 
@@ -310,7 +309,7 @@ def test_config_json_round_trip():
 
 def test_noise_utterance_with_no_alphabetic_words():
     utt = Utterance(id="0", tokens=("3", "!", "pm."), slot_tags=("O", "O", "O"), intent="x")
-    assert noise_utterance(utt, CFG) == utt
+    assert noise_dataset(Dataset(name="d", utterances=(utt,)), CFG).utterances == (utt,)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +349,8 @@ def test_noised_tokens_are_pinned(fraction, weights):
     cfg = NoiseConfig(fraction, Alphabet(chars=tuple("abeinø")), OpWeights(*weights), seed=5)
     noised = noise_dataset(corpus, cfg)
     assert [" ".join(utt.tokens) for utt in noised] == PINNED[fraction, weights]
-    assert [noise_utterance(utt, cfg) for utt in corpus] == list(noised)
+    # each utterance's noise depends on its own id alone, not on its neighbours
+    assert [noise_dataset(Dataset(name="one", utterances=(utt,)), cfg).utterances[0] for utt in corpus] == list(noised)
 
 
 finite_weights = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.integers(0, 10**6)
