@@ -21,13 +21,10 @@ import importlib
 import itertools
 import json
 import math
-import os
 import sys
-from typing import Callable, TypeVar
+from typing import Callable
 
 from . import __version__
-
-T = TypeVar("T")
 
 
 def _lazy(module: str, name: str) -> Callable:
@@ -98,6 +95,8 @@ class CommandParser(argparse.ArgumentParser):
         file as another output or an input flag of the command raises
         ValueError naming both flags, before anything is read or written.
         """
+        from .files import same_file
+
         args = self.parse_args(argv)
         if args.command == "surgery" and args.action in ("revert", "swap") and args.out is None:
             self.error("surgery revert/swap require --out")
@@ -107,19 +106,12 @@ class CommandParser(argparse.ArgumentParser):
             if isinstance(value := getattr(args, action.dest, None), (InputPath, OutputPath))
         ]
         for (flag, path), (other_flag, other) in itertools.combinations(files, 2):
-            if OutputPath in (type(path), type(other)) and _same_file(path, other):
+            if OutputPath in (type(path), type(other)) and same_file(path, other):
                 raise ValueError(
                     f"{flag} {path!r} and {other_flag} {other!r} name the same file; "
                     "an output must not overwrite an input or another output"
                 )
         return args
-
-
-def _same_file(a: str, b: str) -> bool:
-    """``os.path.samefile`` when both paths exist, else equal ``os.path.realpath``."""
-    if os.path.exists(a) and os.path.exists(b):
-        return os.path.samefile(a, b)
-    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _write_report(text: str, out: str | None) -> None:
@@ -236,35 +228,26 @@ def cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_config(path: str, parse: Callable[[str], T]) -> T:
-    """``parse`` applied to a file's text; a ValueError it raises is raised again naming the file."""
-    from .corpus import read_text
-
-    text = read_text(path)
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def effective_seed(args: argparse.Namespace) -> int | None:
     """The seed a parsed command runs with: ``--seed`` if given, else for
     noise the ``--config`` file's seed or 0; None for unseeded commands."""
     seed = getattr(args, "seed", None)
     if seed is None and args.command == "noise":
+        from .corpus import read_text
         from .noise import NoiseConfig
 
-        seed = 0 if args.config is None else _read_config(args.config, NoiseConfig.from_json).seed
+        seed = 0 if args.config is None else read_text(args.config, NoiseConfig.from_json).seed
     return seed
 
 
 def cmd_noise(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
+    from .corpus import read_text
     from .noise import NoiseConfig, NoiseError, OpWeights
 
     if args.config is not None:
-        cfg = _read_config(args.config, NoiseConfig.from_json)
+        cfg = read_text(args.config, NoiseConfig.from_json)
         if args.fraction is not None or args.alphabet_from is not None:
             raise NoiseError("--config cannot be combined with --fraction/--alphabet-from")
     else:
@@ -356,36 +339,38 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     from .corpus import read_text
     from .correlation import CorrelationError
 
-    lines = read_text(args.infile).split("\n")
-    numbers = [i for i, line in enumerate(lines, 1) if line.strip()]  # 1-based line of each row
-    rows = [lines[i - 1].split("\t") for i in numbers]
-    if not rows:
-        raise CorrelationError(f"{args.infile}: empty table")
+    def columns(text: str) -> tuple[list[float], list[float]]:
+        lines = text.split("\n")
+        numbers = [i for i, line in enumerate(lines, 1) if line.strip()]  # 1-based line of each row
+        rows = [lines[i - 1].split("\t") for i in numbers]
+        if not rows:
+            raise CorrelationError("empty table")
 
-    def column(spec: str) -> list[float]:
-        if spec.isdecimal():
-            idx, start = int(spec), 0
-            header_cells = rows[0]
-            if any(not _is_number(c) for c in header_cells):
-                start = 1  # numeric column index with a header row present
-        else:
-            try:
-                idx = rows[0].index(spec)
-            except ValueError:
-                raise CorrelationError(f"column {spec!r} not found in header {rows[0]}") from None
-            start = 1
-        try:
-            values = [float(row[idx]) for row in rows[start:]]
-        except (IndexError, ValueError) as exc:
-            raise CorrelationError(f"column {spec!r}: {exc}") from exc
-        for line, value in zip(numbers[start:], values):
-            if not math.isfinite(value):
-                raise CorrelationError(
-                    f"{args.infile}: column {spec!r}, line {line}: {value} is not a finite number"
-                )
-        return values
+        def column(spec: str) -> list[float]:
+            if spec.isdecimal():
+                idx, start = int(spec), 0
+                if any(not _is_number(c) for c in rows[0]):
+                    start = 1  # numeric column index with a header row present
+            else:
+                try:
+                    idx = rows[0].index(spec)
+                except ValueError:
+                    raise CorrelationError(f"column {spec!r} not found in header {rows[0]}") from None
+                start = 1
+            values = []
+            for line, row in zip(numbers[start:], rows[start:]):
+                cell = row[idx] if idx < len(row) else ""
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise CorrelationError(f"column {spec!r}, line {line}: {cell!r} is not a number") from None
+                if not math.isfinite(values[-1]):
+                    raise CorrelationError(f"column {spec!r}, line {line}: {values[-1]} is not a finite number")
+            return values
 
-    x, y = column(args.x), column(args.y)
+        return column(args.x), column(args.y)
+
+    x, y = read_text(args.infile, columns)
     result = correlate(x, y)
     if args.method == "exact":
         result = replace(result, p_rho=spearman(x, y, method="exact")[1])
@@ -404,7 +389,12 @@ def _is_number(cell: str) -> bool:
 def cmd_surgery(args: argparse.Namespace) -> int:
     from .surgery import NamingScheme, SurgeryError
 
-    scheme = NamingScheme() if args.scheme is None else _read_config(args.scheme, NamingScheme.from_json)
+    if args.scheme is None:
+        scheme = NamingScheme()
+    else:
+        from .corpus import read_text  # only here: a command without --scheme loads no corpus
+
+        scheme = read_text(args.scheme, NamingScheme.from_json)
     if args.action == "revert":
         groups: list = list(args.layers)
         if args.embeddings:

@@ -1,9 +1,8 @@
-"""Output files: the one place sidkit creates, truncates or replaces a file.
-
-Every writer (corpora, checkpoints, reports, normalize outputs, pipeline
+"""File rules: every reader names its file in an error through :func:`naming`;
+every writer (corpora, checkpoints, reports, normalize outputs, pipeline
 manifests) writes through :func:`replace_file`, so a failed write never
 leaves a half-written output behind. This module imports nothing from
-sidkit, so a command that writes pays for no other module.
+sidkit, so a command that reads or writes pays for no other module.
 """
 
 from __future__ import annotations
@@ -17,6 +16,23 @@ from typing import BinaryIO, Iterator
 
 _STANDARD = {"/dev/stdout": "/dev/fd/1", "/dev/stderr": "/dev/fd/2"}
 _DESCRIPTOR = re.compile(r"(?:/dev/fd|/proc/self/fd)/(\d+)", re.ASCII)
+
+
+@contextmanager
+def naming(path: str | os.PathLike) -> Iterator[None]:
+    """Raise a ValueError from the block again, its class kept, with ``<path>: `` before its message."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = (f"{os.fspath(path)}: {exc}",)
+        raise
+
+
+def same_file(a: str | os.PathLike, b: str | os.PathLike) -> bool:
+    """``os.path.samefile`` when both paths exist, else equal ``os.path.realpath``."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def named_descriptor(path: str | os.PathLike) -> int | None:

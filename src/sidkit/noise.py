@@ -63,7 +63,7 @@ def build_alphabet(reference: str) -> Alphabet:
 
 
 def load_alphabet(path: str | Path) -> Alphabet:
-    return build_alphabet(read_text(path))
+    return read_text(path, build_alphabet)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Container
 
 from .corpus import DatasetStore, decode_text
-from .files import named_descriptor, replace_file
+from .files import named_descriptor, naming, replace_file
 
 
 class PipelineError(ValueError):
@@ -112,19 +112,16 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
     if manifest_path is None:
         manifest_path = config_path.with_suffix(config_path.suffix + ".manifest.json")
     config_bytes = config_path.read_bytes()
-    try:
-        config = json.loads(decode_text(config_bytes, config_path))
-    except json.JSONDecodeError as exc:
-        raise PipelineError(f"{config_path}: {exc}") from None
-
-    if not isinstance(config, dict):
-        raise PipelineError("pipeline config must be a JSON object")
-    unknown = set(config) - {"steps"}
-    if unknown:
-        raise PipelineError(f"unknown pipeline config keys: {sorted(unknown)}")
-    steps = config.get("steps", [])
-    if not isinstance(steps, list):
-        raise PipelineError("'steps' must be a list")
+    with naming(config_path):
+        config = json.loads(decode_text(config_bytes))
+        if not isinstance(config, dict):
+            raise PipelineError("pipeline config must be a JSON object")
+        unknown = set(config) - {"steps"}
+        if unknown:
+            raise PipelineError(f"unknown pipeline config keys: {sorted(unknown)}")
+        steps = config.get("steps", [])
+        if not isinstance(steps, list):
+            raise PipelineError("'steps' must be a list")
 
     manifest: dict = {
         "config": str(config_path),

@@ -51,13 +51,13 @@ class SubwordVocab:
         continuation_marker: str = "##",
         unk_token: str = "[UNK]",
     ) -> "SubwordVocab":
-        """One subword per line, UTF-8; blank lines ignored."""
-        lines = read_text(path).splitlines()
-        return cls(
-            tokens=frozenset(line for line in lines if line.strip()),
+        """One subword per line, UTF-8; blank lines ignored. Only a line feed
+        (or CRLF, CR) ends a line, so a piece may hold any other separator."""
+        return read_text(path, lambda text: cls(
+            tokens=frozenset(line for line in text.split("\n") if line.strip()),
             continuation_marker=continuation_marker,
             unk_token=unk_token,
-        )
+        ))
 
 
 def tokenize_word(vocab: SubwordVocab, word: str) -> list[str]:

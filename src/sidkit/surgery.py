@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
-from .files import replace_file
+from .files import naming, replace_file, same_file
 
 if TYPE_CHECKING:
     import numpy as np
@@ -140,7 +139,7 @@ class Checkpoint:
         try:
             return self._by_name[name]
         except KeyError:
-            raise SurgeryError(f"tensor {name!r} not present in {self.path.name}") from None
+            raise SurgeryError(f"tensor {name!r} not present in {self.path}") from None
 
     def tensor_bytes(self, name: str, start: int = 0, stop: int | None = None) -> bytes:
         """Raw little-endian bytes ``[start, stop)`` of one tensor's data, the
@@ -173,77 +172,74 @@ class Checkpoint:
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
-    """Parse the header and validate the index without loading tensor data."""
+    """Parse the header and validate the index without loading tensor data; an error names the file."""
     path = Path(path)
-    file_size = path.stat().st_size
-    with open(path, "rb") as fh:
-        prefix = fh.read(_HEADER_LEN_BYTES)
-        if len(prefix) < _HEADER_LEN_BYTES:
-            raise CheckpointFormatError(f"{path.name}: file too small for a header length")
-        (header_len,) = struct.unpack("<Q", prefix)
-        if _HEADER_LEN_BYTES + header_len > file_size:
-            raise CheckpointFormatError(
-                f"{path.name}: header length {header_len} exceeds file size {file_size}"
-            )
-        header_raw = fh.read(header_len)
-    try:
-        header = json.loads(header_raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"{path.name}: header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointFormatError(f"{path.name}: header must be a JSON object")
-
-    metadata = None
-    entries = []
-    for name, spec in header.items():
-        if name == "__metadata__":
-            if not isinstance(spec, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in spec.items()
-            ):
-                raise CheckpointFormatError(f"{path.name}: __metadata__ must map strings to strings")
-            metadata = spec
-            continue
+    with naming(path):
+        file_size = path.stat().st_size
+        with open(path, "rb") as fh:
+            prefix = fh.read(_HEADER_LEN_BYTES)
+            if len(prefix) < _HEADER_LEN_BYTES:
+                raise CheckpointFormatError("file too small for a header length")
+            (header_len,) = struct.unpack("<Q", prefix)
+            if _HEADER_LEN_BYTES + header_len > file_size:
+                raise CheckpointFormatError(f"header length {header_len} exceeds file size {file_size}")
+            header_raw = fh.read(header_len)
         try:
-            entries.append(
-                TensorEntry(
-                    name=name,
-                    dtype=spec["dtype"],
-                    shape=tuple(spec["shape"]),
-                    data_offsets=tuple(spec["data_offsets"]),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise CheckpointFormatError(f"{path.name}: malformed entry for {name!r}: {exc}") from exc
+            header = json.loads(header_raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointFormatError(f"header is not valid JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointFormatError("header must be a JSON object")
 
-    data_start = _HEADER_LEN_BYTES + header_len
-    data_size = file_size - data_start
-    # The tensors must tile the data region: sorted by (begin, end, name), each
-    # one begins where the previous one ended, so there are no overlaps, holes
-    # or trailing bytes, and neither outcome nor message depends on header order.
-    covered = 0
-    previous = None
-    for entry in sorted(entries, key=lambda e: (*e.data_offsets, e.name)):
-        begin, end = entry.data_offsets
-        if end > data_size:
+        metadata = None
+        entries = []
+        for name, spec in header.items():
+            if name == "__metadata__":
+                if not isinstance(spec, dict) or not all(
+                    isinstance(k, str) and isinstance(v, str) for k, v in spec.items()
+                ):
+                    raise CheckpointFormatError("__metadata__ must map strings to strings")
+                metadata = spec
+                continue
+            try:
+                entries.append(
+                    TensorEntry(
+                        name=name,
+                        dtype=spec["dtype"],
+                        shape=tuple(spec["shape"]),
+                        data_offsets=tuple(spec["data_offsets"]),
+                    )
+                )
+            except (KeyError, TypeError) as exc:
+                raise CheckpointFormatError(f"malformed entry for {name!r}: {exc}") from exc
+
+        data_start = _HEADER_LEN_BYTES + header_len
+        data_size = file_size - data_start
+        # The tensors must tile the data region: sorted by (begin, end, name), each
+        # one begins where the previous one ended, so there are no overlaps, holes
+        # or trailing bytes, and neither outcome nor message depends on header order.
+        covered = 0
+        previous = None
+        for entry in sorted(entries, key=lambda e: (*e.data_offsets, e.name)):
+            begin, end = entry.data_offsets
+            if end > data_size:
+                raise CheckpointFormatError(f"tensor {entry.name!r} extends past end of file")
+            if begin < covered:
+                raise CheckpointFormatError(
+                    f"tensors {previous.name!r} and {entry.name!r} have overlapping byte ranges"
+                )
+            if begin > covered:
+                raise CheckpointFormatError(
+                    f"{begin - covered} unindexed bytes at file offset "
+                    f"{data_start + covered}, before tensor {entry.name!r}"
+                )
+            covered, previous = end, entry
+        if covered < data_size:
             raise CheckpointFormatError(
-                f"{path.name}: tensor {entry.name!r} extends past end of file"
+                f"{data_size - covered} trailing bytes at file offset "
+                f"{data_start + covered}, after the last tensor"
             )
-        if begin < covered:
-            raise CheckpointFormatError(
-                f"{path.name}: tensors {previous.name!r} and {entry.name!r} have overlapping byte ranges"
-            )
-        if begin > covered:
-            raise CheckpointFormatError(
-                f"{path.name}: {begin - covered} unindexed bytes at file offset "
-                f"{data_start + covered}, before tensor {entry.name!r}"
-            )
-        covered, previous = end, entry
-    if covered < data_size:
-        raise CheckpointFormatError(
-            f"{path.name}: {data_size - covered} trailing bytes at file offset "
-            f"{data_start + covered}, after the last tensor"
-        )
-    return Checkpoint(path, tuple(entries), metadata, data_start)
+        return Checkpoint(path, tuple(entries), metadata, data_start)
 
 
 TensorSource = Union[bytes, Iterable[bytes]]
@@ -440,12 +436,9 @@ def _splice(
     out_path: str | Path,
 ) -> Checkpoint:
     """Write base with the named tensors' bytes taken verbatim from donor."""
-    if os.path.exists(out_path):
-        for source in (base, donor):
-            if os.path.samefile(out_path, source.path):
-                raise SurgeryError(
-                    f"output {out_path} is the input {source.path}; write to another file"
-                )
+    for source in (base, donor):
+        if same_file(out_path, source.path):
+            raise SurgeryError(f"output {out_path} is the input {source.path}; write to another file")
     tensors: dict[str, tuple[str, Sequence[int], TensorSource]] = {}
     for entry in base.entries:
         owner = base
@@ -558,7 +551,7 @@ def mav_report(
     names_a, names_b = set(a.names()), set(b.names())
     if names_a != names_b:
         missing = sorted(names_a ^ names_b)
-        raise SurgeryError(f"checkpoints hold different tensors, e.g. {missing[:3]}")
+        raise SurgeryError(f"checkpoints {a.path} and {b.path} hold different tensors, e.g. {missing[:3]}")
 
     abs_sums: dict[str, float] = {}
     counts: dict[str, int] = {}

@@ -545,7 +545,7 @@ def test_correlate_reads_a_negative_number_as_a_header_name(tmp_path, capsys, fl
     args = {"--x": "x", "--y": "x", flag: "-1"}
     assert main(["correlate", "--in", str(table), "--x", args["--x"], "--y", args["--y"]]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "sidkit: error: column '-1' not found in header ['a', 'x', 'b']\n"
+    assert captured.err == f"sidkit: error: {table}: column '-1' not found in header ['a', 'x', 'b']\n"
     assert captured.out == ""
 
 

@@ -4,6 +4,7 @@ import gc
 import itertools
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -279,6 +280,9 @@ def test_parse_strips_one_leading_bom(tmp_path):
     # only one mark is a byte-order mark; a second one starts the first line
     with pytest.raises(ParseError):
         parse_dataset("\ufeff\ufeff" + TWO_BLOCKS)
+    path.write_text("\ufeff\ufeff" + TWO_BLOCKS, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 1: "):
+        load_dataset(path)
 
 
 def test_utterance_rejects_carriage_return_in_comment_fields():

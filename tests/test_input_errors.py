@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 import sidkit
 from conftest import make_checkpoint
 from sidkit.cli import UsageError, main
+from sidkit.corpus import read_text
+from sidkit.noise import NoiseConfig, NoiseError
 from sidkit.surgery import DTYPE_SIZES, CheckpointFormatError, NamingScheme, SchemeError, read_checkpoint
 
 CORPUS = "# id: 1\n# intent: a/b\nvekk\tO\nmæ\tB-datetime\n\n# id: 2\n# intent: c/d\nkor\tO\n"
@@ -155,6 +157,60 @@ def test_undecodable_pipeline_config_names_the_file(config, expected, tmp_path, 
     code = _run_pipeline(tmp_path, config)
     _assert_exit_1_naming(code, capsys, tmp_path / "pipe.json", expected)
     assert not (tmp_path / "manifest.json").exists()
+
+
+BAD_SHAPE = b'{"w":{"dtype":"F32","shape":[-1],"data_offsets":[0,0]}}'
+
+# Per reader: the bad file's bytes, and the command line reading it as {bad}.
+BAD_INPUTS = {
+    "corpus, bad byte": (b"# id: 1\n\xff", ["parse-check", "--in", "{bad}"]),
+    "corpus, no intent": (b"# id: 1\nvekk\tO\n", ["parse-check", "--in", "{bad}"]),
+    "pipeline config, bad byte": (b'{"steps": [\xff]}', ["pipeline", "--config", "{bad}", "--manifest", "{out}"]),
+    "pipeline config, not an object": (b"[]", ["pipeline", "--config", "{bad}", "--manifest", "{out}"]),
+    "vocabulary without [UNK]": (b"vekk\nm\xc3\xa6\n", ["subword-ratio", "--vocab", "{bad}", "--in", "{text}"]),
+    "table, missing column": (b"a\tb\n1\t2\n", ["correlate", "--in", "{bad}", "--x", "a", "--y", "zz"]),
+    "table, non-numeric cell": (b"a\tb\n1\t2\n2\tx\n", ["correlate", "--in", "{bad}", "--x", "a", "--y", "b"]),
+    "noise config": (b"[]", ["noise", "--in", "{corpus}", "--out", "{out}", "--config", "{bad}"]),
+    "naming scheme": (b"5", ["surgery", "mav", "--a", "{ckpt}", "--b", "{ckpt}", "--scheme", "{bad}"]),
+    "checkpoint, short header": (b"\x00\x00\x00", ["surgery", "mav", "--a", "{ckpt}", "--b", "{bad}"]),
+    "checkpoint, bad shape": (
+        struct.pack("<Q", len(BAD_SHAPE)) + BAD_SHAPE, ["surgery", "mav", "--a", "{bad}", "--b", "{ckpt}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", BAD_INPUTS)
+def test_every_reader_names_its_bad_file_first(reader, tmp_path, capsys):
+    content, argv = BAD_INPUTS[reader]
+    paths = {name: tmp_path / name for name in ("bad", "text", "corpus", "ckpt", "out")}
+    paths["bad"].write_bytes(content)
+    paths["text"].write_text("vekk mæ\n", encoding="utf-8")
+    paths["corpus"].write_text(CORPUS, encoding="utf-8")
+    make_checkpoint(paths["ckpt"], seed=1, num_layers=2, hidden=2)
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"sidkit: error: {paths['bad']}: "), err
+    assert err.count(str(paths["bad"])) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("parse,error", [(NoiseConfig.from_json, NoiseError), (NamingScheme.from_json, SchemeError)])
+def test_a_config_error_keeps_its_class_and_names_the_file(parse, error, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("[]", encoding="utf-8")
+    with pytest.raises(error) as exc:
+        read_text(path, parse)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_two_checkpoints_of_one_name_are_told_apart_by_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for run in ("d1", "d2"):
+        (tmp_path / run).mkdir()
+        make_checkpoint(tmp_path / run / "m.st", seed=1, num_layers=2, hidden=2)
+    truncated = (tmp_path / "d2" / "m.st").read_bytes()[:-4]
+    (tmp_path / "d2" / "m.st").write_bytes(truncated)
+    assert main(["surgery", "mav", "--a", "d1/m.st", "--b", "d2/m.st"]) == 1
+    assert capsys.readouterr().err.startswith("sidkit: error: d2/m.st: tensor ")
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,15 @@ def test_vocab_from_file(tmp_path):
     assert vocab.tokens == frozenset({"[UNK]", "hei", "##r"})
 
 
+@pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028"])
+def test_only_a_line_end_splits_a_vocabulary_line(tmp_path, separator):
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"[UNK]\r\nab{separator}cd\rhei\n", encoding="utf-8")
+    vocab = SubwordVocab.from_file(path)
+    assert vocab.tokens == frozenset({"[UNK]", f"ab{separator}cd", "hei"})
+    assert split_word_ratio(vocab, "ab cd hei") == pytest.approx(2 / 3)
+
+
 # ---------------------------------------------------------------------------
 # Split-word ratio
 # ---------------------------------------------------------------------------
