@@ -7,31 +7,40 @@ relative to the start of the data region), optionally a "__metadata__"
 string map, then the contiguous data region. Canonical files have header
 keys sorted and tensor data laid out in that same order; the writer always
 emits canonical files, so write(read(f)) == f whenever f is canonical.
-``read_checkpoint`` validates a file's header and returns a frozen
-``Checkpoint`` handle (its path, tensor entries, metadata and the file offset
-of the data region); tensor bytes are read from the file only on demand.
+``read_checkpoint`` opens the file once, validates its header through that
+descriptor and returns a frozen ``Checkpoint`` handle (its path, tensor
+entries, metadata and the file offset of the data region) that keeps the
+descriptor; tensor bytes are read on demand with ``os.pread``, so a handle
+reads the file it validated even after ``path`` is replaced, and threads
+share it safely. ``close()`` or a ``with`` block releases the descriptor.
 
 Surgery (reverting layers to their pretrained state, swapping layers between
 two fine-tuned checkpoints) copies tensor bytes verbatim - no parameter is
 ever converted or averaged - in chunks of at most COPY_CHUNK_BYTES, so
 checkpoints and single tensors far larger than memory are fine. MAV decodes
-MAV_CHUNK_ELEMENTS parameters at a time and is the only code that imports
-numpy. Which tensors belong to the embeddings, to encoder layer i, or to the
-task heads is decided by a configurable NamingScheme, not hard-coded key
-lists. A checkpoint is written to a temp file that replaces the output only
-once the whole file is written (``files.replace_file``), so a failed revert
-or swap leaves any earlier file at ``out_path`` intact.
+MAV_CHUNK_ELEMENTS parameters at a time into two float64 buffers that it
+reuses for every chunk, and is the only code that imports numpy. Which
+tensors belong to the embeddings, to encoder layer i, or to the task heads
+is decided by a configurable NamingScheme, not hard-coded key lists. A
+checkpoint is written to a temp file that replaces the output only once the
+whole file is written (``files.replace_file``), so a failed revert or swap
+leaves any earlier file at ``out_path`` intact; the output is never read
+back, so it may name a descriptor or a device. The surgery functions close
+the handles they open from paths and leave handles they are given open.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import ExitStack, contextmanager
+from dataclasses import InitVar, asdict, dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Sequence, Union
 
 from .files import naming, replace_file, same_file
 
@@ -108,29 +117,57 @@ class TensorEntry:
 
 @dataclass(frozen=True, eq=False)
 class Checkpoint:
-    """Read-only handle: the header ``read_checkpoint`` parsed, plus lazy,
-    range-based tensor access. ``data_start`` is the file offset of the data
-    region. Fields cannot be reassigned and ``metadata`` is a read-only copy
+    """Read-only handle on one open checkpoint file: the header
+    ``read_checkpoint`` parsed, plus range reads of tensor data. ``data_start``
+    is the file offset of the data region. The handle reads through one
+    descriptor (``file``, the open file ``read_checkpoint`` validated; when
+    omitted, ``path`` is opened), with ``os.pread``, which moves no shared
+    offset. Fields cannot be reassigned and ``metadata`` is a read-only copy
     of the mapping given, so a handle is safe to share across threads;
-    handles compare and hash by identity."""
+    handles compare and hash by identity.
+
+    ``close()``, or leaving a ``with`` block, closes the descriptor; later
+    reads raise ``ValueError``. ``copy.copy`` and ``copy.deepcopy`` give a
+    handle on a duplicate of the descriptor: the same file, open until the
+    copy itself is closed. A pickled handle holds no descriptor; loading it
+    reads the header at ``path`` again and raises ``CheckpointFormatError``
+    when it differs from the pickled one."""
 
     path: Path
     entries: tuple[TensorEntry, ...]
     metadata: Mapping[str, str] | None
     data_start: int
+    file: InitVar[BinaryIO | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, file: BinaryIO | None) -> None:
         if self.metadata is not None:
             object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
         by_name = {e.name: e for e in self.entries}
         if len(by_name) != len(self.entries):
             raise CheckpointFormatError("duplicate tensor names in index")
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_file", open(self.path, "rb", buffering=0) if file is None else file)
+
+    def close(self) -> None:
+        """Close the descriptor; closing a closed handle does nothing."""
+        self._file.close()
+
+    def __enter__(self) -> Checkpoint:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def __copy__(self) -> Checkpoint:
+        duplicate = open(os.dup(self._file.fileno()), "rb", buffering=0)
+        return Checkpoint(self.path, self.entries, self.metadata, self.data_start, duplicate)
+
+    def __deepcopy__(self, memo: dict) -> Checkpoint:
+        return self.__copy__()
 
     def __reduce__(self) -> tuple:
-        # a mappingproxy does not pickle, so a copy or pickle rebuilds the handle
         metadata = None if self.metadata is None else dict(self.metadata)
-        return Checkpoint, (self.path, self.entries, metadata, self.data_start)
+        return _reopen, (self.path, self.entries, metadata, self.data_start)
 
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
@@ -143,47 +180,73 @@ class Checkpoint:
 
     def tensor_bytes(self, name: str, start: int = 0, stop: int | None = None) -> bytes:
         """Raw little-endian bytes ``[start, stop)`` of one tensor's data, the
-        whole tensor by default (file reopened per call, so no handle is held)."""
+        whole tensor by default, read from the handle's descriptor."""
         begin, end = self.entry(name).data_offsets
         stop = end - begin if stop is None else stop
         if not 0 <= start <= stop <= end - begin:
             raise SurgeryError(f"tensor {name!r}: byte range [{start}, {stop}) outside [0, {end - begin})")
-        with open(self.path, "rb") as fh:
-            fh.seek(self.data_start + begin + start)
-            data = fh.read(stop - start)
-        if len(data) != stop - start:
-            raise CheckpointFormatError(f"tensor {name!r}: data region truncated")
+        offset = self.data_start + begin + start
+        data = os.pread(self._file.fileno(), stop - start, offset)
+        while len(data) < stop - start:  # one pread returns at most about 2 GiB
+            more = os.pread(self._file.fileno(), stop - start - len(data), offset + len(data))
+            if not more:
+                raise CheckpointFormatError(f"tensor {name!r}: data region truncated")
+            data += more
         return data
 
     def tensor_f64(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Elements ``[start, stop)`` of a float tensor decoded to float64
-        (the whole tensor by default; BF16 widened manually)."""
+        (the whole tensor by default)."""
         import numpy as np
 
-        entry = self.entry(name)
-        if entry.dtype not in _FLOAT_NUMPY and entry.dtype != "BF16":
-            raise SurgeryError(f"tensor {name!r}: dtype {entry.dtype} is not a float type")
-        size = DTYPE_SIZES[entry.dtype]
+        return self._float_values(name, start, stop).astype(np.float64)
+
+    def _float_values(self, name: str, start: int, stop: int | None, scratch: np.ndarray | None = None) -> np.ndarray:
+        """Elements ``[start, stop)`` of a float tensor in an array that numpy
+        widens to float64 exactly: a view of the raw bytes, or for BF16 each
+        16-bit pattern shifted into the high half of a uint32 (in ``scratch``,
+        when given) and viewed as float32. The one decode of tensor data."""
+        import numpy as np
+
+        dtype = self.entry(name).dtype
+        if dtype not in _FLOAT_NUMPY and dtype != "BF16":
+            raise SurgeryError(f"tensor {name!r}: dtype {dtype} is not a float type")
+        size = DTYPE_SIZES[dtype]
         raw = self.tensor_bytes(name, start * size, None if stop is None else stop * size)
-        if entry.dtype == "BF16":
-            as_u16 = np.frombuffer(raw, dtype="<u2").astype(np.uint32) << 16
-            return as_u16.view(np.float32).astype(np.float64)
-        return np.frombuffer(raw, dtype=_FLOAT_NUMPY[entry.dtype]).astype(np.float64)
+        if dtype != "BF16":
+            return np.frombuffer(raw, dtype=_FLOAT_NUMPY[dtype])
+        bits = np.frombuffer(raw, dtype="<u2")
+        wide = np.left_shift(bits, 16, out=None if scratch is None else scratch[: bits.size], dtype=np.uint32)
+        return wide.view(np.float32)
+
+
+def _reopen(path: Path, entries: tuple[TensorEntry, ...], metadata: dict | None, data_start: int) -> Checkpoint:
+    """A pickled handle loaded again: ``path`` read anew, refused if its header changed."""
+    cp = read_checkpoint(path)
+    if (cp.entries, cp.metadata, cp.data_start) != (entries, metadata, data_start):
+        cp.close()
+        raise CheckpointFormatError(f"{path}: header differs from the pickled handle's")
+    return cp
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
-    """Parse the header and validate the index without loading tensor data; an error names the file."""
+    """Open the file once, parse the header and validate the index through
+    that descriptor without loading tensor data, and return a handle that
+    keeps it. An error names the file, and the descriptor is closed."""
     path = Path(path)
-    with naming(path):
-        file_size = path.stat().st_size
-        with open(path, "rb") as fh:
-            prefix = fh.read(_HEADER_LEN_BYTES)
-            if len(prefix) < _HEADER_LEN_BYTES:
-                raise CheckpointFormatError("file too small for a header length")
-            (header_len,) = struct.unpack("<Q", prefix)
-            if _HEADER_LEN_BYTES + header_len > file_size:
-                raise CheckpointFormatError(f"header length {header_len} exceeds file size {file_size}")
-            header_raw = fh.read(header_len)
+    with naming(path), ExitStack() as on_error:
+        fh = on_error.enter_context(open(path, "rb", buffering=0))
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise CheckpointFormatError("not a regular file; a checkpoint is read by offset")
+        file_size = st.st_size
+        prefix = os.pread(fh.fileno(), _HEADER_LEN_BYTES, 0)
+        if len(prefix) < _HEADER_LEN_BYTES:
+            raise CheckpointFormatError("file too small for a header length")
+        (header_len,) = struct.unpack("<Q", prefix)
+        if _HEADER_LEN_BYTES + header_len > file_size:
+            raise CheckpointFormatError(f"header length {header_len} exceeds file size {file_size}")
+        header_raw = os.pread(fh.fileno(), header_len, _HEADER_LEN_BYTES)
         try:
             header = json.loads(header_raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -239,7 +302,9 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
                 f"{data_size - covered} trailing bytes at file offset "
                 f"{data_start + covered}, after the last tensor"
             )
-        return Checkpoint(path, tuple(entries), metadata, data_start)
+        cp = Checkpoint(path, tuple(entries), metadata, data_start, fh)
+        on_error.pop_all()  # the handle owns the descriptor now
+        return cp
 
 
 TensorSource = Union[bytes, Iterable[bytes]]
@@ -410,8 +475,14 @@ def layer_group(scheme: NamingScheme, group: GroupId, names: Iterable[str]) -> s
 # ---------------------------------------------------------------------------
 
 
-def _as_checkpoint(cp: Checkpoint | str | Path) -> Checkpoint:
-    return cp if isinstance(cp, Checkpoint) else read_checkpoint(cp)
+@contextmanager
+def _opened(cp: Checkpoint | str | Path) -> Iterator[Checkpoint]:
+    """The handle given, left open; or one read from a path, closed when the block ends."""
+    if isinstance(cp, Checkpoint):
+        yield cp
+    else:
+        with read_checkpoint(cp) as handle:
+            yield handle
 
 
 def _copy_chunks(cp: Checkpoint, name: str) -> Iterator[bytes]:
@@ -434,7 +505,7 @@ def _splice(
     donor: Checkpoint,
     donor_names: set[str],
     out_path: str | Path,
-) -> Checkpoint:
+) -> None:
     """Write base with the named tensors' bytes taken verbatim from donor."""
     for source in (base, donor):
         if same_file(out_path, source.path):
@@ -447,7 +518,6 @@ def _splice(
             _check_layout(entry, donor.entry(entry.name))
         tensors[entry.name] = (entry.dtype, entry.shape, _copy_chunks(owner, entry.name))
     write_checkpoint(out_path, tensors, metadata=base.metadata)
-    return read_checkpoint(out_path)
 
 
 def revert_layers(
@@ -456,16 +526,16 @@ def revert_layers(
     groups: Sequence[GroupId],
     scheme: NamingScheme,
     out_path: str | Path,
-) -> Checkpoint:
-    """Reset the selected groups of a fine-tuned checkpoint to pretrained bytes.
+) -> None:
+    """Write to ``out_path`` the fine-tuned checkpoint with the selected groups
+    reset to pretrained bytes. Read the output with ``read_checkpoint``.
 
     Passing sequential pairs such as (0, 1), (1, 2), ... reproduces the
     layer-ablation sweep; an empty group list copies the input unchanged.
     """
-    finetuned = _as_checkpoint(finetuned)
-    pretrained = _as_checkpoint(pretrained)
-    selected = _resolve_groups(scheme, groups, finetuned.names())
-    return _splice(finetuned, pretrained, selected, out_path)
+    with _opened(finetuned) as finetuned, _opened(pretrained) as pretrained:
+        selected = _resolve_groups(scheme, groups, finetuned.names())
+        _splice(finetuned, pretrained, selected, out_path)
 
 
 def swap_layers(
@@ -475,9 +545,9 @@ def swap_layers(
     scheme: NamingScheme,
     out_path: str | Path,
     include_embeddings: bool = False,
-) -> Checkpoint:
-    """Splice the donor's selected encoder layers (and optionally embeddings)
-    into the recipient. Task heads are never swapped, and bytes are copied
+) -> None:
+    """Write to ``out_path`` the recipient with the donor's selected encoder
+    layers (and optionally embeddings) spliced in. Task heads are never swapped, and bytes are copied
     verbatim - parameters are never merged or converted.
 
     The default assembly used for cross-lingual transfer is layers [0, 1]
@@ -489,7 +559,7 @@ def swap_layers(
     groups: list[GroupId] = list(layers)
     if include_embeddings:
         groups.append("embeddings")
-    return revert_layers(recipient, donor, groups, scheme, out_path)
+    revert_layers(recipient, donor, groups, scheme, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -538,42 +608,49 @@ def mav_report(
     Both checkpoints must hold the same tensors (names, dtypes, shapes).
     The global variance is the population variance of (a_i - b_i) over every
     parameter in the file. Tensors are decoded MAV_CHUNK_ELEMENTS parameters
-    at a time, so memory stays constant whatever the tensor sizes. Each chunk
-    adds its |a - b| sum to its group, and its count, mean and sum of squared
-    deviations (n, mean, M2) are merged into the running totals pairwise
-    (Chan, Golub & LeVeque 1979), which stays accurate where E[x^2] - E[x]^2
-    cancels: a shift much larger than the spread of the differences.
+    at a time into two float64 buffers allocated once per report, so memory
+    stays constant whatever the tensor sizes. Each chunk adds its |a - b| sum
+    to its group, and its count, mean and sum of squared deviations
+    (n, mean, M2) are merged into the running totals pairwise (Chan, Golub &
+    LeVeque 1979), which stays accurate where E[x^2] - E[x]^2 cancels: a shift
+    much larger than the spread of the differences.
     """
     import numpy as np
-
-    a = _as_checkpoint(a)
-    b = _as_checkpoint(b)
-    names_a, names_b = set(a.names()), set(b.names())
-    if names_a != names_b:
-        missing = sorted(names_a ^ names_b)
-        raise SurgeryError(f"checkpoints {a.path} and {b.path} hold different tensors, e.g. {missing[:3]}")
 
     abs_sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     total, mean, m2 = 0, 0.0, 0.0
-    for name in sorted(names_a):
-        entry = a.entry(name)
-        _check_layout(entry, b.entry(name))
-        key = _group_key(scheme.classify(name))
-        size = math.prod(entry.shape)
-        for start in range(0, size, MAV_CHUNK_ELEMENTS):
-            stop = min(start + MAV_CHUNK_ELEMENTS, size)
-            diff = a.tensor_f64(name, start, stop) - b.tensor_f64(name, start, stop)
-            n = diff.size
-            chunk_mean = float(diff.sum()) / n
-            dev = diff - chunk_mean
-            chunk_m2 = float((dev * dev).sum())
-            abs_sums[key] = abs_sums.get(key, 0.0) + float(np.abs(diff).sum())
-            counts[key] = counts.get(key, 0) + n
-            delta = chunk_mean - mean
-            total += n
-            mean += delta * n / total
-            m2 += chunk_m2 + delta * delta * (total - n) * n / total
+    diff_buffer = np.empty(MAV_CHUNK_ELEMENTS)
+    dev_buffer = np.empty(MAV_CHUNK_ELEMENTS)
+    # BF16 widens in dev_buffer, read as uint32: side a in its first half, b in its second
+    widened = dev_buffer.view(np.uint32)
+    with _opened(a) as a, _opened(b) as b:
+        names_a, names_b = set(a.names()), set(b.names())
+        if names_a != names_b:
+            missing = sorted(names_a ^ names_b)
+            raise SurgeryError(f"checkpoints {a.path} and {b.path} hold different tensors, e.g. {missing[:3]}")
+        for name in sorted(names_a):
+            entry = a.entry(name)
+            _check_layout(entry, b.entry(name))
+            key = _group_key(scheme.classify(name))
+            size = math.prod(entry.shape)
+            for start in range(0, size, MAV_CHUNK_ELEMENTS):
+                stop = min(start + MAV_CHUNK_ELEMENTS, size)
+                n = stop - start
+                diff, dev = diff_buffer[:n], dev_buffer[:n]
+                a_values = a._float_values(name, start, stop, widened)
+                b_values = b._float_values(name, start, stop, widened[MAV_CHUNK_ELEMENTS:])
+                np.subtract(a_values, b_values, out=diff, dtype=np.float64)
+                chunk_mean = float(diff.sum()) / n
+                np.subtract(diff, chunk_mean, out=dev)
+                np.multiply(dev, dev, out=dev)
+                chunk_m2 = float(dev.sum())
+                abs_sums[key] = abs_sums.get(key, 0.0) + float(np.abs(diff, out=diff).sum())
+                counts[key] = counts.get(key, 0) + n
+                delta = chunk_mean - mean
+                total += n
+                mean += delta * n / total
+                m2 += chunk_m2 + delta * delta * (total - n) * n / total
 
     if total == 0:
         raise SurgeryError("checkpoints contain no parameters")

@@ -585,6 +585,20 @@ def test_surgery_swap_and_mav(tmp_path, capsys):
     assert report["global_variance"] == 0.0
 
 
+@pytest.mark.parametrize("action", ["revert", "swap"])
+def test_surgery_writes_to_a_device_or_a_pipe_without_reading_it_back(action, tmp_path):
+    a = make_checkpoint(tmp_path / "a.safetensors", seed=30)
+    b = make_checkpoint(tmp_path / "b.safetensors", seed=31)
+    argv = ["surgery", action, "--a", str(a), "--b", str(b), "--layers", "0,1", "--embeddings", "--out"]
+    assert main([*argv, str(tmp_path / "file.safetensors")]) == 0
+    assert main([*argv, os.devnull]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    piped = subprocess.run([sys.executable, "-m", "sidkit.cli", *argv, "/dev/stdout"],
+                           env=env, capture_output=True, timeout=120)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == (tmp_path / "file.safetensors").read_bytes()
+
+
 def test_surgery_revert_requires_out(tmp_path):
     a = make_checkpoint(tmp_path / "a.safetensors", seed=32)
     with pytest.raises(SystemExit) as exc:

@@ -111,7 +111,8 @@ def test_revert_after_attempted_metadata_edit_writes_the_metadata_on_disk(tmp_pa
     pretrained = make_checkpoint(tmp_path / "pt.safetensors", seed=2)
     with pytest.raises(TypeError):
         finetuned.metadata["origin"] = "edited"
-    out = revert_layers(finetuned, pretrained, [0], SCHEME, tmp_path / "out.safetensors")
+    revert_layers(finetuned, pretrained, [0], SCHEME, tmp_path / "out.safetensors")
+    out = read_checkpoint(tmp_path / "out.safetensors")
     assert out.metadata == read_checkpoint(tmp_path / "ft.safetensors").metadata == {"origin": "synthetic"}
 
 
@@ -131,6 +132,124 @@ def test_checkpoint_pickles_and_deep_copies_with_read_only_metadata(tmp_path):
         with pytest.raises(TypeError):
             clone.metadata["origin"] = "edited"
         assert clone.tensor_bytes(cp.names()[0]) == cp.tensor_bytes(cp.names()[0])
+
+
+def test_copies_outlive_the_original_and_keep_its_file(tmp_path):
+    path = tmp_path / "a.st"
+    write_checkpoint(path, {"w": ("U8", [4], b"AAAA")})
+    cp = read_checkpoint(path)
+    shallow, deep = copy.copy(cp), copy.deepcopy(cp)
+    write_checkpoint(path, {"w": ("U8", [4], b"BBBB")})
+    cp.close()
+    with pytest.raises(ValueError):
+        cp.tensor_bytes("w")
+    for clone in (shallow, deep):
+        assert clone.tensor_bytes("w") == b"AAAA"
+        clone.close()
+
+
+def test_pickled_handle_reads_the_file_at_its_path_if_the_header_is_unchanged(tmp_path):
+    path = tmp_path / "a.st"
+    write_checkpoint(path, {"w": ("U8", [4], b"AAAA")})
+    with read_checkpoint(path) as cp:
+        pickled = pickle.dumps(cp)
+    write_checkpoint(path, {"w": ("U8", [4], b"BBBB")})
+    with pickle.loads(pickled) as loaded:
+        assert loaded.tensor_bytes("w") == b"BBBB"
+    write_checkpoint(path, {"w": ("U8", [2], b"CC")})
+    with pytest.raises(CheckpointFormatError, match="header differs from the pickled handle's"):
+        pickle.loads(pickled)
+
+
+def test_handle_keeps_reading_the_file_it_validated_after_a_replace(tmp_path):
+    path = tmp_path / "a.st"
+    write_checkpoint(path, {"w": ("U8", [4], b"AAAA")})
+    cp = read_checkpoint(path)
+    write_checkpoint(path, {"w": ("U8", [4], b"BBBB")})
+    assert cp.tensor_bytes("w") == b"AAAA"
+    write_checkpoint(path, {"a": ("U8", [1], b"x"), "w": ("U8", [2], b"CC")})  # another layout, a smaller file
+    assert cp.tensor_bytes("w") == b"AAAA"
+    assert cp.tensor_bytes("w", 1, 3) == b"AA"
+    cp.close()
+    with read_checkpoint(path) as replacement:
+        assert replacement.tensor_bytes("w") == b"CC"
+
+
+def test_threads_read_disjoint_ranges_of_one_handle(tmp_path):
+    import sys
+    import threading
+
+    data = np.random.default_rng(9).integers(0, 256, 8 * 4096, dtype=np.uint8).tobytes()
+    path = tmp_path / "a.st"
+    write_checkpoint(path, {"w": ("U8", [len(data)], data)})
+    cp = read_checkpoint(path)
+    wrong: list[int] = []
+
+    def read(k: int) -> None:
+        lo, hi = k * 4096 + k, (k + 1) * 4096
+        for _ in range(300):
+            if cp.tensor_bytes("w", lo, hi) != data[lo:hi]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_closed_handle_refuses_reads_and_closes_twice(tmp_path):
+    with read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1)) as cp:
+        name = cp.names()[0]
+        assert cp.tensor_bytes(name)
+    with pytest.raises(ValueError):
+        cp.tensor_bytes(name)
+    cp.close()
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_surgery_closes_the_handles_it_opens_and_keeps_those_it_is_given(tmp_path):
+    a = make_checkpoint(tmp_path / "a.safetensors", seed=1)
+    b = make_checkpoint(tmp_path / "b.safetensors", seed=2)
+    bad = tmp_path / "bad.safetensors"
+    bad.write_bytes(b"\x01")
+    out = tmp_path / "out.safetensors"
+    before = _open_descriptors()
+    for _ in range(20):
+        revert_layers(a, b, [0], SCHEME, out)
+        swap_layers(a, b, [0], SCHEME, out, include_embeddings=True)
+        mav_report(a, b, SCHEME)
+        with pytest.raises(CheckpointFormatError):
+            read_checkpoint(bad)
+    assert _open_descriptors() == before
+    given = read_checkpoint(a)
+    revert_layers(given, b, [0], SCHEME, out)
+    mav_report(given, b, SCHEME)
+    assert given.tensor_bytes(given.names()[0])
+    given.close()
+    assert _open_descriptors() == before
+
+
+def test_read_checkpoint_refuses_a_file_it_cannot_read_by_offset(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)  # a writer, so opening for reading does not block
+    try:
+        with pytest.raises(CheckpointFormatError, match=f"{fifo}: not a regular file"):
+            read_checkpoint(fifo)
+    finally:
+        os.close(writer)
 
 
 def test_checkpoint_handle_refuses_duplicate_names(tmp_path):
@@ -730,10 +849,11 @@ def test_splice_of_tensor_larger_than_copy_chunk_is_byte_exact(tmp_path, monkeyp
         return data
 
     monkeypatch.setattr(surgery.Checkpoint, "tensor_bytes", recording)
-    out = swap_layers(base, donor, [], SCHEME, tmp_path / "out.safetensors", include_embeddings=True)
+    swap_layers(base, donor, [], SCHEME, tmp_path / "out.safetensors", include_embeddings=True)
     assert max(reads) == surgery.COPY_CHUNK_BYTES
     assert sum(reads) == sum(base.entry(name).nbytes for name in tensors)
     monkeypatch.undo()
+    out = read_checkpoint(tmp_path / "out.safetensors")
     assert out.tensor_bytes("embeddings.word.weight") == donor.tensor_bytes("embeddings.word.weight")
     assert out.tensor_bytes("encoder.layer.0.w") == base.tensor_bytes("encoder.layer.0.w")
     assert out.tensor_bytes("classifier.w") == base.tensor_bytes("classifier.w")
@@ -796,6 +916,72 @@ def test_mav_variance_exact_under_dominant_shift(tmp_path):
     assert variance == pytest.approx(1e-6, rel=0.05)
     assert report.global_variance == pytest.approx(variance, rel=1e-9)
     assert report.per_group == pytest.approx(per_group, rel=1e-12)
+
+
+def _parent_decode(cp, name, start, stop):
+    """Elements [start, stop) of a float tensor, widened through fresh arrays."""
+    dtype = cp.entry(name).dtype
+    width = 2 if dtype == "BF16" else np.dtype(NUMPY_DTYPES[dtype]).itemsize
+    raw = cp.tensor_bytes(name, start * width, stop * width)
+    if dtype == "BF16":
+        return (np.frombuffer(raw, dtype="<u2").astype(np.uint32) << 16).view(np.float32).astype(np.float64)
+    return np.frombuffer(raw, dtype=NUMPY_DTYPES[dtype]).astype(np.float64)
+
+
+def _parent_mav(a_path, b_path, scheme):
+    """The per-chunk formula with a fresh array for every step, as mav_report computed it
+    before it reused two buffers."""
+    from sidkit.surgery import MAV_CHUNK_ELEMENTS, MavReport
+
+    abs_sums, counts = {}, {}
+    total, mean, m2 = 0, 0.0, 0.0
+    with read_checkpoint(a_path) as a, read_checkpoint(b_path) as b:
+        for name in sorted(a.names()):
+            group = scheme.classify(name)
+            key = "other" if group is None else f"layer {group}" if isinstance(group, int) else group
+            size = int(np.prod(a.entry(name).shape))
+            for start in range(0, size, MAV_CHUNK_ELEMENTS):
+                stop = min(start + MAV_CHUNK_ELEMENTS, size)
+                diff = _parent_decode(a, name, start, stop) - _parent_decode(b, name, start, stop)
+                n = diff.size
+                chunk_mean = float(diff.sum()) / n
+                dev = diff - chunk_mean
+                chunk_m2 = float((dev * dev).sum())
+                abs_sums[key] = abs_sums.get(key, 0.0) + float(np.abs(diff).sum())
+                counts[key] = counts.get(key, 0) + n
+                delta = chunk_mean - mean
+                total += n
+                mean += delta * n / total
+                m2 += chunk_m2 + delta * delta * (total - n) * n / total
+    return MavReport({key: abs_sums[key] / counts[key] for key in abs_sums}, m2 / total, total, counts)
+
+
+@pytest.mark.parametrize("dtype", ["F16", "BF16", "F32", "F64"])
+def test_mav_is_byte_identical_to_the_fresh_array_formula(tmp_path, dtype):
+    from sidkit.surgery import MAV_CHUNK_ELEMENTS
+
+    chunk = MAV_CHUNK_ELEMENTS
+    groups = ["embeddings.w", "encoder.layer.0.w", "encoder.layer.1.w", "encoder.layer.2.w",
+              "classifier.w", "pooler.w"]
+    sizes = [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7]
+    rng = np.random.default_rng(43)
+
+    def encode(values):
+        if dtype == "BF16":
+            return (values.astype(np.float32).view(np.uint32) >> 16).astype("<u2").tobytes()
+        return values.astype(NUMPY_DTYPES[dtype]).tobytes()
+
+    a_tensors, b_tensors = {}, {}
+    for name, size in zip(groups, sizes):
+        va = rng.standard_normal(size)
+        a_tensors[name] = (dtype, (size,), encode(va))
+        b_tensors[name] = (dtype, (size,), encode(0.9 * va + 0.1 * rng.standard_normal(size) + 0.25))
+    write_checkpoint(tmp_path / "a.st", a_tensors)
+    write_checkpoint(tmp_path / "b.st", b_tensors)
+    scheme = NamingScheme(num_layers=3)
+    report = mav_report(tmp_path / "a.st", tmp_path / "b.st", scheme)
+    assert report.to_json() == _parent_mav(tmp_path / "a.st", tmp_path / "b.st", scheme).to_json()
+    assert report.parameter_count == sum(sizes)
 
 
 def test_mav_peak_allocation_does_not_grow_with_tensor_size(tmp_path):
