@@ -83,16 +83,16 @@ def main() -> None:
     print(f"parameters: {report.parameter_count}")
 
     print("\nreverting sequential layer pairs:")
-    for low in range(args.num_layers - 1):
-        pair = (low, low + 1)
-        out_path = out_dir / f"reverted_{low}_{low + 1}.safetensors"
-        revert_layers(finetuned, pretrained, list(pair), scheme, out_path)
-        # reverted layers now match the pretrained bytes; spot-check one tensor
-        reverted = read_checkpoint(out_path)
-        original = read_checkpoint(pretrained)
-        name = f"encoder.layer.{low}.attention.weight"
-        assert reverted.tensor_bytes(name) == original.tensor_bytes(name)
-        print(f"  layers {pair} -> {out_path.name}")
+    with read_checkpoint(pretrained) as original:
+        for low in range(args.num_layers - 1):
+            pair = (low, low + 1)
+            out_path = out_dir / f"reverted_{low}_{low + 1}.safetensors"
+            revert_layers(finetuned, original, list(pair), scheme, out_path)
+            # reverted layers now match the pretrained bytes; spot-check one tensor
+            name = f"encoder.layer.{low}.attention.weight"
+            with read_checkpoint(out_path) as reverted:
+                assert reverted.tensor_bytes(name) == original.tensor_bytes(name)
+            print(f"  layers {pair} -> {out_path.name}")
     print("done.")
 
 

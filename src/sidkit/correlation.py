@@ -81,17 +81,6 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
 
-def student_t_cdf(t: float, df: int) -> float:
-    """P(T <= t) for Student's t with df degrees of freedom."""
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
-
-
 def two_tailed_p(t: float, df: int) -> float:
     """P(|T| >= |t|) under Student's t."""
     if df < 1:
@@ -99,6 +88,12 @@ def two_tailed_p(t: float, df: int) -> float:
     if math.isinf(t):
         return 0.0
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+
+
+def student_t_cdf(t: float, df: int) -> float:
+    """P(T <= t) for Student's t with df degrees of freedom."""
+    tail = 0.5 * two_tailed_p(t, df)
+    return 1.0 - tail if t > 0 else tail
 
 
 def p_from_correlation(r: float, n: int) -> float:

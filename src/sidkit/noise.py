@@ -49,9 +49,6 @@ class Alphabet:
         if len(set(self.chars)) != len(self.chars):
             raise ValueError("alphabet contains duplicate characters")
 
-    def __len__(self) -> int:
-        return len(self.chars)
-
 
 def build_alphabet(reference: str) -> Alphabet:
     """Distinct letter-category characters of a text, case preserved.
@@ -95,22 +92,6 @@ class NoiseConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.word_fraction <= 1.0:
             raise ValueError(f"word_fraction must be in [0, 1], got {self.word_fraction}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "word_fraction": self.word_fraction,
-                "alphabet": "".join(self.alphabet.chars),
-                "op_weights": {
-                    "delete": self.op_weights.delete,
-                    "insert": self.op_weights.insert,
-                    "both": self.op_weights.both,
-                },
-                "seed": self.seed,
-            },
-            ensure_ascii=False,
-            indent=2,
-        )
 
     @classmethod
     def from_json(cls, text: str) -> "NoiseConfig":

@@ -85,8 +85,9 @@ def _step_argv(i: int, step: object, commands: Container[str]) -> list[str]:
 
 
 def _paths(parsed: argparse.Namespace, role: type) -> list[str]:
-    """The parsed flag values of type ``role``, sorted."""
-    return sorted(value for value in vars(parsed).values() if isinstance(value, role))
+    """The distinct parsed flag values of type ``role``, sorted: a file that
+    two flags name is listed, and digested, once."""
+    return sorted({value for value in vars(parsed).values() if isinstance(value, role)})
 
 
 def _digest_role(parsed: argparse.Namespace, role: type) -> dict[str, str]:

@@ -45,17 +45,11 @@ class SubwordVocab:
             raise ValueError(f"unk token {self.unk_token!r} missing from vocabulary")
 
     @classmethod
-    def from_file(
-        cls,
-        path: str | Path,
-        continuation_marker: str = "##",
-        unk_token: str = "[UNK]",
-    ) -> "SubwordVocab":
+    def from_file(cls, path: str | Path, unk_token: str = "[UNK]") -> "SubwordVocab":
         """One subword per line, UTF-8; blank lines ignored. Only a line feed
         (or CRLF, CR) ends a line, so a piece may hold any other separator."""
         return read_text(path, lambda text: cls(
             tokens=frozenset(line for line in text.split("\n") if line.strip()),
-            continuation_marker=continuation_marker,
             unk_token=unk_token,
         ))
 

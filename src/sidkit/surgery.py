@@ -37,7 +37,7 @@ import os
 import stat
 import struct
 from contextlib import ExitStack, contextmanager
-from dataclasses import InitVar, asdict, dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Sequence, Union
@@ -120,11 +120,10 @@ class Checkpoint:
     """Read-only handle on one open checkpoint file: the header
     ``read_checkpoint`` parsed, plus range reads of tensor data. ``data_start``
     is the file offset of the data region. The handle reads through one
-    descriptor (``file``, the open file ``read_checkpoint`` validated; when
-    omitted, ``path`` is opened), with ``os.pread``, which moves no shared
-    offset. Fields cannot be reassigned and ``metadata`` is a read-only copy
-    of the mapping given, so a handle is safe to share across threads;
-    handles compare and hash by identity.
+    descriptor (``file``, the open file ``read_checkpoint`` validated), with
+    ``os.pread``, which moves no shared offset. Fields cannot be reassigned
+    and ``metadata`` is a read-only copy of the mapping given, so a handle is
+    safe to share across threads; handles compare and hash by identity.
 
     ``close()``, or leaving a ``with`` block, closes the descriptor; later
     reads raise ``ValueError``. ``copy.copy`` and ``copy.deepcopy`` give a
@@ -137,16 +136,16 @@ class Checkpoint:
     entries: tuple[TensorEntry, ...]
     metadata: Mapping[str, str] | None
     data_start: int
-    file: InitVar[BinaryIO | None] = None
+    file: InitVar[BinaryIO]
 
-    def __post_init__(self, file: BinaryIO | None) -> None:
+    def __post_init__(self, file: BinaryIO) -> None:
         if self.metadata is not None:
             object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
         by_name = {e.name: e for e in self.entries}
         if len(by_name) != len(self.entries):
             raise CheckpointFormatError("duplicate tensor names in index")
         object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_file", open(self.path, "rb", buffering=0) if file is None else file)
+        object.__setattr__(self, "_file", file)
 
     def close(self) -> None:
         """Close the descriptor; closing a closed handle does nothing."""
@@ -419,9 +418,6 @@ class NamingScheme:
         if len(hits) > 1:
             raise SchemeError(f"tensor {name!r} matches several groups: {hits}")
         return hits[0] if hits else None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "NamingScheme":

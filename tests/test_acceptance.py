@@ -294,13 +294,13 @@ def test_criterion_6_surgery_byte_exactness(tmp_path):
         pretrained = make_checkpoint(tmp_path / "pt.safetensors", seed=2, dtype="F64")
 
         # (a) read -> write round trip is byte-identical
-        cp = read_checkpoint(finetuned)
         rewritten = tmp_path / "rewritten.safetensors"
-        write_checkpoint(
-            rewritten,
-            {e.name: (e.dtype, e.shape, cp.tensor_bytes(e.name)) for e in cp.entries},
-            metadata=cp.metadata,
-        )
+        with read_checkpoint(finetuned) as cp:
+            write_checkpoint(
+                rewritten,
+                {e.name: (e.dtype, e.shape, cp.tensor_bytes(e.name)) for e in cp.entries},
+                metadata=cp.metadata,
+            )
         assert rewritten.read_bytes() == finetuned.read_bytes()
 
         # (b) swap then swap back restores the original file
@@ -320,14 +320,14 @@ def test_criterion_6_surgery_byte_exactness(tmp_path):
         assert self_report.global_variance == 0.0
         assert all(v == 0.0 for v in self_report.per_group.values())
         base_report = mav_report(finetuned, pretrained, scheme)
-        a_cp, b_cp = read_checkpoint(finetuned), read_checkpoint(pretrained)
-        doubled_tensors = {}
-        for entry in a_cp.entries:
-            va = np.frombuffer(a_cp.tensor_bytes(entry.name), dtype="<f8")
-            vb = np.frombuffer(b_cp.tensor_bytes(entry.name), dtype="<f8")
-            doubled_tensors[entry.name] = ("F64", entry.shape, (va + 2.0 * (vb - va)).tobytes())
         doubled_path = tmp_path / "doubled.safetensors"
-        write_checkpoint(doubled_path, doubled_tensors, metadata=a_cp.metadata)
+        with read_checkpoint(finetuned) as a_cp, read_checkpoint(pretrained) as b_cp:
+            doubled_tensors = {}
+            for entry in a_cp.entries:
+                va = np.frombuffer(a_cp.tensor_bytes(entry.name), dtype="<f8")
+                vb = np.frombuffer(b_cp.tensor_bytes(entry.name), dtype="<f8")
+                doubled_tensors[entry.name] = ("F64", entry.shape, (va + 2.0 * (vb - va)).tobytes())
+            write_checkpoint(doubled_path, doubled_tensors, metadata=a_cp.metadata)
         doubled_report = mav_report(finetuned, doubled_path, scheme)
         for key, value in base_report.per_group.items():
             assert math.isclose(doubled_report.per_group[key], 2 * value, rel_tol=1e-12)
@@ -339,13 +339,12 @@ def test_criterion_6_surgery_byte_exactness(tmp_path):
         out = tmp_path / "partial.safetensors"
         swap_layers(finetuned, pretrained, [4, 5], scheme, out)
         swapped = set()
-        for g in (4, 5):
-            swapped |= layer_group(scheme, g, cp.names())
-        result = read_checkpoint(out)
-        donor = read_checkpoint(pretrained)
-        for name, _, _ in checkpoint_tensor_specs():
-            expected = donor.tensor_bytes(name) if name in swapped else cp.tensor_bytes(name)
-            assert result.tensor_bytes(name) == expected, name
+        with read_checkpoint(finetuned) as cp, read_checkpoint(out) as result, read_checkpoint(pretrained) as donor:
+            for g in (4, 5):
+                swapped |= layer_group(scheme, g, cp.names())
+            for name, _, _ in checkpoint_tensor_specs():
+                expected = donor.tensor_bytes(name) if name in swapped else cp.tensor_bytes(name)
+                assert result.tensor_bytes(name) == expected, name
 
 
 # ---------------------------------------------------------------------------

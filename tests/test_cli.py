@@ -14,7 +14,7 @@ from sidkit.cli import InputPath, OutputPath, build_parser, main
 from sidkit.corpus import ParseError, extract_spans, load_dataset
 from sidkit.correlation import pearson, spearman
 from sidkit.evaluate import span_f1
-from sidkit.surgery import read_checkpoint
+from sidkit.surgery import read_checkpoint, write_checkpoint
 
 GOLD = (
     "# id: s1-bm\n# intent: alarm/set\n# variety: bokmål\nvekk\tO\nmæ\tB-datetime\n"
@@ -120,6 +120,27 @@ def test_stats_tsv(gold_file, tmp_path):
     assert out.read_text(encoding="utf-8").startswith("kind\titem\tcount")
 
 
+def test_stats_tsv_with_unseen(gold_file, tmp_path):
+    train = tmp_path / "train.conll"
+    train.write_text("# id: t1\n# intent: alarm/set\nvekk\tB-datetime\n", encoding="utf-8")
+    out = tmp_path / "stats.tsv"
+    argv = ["stats", "--in", str(gold_file), "--unseen-from", str(train), "--report", "tsv", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (
+        b"kind\titem\tcount\n"
+        b"intent\talarm/set\t2\nintent\tweather/find\t2\n"
+        b"slot_label\tdatetime\t3\nslot_label\tweather/attribute\t2\n"
+        b"full_tag\tB-datetime\t2\nfull_tag\tB-weather/attribute\t2\nfull_tag\tI-datetime\t1\nfull_tag\tO\t4\n"
+        b"utterances\t\t4\n"
+        b"\n"
+        b"kind\titem\teval_count\n"
+        b"intent\tweather/find\t2\n"
+        b"slot_label\tweather/attribute\t2\n"
+        b"full_tag\tB-weather/attribute\t2\nfull_tag\tI-datetime\t1\nfull_tag\tO\t4\n"
+        b"i_tag_with_seen_b\tI-datetime\t1\n"
+    )
+
+
 def test_split_writes_both_parts_and_echoes_seed(gold_file, tmp_path, capsys):
     out1, out2 = tmp_path / "p1.conll", tmp_path / "p2.conll"
     code = main([
@@ -186,6 +207,16 @@ def test_noise_config_file(gold_file, tmp_path):
 def test_noise_requires_fraction_or_config(gold_file, tmp_path, capsys):
     assert main(["noise", "--in", str(gold_file), "--out", str(tmp_path / "x.conll")]) == 1
     assert "fraction" in capsys.readouterr().err
+
+
+def test_noise_refuses_a_config_with_a_fraction(gold_file, tmp_path, capsys):
+    config = tmp_path / "noise.json"
+    config.write_text(json.dumps({"word_fraction": 0.5, "alphabet": "abc"}), encoding="utf-8")
+    out = tmp_path / "out.conll"
+    argv = ["noise", "--in", str(gold_file), "--out", str(out), "--config", str(config), "--fraction", "0.1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "sidkit: error: --config cannot be combined with --fraction/--alphabet-from\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("weights", ["1,2", "1,x,1", "1,1,1,1"])
@@ -519,6 +550,16 @@ def test_correlate_by_index_without_header(tmp_path, capsys):
     assert report["rho"] == 1.0
 
 
+def test_correlate_by_index_skips_a_header_row(tmp_path, capsys):
+    table = tmp_path / "data.tsv"
+    table.write_text("diff\tscore\n" + "".join(f"{i}\t{(i * 7) % 5}\n" for i in range(9)), encoding="utf-8")
+    assert main(["correlate", "--in", str(table), "--x", "diff", "--y", "score"]) == 0
+    by_name = capsys.readouterr().out
+    assert main(["correlate", "--in", str(table), "--x", "0", "--y", "1"]) == 0
+    assert capsys.readouterr().out == by_name
+    assert json.loads(by_name)["n"] == 9
+
+
 def test_correlate_exact_reports_permutation_p(tmp_path, capsys):
     x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
     y = [2.0, 1.0, 4.0, 3.0, 7.0, 5.0, 6.0]
@@ -574,11 +615,10 @@ def test_surgery_swap_and_mav(tmp_path, capsys):
         "--layers", "0,1", "--embeddings", "--out", str(out),
     ])
     assert code == 0
-    assembled = read_checkpoint(out)
-    donor = read_checkpoint(b)
-    assert assembled.tensor_bytes("embeddings.word.weight") == donor.tensor_bytes(
-        "embeddings.word.weight"
-    )
+    with read_checkpoint(out) as assembled, read_checkpoint(b) as donor:
+        assert assembled.tensor_bytes("embeddings.word.weight") == donor.tensor_bytes(
+            "embeddings.word.weight"
+        )
 
     assert main(["surgery", "mav", "--a", str(a), "--b", str(a)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -625,6 +665,45 @@ def test_surgery_swap_refuses_heads(tmp_path, capsys):
     ])
     assert code == 1
     assert "never swapped" in capsys.readouterr().err
+
+
+def test_surgery_revert_heads(tmp_path):
+    a = make_checkpoint(tmp_path / "a.safetensors", seed=33)
+    b = make_checkpoint(tmp_path / "b.safetensors", seed=34)
+    out = tmp_path / "r.safetensors"
+    assert main(["surgery", "revert", "--a", str(a), "--b", str(b), "--heads", "--out", str(out)]) == 0
+    with read_checkpoint(out) as reverted, read_checkpoint(a) as ft, read_checkpoint(b) as pre:
+        assert reverted.names() == ft.names()
+        for name in reverted.names():
+            source = pre if name.startswith("classifier.") else ft
+            assert reverted.tensor_bytes(name) == source.tensor_bytes(name), name
+
+
+def test_surgery_mav_refuses_checkpoints_of_empty_tensors(tmp_path, capsys):
+    for name in ("a.st", "b.st"):
+        write_checkpoint(tmp_path / name, {"embeddings.w": ("F32", (0,), b""), "classifier.b": ("F16", (2, 0), b"")})
+    out = tmp_path / "mav.json"
+    argv = ["surgery", "mav", "--a", str(tmp_path / "a.st"), "--b", str(tmp_path / "b.st"), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sidkit: error: ") and err.endswith("checkpoints contain no parameters\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--in", "{gold}", "--out", "{out}"],
+    ["noise", "--in", "{gold}", "--fraction", "0.5", "--alphabet-from", "{gold}", "--out", "{out}"],
+    ["surgery", "revert", "--a", "{ckpt}", "--b", "{ckpt}", "--layers", "0", "--out", "{out}"],
+])
+def test_an_output_in_a_missing_directory_is_named_and_leaves_no_temp_file(argv, gold_file, tmp_path, capsys):
+    ckpt = make_checkpoint(tmp_path / "a.safetensors", seed=39)
+    out = tmp_path / "missing" / "out"
+    before = sorted(tmp_path.rglob("*"))
+    assert main([arg.format(gold=gold_file, ckpt=ckpt, out=out) for arg in argv]) == 1
+    err = capsys.readouterr().err  # noise prints its seed first
+    assert err.splitlines()[-1] == f"sidkit: error: [Errno 2] No such file or directory: '{out}'"
+    assert ".tmp" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_surgery_with_scheme_file(tmp_path, capsys):
@@ -783,7 +862,8 @@ def test_only_surgery_mav_loads_numpy(tmp_path):
         "'--layers', '0,1', '--out', '{}']); print(rc, 'numpy' in sys.modules)"
     )
     assert _fresh_python(code.format("revert", "reverted.safetensors"), tmp_path) == "0 False"
-    assert read_checkpoint(tmp_path / "reverted.safetensors").names()
+    with read_checkpoint(tmp_path / "reverted.safetensors") as reverted:
+        assert reverted.names()
     assert _fresh_python(code.format("mav", "mav.json"), tmp_path) == "0 True"
 
 

@@ -310,4 +310,5 @@ def test_any_checkpoint_header_loads_or_raises_checkpoint_format_error(case, tmp
         checkpoint = read_checkpoint(path)
     except CheckpointFormatError:
         return
-    assert sorted(checkpoint.names()) == sorted(name for name in header if name != "__metadata__")
+    with checkpoint:
+        assert sorted(checkpoint.names()) == sorted(name for name in header if name != "__metadata__")

@@ -236,6 +236,22 @@ def test_manifest_digests_every_file_flag_of_a_step(tmp_path, monkeypatch):
     assert step["outputs"] == {"s.tsv": sha256_file(tmp_path / "s.tsv")}
 
 
+def test_a_file_two_flags_name_is_digested_once(tmp_path, monkeypatch):
+    from sidkit import pipeline
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_text("vekk mæ kl\n", encoding="utf-8")
+    (tmp_path / "vocab.txt").write_text("[UNK]\nvekk\nmæ\n", encoding="utf-8")
+    hashed = []
+    monkeypatch.setattr(pipeline, "sha256_file", lambda path: hashed.append(path) or sha256_file(path))
+    config = write_config(tmp_path, [{"command": "subword-ratio", "args": {
+        "vocab": "vocab.txt", "in": "t.txt", "compare": "t.txt", "out": "r.json"}}])
+    assert run_pipeline(config, tmp_path / "m.json") == 0
+    assert sorted(hashed) == ["r.json", "t.txt", "vocab.txt"]
+    step = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["steps"][0]
+    assert step["inputs"] == {name: sha256_file(name) for name in ("t.txt", "vocab.txt")}
+
+
 # The file-flag tables the pipeline kept before the parser declared each flag's role,
 # plus `pipeline`'s own flags, typed so that an output cannot alias an input there either.
 ORACLE_INPUTS = {

@@ -36,21 +36,21 @@ SCHEME = NamingScheme()
 
 def test_read_write_round_trip_byte_identical(tmp_path):
     src = make_checkpoint(tmp_path / "a.safetensors", seed=1)
-    cp = read_checkpoint(src)
     dst = tmp_path / "b.safetensors"
-    write_checkpoint(
-        dst,
-        {e.name: (e.dtype, e.shape, cp.tensor_bytes(e.name)) for e in cp.entries},
-        metadata=cp.metadata,
-    )
+    with read_checkpoint(src) as cp:
+        write_checkpoint(
+            dst,
+            {e.name: (e.dtype, e.shape, cp.tensor_bytes(e.name)) for e in cp.entries},
+            metadata=cp.metadata,
+        )
     assert src.read_bytes() == dst.read_bytes()
 
 
 def test_empty_tensor_set_is_a_valid_container(tmp_path):
     path = tmp_path / "empty.safetensors"
     write_checkpoint(path, {})
-    cp = read_checkpoint(path)
-    assert cp.names() == []
+    with read_checkpoint(path) as cp:
+        assert cp.names() == []
 
 
 def test_random_tensors_round_trip(tmp_path):
@@ -63,28 +63,29 @@ def test_random_tensors_round_trip(tmp_path):
         tensors[f"t.{i}"] = (dtype, shape, data)
     path = tmp_path / "rand.safetensors"
     write_checkpoint(path, tensors)
-    cp = read_checkpoint(path)
-    assert set(cp.names()) == set(tensors)
-    for name, (dtype, shape, data) in tensors.items():
-        entry = cp.entry(name)
-        assert entry.dtype == dtype
-        assert entry.shape == tuple(shape)
-        assert cp.tensor_bytes(name) == data
+    with read_checkpoint(path) as cp:
+        assert set(cp.names()) == set(tensors)
+        for name, (dtype, shape, data) in tensors.items():
+            entry = cp.entry(name)
+            assert entry.dtype == dtype
+            assert entry.shape == tuple(shape)
+            assert cp.tensor_bytes(name) == data
 
 
 def test_scalar_tensor_round_trip(tmp_path):
     path = tmp_path / "scalar.safetensors"
     data = np.float64(3.25).tobytes()
     write_checkpoint(path, {"s": ("F64", (), data)})
-    cp = read_checkpoint(path)
-    assert cp.entry("s").shape == ()
-    assert cp.tensor_bytes("s") == data
+    with read_checkpoint(path) as cp:
+        assert cp.entry("s").shape == ()
+        assert cp.tensor_bytes("s") == data
 
 
 def test_metadata_preserved(tmp_path):
     path = tmp_path / "m.safetensors"
     write_checkpoint(path, {"t": ("F32", (1,), b"\x00" * 4)}, metadata={"k": "v"})
-    assert read_checkpoint(path).metadata == {"k": "v"}
+    with read_checkpoint(path) as cp:
+        assert cp.metadata == {"k": "v"}
 
 
 @pytest.mark.parametrize(
@@ -92,46 +93,49 @@ def test_metadata_preserved(tmp_path):
     [("path", "other.safetensors"), ("entries", ()), ("metadata", {"k": "w"}), ("data_start", 0)],
 )
 def test_checkpoint_handle_fields_cannot_be_reassigned(tmp_path, field, value):
-    cp = read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1))
-    before = getattr(cp, field)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(cp, field, value)
-    assert getattr(cp, field) is before
+    with read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1)) as cp:
+        before = getattr(cp, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cp, field, value)
+        assert getattr(cp, field) is before
 
 
 def test_checkpoint_metadata_cannot_be_edited_in_place(tmp_path):
-    cp = read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1))
-    with pytest.raises(TypeError):
-        cp.metadata["origin"] = "edited"
-    assert cp.metadata == {"origin": "synthetic"}
+    with read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1)) as cp:
+        with pytest.raises(TypeError):
+            cp.metadata["origin"] = "edited"
+        assert cp.metadata == {"origin": "synthetic"}
 
 
 def test_revert_after_attempted_metadata_edit_writes_the_metadata_on_disk(tmp_path):
-    finetuned = read_checkpoint(make_checkpoint(tmp_path / "ft.safetensors", seed=1))
     pretrained = make_checkpoint(tmp_path / "pt.safetensors", seed=2)
-    with pytest.raises(TypeError):
-        finetuned.metadata["origin"] = "edited"
-    revert_layers(finetuned, pretrained, [0], SCHEME, tmp_path / "out.safetensors")
-    out = read_checkpoint(tmp_path / "out.safetensors")
-    assert out.metadata == read_checkpoint(tmp_path / "ft.safetensors").metadata == {"origin": "synthetic"}
+    with read_checkpoint(make_checkpoint(tmp_path / "ft.safetensors", seed=1)) as finetuned:
+        with pytest.raises(TypeError):
+            finetuned.metadata["origin"] = "edited"
+        revert_layers(finetuned, pretrained, [0], SCHEME, tmp_path / "out.safetensors")
+    with read_checkpoint(tmp_path / "out.safetensors") as out, read_checkpoint(tmp_path / "ft.safetensors") as ft:
+        assert out.metadata == ft.metadata == {"origin": "synthetic"}
 
 
 def test_checkpoint_keeps_a_copy_of_the_metadata_it_is_given(tmp_path):
-    entry = read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1)).entries[0]
+    path = make_checkpoint(tmp_path / "a.safetensors", seed=1)
+    with read_checkpoint(path) as read:
+        entry = read.entries[0]
     given = {"k": "v"}
-    cp = Checkpoint(tmp_path / "a.safetensors", (entry,), given, 8)
-    given["k"] = "w"
-    assert cp.metadata == {"k": "v"}
+    with Checkpoint(path, (entry,), given, 8, open(path, "rb", buffering=0)) as cp:
+        given["k"] = "w"
+        assert cp.metadata == {"k": "v"}
 
 
 def test_checkpoint_pickles_and_deep_copies_with_read_only_metadata(tmp_path):
-    cp = read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1))
-    for clone in (pickle.loads(pickle.dumps(cp)), copy.deepcopy(cp)):
-        assert (clone.path, clone.entries, clone.data_start) == (cp.path, cp.entries, cp.data_start)
-        assert clone.metadata == {"origin": "synthetic"}
-        with pytest.raises(TypeError):
-            clone.metadata["origin"] = "edited"
-        assert clone.tensor_bytes(cp.names()[0]) == cp.tensor_bytes(cp.names()[0])
+    with read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1)) as cp:
+        for clone in (pickle.loads(pickle.dumps(cp)), copy.deepcopy(cp)):
+            with clone:
+                assert (clone.path, clone.entries, clone.data_start) == (cp.path, cp.entries, cp.data_start)
+                assert clone.metadata == {"origin": "synthetic"}
+                with pytest.raises(TypeError):
+                    clone.metadata["origin"] = "edited"
+                assert clone.tensor_bytes(cp.names()[0]) == cp.tensor_bytes(cp.names()[0])
 
 
 def test_copies_outlive_the_original_and_keep_its_file(tmp_path):
@@ -182,7 +186,6 @@ def test_threads_read_disjoint_ranges_of_one_handle(tmp_path):
     data = np.random.default_rng(9).integers(0, 256, 8 * 4096, dtype=np.uint8).tobytes()
     path = tmp_path / "a.st"
     write_checkpoint(path, {"w": ("U8", [len(data)], data)})
-    cp = read_checkpoint(path)
     wrong: list[int] = []
 
     def read(k: int) -> None:
@@ -194,15 +197,26 @@ def test_threads_read_disjoint_ranges_of_one_handle(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        with read_checkpoint(path) as cp:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_a_file_truncated_under_a_live_handle_is_a_format_error(tmp_path):
+    path = tmp_path / "a.st"
+    write_checkpoint(path, {"a": ("U8", [4], b"AAAA"), "b": ("U8", [4], b"BBBB")})
+    with read_checkpoint(path) as cp:
+        os.truncate(path, path.stat().st_size - 2)
+        assert cp.tensor_bytes("a") == b"AAAA"
+        with pytest.raises(CheckpointFormatError, match="tensor 'b': data region truncated"):
+            cp.tensor_bytes("b")
 
 
 def test_closed_handle_refuses_reads_and_closes_twice(tmp_path):
@@ -253,9 +267,12 @@ def test_read_checkpoint_refuses_a_file_it_cannot_read_by_offset(tmp_path):
 
 
 def test_checkpoint_handle_refuses_duplicate_names(tmp_path):
-    entry = read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1)).entries[0]
-    with pytest.raises(CheckpointFormatError, match="duplicate tensor names in index"):
-        Checkpoint(tmp_path / "a.safetensors", (entry, entry), None, 8)
+    path = make_checkpoint(tmp_path / "a.safetensors", seed=1)
+    with read_checkpoint(path) as read:
+        entry = read.entries[0]
+    with open(path, "rb", buffering=0) as fh:
+        with pytest.raises(CheckpointFormatError, match="duplicate tensor names in index"):
+            Checkpoint(path, (entry, entry), None, 8, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +357,8 @@ def test_write_rejects_unknown_dtype(tmp_path):
 
 
 def test_layer_group_selects_exact_layer(tmp_path):
-    cp = read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=2))
-    names = layer_group(SCHEME, 0, cp.names())
+    with read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=2)) as cp:
+        names = layer_group(SCHEME, 0, cp.names())
     assert names == {
         "encoder.layer.0.attention.weight",
         "encoder.layer.0.ffn.weight",
@@ -357,14 +374,15 @@ def test_delimiter_aware_matching():
 
 
 def test_groups_partition_synthetic_checkpoint(tmp_path):
-    cp = read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=3))
-    assert None not in {SCHEME.classify(name) for name in cp.names()}
+    with read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=3)) as cp:
+        names = cp.names()
+    assert None not in {SCHEME.classify(name) for name in names}
     union = set()
     for group in ["embeddings", "heads", *range(12)]:
-        members = layer_group(SCHEME, group, cp.names())
+        members = layer_group(SCHEME, group, names)
         assert not union & members  # disjoint
         union |= members
-    assert union == set(cp.names())
+    assert union == set(names)
 
 
 def test_empty_group_resolution_errors():
@@ -377,7 +395,7 @@ def test_layer_index_out_of_range():
         layer_group(SCHEME, 12, ["encoder.layer.0.w"])
 
 
-def test_scheme_validation_and_json_round_trip():
+def test_scheme_validation_and_from_json():
     with pytest.raises(SchemeError):
         NamingScheme(layer_template="encoder.layer.")
     with pytest.raises(SchemeError):
@@ -388,7 +406,9 @@ def test_scheme_validation_and_json_round_trip():
         head_prefixes=("lm_head.",),
         num_layers=6,
     )
-    assert NamingScheme.from_json(scheme.to_json()) == scheme
+    raw = {"embeddings_prefixes": ["embed.", "rel_pos."], "layer_template": "blocks.{i}.",
+           "head_prefixes": ["lm_head."], "num_layers": 6}
+    assert NamingScheme.from_json(json.dumps(raw)) == scheme
 
 
 def test_ambiguous_scheme_detected():
@@ -485,8 +505,8 @@ def test_ambiguous_scheme_rejected_by_revert_swap_and_layer_group(tmp_path):
         revert_layers(a, b, ["embeddings"], scheme, out)
     with pytest.raises(SchemeError, match="several groups"):
         swap_layers(a, b, [0, 1], scheme, out)
-    with pytest.raises(SchemeError, match="several groups"):
-        layer_group(scheme, "heads", read_checkpoint(a).names())
+    with read_checkpoint(a) as cp, pytest.raises(SchemeError, match="several groups"):
+        layer_group(scheme, "heads", cp.names())
     assert not out.exists()
 
 
@@ -496,8 +516,8 @@ def test_ambiguous_scheme_rejected_by_revert_swap_and_layer_group(tmp_path):
 
 
 def _tensor_map(path):
-    cp = read_checkpoint(path)
-    return {name: cp.tensor_bytes(name) for name in cp.names()}
+    with read_checkpoint(path) as cp:
+        return {name: cp.tensor_bytes(name) for name in cp.names()}
 
 
 def test_revert_no_groups_is_identity(tmp_path):
@@ -628,16 +648,16 @@ def test_mav_of_identical_checkpoints_is_zero(tmp_path):
 
 def test_mav_constant_shift_on_one_layer(tmp_path):
     a_path = make_checkpoint(tmp_path / "a.safetensors", seed=23, dtype="F64")
-    a = read_checkpoint(a_path)
-    tensors = {
-        e.name: (e.dtype, e.shape, a.tensor_bytes(e.name)) for e in a.entries
-    }
-    shift = 0.125  # exactly representable
-    for name in layer_group(SCHEME, 5, a.names()):
-        arr = np.frombuffer(a.tensor_bytes(name), dtype="<f8") + shift
-        tensors[name] = ("F64", a.entry(name).shape, arr.astype("<f8").tobytes())
     b_path = tmp_path / "b.safetensors"
-    write_checkpoint(b_path, tensors, metadata=a.metadata)
+    with read_checkpoint(a_path) as a:
+        tensors = {
+            e.name: (e.dtype, e.shape, a.tensor_bytes(e.name)) for e in a.entries
+        }
+        shift = 0.125  # exactly representable
+        for name in layer_group(SCHEME, 5, a.names()):
+            arr = np.frombuffer(a.tensor_bytes(name), dtype="<f8") + shift
+            tensors[name] = ("F64", a.entry(name).shape, arr.astype("<f8").tobytes())
+        write_checkpoint(b_path, tensors, metadata=a.metadata)
 
     report = mav_report(a_path, b_path, SCHEME)
     assert report.per_group["layer 5"] == pytest.approx(shift, rel=0, abs=0)
@@ -655,14 +675,14 @@ def test_mav_symmetry_and_linearity(tmp_path):
     assert forward.global_variance == backward.global_variance
 
     # c = a + 2(b - a): doubles every difference exactly in float64
-    a, b = read_checkpoint(a_path), read_checkpoint(b_path)
-    tensors = {}
-    for entry in a.entries:
-        va = np.frombuffer(a.tensor_bytes(entry.name), dtype="<f8")
-        vb = np.frombuffer(b.tensor_bytes(entry.name), dtype="<f8")
-        tensors[entry.name] = ("F64", entry.shape, (va + 2.0 * (vb - va)).tobytes())
     c_path = tmp_path / "c.safetensors"
-    write_checkpoint(c_path, tensors, metadata=a.metadata)
+    with read_checkpoint(a_path) as a, read_checkpoint(b_path) as b:
+        tensors = {}
+        for entry in a.entries:
+            va = np.frombuffer(a.tensor_bytes(entry.name), dtype="<f8")
+            vb = np.frombuffer(b.tensor_bytes(entry.name), dtype="<f8")
+            tensors[entry.name] = ("F64", entry.shape, (va + 2.0 * (vb - va)).tobytes())
+        write_checkpoint(c_path, tensors, metadata=a.metadata)
 
     doubled = mav_report(a_path, c_path, SCHEME)
     for key in forward.per_group:
@@ -759,7 +779,8 @@ def test_trailing_bytes_after_no_tensors_rejected(tmp_path):
 def test_contiguous_ranges_in_any_header_order_accepted(tmp_path):
     path = tmp_path / "ok.safetensors"
     _raw_container(path, {"b": (8, 16), "a": (0, 8), "z": (16, 16)}, 16)
-    assert sorted(read_checkpoint(path).names()) == ["a", "b", "z"]
+    with read_checkpoint(path) as cp:
+        assert sorted(cp.names()) == ["a", "b", "z"]
 
 
 def test_empty_tensor_at_a_shared_offset_loads_in_either_header_order(tmp_path):
@@ -767,7 +788,8 @@ def test_empty_tensor_at_a_shared_offset_loads_in_either_header_order(tmp_path):
         ranges = {"a": (0, 8), "z": (0, 0)}
         path = tmp_path / f"{''.join(order)}.safetensors"
         _raw_container(path, {name: ranges[name] for name in order}, 8)
-        assert sorted(read_checkpoint(path).names()) == ["a", "z"]
+        with read_checkpoint(path) as cp:
+            assert sorted(cp.names()) == ["a", "z"]
 
 
 @pytest.mark.parametrize("ranges", [
@@ -791,13 +813,13 @@ def test_tensor_bytes_reads_a_byte_range(tmp_path):
     data = np.arange(10, dtype="<f4").tobytes()
     path = tmp_path / "r.safetensors"
     write_checkpoint(path, {"a": ("F32", (2,), b"\x01" * 8), "t": ("F32", (10,), data)})
-    cp = read_checkpoint(path)
-    assert cp.tensor_bytes("t", 4, 12) == data[4:12]
-    assert cp.tensor_bytes("t", 36) == data[36:]
-    assert cp.tensor_bytes("t", 40, 40) == b""
-    for start, stop in ((0, 41), (8, 4), (-1, 4)):
-        with pytest.raises(SurgeryError, match="outside"):
-            cp.tensor_bytes("t", start, stop)
+    with read_checkpoint(path) as cp:
+        assert cp.tensor_bytes("t", 4, 12) == data[4:12]
+        assert cp.tensor_bytes("t", 36) == data[36:]
+        assert cp.tensor_bytes("t", 40, 40) == b""
+        for start, stop in ((0, 41), (8, 4), (-1, 4)):
+            with pytest.raises(SurgeryError, match="outside"):
+                cp.tensor_bytes("t", start, stop)
 
 
 def test_tensor_f64_decodes_an_element_range(tmp_path):
@@ -808,15 +830,16 @@ def test_tensor_f64_decodes_an_element_range(tmp_path):
         "h": ("F16", (9,), values.astype("<f2").tobytes()),
         "b": ("BF16", (9,), bf16.tobytes()),
     })
-    cp = read_checkpoint(path)
-    assert cp.tensor_f64("h", 2, 5).tolist() == values.astype("<f2")[2:5].astype(np.float64).tolist()
-    assert cp.tensor_f64("b", 7).tolist() == (bf16[7:].astype(np.uint32) << 16).view("<f4").tolist()
+    with read_checkpoint(path) as cp:
+        assert cp.tensor_f64("h", 2, 5).tolist() == values.astype("<f2")[2:5].astype(np.float64).tolist()
+        assert cp.tensor_f64("b", 7).tolist() == (bf16[7:].astype(np.uint32) << 16).view("<f4").tolist()
 
 
 def test_write_checkpoint_streams_chunk_sources(tmp_path):
     path = tmp_path / "c.safetensors"
     write_checkpoint(path, {"t": ("F32", (3,), iter([b"\x00" * 4, b"", b"\x01" * 8]))})
-    assert read_checkpoint(path).tensor_bytes("t") == b"\x00" * 4 + b"\x01" * 8
+    with read_checkpoint(path) as cp:
+        assert cp.tensor_bytes("t") == b"\x00" * 4 + b"\x01" * 8
     with pytest.raises(CheckpointFormatError, match="source provided 16 bytes, expected 12"):
         write_checkpoint(path, {"t": ("F32", (3,), (b"\x00" * 8 for _ in range(2)))})
 
@@ -839,37 +862,37 @@ def test_splice_of_tensor_larger_than_copy_chunk_is_byte_exact(tmp_path, monkeyp
         })
         return read_checkpoint(path)
 
-    base, donor = write(tmp_path / "base.safetensors"), write(tmp_path / "donor.safetensors")
-    reads = []
-    original = surgery.Checkpoint.tensor_bytes
+    with write(tmp_path / "base.safetensors") as base, write(tmp_path / "donor.safetensors") as donor:
+        reads = []
+        original = surgery.Checkpoint.tensor_bytes
 
-    def recording(self, name, start=0, stop=None):
-        data = original(self, name, start, stop)
-        reads.append(len(data))
-        return data
+        def recording(self, name, start=0, stop=None):
+            data = original(self, name, start, stop)
+            reads.append(len(data))
+            return data
 
-    monkeypatch.setattr(surgery.Checkpoint, "tensor_bytes", recording)
-    swap_layers(base, donor, [], SCHEME, tmp_path / "out.safetensors", include_embeddings=True)
-    assert max(reads) == surgery.COPY_CHUNK_BYTES
-    assert sum(reads) == sum(base.entry(name).nbytes for name in tensors)
-    monkeypatch.undo()
-    out = read_checkpoint(tmp_path / "out.safetensors")
-    assert out.tensor_bytes("embeddings.word.weight") == donor.tensor_bytes("embeddings.word.weight")
-    assert out.tensor_bytes("encoder.layer.0.w") == base.tensor_bytes("encoder.layer.0.w")
-    assert out.tensor_bytes("classifier.w") == base.tensor_bytes("classifier.w")
+        monkeypatch.setattr(surgery.Checkpoint, "tensor_bytes", recording)
+        swap_layers(base, donor, [], SCHEME, tmp_path / "out.safetensors", include_embeddings=True)
+        assert max(reads) == surgery.COPY_CHUNK_BYTES
+        assert sum(reads) == sum(base.entry(name).nbytes for name in tensors)
+        monkeypatch.undo()
+        with read_checkpoint(tmp_path / "out.safetensors") as out:
+            assert out.tensor_bytes("embeddings.word.weight") == donor.tensor_bytes("embeddings.word.weight")
+            assert out.tensor_bytes("encoder.layer.0.w") == base.tensor_bytes("encoder.layer.0.w")
+            assert out.tensor_bytes("classifier.w") == base.tensor_bytes("classifier.w")
 
 
 def _two_pass_mav(a_path, b_path, scheme):
     """Whole-array oracle: per-group mean |a - b| and np.var of all a - b."""
-    a, b = read_checkpoint(a_path), read_checkpoint(b_path)
     diffs = {}
-    for name in a.names():
-        dtype = NUMPY_DTYPES[a.entry(name).dtype]
-        diff = (np.frombuffer(a.tensor_bytes(name), dtype=dtype).astype(np.float64)
-                - np.frombuffer(b.tensor_bytes(name), dtype=dtype).astype(np.float64))
-        key = scheme.classify(name)
-        key = f"layer {key}" if isinstance(key, int) else key
-        diffs.setdefault(key, []).append(diff)
+    with read_checkpoint(a_path) as a, read_checkpoint(b_path) as b:
+        for name in a.names():
+            dtype = NUMPY_DTYPES[a.entry(name).dtype]
+            diff = (np.frombuffer(a.tensor_bytes(name), dtype=dtype).astype(np.float64)
+                    - np.frombuffer(b.tensor_bytes(name), dtype=dtype).astype(np.float64))
+            key = scheme.classify(name)
+            key = f"layer {key}" if isinstance(key, int) else key
+            diffs.setdefault(key, []).append(diff)
     per_group = {key: float(np.abs(np.concatenate(d)).mean()) for key, d in diffs.items()}
     return per_group, float(np.var(np.concatenate([x for d in diffs.values() for x in d])))
 
