@@ -21,6 +21,10 @@ A block written as ``write_dataset`` writes it is read by one pattern match
 and built without checking again what the match proved; any other block is
 read line by line with every check. ``Utterance(...)`` always checks.
 
+Every corpus is read 64 KiB at a time (``_read_pieces``): a load decodes each
+piece, reads its line ends as LF and parses its chunks before it reads the
+next, so it never holds the file's bytes or its whole text.
+
 Inside a :class:`DatasetStore` scope (a pipeline run holds one),
 ``load_dataset`` and ``save_dataset`` keep the datasets they parse or write,
 so a later load of an unchanged file with the same format options parses
@@ -29,16 +33,17 @@ nothing.
 
 from __future__ import annotations
 
-import io
+import codecs
 import json
 import os
 import re
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
@@ -263,67 +268,92 @@ def parse_dataset(
     whitespace-only lines ends a block. Malformed slot tags are kept
     verbatim; structural problems (ragged token lines, missing required
     intent, a duplicate id) raise :class:`ParseError` with a line number.
-
-    Each line is read once: ``str.find`` walks the text one chunk between
-    empty lines at a time, so only the lines of the current chunk are held,
-    never a list of every line of the document. A chunk that is one written
-    block is checked by one ``_written_block`` match; any other is read line
-    by line. Either way ``_utterance`` reads the comments and builds the
-    utterance. Equal tokens, slot tags, intents and varieties are one shared
-    string object across the whole dataset.
     """
     if not isinstance(source, str):
         source = "\n".join(line.removesuffix("\n") for line in source)
-    text = _lf(source)
+    return _parse_pieces((source,), options, name)
+
+
+def _parse_pieces(pieces: Iterable[str], options: FormatOptions, name: str) -> Dataset:
+    """:func:`parse_dataset` of the text ``pieces`` make when joined.
+
+    Each line is read once: ``_chunks`` cuts the text one chunk between
+    empty lines at a time, so only the lines of the current chunk and one
+    piece are held, never the whole text or a list of its lines. A chunk
+    that is one written block is checked by one ``_written_block`` match;
+    any other is read line by line. Either way ``_utterance`` reads the
+    comments and builds the utterance. Equal tokens, slot tags, intents and
+    varieties are one shared string object across the whole dataset.
+    """
     width = max(options.token_col, options.tag_col) + 1
     written = _written_pattern(options.token_col, options.tag_col)
     shared: dict[str, str] = {}  # one object per distinct token, tag, intent and variety
     share = shared.setdefault
     utterances: list[Utterance] = []
+    # each utterance's first line, for a duplicate id's error: 8 bytes each, where
+    # a list of ints takes about 40
+    starts = bytearray()
     heads: list[str] = []  # the open block's comment lines
     tokens: list[str] = []
     tags: list[str] = []
     first = 0  # line number of the open block's first line; 0 while no block is open
     lineno = 0
-    start = 0
-    while True:
-        stop = text.find("\n\n", start)
-        # a chunk runs up to and including the first of the two line breaks,
-        # so its last line is the blank line that ends the open block
-        chunk = text[start : stop + 1 if stop >= 0 else len(text)]
+    for chunk in _chunks(_lf(pieces)):
+        # a chunk runs up to and including the first of two line breaks in a
+        # row, so its last line is the blank line that ends the open block
         utterance = _written_block(chunk, lineno + 1, len(utterances), options, written, shared)
         if utterance is not None:
+            starts += (lineno + 1).to_bytes(8, sys.byteorder)
             utterances.append(utterance)
             lineno += chunk.count("\n") + 1
-        else:
-            for lineno, line in enumerate(chunk.split("\n"), lineno + 1):
-                if not line.strip():
-                    if first:
-                        utterances.append(_utterance(heads, tokens, tags, first, len(utterances), options, shared))
-                        heads, tokens, tags, first = [], [], [], 0
-                    continue
-                first = first or lineno
-                if line.startswith(_COMMENT_PREFIX):
-                    heads.append(line)
-                    continue
-                cols = line.split("\t")
-                if len(cols) < width:
-                    raise ParseError(
-                        f"line {lineno}: expected at least {width} tab-separated columns, "
-                        f"got {len(cols)}: {line!r}"
-                    )
-                token, tag = cols[options.token_col], cols[options.tag_col]
-                tokens.append(share(token, token))
-                tags.append(share(tag, tag))
-        if stop < 0:
-            break
-        start = stop + 2
+            continue
+        for lineno, line in enumerate(chunk.split("\n"), lineno + 1):
+            if not line.strip():
+                if first:
+                    starts += first.to_bytes(8, sys.byteorder)
+                    utterances.append(_utterance(heads, tokens, tags, first, len(utterances), options, shared))
+                    heads, tokens, tags, first = [], [], [], 0
+                continue
+            first = first or lineno
+            if line.startswith(_COMMENT_PREFIX):
+                heads.append(line)
+                continue
+            cols = line.split("\t")
+            if len(cols) < width:
+                raise ParseError(
+                    f"line {lineno}: expected at least {width} tab-separated columns, "
+                    f"got {len(cols)}: {line!r}"
+                )
+            token, tag = cols[options.token_col], cols[options.tag_col]
+            tokens.append(share(token, token))
+            tags.append(share(tag, tag))
     if first:
+        starts += first.to_bytes(8, sys.byteorder)
         utterances.append(_utterance(heads, tokens, tags, first, len(utterances), options, shared))
     try:
         return Dataset(name=name, utterances=tuple(utterances))
     except ValueError as exc:
-        raise _duplicate_id_error(text, utterances) from exc
+        raise _duplicate_id_error(starts, utterances) from exc
+
+
+def _chunks(pieces: Iterable[str]) -> Iterator[str]:
+    """The text ``pieces`` make when joined, cut after the first of each two
+    line breaks in a row (the second is dropped), then what follows the last
+    such pair: the chunks a ``str.find("\\n\\n")`` walk over the joined text
+    cuts, holding no more than the open chunk and one piece."""
+    held: list[str] = []  # the open chunk's text from earlier pieces
+    for piece in pieces:
+        start = 0
+        if held and held[-1].endswith("\n") and piece.startswith("\n"):
+            yield "".join(held)
+            held, start = [], 1
+        while (stop := piece.find("\n\n", start)) >= 0:
+            held.append(piece[start : stop + 1])
+            yield "".join(held)
+            held, start = [], stop + 2
+        if start < len(piece):
+            held.append(piece[start:])
+    yield "".join(held)
 
 
 def _written_pattern(token_col: int, tag_col: int) -> re.Pattern[str]:
@@ -398,18 +428,17 @@ def _utterance(
         raise ParseError(f"block at line {first_lineno}: {exc}") from exc
 
 
-def _duplicate_id_error(text: str, utterances: list[Utterance]) -> ParseError:
+def _duplicate_id_error(starts: bytearray, utterances: list[Utterance]) -> ParseError:
     """The error naming the first lines of the first block whose id an earlier
-    block used and of that block; each block of ``text`` gave one utterance."""
+    block used and of that block; ``starts`` holds each block's first line."""
+    first_lines = memoryview(starts).cast("Q")
     first_use: dict[str, int] = {}
     for later, utterance in enumerate(utterances):
         if (earlier := first_use.setdefault(utterance.id, later)) != later:
             break
-    lines = text.split("\n")
-    starts = [n for n, (prev, line) in enumerate(zip(["", *lines], lines), 1) if line.strip() and not prev.strip()]
     return ParseError(
-        f"line {starts[later]}: duplicate utterance id {utterance.id!r} "
-        f"(first used by the block at line {starts[earlier]})"
+        f"line {first_lines[later]}: duplicate utterance id {utterance.id!r} "
+        f"(first used by the block at line {first_lines[earlier]})"
     )
 
 
@@ -448,50 +477,107 @@ def _write_block(utt: Utterance, options: FormatOptions) -> str:
     return "\n".join(lines)
 
 
+# Files are read this many bytes at a time: below glibc's 128 KiB mmap threshold,
+# so each piece is taken from the heap and handed back to it for the next
+_PIECE_SIZE = 1 << 16
+
+
+@contextmanager
+def _read_pieces(path: str | Path) -> Iterator[Iterator[bytes]]:
+    """The bytes of the file ``path``, ``_PIECE_SIZE`` at a time; the file
+    is open while the block runs. Corpora, the files ``read_text`` reads
+    and the files ``sha256_file`` hashes are read through this, so none of
+    these reads holds a whole file's bytes."""
+    with open(path, "rb", buffering=0) as fh:
+        yield iter(lambda: fh.read(_PIECE_SIZE), b"")
+
+
+def sha256_file(path: str | Path) -> str:
+    """The hex SHA-256 of the file ``path``'s bytes."""
+    from hashlib import sha256
+
+    digest = sha256()
+    with _read_pieces(path) as pieces:
+        for piece in pieces:
+            digest.update(piece)
+    return digest.hexdigest()
+
+
 def read_text(path: str | Path, parse: Callable = str):
-    """``parse`` applied to the file's :func:`decode_text`; a ValueError names the file."""
-    with naming(path):
-        return parse(decode_text(Path(path).read_bytes()))
+    """``parse`` applied to the file's UTF-8 text, read as :func:`decode_text`
+    reads bytes; a ValueError names the file."""
+    with _read_pieces(path) as pieces, naming(path):
+        return parse("".join(_lf(_decoded(pieces))))
 
 
 def decode_text(data: bytes) -> str:
-    """``data`` decoded as UTF-8, then :func:`_lf`. An invalid byte raises
-    ParseError naming the byte and its 1-based line and column (in bytes)."""
-    return _lf(_decode_utf8(data))
+    """``data`` decoded as UTF-8 (:func:`_decoded`), less one leading
+    byte-order mark, with CRLF and CR read as LF."""
+    return "".join(_lf(_decoded((data,))))
 
 
-def _lf(text: str) -> str:
-    """``text`` less one leading byte-order mark, with CRLF and CR read as LF."""
-    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+def _decoded(pieces: Iterable[bytes]) -> Iterator[str]:
+    """The UTF-8 text of each of ``pieces``, a character cut between two
+    pieces going with the later one. An invalid byte raises ParseError
+    naming the byte and its 1-based line and column (in bytes)."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    # of the bytes before ``piece``: their count, the line their end is on,
+    # where that line starts, and whether they end in a CR
+    offset, line, line_start, cr = 0, 1, 0, False
 
-
-def _decode_utf8(data: bytes) -> str:
-    """:func:`decode_text` keeping the mark and line ends, for a corpus:
-    ``parse_dataset`` drops one mark, so a file with two still fails to parse."""
-    # bytes.decode runs the same decoder, yet read 0.1-0.3 MB more peak RSS in the
-    # text-sweep benchmark (CPython 3.11, glibc): an allocator-layout effect
-    try:
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="").read()
-    except UnicodeDecodeError as exc:
-        at = exc.start  # read() decodes all of ``data`` in one call
+    def advance(data: bytes) -> None:
+        nonlocal offset, line, line_start, cr
         # CRLF, CR and LF each end a line, as in the decoded text
-        line = 1 + data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
-        column = at - max(data.rfind(b"\n", 0, at), data.rfind(b"\r", 0, at))
-        raise ParseError(f"invalid UTF-8 byte 0x{data[at]:02x} at line {line}, column {column}") from None
+        line += data.count(b"\n")
+        if cr or b"\r" in data:  # the test is far cheaper than the counts
+            line += data.count(b"\r") - data.count(b"\r\n") - (cr and data.startswith(b"\n"))
+        if (last := max(data.rfind(b"\n"), data.rfind(b"\r"))) >= 0:
+            line_start = offset + last + 1
+        offset, cr = offset + len(data), data.endswith(b"\r")
+
+    for piece in chain(pieces, (b"",)):  # the empty last piece ends a character cut off at the end
+        try:
+            text = decode(piece, not piece)
+        except UnicodeDecodeError as exc:
+            # exc.object is the undecoded end of the pieces before, which holds
+            # no line break, then ``piece``
+            at = exc.start - (len(exc.object) - len(piece))
+            advance(piece[: max(at, 0)])
+            column = offset + min(at, 0) - line_start + 1
+            raise ParseError(
+                f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x} at line {line}, column {column}"
+            ) from None
+        advance(piece)
+        yield text
+
+
+def _lf(texts: Iterable[str]) -> Iterator[str]:
+    """``texts`` less one leading byte-order mark, with CRLF and CR read as
+    LF; a CR that ends one text waits for the next, which may open with its LF."""
+    head = True  # no character yet, so a byte-order mark here is dropped
+    cr = ""
+    for text in texts:
+        if head and text:
+            text, head = text.removeprefix("\ufeff"), False
+        text = cr + text
+        cr = "\r" if text.endswith("\r") else ""
+        yield text[: len(text) - len(cr)].replace("\r\n", "\n").replace("\r", "\n")
+    if cr:
+        yield "\n"
 
 
 class DatasetStore:
     """The datasets parsed or written in a ``with DatasetStore():`` scope.
 
     Each entry sits under its file's absolute path with the SHA-256 of the
-    file's bytes and the FormatOptions it was parsed or written with.
-    ``load_dataset`` serves a dataset from the store only when all three
-    match. The scope lives in a ContextVar, so a thread started inside it
+    bytes it was parsed from or written as and the FormatOptions it was
+    parsed or written with. ``load_dataset`` serves a dataset from the
+    store only when all three match. The scope lives in a ContextVar, so a thread started inside it
     sees no store; outside every scope nothing is stored or hashed.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, tuple[bytes, FormatOptions, Dataset]] = {}
+        self._entries: dict[str, tuple[str, FormatOptions, Dataset]] = {}
 
     def __enter__(self) -> "DatasetStore":
         self._token = _active_store.set(self)
@@ -506,11 +592,11 @@ class DatasetStore:
         for key in self._entries.keys() - wanted:
             del self._entries[key]
 
-    def get(self, path: Path, digest: bytes, options: FormatOptions) -> Dataset | None:
+    def get(self, path: Path, digest: str, options: FormatOptions) -> Dataset | None:
         entry = self._entries.get(os.path.abspath(path))
         return entry[2] if entry is not None and entry[:2] == (digest, options) else None
 
-    def put(self, path: Path, digest: bytes, options: FormatOptions, dataset: Dataset) -> None:
+    def put(self, path: Path, digest: str, options: FormatOptions, dataset: Dataset) -> None:
         self._entries[os.path.abspath(path)] = (digest, options, dataset)
 
 
@@ -530,20 +616,32 @@ def load_dataset(
     """
     path = Path(path)
     name = name if name is not None else path.stem
-    data = path.read_bytes()
     store = _active_store.get()
     if store is not None:
-        from hashlib import sha256
-
-        digest = sha256(data).digest()
-        stored = store.get(path, digest, options)
+        stored = store.get(path, sha256_file(path), options)
         if stored is not None:
             return Dataset(name=name, utterances=stored.utterances)
-    with naming(path):
-        dataset = parse_dataset(_decode_utf8(data), options, name=name)
+        from hashlib import sha256
+
+        digest = sha256()  # of the bytes parsed, which the file may no longer hold
+    with _read_pieces(path) as pieces, naming(path):
+        texts = _decoded(pieces if store is None else _hashed(pieces, digest))
+        try:
+            dataset = _parse_pieces(texts, options, name)
+        except ParseError:
+            for _ in texts:  # a byte that is not UTF-8 further on is the error to name
+                pass
+            raise
     if store is not None:
-        store.put(path, digest, options, dataset)
+        store.put(path, digest.hexdigest(), options, dataset)
     return dataset
+
+
+def _hashed(pieces: Iterable[bytes], digest) -> Iterator[bytes]:
+    """``pieces``, each added to ``digest`` as it is taken."""
+    for piece in pieces:
+        digest.update(piece)
+        yield piece
 
 
 def save_dataset(dataset: Dataset, path: str | Path, options: FormatOptions = DEFAULT_FORMAT) -> None:
@@ -570,7 +668,7 @@ def save_dataset(dataset: Dataset, path: str | Path, options: FormatOptions = DE
             if digest is not None:
                 digest.update(data)
     if digest is not None:
-        store.put(path, digest.digest(), options, dataset)
+        store.put(path, digest.hexdigest(), options, dataset)
 
 
 # ---------------------------------------------------------------------------

@@ -41,20 +41,12 @@ import json
 from pathlib import Path
 from typing import Container
 
-from .corpus import DatasetStore, decode_text
+from .corpus import DatasetStore, decode_text, sha256_file
 from .files import named_descriptor, naming, replace_file
 
 
 class PipelineError(ValueError):
     pass
-
-
-def sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _step_argv(i: int, step: object, commands: Container[str]) -> list[str]:

@@ -189,7 +189,8 @@ class Checkpoint:
         while len(data) < stop - start:  # one pread returns at most about 2 GiB
             more = os.pread(self._file.fileno(), stop - start - len(data), offset + len(data))
             if not more:
-                raise CheckpointFormatError(f"tensor {name!r}: data region truncated")
+                with naming(self.path):
+                    raise CheckpointFormatError(f"tensor {name!r}: data region truncated")
             data += more
         return data
 
@@ -649,7 +650,7 @@ def mav_report(
                 m2 += chunk_m2 + delta * delta * (total - n) * n / total
 
     if total == 0:
-        raise SurgeryError("checkpoints contain no parameters")
+        raise SurgeryError(f"checkpoints {a.path} and {b.path} contain no parameters")
     return MavReport(
         per_group={key: abs_sums[key] / counts[key] for key in abs_sums},
         global_variance=m2 / total,

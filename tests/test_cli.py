@@ -686,7 +686,7 @@ def test_surgery_mav_refuses_checkpoints_of_empty_tensors(tmp_path, capsys):
     argv = ["surgery", "mav", "--a", str(tmp_path / "a.st"), "--b", str(tmp_path / "b.st"), "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("sidkit: error: ") and err.endswith("checkpoints contain no parameters\n")
+    assert err == f"sidkit: error: checkpoints {tmp_path / 'a.st'} and {tmp_path / 'b.st'} contain no parameters\n"
     assert not out.exists()
 
 

@@ -1,11 +1,15 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import itertools
+import os
 import pickle
 import random
 import re
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -593,6 +597,111 @@ def test_arbitrary_bytes_load_or_raise_parse_error(tmp_path, data):
 
 
 # ---------------------------------------------------------------------------
+# Reading a file a piece at a time
+# ---------------------------------------------------------------------------
+
+PIECE_SIZES = (1, 2, 3, 7)
+
+
+def whole_file_result(data):
+    """What loading the file ``data`` gave when it was decoded and parsed
+    whole: the dataset, or the ParseError's text without the file's name."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        line = 1 + data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
+        column = at - max(data.rfind(b"\n", 0, at), data.rfind(b"\r", 0, at))
+        return f"invalid UTF-8 byte 0x{data[at]:02x} at line {line}, column {column}"
+    try:
+        return parse_dataset(text, name="gen")
+    except ParseError as exc:
+        return str(exc)
+
+
+def _loaded(path):
+    """``load_dataset(path)``, or its ParseError's text without the file's name."""
+    try:
+        return load_dataset(path, name="gen")
+    except ParseError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return str(exc).removeprefix(f"{path}: ")
+
+
+@st.composite
+def corpus_files(draw):
+    """The bytes of a document: LF, CRLF or CR line ends behind no, one or
+    two byte-order marks, perhaps with an id used twice or a byte that is
+    not UTF-8."""
+    _, lines = draw(documents())
+    ids = [k for k, line in enumerate(lines) if line.startswith("# id: ")]
+    if len(ids) > 1 and draw(st.booleans()):
+        earlier, later = sorted(draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)))
+        lines[later] = lines[earlier]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = draw(st.sampled_from(["", "\ufeff", "\ufeff\ufeff"])) + end.join(lines) + end
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+@given(corpus_files())
+@example(TWO_BLOCKS.replace("\n", "\r\n").encode("utf-8"))
+@example(("\ufeff" + TWO_BLOCKS.replace("\n", "\r")).encode("utf-8"))
+@example(("\ufeff\ufeff" + TWO_BLOCKS).encode("utf-8"))
+@example("# id: 1\n# text: sø\n# intent: x\nø\tO\n".encode("utf-8"))
+@example(b"# ok\r\nab\xffcd\n")  # "invalid UTF-8 byte 0xff at line 2, column 3"
+@example(b"# id: 1\xff\n")  # the bad byte opens the second piece of 7
+@example(b"# ok\r\n\xc3\xb8\xc3(")  # a bad second byte
+@example(b"# ok\r\r\n\xc3")  # a character cut off by the end of the file
+@example(b"# id: 1\n# intent: x\na\tO\n\n# id: 1\n# intent: x\nb\t\xc3")
+@example(b"# id: 1\n# intent: x\na\tO\n\n\n# id: 2\n# intent: x\nb\tO\n\n# id: 1\n# intent: x\nc\tO\n")
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_load_reads_the_same_at_every_piece_size(tmp_path, data):
+    path = tmp_path / "gen.conll"
+    path.write_bytes(data)
+    want = whole_file_result(data)
+    for size in PIECE_SIZES:
+        with mock.patch.object(corpus, "_PIECE_SIZE", size):
+            assert _loaded(path) == want, size
+            with DatasetStore() as store:
+                assert _loaded(path) == want, size
+                if isinstance(want, Dataset):  # stored under the digest of the bytes parsed
+                    assert store._entries[os.path.abspath(path)][0] == hashlib.sha256(data).hexdigest()
+                    assert load_dataset(path).utterances is store._entries[os.path.abspath(path)][2].utterances
+
+
+@given(st.text(alphabet="a\n", max_size=40), st.lists(st.integers(0, 40)))
+@settings(max_examples=300)
+def test_chunks_cut_pieces_where_a_walk_over_the_whole_text_cuts(text, cuts):
+    cuts = sorted({min(cut, len(text)) for cut in cuts})
+    pieces = [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])]
+    parts = text.split("\n\n")
+    assert list(corpus._chunks(pieces)) == [part + "\n" for part in parts[:-1]] + parts[-1:]
+
+
+def test_the_store_keeps_the_digest_of_the_bytes_it_parsed(tmp_path, monkeypatch):
+    path = tmp_path / "d.conll"
+    path.write_text("# id: 1\n# intent: a\nx\tO\n", encoding="utf-8")
+    looked_up = corpus.sha256_file
+
+    def rewritten_after_lookup(p):
+        digest = looked_up(p)
+        path.write_text("# id: 1\n# intent: b\nx\tO\n", encoding="utf-8")
+        return digest
+
+    with DatasetStore() as store:
+        monkeypatch.setattr(corpus, "sha256_file", rewritten_after_lookup)
+        first = load_dataset(path)
+        monkeypatch.undo()
+        assert first.utterances[0].intent == "b"
+        assert store._entries[os.path.abspath(path)][0] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert load_dataset(path).utterances is first.utterances
+
+
+# ---------------------------------------------------------------------------
 # Independent oracle: a two-walk parser, which first groups the lines into
 # blocks and then walks each block's lines again
 # ---------------------------------------------------------------------------
@@ -1016,6 +1125,36 @@ def test_save_peak_is_under_a_quarter_of_the_file(tmp_path):
     size = path.stat().st_size
     assert size > 1.8e6
     assert peak < 0.25 * size, peak / size
+
+
+def test_a_load_peaks_at_most_0_3_mb_above_what_it_keeps(tmp_path):
+    path = tmp_path / "big.conll"
+    path.write_text(_synthetic_corpus(seed=8, size=3500), encoding="utf-8")
+    assert 1e6 < path.stat().st_size < 1.2e6
+    load_dataset(path)  # warm the pattern and tag caches first
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == 3500
+    assert peak - retained <= 0.3e6, peak - retained
+
+
+def test_no_load_reads_a_whole_file(tmp_path, monkeypatch):
+    path = tmp_path / "d.conll"
+    path.write_text(TWO_BLOCKS, encoding="utf-8")
+
+    def refused(self):
+        raise AssertionError(f"read_bytes({self})")
+
+    monkeypatch.setattr(Path, "read_bytes", refused)
+    want = parse_dataset(TWO_BLOCKS, name="d")
+    assert load_dataset(path) == want
+    with DatasetStore():
+        assert load_dataset(path) == want
+        assert load_dataset(path) == want
 
 
 def test_equal_tokens_tags_intents_and_varieties_are_one_object():

@@ -394,8 +394,8 @@ def test_steps_reuse_corpora_and_match_separate_command_lines(tmp_path, monkeypa
         assert main(_step_argv(i, step, build_parser().commands)) == 0
 
     parses, held = [], []
-    parse, step_main = corpus.parse_dataset, cli.main
-    monkeypatch.setattr(corpus, "parse_dataset", lambda *a, **k: parses.append(a) or parse(*a, **k))
+    parse, step_main = corpus._parse_pieces, cli.main
+    monkeypatch.setattr(corpus, "_parse_pieces", lambda *a, **k: parses.append(a) or parse(*a, **k))
     monkeypatch.setattr(cli, "main", lambda argv: held.append(sorted(
         os.path.basename(p) for p in _active_store()._entries)) or step_main(argv))
     monkeypatch.chdir(run)
