@@ -255,22 +255,16 @@ def _shared_span(start: int, end: int, label: str) -> Span:
 # ---------------------------------------------------------------------------
 
 
-def parse_dataset(
-    source: str | Iterable[str],
-    options: FormatOptions = DEFAULT_FORMAT,
-    name: str = "",
-) -> Dataset:
-    """Parse blank-line-separated utterance blocks into a Dataset.
+def parse_dataset(source: str, options: FormatOptions = DEFAULT_FORMAT, name: str = "") -> Dataset:
+    """Parse the blank-line-separated utterance blocks of the document
+    string ``source`` into a Dataset (:func:`load_dataset` parses a file).
 
-    ``source`` may be a whole document string or an iterable of lines. One
-    leading byte-order mark is dropped, and CRLF and lone CR line ends count
-    as LF, as in a file read with universal newlines. Any run of blank or
-    whitespace-only lines ends a block. Malformed slot tags are kept
+    One leading byte-order mark is dropped, and CRLF and lone CR line ends
+    count as LF, as in a file read with universal newlines. Any run of blank
+    or whitespace-only lines ends a block. Malformed slot tags are kept
     verbatim; structural problems (ragged token lines, missing required
     intent, a duplicate id) raise :class:`ParseError` with a line number.
     """
-    if not isinstance(source, str):
-        source = "\n".join(line.removesuffix("\n") for line in source)
     return _parse_pieces((source,), options, name)
 
 
@@ -592,9 +586,14 @@ class DatasetStore:
         for key in self._entries.keys() - wanted:
             del self._entries[key]
 
-    def get(self, path: Path, digest: str, options: FormatOptions) -> Dataset | None:
+    def get(self, path: Path, options: FormatOptions) -> Dataset | None:
+        """The dataset stored for ``path`` and ``options`` if the file still
+        holds the bytes it was stored with; the file is hashed only when
+        such an entry exists, so a first load reads it once."""
         entry = self._entries.get(os.path.abspath(path))
-        return entry[2] if entry is not None and entry[:2] == (digest, options) else None
+        if entry is None or entry[1] != options or entry[0] != sha256_file(path):
+            return None
+        return entry[2]
 
     def put(self, path: Path, digest: str, options: FormatOptions, dataset: Dataset) -> None:
         self._entries[os.path.abspath(path)] = (digest, options, dataset)
@@ -618,7 +617,7 @@ def load_dataset(
     name = name if name is not None else path.stem
     store = _active_store.get()
     if store is not None:
-        stored = store.get(path, sha256_file(path), options)
+        stored = store.get(path, options)
         if stored is not None:
             return Dataset(name=name, utterances=stored.utterances)
         from hashlib import sha256

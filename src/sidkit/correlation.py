@@ -90,12 +90,6 @@ def two_tailed_p(t: float, df: int) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
-def student_t_cdf(t: float, df: int) -> float:
-    """P(T <= t) for Student's t with df degrees of freedom."""
-    tail = 0.5 * two_tailed_p(t, df)
-    return 1.0 - tail if t > 0 else tail
-
-
 def p_from_correlation(r: float, n: int) -> float:
     """Two-tailed p for a correlation coefficient from n observations."""
     if n < 3:

@@ -37,7 +37,7 @@ import os
 import stat
 import struct
 from contextlib import ExitStack, contextmanager
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import InitVar, dataclass, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Sequence, Union
@@ -126,11 +126,8 @@ class Checkpoint:
     safe to share across threads; handles compare and hash by identity.
 
     ``close()``, or leaving a ``with`` block, closes the descriptor; later
-    reads raise ``ValueError``. ``copy.copy`` and ``copy.deepcopy`` give a
-    handle on a duplicate of the descriptor: the same file, open until the
-    copy itself is closed. A pickled handle holds no descriptor; loading it
-    reads the header at ``path`` again and raises ``CheckpointFormatError``
-    when it differs from the pickled one."""
+    reads raise ``ValueError``. ``copy.copy``, ``copy.deepcopy`` and pickling
+    raise ``TypeError``: a handle comes from ``read_checkpoint``."""
 
     path: Path
     entries: tuple[TensorEntry, ...]
@@ -157,16 +154,8 @@ class Checkpoint:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    def __copy__(self) -> Checkpoint:
-        duplicate = open(os.dup(self._file.fileno()), "rb", buffering=0)
-        return Checkpoint(self.path, self.entries, self.metadata, self.data_start, duplicate)
-
-    def __deepcopy__(self, memo: dict) -> Checkpoint:
-        return self.__copy__()
-
     def __reduce__(self) -> tuple:
-        metadata = None if self.metadata is None else dict(self.metadata)
-        return _reopen, (self.path, self.entries, metadata, self.data_start)
+        raise TypeError(f"a checkpoint handle cannot be copied or pickled; open {self.path} again with read_checkpoint")
 
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
@@ -194,39 +183,20 @@ class Checkpoint:
             data += more
         return data
 
-    def tensor_f64(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Elements ``[start, stop)`` of a float tensor decoded to float64
-        (the whole tensor by default)."""
-        import numpy as np
-
-        return self._float_values(name, start, stop).astype(np.float64)
-
-    def _float_values(self, name: str, start: int, stop: int | None, scratch: np.ndarray | None = None) -> np.ndarray:
+    def _float_values(self, name: str, start: int, stop: int, scratch: np.ndarray) -> np.ndarray:
         """Elements ``[start, stop)`` of a float tensor in an array that numpy
         widens to float64 exactly: a view of the raw bytes, or for BF16 each
-        16-bit pattern shifted into the high half of a uint32 (in ``scratch``,
-        when given) and viewed as float32. The one decode of tensor data."""
+        16-bit pattern shifted into the high half of a uint32 in ``scratch``
+        and viewed as float32. The one decode of tensor data."""
         import numpy as np
 
         dtype = self.entry(name).dtype
-        if dtype not in _FLOAT_NUMPY and dtype != "BF16":
-            raise SurgeryError(f"tensor {name!r}: dtype {dtype} is not a float type")
         size = DTYPE_SIZES[dtype]
-        raw = self.tensor_bytes(name, start * size, None if stop is None else stop * size)
+        raw = self.tensor_bytes(name, start * size, stop * size)
         if dtype != "BF16":
             return np.frombuffer(raw, dtype=_FLOAT_NUMPY[dtype])
         bits = np.frombuffer(raw, dtype="<u2")
-        wide = np.left_shift(bits, 16, out=None if scratch is None else scratch[: bits.size], dtype=np.uint32)
-        return wide.view(np.float32)
-
-
-def _reopen(path: Path, entries: tuple[TensorEntry, ...], metadata: dict | None, data_start: int) -> Checkpoint:
-    """A pickled handle loaded again: ``path`` read anew, refused if its header changed."""
-    cp = read_checkpoint(path)
-    if (cp.entries, cp.metadata, cp.data_start) != (entries, metadata, data_start):
-        cp.close()
-        raise CheckpointFormatError(f"{path}: header differs from the pickled handle's")
-    return cp
+        return np.left_shift(bits, 16, out=scratch[: bits.size], dtype=np.uint32).view(np.float32)
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
@@ -235,18 +205,19 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     keeps it. An error names the file, and the descriptor is closed."""
     path = Path(path)
     with naming(path), ExitStack() as on_error:
-        fh = on_error.enter_context(open(path, "rb", buffering=0))
-        st = os.fstat(fh.fileno())
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO with no writer does not block the open
+        on_error.callback(os.close, fd)
+        st = os.fstat(fd)
         if not stat.S_ISREG(st.st_mode):
             raise CheckpointFormatError("not a regular file; a checkpoint is read by offset")
         file_size = st.st_size
-        prefix = os.pread(fh.fileno(), _HEADER_LEN_BYTES, 0)
+        prefix = os.pread(fd, _HEADER_LEN_BYTES, 0)
         if len(prefix) < _HEADER_LEN_BYTES:
             raise CheckpointFormatError("file too small for a header length")
         (header_len,) = struct.unpack("<Q", prefix)
         if _HEADER_LEN_BYTES + header_len > file_size:
             raise CheckpointFormatError(f"header length {header_len} exceeds file size {file_size}")
-        header_raw = os.pread(fh.fileno(), header_len, _HEADER_LEN_BYTES)
+        header_raw = os.pread(fd, header_len, _HEADER_LEN_BYTES)
         try:
             header = json.loads(header_raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -302,9 +273,8 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
                 f"{data_size - covered} trailing bytes at file offset "
                 f"{data_start + covered}, after the last tensor"
             )
-        cp = Checkpoint(path, tuple(entries), metadata, data_start, fh)
         on_error.pop_all()  # the handle owns the descriptor now
-        return cp
+        return Checkpoint(path, tuple(entries), metadata, data_start, open(fd, "rb", buffering=0))
 
 
 TensorSource = Union[bytes, Iterable[bytes]]
@@ -573,18 +543,19 @@ class MavReport:
     per_group: dict[str, float]
     global_variance: float
     parameter_count: int
-    per_group_counts: dict[str, int] = field(default_factory=dict)
+    per_group_counts: dict[str, int]
+    non_float_tensors: tuple[str, ...]  # equal in both files, so in no statistic
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "per_group": {k: self.per_group[k] for k in sorted(self.per_group)},
-                "per_group_counts": {k: self.per_group_counts[k] for k in sorted(self.per_group_counts)},
-                "global_variance": self.global_variance,
-                "parameter_count": self.parameter_count,
-            },
-            indent=2,
-        )
+        report = {
+            "per_group": {k: self.per_group[k] for k in sorted(self.per_group)},
+            "per_group_counts": {k: self.per_group_counts[k] for k in sorted(self.per_group_counts)},
+            "global_variance": self.global_variance,
+            "parameter_count": self.parameter_count,
+        }
+        if self.non_float_tensors:
+            report["non_float_tensors"] = list(self.non_float_tensors)
+        return json.dumps(report, indent=2)
 
 
 def _group_key(group: GroupId | None) -> str:
@@ -603,10 +574,14 @@ def mav_report(
     """Per-group mean |a - b| over all scalar parameters, double accumulation.
 
     Both checkpoints must hold the same tensors (names, dtypes, shapes).
-    The global variance is the population variance of (a_i - b_i) over every
-    parameter in the file. Tensors are decoded MAV_CHUNK_ELEMENTS parameters
-    at a time into two float64 buffers allocated once per report, so memory
-    stays constant whatever the tensor sizes. Each chunk adds its |a - b| sum
+    A tensor that is not a float type (such as BERT's I64
+    ``embeddings.position_ids``) must hold the same bytes in both, compared
+    COPY_CHUNK_BYTES at a time; it counts in no statistic and is listed in
+    ``non_float_tensors``. The global variance is the population variance
+    of (a_i - b_i) over every parameter in the file. Tensors are decoded
+    MAV_CHUNK_ELEMENTS parameters at a time into two float64 buffers
+    allocated once per report, so memory stays constant whatever the tensor
+    sizes. Each chunk adds its |a - b| sum
     to its group, and its count, mean and sum of squared deviations
     (n, mean, M2) are merged into the running totals pairwise (Chan, Golub &
     LeVeque 1979), which stays accurate where E[x^2] - E[x]^2 cancels: a shift
@@ -616,6 +591,7 @@ def mav_report(
 
     abs_sums: dict[str, float] = {}
     counts: dict[str, int] = {}
+    non_float: list[str] = []
     total, mean, m2 = 0, 0.0, 0.0
     diff_buffer = np.empty(MAV_CHUNK_ELEMENTS)
     dev_buffer = np.empty(MAV_CHUNK_ELEMENTS)
@@ -630,6 +606,14 @@ def mav_report(
             entry = a.entry(name)
             _check_layout(entry, b.entry(name))
             key = _group_key(scheme.classify(name))
+            if entry.dtype not in _FLOAT_NUMPY and entry.dtype != "BF16":
+                if any(x != y for x, y in zip(_copy_chunks(a, name), _copy_chunks(b, name))):
+                    raise SurgeryError(
+                        f"tensor {name!r}: dtype {entry.dtype} is not a float type, "
+                        f"and its bytes differ between {a.path} and {b.path}"
+                    )
+                non_float.append(name)
+                continue
             size = math.prod(entry.shape)
             for start in range(0, size, MAV_CHUNK_ELEMENTS):
                 stop = min(start + MAV_CHUNK_ELEMENTS, size)
@@ -656,4 +640,5 @@ def mav_report(
         global_variance=m2 / total,
         parameter_count=total,
         per_group_counts=counts,
+        non_float_tensors=tuple(non_float),
     )

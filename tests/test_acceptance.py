@@ -16,7 +16,7 @@ from scipy import integrate
 
 from conftest import checkpoint_tensor_specs, make_checkpoint, random_bio_tags
 from sidkit.corpus import Dataset, Span, Utterance, extract_spans, write_dataset
-from sidkit.correlation import p_from_correlation, pearson, spearman, student_t_cdf
+from sidkit.correlation import p_from_correlation, pearson, spearman, two_tailed_p
 from sidkit.evaluate import MODES, PRF, span_f1
 from sidkit.noise import NoiseConfig, build_alphabet, noise_dataset
 from sidkit.normalize import normalize_token
@@ -277,9 +277,9 @@ def test_criterion_5_correlation_reproduction():
         for df in range(1, 31):
             for t in (-4.0, -1.0, 0.0, 0.7, 1.875, 3.5):
                 tail, _ = integrate.quad(
-                    t_pdf, t, math.inf, args=(df,), epsabs=1e-12, epsrel=1e-12
+                    t_pdf, abs(t), math.inf, args=(df,), epsabs=1e-12, epsrel=1e-12
                 )
-                assert abs(student_t_cdf(t, df) - (1.0 - tail)) <= 1e-8
+                assert abs(two_tailed_p(t, df) - 2 * tail) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

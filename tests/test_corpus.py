@@ -251,14 +251,6 @@ def test_parse_empty_stream():
     assert write_dataset(parse_dataset("")) == ""
 
 
-def test_parse_accepts_line_iterables(tmp_path):
-    path = tmp_path / "d.conll"
-    path.write_text(SAMPLE, encoding="utf-8")
-    with open(path, encoding="utf-8") as fh:
-        d = parse_dataset(fh)
-    assert d == parse_dataset(SAMPLE)
-
-
 TWO_BLOCKS = (
     "# id: 1\n# intent: alarm/set\n# variety: north\nvekk\tO\nmæ\tB-datetime\n"
     "\n"
@@ -270,8 +262,6 @@ def test_parse_treats_crlf_and_lone_cr_as_lf():
     lf = parse_dataset(TWO_BLOCKS)
     assert parse_dataset(TWO_BLOCKS.replace("\n", "\r\n")) == lf
     assert parse_dataset(TWO_BLOCKS.replace("\n", "\r")) == lf
-    crlf_lines = TWO_BLOCKS.replace("\n", "\r\n").splitlines(keepends=True)
-    assert parse_dataset(crlf_lines) == lf
     assert lf.utterances[0].slot_tags == ("O", "B-datetime")
 
 
@@ -689,16 +679,33 @@ def test_the_store_keeps_the_digest_of_the_bytes_it_parsed(tmp_path, monkeypatch
 
     def rewritten_after_lookup(p):
         digest = looked_up(p)
-        path.write_text("# id: 1\n# intent: b\nx\tO\n", encoding="utf-8")
+        path.write_text("# id: 1\n# intent: c\nx\tO\n", encoding="utf-8")
         return digest
 
     with DatasetStore() as store:
+        load_dataset(path)
+        path.write_text("# id: 1\n# intent: b\nx\tO\n", encoding="utf-8")
         monkeypatch.setattr(corpus, "sha256_file", rewritten_after_lookup)
-        first = load_dataset(path)
+        second = load_dataset(path)  # the lookup hashes "b", the parse reads "c"
         monkeypatch.undo()
-        assert first.utterances[0].intent == "b"
+        assert second.utterances[0].intent == "c"
         assert store._entries[os.path.abspath(path)][0] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert load_dataset(path).utterances is second.utterances
+
+
+def test_a_first_load_in_a_store_hashes_the_file_only_while_parsing_it(tmp_path, monkeypatch):
+    path = tmp_path / "d.conll"
+    path.write_text("# id: 1\n# intent: a\nx\tO\n", encoding="utf-8")
+    hashed = []
+    sha256_file = corpus.sha256_file
+    monkeypatch.setattr(corpus, "sha256_file", lambda p: hashed.append(p) or sha256_file(p))
+    with DatasetStore():
+        first = load_dataset(path)
+        assert hashed == []
         assert load_dataset(path).utterances is first.utterances
+        assert hashed == [path]
+        load_dataset(path, FormatOptions(variety="west"))  # no entry with these options
+        assert hashed == [path]
 
 
 # ---------------------------------------------------------------------------

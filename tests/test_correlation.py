@@ -13,7 +13,6 @@ from sidkit.correlation import (
     pearson,
     regularized_incomplete_beta,
     spearman,
-    student_t_cdf,
     two_tailed_p,
 )
 
@@ -41,9 +40,10 @@ def t_pdf(u, df):
     )
 
 
-def t_cdf_by_quadrature(t, df):
+def t_tail_by_quadrature(t, df):
+    """P(T >= t) under Student's t with df degrees of freedom."""
     tail, _ = integrate.quad(t_pdf, t, math.inf, args=(df,), epsabs=1e-12, epsrel=1e-12)
-    return 1.0 - tail
+    return tail
 
 
 def random_vectors(rng, n):
@@ -70,18 +70,18 @@ def test_incomplete_beta_against_scipy():
     assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
 
 
-def test_t_cdf_matches_numeric_integration_for_df_1_to_30():
+def test_two_tailed_p_matches_numeric_integration_for_df_1_to_30():
     for df in range(1, 31):
         for t in (-5.0, -2.0, -0.5, 0.0, 0.5, 1.0, 2.37171, 5.0):
-            assert student_t_cdf(t, df) == pytest.approx(
-                t_cdf_by_quadrature(t, df), abs=1e-8
+            assert two_tailed_p(t, df) == pytest.approx(
+                2 * t_tail_by_quadrature(abs(t), df), abs=1e-8
             ), (t, df)
 
 
-def test_t_cdf_against_scipy():
+def test_two_tailed_p_against_scipy():
     for df in (1, 5, 10, 30):
         for t in (-4.0, -1.0, 0.0, 1.5, 3.0):
-            assert student_t_cdf(t, df) == pytest.approx(stats.t.cdf(t, df), abs=1e-13)
+            assert two_tailed_p(t, df) == pytest.approx(2 * stats.t.sf(abs(t), df), abs=1e-13)
 
 
 def test_two_tailed_p_symmetry_and_edges():

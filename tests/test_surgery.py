@@ -5,6 +5,9 @@ import os
 import pickle
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,42 +130,13 @@ def test_checkpoint_keeps_a_copy_of_the_metadata_it_is_given(tmp_path):
         assert cp.metadata == {"k": "v"}
 
 
-def test_checkpoint_pickles_and_deep_copies_with_read_only_metadata(tmp_path):
-    with read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=1)) as cp:
-        for clone in (pickle.loads(pickle.dumps(cp)), copy.deepcopy(cp)):
-            with clone:
-                assert (clone.path, clone.entries, clone.data_start) == (cp.path, cp.entries, cp.data_start)
-                assert clone.metadata == {"origin": "synthetic"}
-                with pytest.raises(TypeError):
-                    clone.metadata["origin"] = "edited"
-                assert clone.tensor_bytes(cp.names()[0]) == cp.tensor_bytes(cp.names()[0])
-
-
-def test_copies_outlive_the_original_and_keep_its_file(tmp_path):
-    path = tmp_path / "a.st"
-    write_checkpoint(path, {"w": ("U8", [4], b"AAAA")})
-    cp = read_checkpoint(path)
-    shallow, deep = copy.copy(cp), copy.deepcopy(cp)
-    write_checkpoint(path, {"w": ("U8", [4], b"BBBB")})
-    cp.close()
-    with pytest.raises(ValueError):
-        cp.tensor_bytes("w")
-    for clone in (shallow, deep):
-        assert clone.tensor_bytes("w") == b"AAAA"
-        clone.close()
-
-
-def test_pickled_handle_reads_the_file_at_its_path_if_the_header_is_unchanged(tmp_path):
-    path = tmp_path / "a.st"
-    write_checkpoint(path, {"w": ("U8", [4], b"AAAA")})
+def test_copy_and_pickle_refuse_a_handle_that_still_reads_after(tmp_path):
+    path = make_checkpoint(tmp_path / "a.safetensors", seed=1)
     with read_checkpoint(path) as cp:
-        pickled = pickle.dumps(cp)
-    write_checkpoint(path, {"w": ("U8", [4], b"BBBB")})
-    with pickle.loads(pickled) as loaded:
-        assert loaded.tensor_bytes("w") == b"BBBB"
-    write_checkpoint(path, {"w": ("U8", [2], b"CC")})
-    with pytest.raises(CheckpointFormatError, match="header differs from the pickled handle's"):
-        pickle.loads(pickled)
+        for clone in (copy.copy, copy.deepcopy, pickle.dumps):
+            with pytest.raises(TypeError, match=re.escape(f"open {path} again with read_checkpoint")):
+                clone(cp)
+        assert cp.tensor_bytes(cp.names()[0])
 
 
 def test_handle_keeps_reading_the_file_it_validated_after_a_replace(tmp_path):
@@ -265,6 +239,23 @@ def test_read_checkpoint_refuses_a_file_it_cannot_read_by_offset(tmp_path):
             read_checkpoint(fifo)
     finally:
         os.close(writer)
+    with pytest.raises(CheckpointFormatError, match=f"{tmp_path}: not a regular file"):
+        read_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_surgery_mav_names_a_fifo_or_directory_input_without_blocking(tmp_path, kind):
+    path = tmp_path / kind
+    os.mkfifo(path) if kind == "fifo" else path.mkdir()
+    b = make_checkpoint(tmp_path / "b.safetensors", seed=2)
+    # a subprocess with a timeout: a FIFO that no process writes must not hang the suite
+    result = subprocess.run(
+        [sys.executable, "-m", "sidkit.cli", "surgery", "mav", "--a", str(path), "--b", str(b)],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"sidkit: error: {path}: not a regular file; a checkpoint is read by offset\n"
 
 
 def test_checkpoint_handle_refuses_duplicate_names(tmp_path):
@@ -718,14 +709,61 @@ def test_mav_rejects_structure_mismatch(tmp_path):
         mav_report(a, b, SCHEME)
 
 
-def test_mav_rejects_integer_tensors(tmp_path):
-    path_a = tmp_path / "a.safetensors"
-    path_b = tmp_path / "b.safetensors"
-    data = np.arange(4, dtype="<i4").tobytes()
-    for p in (path_a, path_b):
-        write_checkpoint(p, {"embeddings.ids": ("I32", (4,), data)})
-    with pytest.raises(SurgeryError, match="float"):
-        mav_report(path_a, path_b, NamingScheme(num_layers=1))
+def _position_ids_pair(tmp_path, b_ids):
+    """BERT-style checkpoints: an I64 ``embeddings.position_ids`` of shape [1, 4] next to F32 weights."""
+    rng = np.random.default_rng(29)
+    for path, ids in (("a.safetensors", [0, 1, 2, 3]), ("b.safetensors", b_ids)):
+        write_checkpoint(tmp_path / path, {
+            "embeddings.position_ids": ("I64", (1, 4), np.array([ids], dtype="<i8").tobytes()),
+            "embeddings.w": ("F32", (3,), rng.standard_normal(3).astype("<f4").tobytes()),
+            "encoder.layer.0.w": ("F32", (2,), rng.standard_normal(2).astype("<f4").tobytes()),
+        })
+    return tmp_path / "a.safetensors", tmp_path / "b.safetensors"
+
+
+def test_mav_leaves_out_and_lists_a_non_float_tensor_equal_in_both(tmp_path):
+    a, b = _position_ids_pair(tmp_path, [0, 1, 2, 3])
+    scheme = NamingScheme(num_layers=1)
+    report = mav_report(a, b, scheme)
+    assert report.parameter_count == 5
+    assert report.per_group_counts == {"embeddings": 3, "layer 0": 2}
+    assert report.non_float_tensors == ("embeddings.position_ids",)
+    assert json.loads(report.to_json())["non_float_tensors"] == ["embeddings.position_ids"]
+    # the float tensors alone give the same statistics, and no extra key
+    for path in (a, b):
+        with read_checkpoint(path) as cp:
+            write_checkpoint(path.with_suffix(".f32"), {
+                name: (cp.entry(name).dtype, cp.entry(name).shape, cp.tensor_bytes(name))
+                for name in cp.names() if name != "embeddings.position_ids"
+            })
+    floats = mav_report(a.with_suffix(".f32"), b.with_suffix(".f32"), scheme)
+    assert "non_float_tensors" not in json.loads(floats.to_json())
+    assert dataclasses.replace(report, non_float_tensors=()).to_json() == floats.to_json()
+
+
+def test_mav_rejects_a_non_float_tensor_whose_bytes_differ(tmp_path):
+    a, b = _position_ids_pair(tmp_path, [0, 1, 2, 4])
+    message = (f"tensor 'embeddings.position_ids': dtype I64 is not a float type, "
+               f"and its bytes differ between {a} and {b}")
+    with pytest.raises(SurgeryError, match=f"^{re.escape(message)}$"):
+        mav_report(a, b, NamingScheme(num_layers=1))
+
+
+def test_mav_compares_non_float_bytes_chunk_by_chunk(tmp_path, monkeypatch):
+    import sidkit.surgery as surgery
+
+    monkeypatch.setattr(surgery, "COPY_CHUNK_BYTES", 8)
+    reads = []
+    tensor_bytes = Checkpoint.tensor_bytes
+    monkeypatch.setattr(Checkpoint, "tensor_bytes", lambda cp, name, start=0, stop=None: (
+        reads.append((name, start, stop)) or tensor_bytes(cp, name, start, stop)))
+    a, b = _position_ids_pair(tmp_path, [0, 1, 2, 3])
+    assert mav_report(a, b, NamingScheme(num_layers=1)).non_float_tensors == ("embeddings.position_ids",)
+    chunks = [(start, stop) for name, start, stop in reads if name == "embeddings.position_ids"]
+    assert sorted(chunks) == sorted(2 * [(0, 8), (8, 16), (16, 24), (24, 32)])
+    a, b = _position_ids_pair(tmp_path, [0, 1, 2, 4])  # only the last of four chunks differs
+    with pytest.raises(SurgeryError, match="bytes differ"):
+        mav_report(a, b, NamingScheme(num_layers=1))
 
 
 # ---------------------------------------------------------------------------
@@ -821,19 +859,6 @@ def test_tensor_bytes_reads_a_byte_range(tmp_path):
         for start, stop in ((0, 41), (8, 4), (-1, 4)):
             with pytest.raises(SurgeryError, match="outside"):
                 cp.tensor_bytes("t", start, stop)
-
-
-def test_tensor_f64_decodes_an_element_range(tmp_path):
-    values = np.linspace(-3.0, 3.0, 9)
-    bf16 = (values.astype("<f4").view("<u4") >> 16).astype("<u2")
-    path = tmp_path / "f.safetensors"
-    write_checkpoint(path, {
-        "h": ("F16", (9,), values.astype("<f2").tobytes()),
-        "b": ("BF16", (9,), bf16.tobytes()),
-    })
-    with read_checkpoint(path) as cp:
-        assert cp.tensor_f64("h", 2, 5).tolist() == values.astype("<f2")[2:5].astype(np.float64).tolist()
-        assert cp.tensor_f64("b", 7).tolist() == (bf16[7:].astype(np.uint32) << 16).view("<f4").tolist()
 
 
 def test_write_checkpoint_streams_chunk_sources(tmp_path):
@@ -977,7 +1002,7 @@ def _parent_mav(a_path, b_path, scheme):
                 total += n
                 mean += delta * n / total
                 m2 += chunk_m2 + delta * delta * (total - n) * n / total
-    return MavReport({key: abs_sums[key] / counts[key] for key in abs_sums}, m2 / total, total, counts)
+    return MavReport({key: abs_sums[key] / counts[key] for key in abs_sums}, m2 / total, total, counts, ())
 
 
 @pytest.mark.parametrize("dtype", ["F16", "BF16", "F32", "F64"])
