@@ -3,12 +3,13 @@
 Exit status: 0 on success, 1 on data errors (unparseable files, misaligned
 datasets, checkpoint format problems, failed checks), 2 on usage errors. A
 data error is an OSError or a ValueError: every sidkit error class derives
-from ValueError, so ``main`` needs no table of them.
+from ValueError, so ``main`` needs no table of them; an OSError naming a
+file is printed as ``<path>: <strerror>``, as a ValueError names its file.
 Stochastic commands (noise, split) echo their effective seed to stderr.
-All file I/O is UTF-8; reports are JSON or TSV. An output flag that names
-the same file as an input or another output is a data error, raised before
-anything is read or written; every output goes through
-``files.replace_file``.
+All file I/O is UTF-8; ``_write_report`` writes every report as JSON or TSV.
+An output flag that names the same file as an input or another output is a
+data error, raised before anything is read or written; every output goes
+through ``files.replace_file``.
 Importing this module loads no other sidkit module: each command imports
 the modules it runs when it runs, so start-up pays for nothing else.
 """
@@ -114,8 +115,13 @@ class CommandParser(argparse.ArgumentParser):
         return args
 
 
-def _write_report(text: str, out: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
+def _write_report(report: dict | list[tuple[str, ...]], out: str | None) -> None:
+    """The only code that turns a report into bytes, for ``out`` or for stdout when None: a dict
+    as 2-space-indented JSON, non-ASCII as is; rows as tab-separated cells, one line each."""
+    if isinstance(report, dict):
+        text = json.dumps(report, ensure_ascii=False, indent=2) + "\n"
+    else:
+        text = "".join("\t".join(row) + "\n" for row in report)
     if out is None:
         sys.stdout.write(text)
         return
@@ -191,7 +197,7 @@ def cmd_parse_check(args: argparse.Namespace) -> int:
             for v in violations
         ],
     }
-    _write_report(json.dumps(report, ensure_ascii=False, indent=2), args.out)
+    _write_report(report, args.out)
     return 1 if violations else 0
 
 
@@ -200,18 +206,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.infile, options)
     inventory = label_inventory(dataset)
     if args.unseen_from is None:
-        text = inventory.to_json() if args.report == "json" else inventory.to_tsv()
+        report = inventory.to_dict() if args.report == "json" else inventory.tsv_rows()
     else:
         train = load_dataset(args.unseen_from, options)
         unseen = unseen_label_report(train, dataset)
         if args.report == "json":
-            text = json.dumps(
-                {"inventory": json.loads(inventory.to_json()), "unseen": json.loads(unseen.to_json())},
-                ensure_ascii=False, indent=2,
-            )
+            report = {"inventory": inventory.to_dict(), "unseen": unseen.to_dict()}
         else:
-            text = inventory.to_tsv() + "\n" + unseen.to_tsv()
-    _write_report(text, args.out)
+            report = [*inventory.tsv_rows(), (), *unseen.tsv_rows()]
+    _write_report(report, args.out)
     return 0
 
 
@@ -291,23 +294,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pred = load_dataset(args.pred, options)
     report = evaluate(gold, pred, repair=args.repair, group_by=args.group_by)
     if args.mode == "all":
-        text = report.to_json() if args.report == "json" else report.to_tsv()
+        data = report.to_dict() if args.report == "json" else report.tsv_rows()
     else:
         prf = getattr(report, args.mode.replace("-", "_"))
-        payload = {
-            "mode": args.mode,
-            "intent_accuracy": report.intent_accuracy,
-            args.mode: prf.to_dict(),
-        }
         if args.report == "json":
-            text = json.dumps(payload, ensure_ascii=False, indent=2)
+            data = {"mode": args.mode, "intent_accuracy": report.intent_accuracy, args.mode: prf.to_dict()}
         else:
-            text = (
-                "mode\tintent_accuracy\tprecision\trecall\tf1\n"
-                f"{args.mode}\t{report.intent_accuracy:.6f}\t"
-                f"{prf.precision:.6f}\t{prf.recall:.6f}\t{prf.f1:.6f}\n"
-            )
-    _write_report(text, args.out)
+            scores = (report.intent_accuracy, prf.precision, prf.recall, prf.f1)
+            data = [
+                ("mode", "intent_accuracy", "precision", "recall", "f1"),
+                (args.mode, *(f"{x:.6f}" for x in scores)),
+            ]
+    _write_report(data, args.out)
     return 0
 
 
@@ -329,7 +327,7 @@ def cmd_subword_ratio(args: argparse.Namespace) -> int:
         payload.update(
             compare_file=args.compare, compare_ratio=other, ratio_difference=abs(ratio - other)
         )
-    _write_report(json.dumps(payload, ensure_ascii=False, indent=2), args.out)
+    _write_report(payload, args.out)
     return 0
 
 
@@ -374,7 +372,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     result = correlate(x, y)
     if args.method == "exact":
         result = replace(result, p_rho=spearman(x, y, method="exact")[1])
-    _write_report(result.to_json() if args.report == "json" else result.to_tsv(), args.out)
+    _write_report(result.to_dict() if args.report == "json" else result.tsv_rows(), args.out)
     return 0
 
 
@@ -408,8 +406,7 @@ def cmd_surgery(args: argparse.Namespace) -> int:
             raise SurgeryError("task heads are never swapped")
         swap_layers(args.a, args.b, args.layers, scheme, args.out, include_embeddings=args.embeddings)
         return 0
-    report = mav_report(args.a, args.b, scheme)
-    _write_report(report.to_json(), args.out)
+    _write_report(mav_report(args.a, args.b, scheme).to_dict(), args.out)
     return 0
 
 
@@ -543,7 +540,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:  # argparse's own report: usage line, message, exit 2
         argparse.ArgumentParser.error(*exc.args)
     except (OSError, ValueError) as exc:  # every sidkit data error is a ValueError
-        print(f"sidkit: error: {exc}", file=sys.stderr)
+        named = isinstance(exc, OSError) and exc.filename is not None
+        message = f"{exc.filename}: {exc.strerror}" if named else exc
+        print(f"sidkit: error: {message}", file=sys.stderr)
         return 1
 
 

@@ -34,7 +34,6 @@ nothing.
 from __future__ import annotations
 
 import codecs
-import json
 import os
 import re
 import sys
@@ -763,6 +762,13 @@ def spans_to_tags(spans: Sequence[Span], length: int) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _count_rows(count_header: str, sections: Iterable[tuple[str, dict[str, int]]]) -> list[tuple[str, ...]]:
+    """A ``kind / item / <count_header>`` table: one row per item of each section, items sorted."""
+    return [("kind", "item", count_header)] + [
+        (kind, item, str(count)) for kind, counts in sections for item, count in sorted(counts.items())
+    ]
+
+
 @dataclass(frozen=True)
 class InventoryReport:
     """Label/intent distribution of one dataset."""
@@ -785,8 +791,8 @@ class InventoryReport:
     def num_full_tags(self) -> int:
         return len(self.full_tag_counts)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "name": self.name,
             "utterances": self.utterance_count,
             "num_intents": self.num_intents,
@@ -796,18 +802,14 @@ class InventoryReport:
             "slot_labels": dict(sorted(self.slot_label_counts.items())),
             "full_tags": dict(sorted(self.full_tag_counts.items())),
         }
-        return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=False)
 
-    def to_tsv(self) -> str:
-        rows = [("kind", "item", "count")]
-        for intent, count in sorted(self.intent_counts.items()):
-            rows.append(("intent", intent, str(count)))
-        for label, count in sorted(self.slot_label_counts.items()):
-            rows.append(("slot_label", label, str(count)))
-        for tag, count in sorted(self.full_tag_counts.items()):
-            rows.append(("full_tag", tag, str(count)))
-        rows.append(("utterances", "", str(self.utterance_count)))
-        return "\n".join("\t".join(row) for row in rows) + "\n"
+    def tsv_rows(self) -> list[tuple[str, ...]]:
+        rows = _count_rows("count", [
+            ("intent", self.intent_counts),
+            ("slot_label", self.slot_label_counts),
+            ("full_tag", self.full_tag_counts),
+        ])
+        return [*rows, ("utterances", "", str(self.utterance_count))]
 
 
 def label_inventory(dataset: Dataset) -> InventoryReport:
@@ -844,8 +846,8 @@ class UnseenReport:
     unseen_full_tags: dict[str, int]
     unseen_i_tags_with_seen_b: tuple[str, ...]
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "train": self.train_name,
             "eval": self.eval_name,
             "unseen_intents": dict(sorted(self.unseen_intents.items())),
@@ -853,19 +855,15 @@ class UnseenReport:
             "unseen_full_tags": dict(sorted(self.unseen_full_tags.items())),
             "unseen_i_tags_with_seen_b": sorted(self.unseen_i_tags_with_seen_b),
         }
-        return json.dumps(payload, ensure_ascii=False, indent=2)
 
-    def to_tsv(self) -> str:
-        rows = [("kind", "item", "eval_count")]
-        for intent, count in sorted(self.unseen_intents.items()):
-            rows.append(("intent", intent, str(count)))
-        for label, count in sorted(self.unseen_slot_labels.items()):
-            rows.append(("slot_label", label, str(count)))
-        for tag, count in sorted(self.unseen_full_tags.items()):
-            rows.append(("full_tag", tag, str(count)))
-        for tag in sorted(self.unseen_i_tags_with_seen_b):
-            rows.append(("i_tag_with_seen_b", tag, str(self.unseen_full_tags[tag])))
-        return "\n".join("\t".join(row) for row in rows) + "\n"
+    def tsv_rows(self) -> list[tuple[str, ...]]:
+        full = self.unseen_full_tags
+        return _count_rows("eval_count", [
+            ("intent", self.unseen_intents),
+            ("slot_label", self.unseen_slot_labels),
+            ("full_tag", full),
+            ("i_tag_with_seen_b", {tag: full[tag] for tag in self.unseen_i_tags_with_seen_b}),
+        ])
 
 
 def unseen_label_report(train: Dataset, eval: Dataset) -> UnseenReport:

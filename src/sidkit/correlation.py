@@ -12,7 +12,6 @@ rank cross-product sum, the null distribution of rho (cf. Best & Roberts
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -211,17 +210,14 @@ class CorrelationResult:
     p_rho: float
     n: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "r": self.r, "p_r": self.p_r, "rho": self.rho, "p_rho": self.p_rho},
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        return {"n": self.n, "r": self.r, "p_r": self.p_r, "rho": self.rho, "p_rho": self.p_rho}
 
-    def to_tsv(self) -> str:
-        return (
-            "n\tr\tp_r\trho\tp_rho\n"
-            f"{self.n}\t{self.r:.6f}\t{self.p_r:.6f}\t{self.rho:.6f}\t{self.p_rho:.6f}\n"
-        )
+    def tsv_rows(self) -> list[tuple[str, ...]]:
+        return [
+            ("n", "r", "p_r", "rho", "p_rho"),
+            (str(self.n), *(f"{x:.6f}" for x in (self.r, self.p_r, self.rho, self.p_rho))),
+        ]
 
 
 def correlate(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:

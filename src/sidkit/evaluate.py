@@ -31,7 +31,6 @@ respect to each other.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Iterable, Literal, Mapping, Sequence, get_args
@@ -216,10 +215,7 @@ class EvalReport(GroupScores):
         per_group = {k: v.to_dict() for k, v in sorted(self.per_group.items())}
         return {**super().to_dict(), "per_group": per_group}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
-
-    def to_tsv(self) -> str:
+    def tsv_rows(self) -> list[tuple[str, ...]]:
         header = (
             "group", "utterances", "intent_accuracy",
             "strict_p", "strict_r", "strict_f1",
@@ -227,14 +223,13 @@ class EvalReport(GroupScores):
             "unlabelled_p", "unlabelled_r", "unlabelled_f1",
         )
 
-        def row(group: str, s: GroupScores) -> tuple:
+        def row(group: str, s: GroupScores) -> tuple[str, ...]:
             prfs = (s.strict, s.loose, s.unlabelled)
             return (group, str(s.utterance_count), f"{s.intent_accuracy:.6f}",
                     *(f"{x:.6f}" for prf in prfs for x in (prf.precision, prf.recall, prf.f1)))
 
-        rows = [header, row("all", self)]
-        rows += [row(group, scores) for group, scores in sorted(self.per_group.items())]
-        return "\n".join("\t".join(r) for r in rows) + "\n"
+        groups = sorted(self.per_group.items())
+        return [header, row("all", self), *(row(group, scores) for group, scores in groups)]
 
 
 def _score(

@@ -546,7 +546,7 @@ class MavReport:
     per_group_counts: dict[str, int]
     non_float_tensors: tuple[str, ...]  # equal in both files, so in no statistic
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         report = {
             "per_group": {k: self.per_group[k] for k in sorted(self.per_group)},
             "per_group_counts": {k: self.per_group_counts[k] for k in sorted(self.per_group_counts)},
@@ -555,7 +555,7 @@ class MavReport:
         }
         if self.non_float_tensors:
             report["non_float_tensors"] = list(self.non_float_tensors)
-        return json.dumps(report, indent=2)
+        return report
 
 
 def _group_key(group: GroupId | None) -> str:

@@ -1,3 +1,4 @@
+import errno
 import itertools
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import make_checkpoint
@@ -701,9 +703,95 @@ def test_an_output_in_a_missing_directory_is_named_and_leaves_no_temp_file(argv,
     before = sorted(tmp_path.rglob("*"))
     assert main([arg.format(gold=gold_file, ckpt=ckpt, out=out) for arg in argv]) == 1
     err = capsys.readouterr().err  # noise prints its seed first
-    assert err.splitlines()[-1] == f"sidkit: error: [Errno 2] No such file or directory: '{out}'"
+    assert err.splitlines()[-1] == f"sidkit: error: {out}: No such file or directory"
     assert ".tmp" not in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(("argv", "path", "error"), [
+    (["surgery", "mav", "--a", "{ckpt}", "--b", "{ckpt}", "--out", "{dir}"], "{dir}", errno.EISDIR),
+    (["surgery", "revert", "--a", "{ckpt}", "--b", "{ckpt}", "--layers", "0", "--out", "{dir}"],
+     "{dir}", errno.EISDIR),
+    (["stats", "--in", "{gold}", "--out", "{dir}"], "{dir}", errno.EISDIR),
+    (["evaluate", "--gold", "{gold}", "--pred", "{gold}", "--out", "{dir}"], "{dir}", errno.EISDIR),
+    (["stats", "--in", "{missing}"], "{missing}", errno.ENOENT),
+    (["surgery", "mav", "--a", "{missing}", "--b", "{ckpt}"], "{missing}", errno.ENOENT),
+], ids=["mav-out-dir", "revert-out-dir", "stats-out-dir", "evaluate-out-dir", "missing-in", "missing-a"])
+def test_a_file_error_names_its_path_like_every_data_error(argv, path, error, gold_file, tmp_path, capsys):
+    paths = {"gold": gold_file, "ckpt": make_checkpoint(tmp_path / "a.safetensors", seed=40),
+             "dir": tmp_path / "outdir", "missing": tmp_path / "missing.conll"}
+    paths["dir"].mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"sidkit: error: {path.format(**paths)}: {os.strerror(error)}\n"
+    assert sorted(tmp_path.rglob("*")) == before  # no temp file left
+
+
+REPORT_CORPUS = (
+    "# id: s1-bokmål\n# intent: vekkjar/set\n# variety: bokmål\n"
+    "vekk\tO\nmæ\tB-tidspunkt/dag\nno\tI-tidspunkt/dag\n"
+    "\n"
+    "# id: s2-nord\n# intent: vêr/finn\n# variety: nord-ø\nkor\tO\nkaldt\tB-vêr/eigenskap\n"
+)
+REPORTS = {  # case: (argv, exit code, has a TSV form)
+    "parse-check": (["parse-check", "--in", "{pred}"], 1, False),
+    "stats": (["stats", "--in", "{gold}"], 0, True),
+    "stats-unseen": (["stats", "--in", "{gold}", "--unseen-from", "{train}"], 0, True),
+    "evaluate": (["evaluate", "--gold", "{gold}", "--pred", "{pred}"], 0, True),
+    "evaluate-grouped": (["evaluate", "--gold", "{gold}", "--pred", "{pred}", "--group-by", "variety"], 0, True),
+    "evaluate-mode": (["evaluate", "--gold", "{gold}", "--pred", "{pred}", "--mode", "loose-unlabelled"], 0, True),
+    "subword-ratio": (
+        ["subword-ratio", "--vocab", "{vocab}", "--in", "{gold}", "--format", "conll", "--compare", "{pred}"], 0, False
+    ),
+    "correlate": (["correlate", "--in", "{table}", "--x", "x", "--y", "vêr"], 0, True),
+    "correlate-exact": (["correlate", "--in", "{table}", "--x", "x", "--y", "vêr", "--method", "exact"], 0, True),
+    "surgery-mav": (["surgery", "mav", "--a", "{a}", "--b", "{b}"], 0, False),
+}
+
+
+@pytest.fixture
+def report_inputs(tmp_path):
+    files = {
+        "gold": REPORT_CORPUS,
+        "pred": REPORT_CORPUS.replace("mæ\tB-", "mæ\tI-").replace("intent: vêr/finn", "intent: vekkjar/set"),
+        "train": "# id: t1\n# intent: vekkjar/set\nvekk\tB-tidspunkt/dag\n",
+        "vocab": "[UNK]\nvekk\nmæ\nkor\n##t\n",
+        "table": "x\tvêr\n1\t2\n2\t1\n3\t4\n4\t3\n5\t6\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text, encoding="utf-8")
+    ids = np.array([[0, 1]], dtype="<i8").tobytes()  # a non-ASCII name, equal in both: listed, not scored
+    for name, weights in (("a", [1.0, 2.0]), ("b", [1.5, 2.0])):
+        paths[name] = tmp_path / f"{name}.st"
+        write_checkpoint(paths[name], {
+            "embeddings.posisjon_æ": ("I64", (1, 2), ids),
+            "encoder.layer.0.w": ("F32", (2,), np.array(weights, dtype="<f4").tobytes()),
+        })
+    return paths
+
+
+def _report(case, report_inputs, *extra):
+    argv, code, _ = REPORTS[case]
+    out = report_inputs["gold"].parent / "report"
+    assert main([arg.format(**report_inputs) for arg in argv] + [*extra, "--out", str(out)]) == code
+    return out.read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("case", list(REPORTS))
+def test_every_json_report_is_indented_utf8_json(case, report_inputs):
+    text = _report(case, report_inputs)
+    assert text == json.dumps(json.loads(text), ensure_ascii=False, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("case", [case for case, (_, _, tsv) in REPORTS.items() if tsv])
+def test_every_tsv_report_is_rows_as_wide_as_their_header(case, report_inputs):
+    text = _report(case, report_inputs, "--report", "tsv")
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    for table in text[:-1].split("\n\n"):  # stats --unseen-from writes two tables
+        header, *rows = table.split("\n")
+        assert [row.count("\t") for row in rows] == [header.count("\t")] * len(rows)
 
 
 def test_surgery_with_scheme_file(tmp_path, capsys):
@@ -839,6 +927,20 @@ def test_every_export_is_documented_in_the_readme():
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert [name for name in sidkit.__all__ if name not in set(re.findall(r"\w+", readme))] == []
+
+
+def test_every_readme_command_line_parses(tmp_path, monkeypatch):
+    import shlex
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    argvs = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("sidkit ")]
+    argvs = [argv for argv in argvs if argv != ["--version"]]
+    assert len(argvs) >= 16
+    monkeypatch.chdir(tmp_path)  # the same-file check looks at no file of the checkout
+    for argv in argvs:
+        assert build_parser().parse_command(argv).command == argv[0], argv
 
 
 def test_every_lazy_cli_binding_resolves():

@@ -299,5 +299,5 @@ def test_correlate_bundle():
     assert result.n == 12
     assert result.r == pytest.approx(pearson(x, y)[0])
     assert result.rho == pytest.approx(spearman(x, y)[0])
-    assert "p_rho" in result.to_json()
-    assert result.to_tsv().splitlines()[0] == "n\tr\tp_r\trho\tp_rho"
+    assert "p_rho" in result.to_dict()
+    assert result.tsv_rows()[0] == ("n", "r", "p_r", "rho", "p_rho")

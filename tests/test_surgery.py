@@ -728,7 +728,7 @@ def test_mav_leaves_out_and_lists_a_non_float_tensor_equal_in_both(tmp_path):
     assert report.parameter_count == 5
     assert report.per_group_counts == {"embeddings": 3, "layer 0": 2}
     assert report.non_float_tensors == ("embeddings.position_ids",)
-    assert json.loads(report.to_json())["non_float_tensors"] == ["embeddings.position_ids"]
+    assert report.to_dict()["non_float_tensors"] == ["embeddings.position_ids"]
     # the float tensors alone give the same statistics, and no extra key
     for path in (a, b):
         with read_checkpoint(path) as cp:
@@ -737,8 +737,8 @@ def test_mav_leaves_out_and_lists_a_non_float_tensor_equal_in_both(tmp_path):
                 for name in cp.names() if name != "embeddings.position_ids"
             })
     floats = mav_report(a.with_suffix(".f32"), b.with_suffix(".f32"), scheme)
-    assert "non_float_tensors" not in json.loads(floats.to_json())
-    assert dataclasses.replace(report, non_float_tensors=()).to_json() == floats.to_json()
+    assert "non_float_tensors" not in floats.to_dict()
+    assert dataclasses.replace(report, non_float_tensors=()).to_dict() == floats.to_dict()
 
 
 def test_mav_rejects_a_non_float_tensor_whose_bytes_differ(tmp_path):
@@ -1029,7 +1029,7 @@ def test_mav_is_byte_identical_to_the_fresh_array_formula(tmp_path, dtype):
     write_checkpoint(tmp_path / "b.st", b_tensors)
     scheme = NamingScheme(num_layers=3)
     report = mav_report(tmp_path / "a.st", tmp_path / "b.st", scheme)
-    assert report.to_json() == _parent_mav(tmp_path / "a.st", tmp_path / "b.st", scheme).to_json()
+    assert report.to_dict() == _parent_mav(tmp_path / "a.st", tmp_path / "b.st", scheme).to_dict()
     assert report.parameter_count == sum(sizes)
 
 
