@@ -89,12 +89,17 @@ class CommandParser(argparse.ArgumentParser):
     def error(self, message: str):
         raise UsageError(self, message)
 
-    def parse_command(self, argv: list[str] | None = None) -> argparse.Namespace:
+    def parse_command(
+        self, argv: list[str] | None = None, around: tuple[tuple[str, str], ...] = ()
+    ) -> argparse.Namespace:
         """Parse one command line and apply the checks argparse cannot express.
 
         A usage error raises UsageError. An output flag that names the same
         file as another output or an input flag of the command raises
         ValueError naming both flags, before anything is read or written.
+        ``around`` holds more ``(flag, path)`` files, those of a run around
+        the command (a pipeline's ``--config`` and ``--manifest``); a file
+        flag of the command may not name one of them where either is an output.
         """
         from .files import same_file
 
@@ -106,7 +111,8 @@ class CommandParser(argparse.ArgumentParser):
             for action in self.commands[args.command]._actions
             if isinstance(value := getattr(args, action.dest, None), (InputPath, OutputPath))
         ]
-        for (flag, path), (other_flag, other) in itertools.combinations(files, 2):
+        pairs = itertools.chain(itertools.combinations(files, 2), itertools.product(files, around))
+        for (flag, path), (other_flag, other) in pairs:
             if OutputPath in (type(path), type(other)) and same_file(path, other):
                 raise ValueError(
                     f"{flag} {path!r} and {other_flag} {other!r} name the same file; "

@@ -12,11 +12,15 @@ Three rewrite rules, applied in order per token:
    ``nnnd`` reduce fully and the whole pass is idempotent.
 
 Vowels (a, e, i, o, u, y, æ, ø, å) and anything outside the consonant set
-(hyphens, digits, ...) never trigger rule 3.
+(hyphens, digits, ...) never trigger rule 3. Rule 3 matches per character and
+case-insensitively; ``İ`` (U+0130, the one code point whose lower case is two
+characters) matches as ``I``, so every trace offset indexes the token as it
+stood.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -25,6 +29,11 @@ CONSONANTS = frozenset("bcdfghjklmnpqrstvwxz")
 APOSTROPHES = frozenset({"'", "’"})  # ASCII and typographic
 
 _WHITESPACE_SPLIT = re.compile(r"(\s+)")
+_APOSTROPHE = re.compile(f"[{''.join(sorted(APOSTROPHES))}]")
+# Rule 3's leftmost site: ssjt/ssjk, else a doubled consonant before another
+# consonant that does not start ssj or kkj.
+_C = "".join(sorted(CONSONANTS))
+_CLUSTER = re.compile(rf"ssj[tk]|(?!ssj|kkj)([{_C}])\1(?=[{_C}])")
 
 
 @dataclass(frozen=True)
@@ -77,53 +86,16 @@ def apply_rule(token: str, rule: str, offset: int) -> str:
     raise ValueError(f"unknown rule {rule!r}")
 
 
-def _rule3_step(token: str) -> tuple[str, RuleApplication] | None:
-    """Leftmost doubled-consonant rewrite, or None if the token is stable."""
-    lowered = token.lower()
-    for i in range(len(token) - 2):
-        a, b, c = lowered[i], lowered[i + 1], lowered[i + 2]
-        if a not in CONSONANTS or a != b or c not in CONSONANTS:
-            continue
-        window4 = lowered[i : i + 4]
-        if window4 == "ssjt":
-            app = RuleApplication("cluster-rst", i)
-        elif window4 == "ssjk":
-            app = RuleApplication("cluster-rsk", i)
-        elif lowered[i : i + 3] in ("ssj", "kkj"):
-            continue  # protected cluster, keep scanning to the right
-        else:
-            app = RuleApplication("cluster-drop", i)
-        return apply_rule(token, app.rule, app.offset), app
-    return None
-
-
 def trace_token(token: str) -> RuleTrace:
     """Normalize one token, recording every rewrite for replay."""
-    applied: list[RuleApplication] = []
-    current = token
-
-    i = 0
-    while i < len(current):
-        if current[i] == "L":
-            applied.append(RuleApplication("thick-l", i))
-            current = apply_rule(current, "thick-l", i)
-        i += 1
-
-    i = 0
-    while i < len(current):
-        if current[i] in APOSTROPHES:
-            applied.append(RuleApplication("apostrophe", i))
-            current = apply_rule(current, "apostrophe", i)
-        else:
-            i += 1
-
-    while True:
-        step = _rule3_step(current)
-        if step is None:
-            break
-        current, app = step
-        applied.append(app)
-
+    applied = [RuleApplication("thick-l", i) for i, ch in enumerate(token) if ch == "L"]
+    kept = _APOSTROPHE.split(token.replace("L", "l"))  # each apostrophe sits after the text kept before it
+    applied += [RuleApplication("apostrophe", end) for end in itertools.accumulate(map(len, kept[:-1]))]
+    current = "".join(kept)
+    while site := _CLUSTER.search(current.replace("\u0130", "I").lower()):
+        rule = "cluster-drop" if site[1] else "cluster-rs" + site[0][3]
+        applied.append(RuleApplication(rule, site.start()))
+        current = apply_rule(current, rule, site.start())
     return RuleTrace(input=token, output=current, applied=tuple(applied))
 
 

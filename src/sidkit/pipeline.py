@@ -14,9 +14,10 @@ behaves exactly like the equivalent command line; a step cannot run a nested
 pipeline. The whole config is checked, and every step's argv parsed, before
 the first step runs: a bad step raises PipelineError naming it, and nothing
 runs. A step whose output names one of its inputs or another of its outputs
-is such a bad step (``cli.CommandParser.parse_command`` refuses it). The
-manifest records, per step, the argv, the effective seed, and
-SHA-256 digests of every file flag of its subcommand (the flags
+is such a bad step (``cli.CommandParser.parse_command`` refuses it), and so
+is a step whose file flag names the run's manifest or whose output names
+the run's config. The manifest records, per step, the argv, the effective
+seed, and SHA-256 digests of every file flag of its subcommand (the flags
 ``cli.build_parser`` types ``InputPath`` before the step, ``OutputPath``
 after, except an output that names an open descriptor such as
 ``/dev/stdout``); it contains no timestamps, so re-running an identical pipeline
@@ -124,14 +125,15 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
     }
 
     parser = cli.build_parser()
+    run_files = (("--config", cli.InputPath(config_path)), ("--manifest", cli.OutputPath(manifest_path)))
     checked = []
     for i, step in enumerate(steps):
         argv = _step_argv(i, step, parser.commands)
         try:
-            checked.append((argv, parser.parse_command(argv)))
+            checked.append((argv, parser.parse_command(argv, run_files)))
         except cli.UsageError as exc:
             raise PipelineError(f"step {i}: {exc.args[1]}") from None
-        except ValueError as exc:  # an output that names an input or another output
+        except ValueError as exc:  # an output that names an input, another output or a run file
             raise PipelineError(f"step {i}: {exc}") from None
 
     status = 0

@@ -9,7 +9,6 @@ version, platform, or hash randomization.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Sequence, TypeVar
 
 _MASK64 = (1 << 64) - 1
@@ -105,15 +104,8 @@ class SplitMix64:
         return items[-1]  # guards against accumulated float error
 
 
-def round_half_up(x: float) -> int:
-    """round() with deterministic .5 handling (2.5 -> 3, not banker's 2)."""
-    if x < 0:
-        raise ValueError(f"expected non-negative value, got {x}")
-    return math.floor(x + 0.5)
-
-
 def share_count(fraction: float, n: int) -> int:
-    """``round_half_up(fraction * n)`` on ``Fraction(str(fraction))``, exactly (0.7 of 45 is 32)."""
+    """``Fraction(str(fraction)) * n`` rounded half up, exactly (0.7 of 45 is 32, not 31)."""
     num, den = _decimal_ratio(float(fraction))
     return (2 * num * n + den) // (2 * den)
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
+import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -10,6 +14,20 @@ from sidkit.corpus import Dataset, Utterance
 from sidkit.surgery import write_checkpoint
 
 NUMPY_DTYPES = {"F64": "<f8", "F32": "<f4", "F16": "<f2"}
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name: str):
+    """``bench/<name>.py`` loaded as module ``bench_<name>``, for tests that check sidkit against it."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def exact_share(fraction: float, n: int) -> int:
+    """Oracle for a noise or split count: ``fraction`` as written, times ``n``, rounded half up."""
+    return math.floor(Fraction(str(fraction)) * n + Fraction(1, 2))
 
 
 def make_utterance(i, tokens, tags, intent="intent/none", variety=None):

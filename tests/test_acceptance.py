@@ -14,14 +14,13 @@ from contextlib import contextmanager
 import numpy as np
 from scipy import integrate
 
-from conftest import checkpoint_tensor_specs, make_checkpoint, random_bio_tags
+from conftest import checkpoint_tensor_specs, exact_share, make_checkpoint, random_bio_tags
 from sidkit.corpus import Dataset, Span, Utterance, extract_spans, write_dataset
 from sidkit.correlation import p_from_correlation, pearson, spearman, two_tailed_p
 from sidkit.evaluate import MODES, PRF, span_f1
 from sidkit.noise import NoiseConfig, build_alphabet, noise_dataset
 from sidkit.normalize import normalize_token
 from sidkit.pipeline import run_pipeline, sha256_file
-from sidkit.rng import round_half_up
 from sidkit.surgery import (
     NamingScheme,
     layer_group,
@@ -184,7 +183,7 @@ def test_criterion_3_noise_statistics():
                 modified = [
                     (x, y) for x, y in zip(before.tokens, after.tokens) if x != y
                 ]
-                assert len(modified) == round_half_up(fraction * n_alpha)
+                assert len(modified) == exact_share(fraction, n_alpha)
                 for x, y in modified:
                     assert abs(len(y) - len(x)) <= 1
                     assert _levenshtein(x, y) == 1

@@ -6,26 +6,16 @@ would otherwise surface only when the traced benchmark runs.
 """
 
 import importlib
-import importlib.util
 import json
-from pathlib import Path
 
 import sidkit.cli
+from conftest import load_bench
 from sidkit.cli import main
-
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_probe_target_resolves():
     missing = []
-    for module_name, attr, _, _ in _load_tracing().PROBES:
+    for module_name, attr, _, _ in load_bench("tracing").PROBES:
         owner = importlib.import_module(module_name)
         *path, name = attr.split(".")
         for part in path:
@@ -57,7 +47,7 @@ def test_a_traced_pipeline_records_every_text_layer(tmp_path, monkeypatch):
     (tmp_path / "transcript.txt").write_text("æ e itj kjem ikkje\nka du sei\n", encoding="utf-8")
     (tmp_path / "vocab.txt").write_text("[UNK]\nvekk\nmæ\nkl\n##1\nhalv\n", encoding="utf-8")
     (tmp_path / "pipe.json").write_text(json.dumps({"steps": TRACED_STEPS}), encoding="utf-8")
-    tracing = _load_tracing()
+    tracing = load_bench("tracing")
     with tracing.Tracer() as tracer:
         assert main(["pipeline", "--config", "pipe.json", "--manifest", "manifest.json"]) == 0
     names = {span[0] for span in tracer.spans}
@@ -81,7 +71,7 @@ def test_traced_scoring_keeps_every_score_probe_busy(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "gold.conll").write_text(_scored_corpus(stray_i=False), encoding="utf-8")
     (tmp_path / "pred.conll").write_text(_scored_corpus(stray_i=True), encoding="utf-8")
-    tracing = _load_tracing()
+    tracing = load_bench("tracing")
     with tracing.Tracer() as tracer:
         # through the module, so the traced main records which command each scan served
         assert sidkit.cli.main(["evaluate", "--gold", "gold.conll", "--pred", "pred.conll",

@@ -246,6 +246,20 @@ def test_normalize_with_trace(tmp_path):
     assert {r["input"] for r in records} == {"vat'n", "soL", "bakkst"}
 
 
+def test_normalize_matches_dotted_capital_i_as_one_character(tmp_path):
+    src, out, trace = tmp_path / "raw.txt", tmp_path / "clean.txt", tmp_path / "trace.jsonl"
+    src.write_text("İssjt İnnd\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "sidkit.cli", "normalize", "--in", str(src), "--out", str(out), "--trace", str(trace)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert out.read_text(encoding="utf-8") == "İrst İnd\n"
+    records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+    assert [r["applied"] for r in records] == [[{"rule": "cluster-rst", "offset": 1}], [{"rule": "cluster-drop", "offset": 1}]]
+
+
 def test_normalize_output_and_trace_match_per_token_loop(tmp_path, monkeypatch):
     import sidkit.cli
     from sidkit.normalize import trace_token

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_share
 from sidkit.corpus import Dataset, Utterance
 from sidkit.noise import (
     _OPS,
@@ -18,7 +19,7 @@ from sidkit.noise import (
     noise_word,
     _Draws,
 )
-from sidkit.rng import SplitMix64, round_half_up
+from sidkit.rng import SplitMix64
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -177,7 +178,7 @@ def test_selection_count_is_exact_per_sentence():
         for before, after in zip(corpus.utterances, noised.utterances):
             n_alpha = sum(tok.isalpha() for tok in before.tokens)
             modified = sum(a != b for a, b in zip(before.tokens, after.tokens))
-            assert modified == round_half_up(fraction * n_alpha)
+            assert modified == exact_share(fraction, n_alpha)
 
 
 def test_selection_count_is_exact_at_a_half_boundary():

@@ -1,11 +1,13 @@
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load_bench
 from sidkit.normalize import (
     APOSTROPHES,
     normalize_text,
@@ -22,7 +24,11 @@ RULE_FIXTURES = {
     "hassjt": "harst",
     "issjn": "issjn",
     "kattne": "katne",
+    "İssjt": "İrst",  # U+0130 lower-cases to two characters, yet matches as one I
+    "İnnd": "İnd",
 }
+
+reference = load_bench("reference")
 
 
 @pytest.mark.parametrize("source,expected", sorted(RULE_FIXTURES.items()))
@@ -160,9 +166,21 @@ def test_text_level_idempotence(s):
 
 @given(st.text(alphabet=NORWEGIAN, max_size=20))
 def test_cluster_rule_reaches_a_true_fixpoint(s):
-    from sidkit.normalize import _rule3_step
+    assert not reference.rule3_pending(normalize_token(s))
 
-    assert _rule3_step(normalize_token(s)) is None
+
+# Any code point at all, with the rules' own letters (and U+0130) drawn often enough to meet.
+@settings(max_examples=300)
+@given(st.text(st.characters() | st.sampled_from(NORWEGIAN + "’İ"), max_size=30))
+def test_any_text_token_normalizes_to_a_replayable_fixpoint(s):
+    trace = trace_token(s)
+    assert replay_trace(trace) == trace.output
+    assert normalize_token(trace.output) == trace.output
+    assert reference.normalized_fixpoint(trace.output)
+
+
+def test_dotted_capital_i_is_the_only_code_point_whose_lower_case_changes_length():
+    assert [c for c in map(chr, range(sys.maxunicode + 1)) if len(c.lower()) != 1] == ["\u0130"]
 
 
 @given(st.text(alphabet=NORWEGIAN_WITH_SPACE, max_size=60))

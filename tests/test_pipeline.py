@@ -207,6 +207,41 @@ def test_invalid_step_exits_1_before_any_step_runs(case, tmp_path, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+# Each step names a file of the run itself: its manifest (given or default) or its config.
+RUN_FILE_STEPS = {
+    "out-is-manifest": (["--manifest", "m.json"], {"in": "gold.conll", "out": "m.json"},
+                        "--out 'm.json' and --manifest 'm.json' name the same file"),
+    "out-is-default-manifest": ([], {"in": "gold.conll", "out": "pipe.json.manifest.json"},
+                                "--out 'pipe.json.manifest.json' and --manifest 'pipe.json.manifest.json'"),
+    "in-is-manifest": (["--manifest", "m.json"], {"in": "m.json"},
+                       "--in 'm.json' and --manifest 'm.json' name the same file"),
+    "out-is-config": (["--manifest", "m.json"], {"in": "gold.conll", "out": "pipe.json"},
+                      "--out 'pipe.json' and --config 'pipe.json' name the same file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_FILE_STEPS))
+def test_a_step_naming_the_runs_config_or_manifest_exits_1_before_any_step_runs(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    manifest_flag, args, message = RUN_FILE_STEPS[case]
+    (tmp_path / "raw.txt").write_text("soL\n", encoding="utf-8")
+    (tmp_path / "gold.conll").write_text(GOLD, encoding="utf-8")
+    for old_manifest in ("m.json", "pipe.json.manifest.json"):
+        (tmp_path / old_manifest).write_text('{"status": "ok"}\n', encoding="utf-8")
+    write_config(
+        tmp_path,
+        [{"name": "clean", "command": "normalize", "args": {"in": "raw.txt", "out": "clean.txt"}},
+         {"name": "stats", "command": "stats", "args": args}],
+    )
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["pipeline", "--config", "pipe.json", *manifest_flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sidkit: error: step 1: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_second_invalid_step_leaves_first_output_unwritten(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "raw.txt").write_text("soL\n", encoding="utf-8")

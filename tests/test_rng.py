@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sidkit.rng import SplitMix64, derive_seed, fnv1a64, round_half_up
+from sidkit.rng import SplitMix64, derive_seed, fnv1a64, share_count
 
 
 def test_known_splitmix64_sequence():
@@ -75,9 +75,12 @@ def test_weighted_choice_rejects_bad_weights():
         rng.weighted_choice("ab", [-1.0, 2.0])
 
 
+# (fraction, n, count): exact products 0, 0.4, 0.5, 1.5, 2.5, 2.4, 9 round half up;
+# 0.29 of 50 and 0.7 of 45 are 14.5 and 31.5 exactly, though not as floats.
 @pytest.mark.parametrize(
-    "value,expected",
-    [(0.0, 0), (0.4, 0), (0.5, 1), (1.5, 2), (2.5, 3), (2.4, 2), (9.0, 9)],
+    "fraction,n,expected",
+    [(0.0, 7, 0), (0.4, 1, 0), (0.5, 1, 1), (0.5, 3, 2), (0.5, 5, 3), (0.4, 6, 2), (0.9, 10, 9),
+     (0.29, 50, 15), (0.7, 45, 32)],
 )
-def test_round_half_up(value, expected):
-    assert round_half_up(value) == expected
+def test_share_count_rounds_the_exact_share_half_up(fraction, n, expected):
+    assert share_count(fraction, n) == expected
