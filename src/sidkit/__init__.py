@@ -14,16 +14,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "corpus": (
         "BioViolation", "Dataset", "FormatOptions", "Span", "Utterance", "extract_spans",
-        "label_inventory", "load_dataset", "parse_dataset", "save_dataset", "spans_to_tags",
-        "split_dataset", "unseen_label_report", "validate_bio", "write_dataset",
+        "label_inventory", "load_dataset", "parse_dataset", "save_dataset", "split_dataset",
+        "unseen_label_report", "validate_bio", "write_dataset",
     ),
     "correlation": ("correlate", "pearson", "spearman"),
     "evaluate": ("PRF", "EvalReport", "evaluate", "span_f1"),
     "noise": ("Alphabet", "NoiseConfig", "OpWeights", "build_alphabet", "noise_dataset", "noise_word"),
-    "normalize": ("RuleTrace", "normalize_text", "normalize_token", "trace_token"),
-    "subword": ("SubwordVocab", "split_word_ratio", "tokenize_word"),
+    "normalize": ("RuleTrace", "normalize_text", "trace_token"),
+    "subword": ("SubwordVocab", "split_word_ratio"),
     "surgery": (
-        "MavReport", "NamingScheme", "layer_group", "mav_report",
+        "MavReport", "NamingScheme", "mav_report",
         "read_checkpoint", "revert_layers", "swap_layers", "write_checkpoint",
     ),
 }

@@ -741,22 +741,6 @@ def extract_spans(tags: Sequence[str], repair: RepairPolicy = "strict") -> list[
     return spans
 
 
-def spans_to_tags(spans: Sequence[Span], length: int) -> tuple[str, ...]:
-    """Reconstruct a BIO tag sequence from non-overlapping spans."""
-    tags = ["O"] * length
-    previous_end = -1
-    for span in sorted(spans):
-        if span.end > length:
-            raise ValueError(f"span {span} exceeds sequence length {length}")
-        if span.start < previous_end:
-            raise ValueError(f"span {span} overlaps its predecessor")
-        previous_end = span.end
-        tags[span.start] = f"B-{span.label}"
-        for i in range(span.start + 1, span.end):
-            tags[i] = f"I-{span.label}"
-    return tuple(tags)
-
-
 # ---------------------------------------------------------------------------
 # Inventories and reports
 # ---------------------------------------------------------------------------

@@ -7,17 +7,20 @@ predicted and gold spans, micro-averaged over the corpus:
 * ``loose``      - same label and at least one shared token;
 * ``unlabelled`` - equal (start, end), label ignored.
 
-``loose-unlabelled`` (any token overlap, label ignored) is available as an
-extra mode for diagnostics but is not part of the standard report.
+``loose-unlabelled`` (any token overlap, label ignored) is a fourth mode for
+diagnostics, outside the standard report. :func:`evaluate` scores only the
+modes it is given (the three above by default), so ``sidkit evaluate --mode
+X`` runs one matching pass per group, for X alone.
 
 Each side's spans must be disjoint, so in every mode that matching is one
 left-to-right sweep over start-sorted spans; the modes differ only in which
 pairs of spans match. A side whose spans are already start-sorted and
 disjoint, as extracted spans always are, is checked in one linear pass and
-not sorted again. :func:`evaluate` extracts and matches every utterance
-once. Its :class:`EvalReport` is the :class:`GroupScores` of the whole
-corpus plus, when grouped, one per group; group counts sum to the overall
-counts. Input errors raise EvalError, a ValueError.
+not sorted again. :func:`evaluate` extracts every utterance once and
+matches it once per scored mode. Its :class:`EvalReport` is the
+:class:`GroupScores` of the whole corpus plus, when grouped, one per group;
+each holds one PRF per scored mode in ``spans``, and group counts sum to the
+overall counts. Input errors raise EvalError, a ValueError.
 
 The BIO scan behind extraction classifies each distinct slot tag once and
 builds each distinct span once, so equal spans share one ``Span`` object.
@@ -190,18 +193,13 @@ class GroupScores:
 
     utterance_count: int
     intent_accuracy: float
-    strict: PRF
-    loose: PRF
-    unlabelled: PRF
-    loose_unlabelled: PRF  # diagnostic only: not serialized
+    spans: Mapping[MatchMode, PRF]  # one PRF per scored mode, in the order asked for
 
     def to_dict(self) -> dict:
         return {
             "utterances": self.utterance_count,
             "intent_accuracy": self.intent_accuracy,
-            "strict": self.strict.to_dict(),
-            "loose": self.loose.to_dict(),
-            "unlabelled": self.unlabelled.to_dict(),
+            **{mode: prf.to_dict() for mode, prf in self.spans.items()},
         }
 
 
@@ -216,33 +214,15 @@ class EvalReport(GroupScores):
         return {**super().to_dict(), "per_group": per_group}
 
     def tsv_rows(self) -> list[tuple[str, ...]]:
-        header = (
-            "group", "utterances", "intent_accuracy",
-            "strict_p", "strict_r", "strict_f1",
-            "loose_p", "loose_r", "loose_f1",
-            "unlabelled_p", "unlabelled_r", "unlabelled_f1",
-        )
+        header = ("group", "utterances", "intent_accuracy",
+                  *(f"{mode}_{x}" for mode in self.spans for x in ("p", "r", "f1")))
 
         def row(group: str, s: GroupScores) -> tuple[str, ...]:
-            prfs = (s.strict, s.loose, s.unlabelled)
             return (group, str(s.utterance_count), f"{s.intent_accuracy:.6f}",
-                    *(f"{x:.6f}" for prf in prfs for x in (prf.precision, prf.recall, prf.f1)))
+                    *(f"{x:.6f}" for prf in s.spans.values() for x in (prf.precision, prf.recall, prf.f1)))
 
         groups = sorted(self.per_group.items())
         return [header, row("all", self), *(row(group, scores) for group, scores in groups)]
-
-
-def _score(
-    gold_spans: Sequence[list[Span]], pred_spans: Sequence[list[Span]], hits: Sequence[bool]
-) -> GroupScores:
-    return GroupScores(
-        utterance_count=len(hits),
-        intent_accuracy=sum(hits) / len(hits),
-        strict=span_f1(gold_spans, pred_spans, "strict"),
-        loose=span_f1(gold_spans, pred_spans, "loose"),
-        unlabelled=span_f1(gold_spans, pred_spans, "unlabelled"),
-        loose_unlabelled=span_f1(gold_spans, pred_spans, "loose-unlabelled"),
-    )
 
 
 def _spans(where: str, utterances: Iterable[Utterance], repair: RepairPolicy) -> list[list[Span]]:
@@ -263,12 +243,15 @@ def evaluate(
     pred: Dataset,
     repair: RepairPolicy = "lenient",
     group_by: Literal["none", "variety"] = "none",
+    modes: Sequence[MatchMode] = MODES,
 ) -> EvalReport:
-    """Full report: intent accuracy plus all span PRFs.
+    """Full report: intent accuracy plus one span PRF for each of ``modes``.
 
-    The default repair policy is lenient so that predictions containing stray
-    I-tags are scored rather than rejected. Grouping uses the gold utterance's
-    variety; utterances without one land in the "unknown" group.
+    Each group runs one :func:`span_f1` pass per mode in ``modes`` and no
+    other. The default repair policy is lenient so that predictions
+    containing stray I-tags are scored rather than rejected. Grouping uses
+    the gold utterance's variety; utterances without one land in the
+    "unknown" group.
     """
     if group_by not in ("none", "variety"):
         raise ValueError(f"unknown group_by {group_by!r}")
@@ -281,18 +264,18 @@ def evaluate(
     for i, (g, _) in enumerate(pairs):
         key = "all" if group_by == "none" else g.variety if g.variety is not None else "unknown"
         buckets.setdefault(key, []).append(i)
-    groups = {
-        key: _score([gold_spans[i] for i in members], [pred_spans[i] for i in members],
-                    [hits[i] for i in members])
-        for key, members in buckets.items()
-    }
-    zero, scores = PRF(0, 0, 0), groups.values()
+    groups = {}
+    for key, members in buckets.items():
+        golds, preds = [gold_spans[i] for i in members], [pred_spans[i] for i in members]
+        groups[key] = GroupScores(
+            utterance_count=len(members),
+            intent_accuracy=sum(hits[i] for i in members) / len(members),
+            spans={mode: span_f1(golds, preds, mode) for mode in modes},
+        )
+    zero = PRF(0, 0, 0)
     return EvalReport(
         utterance_count=len(pairs),
         intent_accuracy=sum(hits) / len(hits),
-        strict=sum((s.strict for s in scores), zero),
-        loose=sum((s.loose for s in scores), zero),
-        unlabelled=sum((s.unlabelled for s in scores), zero),
-        loose_unlabelled=sum((s.loose_unlabelled for s in scores), zero),
+        spans={mode: sum((s.spans[mode] for s in groups.values()), zero) for mode in modes},
         per_group=groups if group_by == "variety" else {},
     )

@@ -107,10 +107,6 @@ def replay_trace(trace: RuleTrace) -> str:
     return current
 
 
-def normalize_token(token: str) -> str:
-    return trace_token(token).output
-
-
 def normalize_text(text: str) -> str:
     """Normalize each whitespace-delimited token; whitespace kept verbatim.
 

@@ -24,7 +24,10 @@ after, except an output that names an open descriptor such as
 reproduces the manifest byte for byte. A failing step aborts the run and the
 manifest records the partial state. The manifest, like every step output,
 is written through ``files.replace_file``: it replaces the old manifest only
-once it is written whole.
+once it is written whole. It is opened before the first step runs, so a
+manifest path that cannot be written (in a missing directory, or naming a
+directory) fails the run before any step writes an output, and it is
+written once, at the end.
 
 The run holds a ``corpus.DatasetStore``: a step that loads a corpus file an
 earlier step of the run parsed or wrote, with the same bytes and format
@@ -39,6 +42,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import Container
 
@@ -137,7 +141,7 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
             raise PipelineError(f"step {i}: {exc}") from None
 
     status = 0
-    with DatasetStore() as store:
+    with replace_file(manifest_path) as manifest_file, DatasetStore() as store:
         for i, (step, (argv, parsed)) in enumerate(zip(steps, checked)):
             inputs = _digest_role(parsed, cli.InputPath)
             code = cli.main(argv)
@@ -156,7 +160,6 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
                 manifest["status"] = "failed"
                 status = 1
                 break
-
-    with replace_file(manifest_path) as fh:
-        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+        sys.stdout.flush()  # what the steps printed stays before a manifest written to stdout
+        manifest_file.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return status

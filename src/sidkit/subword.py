@@ -1,14 +1,10 @@
 """Subword split-ratio statistics under a plain vocabulary file.
 
-Words are segmented by greedy longest-match-first lookup (WordPiece-style):
-the longest vocabulary prefix is taken, then matching continues on the rest
-with the continuation marker prepended to each candidate piece. A word with
-no segmentation at some position collapses to the unknown token.
-
-The split-word ratio of a corpus is the fraction of words that either
-tokenize into more than one piece or cannot be segmented at all. Differences
-in this ratio between training and evaluation corpora are the quantity fed
-into the correlation analysis.
+A word is split when a greedy longest-match-first (WordPiece-style)
+tokenizer would give it more than one piece or the unknown token. The
+split-word ratio of a corpus is the fraction of its words that are split.
+Differences in this ratio between training and evaluation corpora are the
+quantity fed into the correlation analysis.
 
 Greedy matching tries the whole word first, so a word is one piece exactly
 when it is itself in the vocabulary; any other word splits into several
@@ -34,7 +30,6 @@ class SubwordError(ValueError):
 @dataclass(frozen=True)
 class SubwordVocab:
     tokens: frozenset[str]
-    continuation_marker: str = "##"
     unk_token: str = "[UNK]"
 
     def __post_init__(self) -> None:
@@ -52,30 +47,6 @@ class SubwordVocab:
             tokens=frozenset(line for line in text.split("\n") if line.strip()),
             unk_token=unk_token,
         ))
-
-
-def tokenize_word(vocab: SubwordVocab, word: str) -> list[str]:
-    """Greedy longest-match segmentation; [unk] when no segmentation exists."""
-    if not word:
-        raise SubwordError("cannot tokenize an empty word")
-    pieces: list[str] = []
-    start = 0
-    while start < len(word):
-        end = len(word)
-        found = None
-        while start < end:
-            candidate = word[start:end]
-            if start > 0:
-                candidate = vocab.continuation_marker + candidate
-            if candidate in vocab.tokens:
-                found = candidate
-                break
-            end -= 1
-        if found is None:
-            return [vocab.unk_token]
-        pieces.append(found)
-        start = end
-    return pieces
 
 
 Corpus = Union[Dataset, Iterable[str], str]
@@ -96,9 +67,8 @@ def _iter_words(corpus: Corpus, letters_only: bool) -> Iterable[str]:
 def split_word_ratio(vocab: SubwordVocab, corpus: Corpus, letters_only: bool = False) -> float:
     """Fraction of words split into multiple pieces or unsegmentable.
 
-    Computed over word tokens (every occurrence counts), not types. Equal to
-    counting the words whose ``tokenize_word`` pieces are more than one or
-    ``[unk]``, without segmenting any word (see the module docstring).
+    Computed over word tokens (every occurrence counts), not types, without
+    segmenting any word (see the module docstring).
     """
     counts = Counter(_iter_words(corpus, letters_only))
     if "" in counts:

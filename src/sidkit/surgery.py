@@ -432,11 +432,6 @@ def _resolve_groups(scheme: NamingScheme, groups: Sequence[GroupId], names: Iter
     return selected
 
 
-def layer_group(scheme: NamingScheme, group: GroupId, names: Iterable[str]) -> set[str]:
-    """All names belonging to one group; empty resolution is an error."""
-    return _resolve_groups(scheme, [group], names)
-
-
 # ---------------------------------------------------------------------------
 # Surgery
 # ---------------------------------------------------------------------------

@@ -76,9 +76,16 @@ def test_traced_scoring_keeps_every_score_probe_busy(tmp_path, monkeypatch):
         # through the module, so the traced main records which command each scan served
         assert sidkit.cli.main(["evaluate", "--gold", "gold.conll", "--pred", "pred.conll",
                                 "--group-by", "variety", "--report", "json", "--out", "eval.json"]) == 0
+        grouped = [span[4]["mode"] for span in tracer.spans if span[0] == "evaluate.match"]
+        assert sidkit.cli.main(["evaluate", "--gold", "gold.conll", "--pred", "pred.conll",
+                                "--mode", "loose-unlabelled", "--report", "json",
+                                "--out", "eval_loose_unlabelled.json"]) == 0
         assert sidkit.cli.main(["parse-check", "--in", "pred.conll", "--out", "check.json"]) == 1
-    modes = {span[4]["mode"] for span in tracer.spans if span[0] == "evaluate.match"}
-    assert modes == {"strict", "loose", "unlabelled", "loose-unlabelled"}
+    modes = [span[4]["mode"] for span in tracer.spans if span[0] == "evaluate.match"]
+    # three varieties: the grouped call scores each reported mode once per group, the single-mode call once
+    assert sorted(grouped) == sorted(["strict", "loose", "unlabelled"] * 3)
+    assert modes[len(grouped):] == ["loose-unlabelled"]
+    assert set(modes) == {"strict", "loose", "unlabelled", "loose-unlabelled"}
     metrics = tracing.layer_metrics(tracer.spans, {})
     assert metrics["evaluate.match_loose_s"] > 0
     assert metrics["evaluate.bio_scans_per_pair"] == 2

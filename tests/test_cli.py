@@ -459,6 +459,25 @@ def test_evaluate_loose_unlabelled_mode_matches_span_f1(gold_file, tmp_path, cap
     assert set(report) == {"mode", "intent_accuracy", "loose-unlabelled"}
 
 
+@pytest.mark.parametrize("group_by, groups", [("none", 1), ("variety", 2)])
+@pytest.mark.parametrize("mode", ["all", "strict", "loose", "unlabelled", "loose-unlabelled"])
+def test_evaluate_runs_one_matching_pass_per_group_for_each_reported_mode(
+    mode, group_by, groups, gold_file, monkeypatch, capsys
+):
+    evaluate_module = sys.modules["sidkit.evaluate"]
+    calls = []
+
+    def counting_span_f1(gold_spans, pred_spans, mode):
+        calls.append(mode)
+        return span_f1(gold_spans, pred_spans, mode)
+
+    monkeypatch.setattr(evaluate_module, "span_f1", counting_span_f1)
+    assert main(["evaluate", "--gold", str(gold_file), "--pred", str(gold_file),
+                 "--group-by", group_by, "--mode", mode]) == 0
+    modes = ["strict", "loose", "unlabelled"] if mode == "all" else [mode]
+    assert sorted(calls) == sorted(modes * groups)
+
+
 def test_evaluate_strict_repair_names_side_dataset_and_utterance(tmp_path, capsys):
     gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
     gold.write_text("# id: a\n# intent: x\nin\tO\noslo\tB-loc\n", encoding="utf-8")
@@ -955,6 +974,15 @@ def test_every_readme_command_line_parses(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the same-file check looks at no file of the checkout
     for argv in argvs:
         assert build_parser().parse_command(argv).command == argv[0], argv
+
+
+def test_the_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n"):]
+    code = re.search(r"^```python\n(.*?)^```", library, flags=re.M | re.S)[1]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "{'strict': 0.0, 'loose': 1.0, 'unlabelled': 0.0}"
 
 
 def test_every_lazy_cli_binding_resolves():

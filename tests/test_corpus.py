@@ -31,7 +31,6 @@ from sidkit.corpus import (
     load_dataset,
     parse_dataset,
     save_dataset,
-    spans_to_tags,
     split_dataset,
     unseen_label_report,
     validate_bio,
@@ -363,6 +362,14 @@ def test_variety_from_options():
 
 token_strategy = st.text(alphabet="abcdefæøå", min_size=1, max_size=6)
 label_strategy = st.sampled_from(["a", "b", "weather/attribute"])
+
+
+def spans_to_tags(spans, length):
+    """Oracle: the BIO tags of disjoint spans over ``length`` tokens."""
+    tags = ["O"] * length
+    for span in spans:
+        tags[span.start:span.end] = [f"B-{span.label}"] + [f"I-{span.label}"] * (span.end - span.start - 1)
+    return tuple(tags)
 
 
 @st.composite

@@ -315,9 +315,7 @@ def test_evaluate_against_itself_is_perfect():
     gold = random_corpus(rng, 40, ["a", "b"], varieties=["north", "west"])
     report = evaluate(gold, gold, group_by="variety")
     assert report.intent_accuracy == 1.0
-    assert report.strict.f1 == 1.0
-    assert report.loose.f1 == 1.0
-    assert report.unlabelled.f1 == 1.0
+    assert [prf.f1 for prf in report.spans.values()] == [1.0, 1.0, 1.0]
     assert report.utterance_count == 40
 
 
@@ -338,10 +336,10 @@ def test_grouped_counts_sum_to_overall():
     report = evaluate(gold, pred, group_by="variety")
     assert set(report.per_group) == {"north", "west", "bokmål"}
     for mode in MODES:
-        overall = getattr(report, mode)
+        overall = report.spans[mode]
         total = PRF(0, 0, 0)
         for scores in report.per_group.values():
-            total = total + getattr(scores, mode)
+            total = total + scores.spans[mode]
         assert total == overall
     assert sum(s.utterance_count for s in report.per_group.values()) == report.utterance_count
     acc = sum(
@@ -350,7 +348,7 @@ def test_grouped_counts_sum_to_overall():
     assert acc == pytest.approx(report.intent_accuracy)
 
 
-ALL_MODES = ("strict", "loose", "unlabelled", "loose_unlabelled")
+ALL_MODES = ("strict", "loose", "unlabelled", "loose-unlabelled")
 
 
 def _gold_and_noisy_pred(seed, size=60):
@@ -388,24 +386,47 @@ def test_evaluate_scans_each_side_once(monkeypatch, group_by):
 
 def test_grouped_and_ungrouped_agree_in_every_mode():
     gold, pred = _gold_and_noisy_pred(17)
-    flat = evaluate(gold, pred)
-    grouped = evaluate(gold, pred, group_by="variety")
+    flat = evaluate(gold, pred, modes=ALL_MODES)
+    grouped = evaluate(gold, pred, group_by="variety", modes=ALL_MODES)
     assert flat.per_group == {}
     assert grouped.intent_accuracy == flat.intent_accuracy
     gold_spans = [extract_spans(u.slot_tags, "lenient") for u in gold]
     pred_spans = [extract_spans(u.slot_tags, "lenient") for u in pred]
     for mode in ALL_MODES:
-        assert getattr(grouped, mode) == getattr(flat, mode)
-        assert getattr(flat, mode) == span_f1(gold_spans, pred_spans, mode.replace("_", "-"))
-        summed = sum((getattr(s, mode) for s in grouped.per_group.values()), PRF(0, 0, 0))
-        assert summed == getattr(grouped, mode)
+        assert grouped.spans[mode] == flat.spans[mode]
+        assert flat.spans[mode] == span_f1(gold_spans, pred_spans, mode)
+        summed = sum((s.spans[mode] for s in grouped.per_group.values()), PRF(0, 0, 0))
+        assert summed == grouped.spans[mode]
 
 
 def test_loose_unlabelled_left_out_of_reports():
     gold, pred = _gold_and_noisy_pred(23, size=10)
     report = evaluate(gold, pred, group_by="variety")
-    assert "loose_unlabelled" not in json.dumps(report.to_dict())
-    assert not any("loose_unlabelled" in cell for row in report.tsv_rows() for cell in row)
+    assert tuple(report.spans) == MODES
+    assert all(tuple(s.spans) == MODES for s in report.per_group.values())
+    assert "loose-unlabelled" not in json.dumps(report.to_dict())
+    assert not any("loose" in cell and "unlabelled" in cell for row in report.tsv_rows() for cell in row)
+
+
+@pytest.mark.parametrize("group_by", ["none", "variety"])
+def test_a_report_holds_only_the_modes_asked_for_in_their_order(group_by):
+    gold, pred = _gold_and_noisy_pred(31, size=12)
+    every = evaluate(gold, pred, group_by=group_by, modes=ALL_MODES)
+    report = evaluate(gold, pred, group_by=group_by, modes=("loose-unlabelled", "strict"))
+    assert list(report.spans) == ["loose-unlabelled", "strict"]
+    assert report.spans == {m: every.spans[m] for m in report.spans}
+    assert report.tsv_rows()[0] == ("group", "utterances", "intent_accuracy", "loose-unlabelled_p",
+                                    "loose-unlabelled_r", "loose-unlabelled_f1", "strict_p", "strict_r",
+                                    "strict_f1")
+    assert list(report.to_dict())[2:4] == ["loose-unlabelled", "strict"]
+
+
+@pytest.mark.parametrize("group_by", ["none", "variety"])
+@pytest.mark.parametrize("modes", [("loose_unlabelled",), ("strict", "exact"), ("all",)])
+def test_an_unknown_mode_raises(modes, group_by):
+    gold, pred = _gold_and_noisy_pred(37, size=4)
+    with pytest.raises(ValueError, match="unknown match mode"):
+        evaluate(gold, pred, group_by=group_by, modes=modes)
 
 
 def test_crlf_predictions_score_like_lf():
@@ -414,7 +435,7 @@ def test_crlf_predictions_score_like_lf():
     lf = evaluate(parse_dataset(gold_text), parse_dataset(pred_text))
     crlf = evaluate(parse_dataset(gold_text), parse_dataset(pred_text.replace("\n", "\r\n")))
     assert crlf == lf
-    assert evaluate(parse_dataset(gold_text), parse_dataset(gold_text.replace("\n", "\r\n"))).strict.f1 == 1.0
+    assert evaluate(parse_dataset(gold_text), parse_dataset(gold_text.replace("\n", "\r\n"))).spans["strict"].f1 == 1.0
 
 
 @pytest.mark.parametrize("group_by", ["none", "variety"])
@@ -432,7 +453,7 @@ def test_evaluate_lenient_repair_handles_stray_i_tags():
     gold = Dataset(name="g", utterances=(_utt(0, "a", tags=("B-x", "I-x")),))
     pred = Dataset(name="p", utterances=(_utt(0, "a", tags=("O", "I-x")),))
     report = evaluate(gold, pred, repair="lenient")
-    assert report.strict.predicted == 1
+    assert report.spans["strict"].predicted == 1
     from sidkit.corpus import BioFormatError
 
     with pytest.raises(BioFormatError):

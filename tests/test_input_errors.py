@@ -159,6 +159,18 @@ def test_undecodable_pipeline_config_names_the_file(config, expected, tmp_path, 
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("table, x, y, expected", [
+    ("a\tb\n1\t2\n2\t1\n", "5", "0", "column '5', line 2: the row has 2 cells"),
+    ("1\t2\n2\t1\n", "0", "2", "column '2', line 1: the row has 2 cells"),
+    ("a\tb\n1\t2\n3\n", "a", "b", "column 'b', line 3: the row has 1 cell"),
+])
+def test_a_row_without_the_column_names_its_cell_count(table, x, y, expected, tmp_path, capsys):
+    path = tmp_path / "table.tsv"
+    path.write_text(table, encoding="utf-8")
+    code = main(["correlate", "--in", str(path), "--x", x, "--y", y])
+    _assert_exit_1_naming(code, capsys, path, expected)
+
+
 BAD_SHAPE = b'{"w":{"dtype":"F32","shape":[-1],"data_offsets":[0,0]}}'
 
 # Per reader: the bad file's bytes, and the command line reading it as {bad}.

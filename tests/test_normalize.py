@@ -11,7 +11,6 @@ from conftest import load_bench
 from sidkit.normalize import (
     APOSTROPHES,
     normalize_text,
-    normalize_token,
     replay_trace,
     trace_token,
 )
@@ -33,52 +32,52 @@ reference = load_bench("reference")
 
 @pytest.mark.parametrize("source,expected", sorted(RULE_FIXTURES.items()))
 def test_rule_fixtures(source, expected):
-    assert normalize_token(source) == expected
+    assert trace_token(source).output == expected
 
 
 def test_thick_l_only_uppercase():
-    assert normalize_token("soL") == "sol"
-    assert normalize_token("sol") == "sol"
-    assert normalize_token("LoLa") == "lola"
+    assert trace_token("soL").output == "sol"
+    assert trace_token("sol").output == "sol"
+    assert trace_token("LoLa").output == "lola"
 
 
 def test_all_apostrophe_variants_removed():
     for apostrophe in APOSTROPHES:
-        assert apostrophe not in normalize_token(f"vat{apostrophe}n")
+        assert apostrophe not in trace_token(f"vat{apostrophe}n").output
 
 
 def test_cluster_rules_case_insensitive_with_case_kept():
-    assert normalize_token("HASSJT") == "HARST"
-    assert normalize_token("Bakkst") == "Bakst"
-    assert normalize_token("FOSSJK") == "FORSK"
-    assert normalize_token("KATTNE") == "KATNE"
+    assert trace_token("HASSJT").output == "HARST"
+    assert trace_token("Bakkst").output == "Bakst"
+    assert trace_token("FOSSJK").output == "FORSK"
+    assert trace_token("KATTNE").output == "KATNE"
 
 
 def test_kkj_protected():
-    assert normalize_token("ikkje") == "ikkje"
+    assert trace_token("ikkje").output == "ikkje"
 
 
 def test_stacked_clusters_reduce_to_fixpoint():
-    assert normalize_token("kannnde") == "kande"
-    assert normalize_token("fjellldal") == "fjeldal"
+    assert trace_token("kannnde").output == "kande"
+    assert trace_token("fjellldal").output == "fjeldal"
 
 
 def test_cluster_requires_following_consonant():
-    assert normalize_token("katt") == "katt"  # word-final double consonant kept
-    assert normalize_token("kattea") == "kattea"  # vowel follows, kept
+    assert trace_token("katt").output == "katt"  # word-final double consonant kept
+    assert trace_token("kattea").output == "kattea"  # vowel follows, kept
 
 
 def test_hyphen_is_not_a_consonant():
-    assert normalize_token("katt-ne") == "katt-ne"
+    assert trace_token("katt-ne").output == "katt-ne"
 
 
 def test_vowels_never_rewritten():
-    assert normalize_token("haaard") == "haaard"
+    assert trace_token("haaard").output == "haaard"
 
 
 def test_rewrite_created_cluster_is_reduced():
     # ssjt -> rst can abut a preceding r; the fixpoint pass must clean it up.
-    assert normalize_token("arssjt") == "arst"
+    assert trace_token("arssjt").output == "arst"
 
 
 def test_normalize_text_preserves_whitespace():
@@ -141,19 +140,19 @@ def test_idempotent_on_random_strings():
     rng = random.Random(1234)
     for _ in range(2000):
         s = "".join(rng.choice(NORWEGIAN) for _ in range(rng.randint(0, 12)))
-        once = normalize_token(s)
-        assert normalize_token(once) == once, s
+        once = trace_token(s).output
+        assert trace_token(once).output == once, s
 
 
 @given(st.text(alphabet=NORWEGIAN, max_size=20))
 def test_idempotence_property(s):
-    once = normalize_token(s)
-    assert normalize_token(once) == once
+    once = trace_token(s).output
+    assert trace_token(once).output == once
 
 
 @given(st.text(alphabet=NORWEGIAN, max_size=20))
 def test_output_free_of_apostrophes_and_thick_l(s):
-    out = normalize_token(s)
+    out = trace_token(s).output
     assert "L" not in out
     assert not (set(out) & APOSTROPHES)
 
@@ -166,7 +165,7 @@ def test_text_level_idempotence(s):
 
 @given(st.text(alphabet=NORWEGIAN, max_size=20))
 def test_cluster_rule_reaches_a_true_fixpoint(s):
-    assert not reference.rule3_pending(normalize_token(s))
+    assert not reference.rule3_pending(trace_token(s).output)
 
 
 # Any code point at all, with the rules' own letters (and U+0130) drawn often enough to meet.
@@ -175,7 +174,7 @@ def test_cluster_rule_reaches_a_true_fixpoint(s):
 def test_any_text_token_normalizes_to_a_replayable_fixpoint(s):
     trace = trace_token(s)
     assert replay_trace(trace) == trace.output
-    assert normalize_token(trace.output) == trace.output
+    assert trace_token(trace.output).output == trace.output
     assert reference.normalized_fixpoint(trace.output)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sidkit import cli, corpus, subword
+from sidkit import cli, corpus
 from sidkit.cli import InputPath, OutputPath, build_parser, main
 from sidkit.pipeline import PipelineError, _step_argv, run_pipeline, sha256_file
 
@@ -102,6 +102,20 @@ def test_rerun_appending_to_one_log_through_dev_stdout_reproduces_the_manifest(t
     assert steps[1]["outputs"] == {}
     assert steps[1]["inputs"] == {"gold.conll": sha256_file(tmp_path / "gold.conll")}
     assert log.read_bytes().count(b'"name": "gold"') == 2  # each run's stats report is in the log
+
+
+def test_a_manifest_written_to_stdout_follows_what_the_steps_printed(tmp_path):
+    (tmp_path / "gold.conll").write_text(GOLD, encoding="utf-8")
+    config = write_config(tmp_path, [{"command": "stats", "args": {"in": "gold.conll"}}])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout buffers, as in a shell
+    result = subprocess.run(
+        [sys.executable, "-m", "sidkit.cli", "pipeline", "--config", str(config), "--manifest", "/dev/stdout"],
+        cwd=tmp_path, env={**env, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    report, manifest = result.stdout.decode("utf-8").split("\n}\n", 1)
+    assert json.loads(report + "}")["name"] == "gold"
+    assert json.loads(manifest)["steps"][0]["command"] == "stats"
 
 
 def test_failing_step_aborts_and_records_partial_state(tmp_path, monkeypatch):
@@ -240,6 +254,21 @@ def test_a_step_naming_the_runs_config_or_manifest_exits_1_before_any_step_runs(
     assert message in err
     assert "Traceback" not in err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ("nodir/m.json", "sidkit: error: nodir/m.json: No such file or directory\n"),
+    ("d", "sidkit: error: d: Is a directory\n"),
+], ids=["in-a-missing-directory", "a-directory"])
+def test_an_unwritable_manifest_exits_1_before_any_step_runs(manifest, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.txt").write_text("soL\n", encoding="utf-8")
+    (tmp_path / "d").mkdir()
+    write_config(tmp_path, [{"name": "clean", "command": "normalize", "args": {"in": "raw.txt", "out": "clean.txt"}}])
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    assert main(["pipeline", "--config", "pipe.json", "--manifest", manifest]) == 1
+    assert capsys.readouterr().err == message
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
 
 
 def test_second_invalid_step_leaves_first_output_unwritten(tmp_path, monkeypatch):
@@ -504,7 +533,7 @@ SUBWORD_STEPS = [
 ]
 
 
-def test_subword_steps_segment_no_word_and_match_separate_command_lines(tmp_path, monkeypatch):
+def test_subword_steps_match_separate_command_lines(tmp_path, monkeypatch):
     run, alone = tmp_path / "run", tmp_path / "alone"
     for path in (run, alone):
         _store_inputs(path)
@@ -515,7 +544,6 @@ def test_subword_steps_segment_no_word_and_match_separate_command_lines(tmp_path
     for i, step in enumerate(SUBWORD_STEPS):
         assert main(_step_argv(i, step, build_parser().commands)) == 0
 
-    monkeypatch.setattr(subword, "tokenize_word", None)
     monkeypatch.chdir(run)
     assert run_pipeline(write_config(run, SUBWORD_STEPS), run / "manifest.json") == 0
     for name in os.listdir(alone):

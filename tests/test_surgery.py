@@ -21,7 +21,7 @@ from sidkit.surgery import (
     NamingScheme,
     SchemeError,
     SurgeryError,
-    layer_group,
+    _resolve_groups,
     mav_report,
     read_checkpoint,
     revert_layers,
@@ -350,7 +350,7 @@ def test_write_rejects_unknown_dtype(tmp_path):
 
 def test_layer_group_selects_exact_layer(tmp_path):
     with read_checkpoint(make_checkpoint(tmp_path / "a.safetensors", seed=2)) as cp:
-        names = layer_group(SCHEME, 0, cp.names())
+        names = _resolve_groups(SCHEME, [0], cp.names())
     assert names == {
         "encoder.layer.0.attention.weight",
         "encoder.layer.0.ffn.weight",
@@ -361,8 +361,8 @@ def test_layer_group_selects_exact_layer(tmp_path):
 def test_delimiter_aware_matching():
     scheme = NamingScheme(layer_template="encoder.layer.{i}", num_layers=12)
     names = ["encoder.layer.1.w", "encoder.layer.10.w", "encoder.layer.11.w"]
-    assert layer_group(scheme, 1, names) == {"encoder.layer.1.w"}
-    assert layer_group(scheme, 10, names) == {"encoder.layer.10.w"}
+    assert _resolve_groups(scheme, [1], names) == {"encoder.layer.1.w"}
+    assert _resolve_groups(scheme, [10], names) == {"encoder.layer.10.w"}
 
 
 def test_groups_partition_synthetic_checkpoint(tmp_path):
@@ -371,7 +371,7 @@ def test_groups_partition_synthetic_checkpoint(tmp_path):
     assert None not in {SCHEME.classify(name) for name in names}
     union = set()
     for group in ["embeddings", "heads", *range(12)]:
-        members = layer_group(SCHEME, group, names)
+        members = _resolve_groups(SCHEME, [group], names)
         assert not union & members  # disjoint
         union |= members
     assert union == set(names)
@@ -379,12 +379,12 @@ def test_groups_partition_synthetic_checkpoint(tmp_path):
 
 def test_empty_group_resolution_errors():
     with pytest.raises(SchemeError, match="matches no tensor"):
-        layer_group(SCHEME, 3, ["classifier.weight"])
+        _resolve_groups(SCHEME, [3], ["classifier.weight"])
 
 
 def test_layer_index_out_of_range():
     with pytest.raises(SchemeError, match="outside"):
-        layer_group(SCHEME, 12, ["encoder.layer.0.w"])
+        _resolve_groups(SCHEME, [12], ["encoder.layer.0.w"])
 
 
 def test_scheme_validation_and_from_json():
@@ -412,7 +412,7 @@ def test_ambiguous_scheme_detected():
 
 
 def _prefix_filter(scheme, group, names):
-    """The per-prefix filter that defined groups before layer_group used classify."""
+    """The per-prefix filter that defined groups before group resolution used classify."""
 
     def prefix_match(name, prefix):
         if name == prefix:
@@ -431,7 +431,7 @@ def _prefix_filter(scheme, group, names):
 
 
 def _filter_layer_group(scheme, group, names):
-    """layer_group as the per-prefix filter computed it, errors included."""
+    """One group's resolution as the per-prefix filter computed it, errors included."""
     if group not in ("embeddings", "heads") and not isinstance(group, int):
         raise SchemeError(f"unknown group {group!r}")
     selected = _prefix_filter(scheme, group, names)
@@ -469,7 +469,7 @@ def schemes_and_names(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(schemes_and_names())
-def test_layer_group_agrees_with_per_prefix_filter(case):
+def test_group_resolution_agrees_with_per_prefix_filter(case):
     scheme, names = case
     groups = ["embeddings", "heads", *range(scheme.num_layers)]
     members = [_prefix_filter(scheme, g, names) for g in groups]
@@ -477,18 +477,18 @@ def test_layer_group_agrees_with_per_prefix_filter(case):
     for group in [*groups, scheme.num_layers, scheme.num_layers + 3, -1, "layers"]:
         if ambiguous:
             with pytest.raises(SchemeError, match="several groups"):
-                layer_group(scheme, group, names)
+                _resolve_groups(scheme, [group], names)
             continue
         try:
             expected = _filter_layer_group(scheme, group, names)
         except SchemeError as exc:
             with pytest.raises(SchemeError, match=re.escape(str(exc))):
-                layer_group(scheme, group, names)
+                _resolve_groups(scheme, [group], names)
         else:
-            assert layer_group(scheme, group, names) == expected
+            assert _resolve_groups(scheme, [group], names) == expected
 
 
-def test_ambiguous_scheme_rejected_by_revert_swap_and_layer_group(tmp_path):
+def test_ambiguous_scheme_rejected_by_revert_swap_and_group_resolution(tmp_path):
     scheme = NamingScheme(embeddings_prefixes=("embeddings.", "encoder."))
     a = make_checkpoint(tmp_path / "a.safetensors", seed=40)
     b = make_checkpoint(tmp_path / "b.safetensors", seed=41)
@@ -498,7 +498,7 @@ def test_ambiguous_scheme_rejected_by_revert_swap_and_layer_group(tmp_path):
     with pytest.raises(SchemeError, match="several groups"):
         swap_layers(a, b, [0, 1], scheme, out)
     with read_checkpoint(a) as cp, pytest.raises(SchemeError, match="several groups"):
-        layer_group(scheme, "heads", cp.names())
+        _resolve_groups(scheme, ["heads"], cp.names())
     assert not out.exists()
 
 
@@ -546,7 +546,8 @@ def test_revert_frame_rule(tmp_path):
     out = tmp_path / "out.safetensors"
     revert_layers(finetuned, pretrained, [3, 4], SCHEME, out)
     ft, pt, result = _tensor_map(finetuned), _tensor_map(pretrained), _tensor_map(out)
-    reverted = layer_group(SCHEME, 3, ft) | layer_group(SCHEME, 4, ft)
+    reverted = {name for name in ft if SCHEME.classify(name) in (3, 4)}
+    assert reverted
     for name in ft:
         if name in reverted:
             assert result[name] == pt[name], name
@@ -577,17 +578,15 @@ def test_assembled_model_tensor_audit(tmp_path):
     out = tmp_path / "assembled.safetensors"
     swap_layers(recipient, donor, [0, 1], SCHEME, out, include_embeddings=True)
     rec, don, result = _tensor_map(recipient), _tensor_map(donor), _tensor_map(out)
-    swapped = (
-        layer_group(SCHEME, 0, rec)
-        | layer_group(SCHEME, 1, rec)
-        | layer_group(SCHEME, "embeddings", rec)
-    )
+    swapped = {name for name in rec if SCHEME.classify(name) in (0, 1, "embeddings")}
+    assert swapped
     for name in rec:
         expected = don[name] if name in swapped else rec[name]
         assert result[name] == expected, name
     # heads must come from the recipient
-    for name in layer_group(SCHEME, "heads", rec):
-        assert result[name] == rec[name]
+    for name in rec:
+        if SCHEME.classify(name) == "heads":
+            assert result[name] == rec[name]
 
 
 @pytest.mark.parametrize("alias", ["base", "donor", "hard link to base"])
@@ -646,7 +645,7 @@ def test_mav_constant_shift_on_one_layer(tmp_path):
             e.name: (e.dtype, e.shape, a.tensor_bytes(e.name)) for e in a.entries
         }
         shift = 0.125  # exactly representable
-        for name in layer_group(SCHEME, 5, a.names()):
+        for name in (n for n in a.names() if SCHEME.classify(n) == 5):
             arr = np.frombuffer(a.tensor_bytes(name), dtype="<f8") + shift
             tensors[name] = ("F64", a.entry(name).shape, arr.astype("<f8").tobytes())
         write_checkpoint(b_path, tensors, metadata=a.metadata)
