@@ -94,9 +94,11 @@ class CommandParser(argparse.ArgumentParser):
     ) -> argparse.Namespace:
         """Parse one command line and apply the checks argparse cannot express.
 
-        A usage error raises UsageError. An output flag that names the same
-        file as another output or an input flag of the command raises
-        ValueError naming both flags, before anything is read or written.
+        A usage error raises UsageError: the corpus format flags are checked
+        by building ``args.format_options``, the command's FormatOptions,
+        from them. An output flag that names the same file as another output
+        or an input flag of the command raises ValueError naming both flags,
+        before anything is read or written.
         ``around`` holds more ``(flag, path)`` files, those of a run around
         the command (a pipeline's ``--config`` and ``--manifest``); a file
         flag of the command may not name one of them where either is an output.
@@ -106,6 +108,15 @@ class CommandParser(argparse.ArgumentParser):
         args = self.parse_args(argv)
         if args.command == "surgery" and args.action in ("revert", "swap") and args.out is None:
             self.error("surgery revert/swap require --out")
+        if "token_col" in args:  # the command takes the corpus format flags
+            from .corpus import FormatOptions
+
+            try:
+                args.format_options = FormatOptions(
+                    args.token_col, args.tag_col, require_intent=not args.no_require_intent, variety=args.variety
+                )
+            except ValueError as exc:  # a column flag: --variety's type has checked that flag
+                self.commands[args.command].error(f"argument --token-col/--tag-col: {exc}")
         files = [
             (action.option_strings[0], value)
             for action in self.commands[args.command]._actions
@@ -165,17 +176,6 @@ def _variety(spec: str) -> str:
     return spec
 
 
-def _format_options(args: argparse.Namespace):
-    from .corpus import FormatOptions
-
-    return FormatOptions(
-        token_col=args.token_col,
-        tag_col=args.tag_col,
-        require_intent=not args.no_require_intent,
-        variety=args.variety,
-    )
-
-
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--token-col", type=int, default=0, help="token column index")
     parser.add_argument("--tag-col", type=int, default=1, help="slot tag column index")
@@ -192,7 +192,7 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_parse_check(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.infile, _format_options(args))
+    dataset = load_dataset(args.infile, args.format_options)
     violations = [v for utt in dataset for v in validate_bio(utt)]
     report = {
         "file": args.infile,
@@ -208,13 +208,12 @@ def cmd_parse_check(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    options = _format_options(args)
-    dataset = load_dataset(args.infile, options)
+    dataset = load_dataset(args.infile, args.format_options)
     inventory = label_inventory(dataset)
     if args.unseen_from is None:
         report = inventory.to_dict() if args.report == "json" else inventory.tsv_rows()
     else:
-        train = load_dataset(args.unseen_from, options)
+        train = load_dataset(args.unseen_from, args.format_options)
         unseen = unseen_label_report(train, dataset)
         if args.report == "json":
             report = {"inventory": inventory.to_dict(), "unseen": unseen.to_dict()}
@@ -225,15 +224,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    options = _format_options(args)
-    dataset = load_dataset(args.infile, options)
+    dataset = load_dataset(args.infile, args.format_options)
     print(f"seed: {args.seed}", file=sys.stderr)
     part1, part2 = split_dataset(
         dataset, args.ratio, args.seed,
         strategy=args.strategy, group_delimiter=args.group_delimiter,
     )
-    save_dataset(part1, args.out1, options)
-    save_dataset(part2, args.out2, options)
+    save_dataset(part1, args.out1, args.format_options)
+    save_dataset(part2, args.out2, args.format_options)
     return 0
 
 
@@ -242,7 +240,7 @@ def effective_seed(args: argparse.Namespace) -> int | None:
     noise the ``--config`` file's seed or 0; None for unseeded commands."""
     seed = getattr(args, "seed", None)
     if seed is None and args.command == "noise":
-        from .corpus import read_text
+        from .files import read_text
         from .noise import NoiseConfig
 
         seed = 0 if args.config is None else read_text(args.config, NoiseConfig.from_json).seed
@@ -252,7 +250,7 @@ def effective_seed(args: argparse.Namespace) -> int | None:
 def cmd_noise(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from .corpus import read_text
+    from .files import read_text
     from .noise import NoiseConfig, NoiseError, OpWeights
 
     if args.config is not None:
@@ -270,15 +268,13 @@ def cmd_noise(args: argparse.Namespace) -> int:
     if args.seed is not None:  # effective_seed's rule, without parsing the config again
         cfg = replace(cfg, seed=args.seed)
     print(f"seed: {cfg.seed}", file=sys.stderr)
-    options = _format_options(args)
-    dataset = load_dataset(args.infile, options)
-    save_dataset(noise_dataset(dataset, cfg), args.out, options)
+    dataset = load_dataset(args.infile, args.format_options)
+    save_dataset(noise_dataset(dataset, cfg), args.out, args.format_options)
     return 0
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    from .corpus import read_text
-    from .files import replace_file
+    from .files import read_text, replace_file
 
     text = read_text(args.infile)
     with replace_file(args.out) as fh:
@@ -295,9 +291,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    options = _format_options(args)
-    gold = load_dataset(args.gold, options)
-    pred = load_dataset(args.pred, options)
+    gold = load_dataset(args.gold, args.format_options)
+    pred = load_dataset(args.pred, args.format_options)
     # Imported after the parses: compiling evaluate.py (no bytecode cache) ahead of them left peak RSS 0.3 MB higher.
     from .evaluate import MODES
 
@@ -320,14 +315,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_subword_ratio(args: argparse.Namespace) -> int:
-    from .corpus import read_text
+    from .files import read_text
     from .subword import SubwordVocab
 
     vocab = SubwordVocab.from_file(args.vocab, unk_token=args.unk)
 
     def corpus_of(path: str):
         if args.format == "conll":
-            return load_dataset(path, _format_options(args))
+            return load_dataset(path, args.format_options)
         return read_text(path)
 
     ratio = split_word_ratio(vocab, corpus_of(args.infile), letters_only=args.letters_only)
@@ -344,8 +339,8 @@ def cmd_subword_ratio(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from .corpus import read_text
     from .correlation import CorrelationError
+    from .files import read_text
 
     def columns(text: str) -> tuple[list[float], list[float]]:
         lines = text.split("\n")
@@ -398,14 +393,10 @@ def _is_number(cell: str) -> bool:
 
 
 def cmd_surgery(args: argparse.Namespace) -> int:
+    from .files import read_text
     from .surgery import NamingScheme, SurgeryError
 
-    if args.scheme is None:
-        scheme = NamingScheme()
-    else:
-        from .corpus import read_text  # only here: a command without --scheme loads no corpus
-
-        scheme = read_text(args.scheme, NamingScheme.from_json)
+    scheme = NamingScheme() if args.scheme is None else read_text(args.scheme, NamingScheme.from_json)
     if args.action == "revert":
         groups: list = list(args.layers)
         if args.embeddings:

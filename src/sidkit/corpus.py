@@ -21,9 +21,8 @@ A block written as ``write_dataset`` writes it is read by one pattern match
 and built without checking again what the match proved; any other block is
 read line by line with every check. ``Utterance(...)`` always checks.
 
-Every corpus is read 64 KiB at a time (``_read_pieces``): a load decodes each
-piece, reads its line ends as LF and parses its chunks before it reads the
-next, so it never holds the file's bytes or its whole text.
+A load reads the file through ``files``' one reader, a piece at a time,
+and parses the chunks of each piece before it reads the next.
 
 Inside a :class:`DatasetStore` scope (a pipeline run holds one),
 ``load_dataset`` and ``save_dataset`` keep the datasets they parse or write,
@@ -33,20 +32,18 @@ nothing.
 
 from __future__ import annotations
 
-import codecs
 import os
 import re
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
-from .files import naming, replace_file
+from .files import _decoded, _lf, _read_pieces, naming, new_sha256, replace_file, sha256_file
 from .rng import SplitMix64, derive_seed, share_count
 
 
@@ -470,95 +467,6 @@ def _write_block(utt: Utterance, options: FormatOptions) -> str:
     return "\n".join(lines)
 
 
-# Files are read this many bytes at a time: below glibc's 128 KiB mmap threshold,
-# so each piece is taken from the heap and handed back to it for the next
-_PIECE_SIZE = 1 << 16
-
-
-@contextmanager
-def _read_pieces(path: str | Path) -> Iterator[Iterator[bytes]]:
-    """The bytes of the file ``path``, ``_PIECE_SIZE`` at a time; the file
-    is open while the block runs. Corpora, the files ``read_text`` reads
-    and the files ``sha256_file`` hashes are read through this, so none of
-    these reads holds a whole file's bytes."""
-    with open(path, "rb", buffering=0) as fh:
-        yield iter(lambda: fh.read(_PIECE_SIZE), b"")
-
-
-def sha256_file(path: str | Path) -> str:
-    """The hex SHA-256 of the file ``path``'s bytes."""
-    from hashlib import sha256
-
-    digest = sha256()
-    with _read_pieces(path) as pieces:
-        for piece in pieces:
-            digest.update(piece)
-    return digest.hexdigest()
-
-
-def read_text(path: str | Path, parse: Callable = str):
-    """``parse`` applied to the file's UTF-8 text, read as :func:`decode_text`
-    reads bytes; a ValueError names the file."""
-    with _read_pieces(path) as pieces, naming(path):
-        return parse("".join(_lf(_decoded(pieces))))
-
-
-def decode_text(data: bytes) -> str:
-    """``data`` decoded as UTF-8 (:func:`_decoded`), less one leading
-    byte-order mark, with CRLF and CR read as LF."""
-    return "".join(_lf(_decoded((data,))))
-
-
-def _decoded(pieces: Iterable[bytes]) -> Iterator[str]:
-    """The UTF-8 text of each of ``pieces``, a character cut between two
-    pieces going with the later one. An invalid byte raises ParseError
-    naming the byte and its 1-based line and column (in bytes)."""
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    # of the bytes before ``piece``: their count, the line their end is on,
-    # where that line starts, and whether they end in a CR
-    offset, line, line_start, cr = 0, 1, 0, False
-
-    def advance(data: bytes) -> None:
-        nonlocal offset, line, line_start, cr
-        # CRLF, CR and LF each end a line, as in the decoded text
-        line += data.count(b"\n")
-        if cr or b"\r" in data:  # the test is far cheaper than the counts
-            line += data.count(b"\r") - data.count(b"\r\n") - (cr and data.startswith(b"\n"))
-        if (last := max(data.rfind(b"\n"), data.rfind(b"\r"))) >= 0:
-            line_start = offset + last + 1
-        offset, cr = offset + len(data), data.endswith(b"\r")
-
-    for piece in chain(pieces, (b"",)):  # the empty last piece ends a character cut off at the end
-        try:
-            text = decode(piece, not piece)
-        except UnicodeDecodeError as exc:
-            # exc.object is the undecoded end of the pieces before, which holds
-            # no line break, then ``piece``
-            at = exc.start - (len(exc.object) - len(piece))
-            advance(piece[: max(at, 0)])
-            column = offset + min(at, 0) - line_start + 1
-            raise ParseError(
-                f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x} at line {line}, column {column}"
-            ) from None
-        advance(piece)
-        yield text
-
-
-def _lf(texts: Iterable[str]) -> Iterator[str]:
-    """``texts`` less one leading byte-order mark, with CRLF and CR read as
-    LF; a CR that ends one text waits for the next, which may open with its LF."""
-    head = True  # no character yet, so a byte-order mark here is dropped
-    cr = ""
-    for text in texts:
-        if head and text:
-            text, head = text.removeprefix("\ufeff"), False
-        text = cr + text
-        cr = "\r" if text.endswith("\r") else ""
-        yield text[: len(text) - len(cr)].replace("\r\n", "\n").replace("\r", "\n")
-    if cr:
-        yield "\n"
-
-
 class DatasetStore:
     """The datasets parsed or written in a ``with DatasetStore():`` scope.
 
@@ -619,11 +527,10 @@ def load_dataset(
         stored = store.get(path, options)
         if stored is not None:
             return Dataset(name=name, utterances=stored.utterances)
-        from hashlib import sha256
-
-        digest = sha256()  # of the bytes parsed, which the file may no longer hold
-    with _read_pieces(path) as pieces, naming(path):
-        texts = _decoded(pieces if store is None else _hashed(pieces, digest))
+    # of the bytes parsed, which the file may no longer hold
+    digest = None if store is None else new_sha256()
+    with _read_pieces(path, digest) as pieces, naming(path):
+        texts = _corpus_text(pieces)
         try:
             dataset = _parse_pieces(texts, options, name)
         except ParseError:
@@ -635,11 +542,12 @@ def load_dataset(
     return dataset
 
 
-def _hashed(pieces: Iterable[bytes], digest) -> Iterator[bytes]:
-    """``pieces``, each added to ``digest`` as it is taken."""
-    for piece in pieces:
-        digest.update(piece)
-        yield piece
+def _corpus_text(pieces: Iterable[bytes]) -> Iterator[str]:
+    """``files._decoded(pieces)``, whose invalid byte raises ParseError."""
+    try:
+        yield from _decoded(pieces)
+    except ValueError as exc:
+        raise ParseError(*exc.args) from None
 
 
 def save_dataset(dataset: Dataset, path: str | Path, options: FormatOptions = DEFAULT_FORMAT) -> None:
@@ -653,12 +561,8 @@ def save_dataset(dataset: Dataset, path: str | Path, options: FormatOptions = DE
     """
     path = Path(path)
     store = _active_store.get()
-    if store is not None and (options.variety is None or all(u.variety is not None for u in dataset)):
-        from hashlib import sha256
-
-        digest = sha256()
-    else:
-        digest = None
+    kept = store is not None and (options.variety is None or all(u.variety is not None for u in dataset))
+    digest = new_sha256() if kept else None
     with replace_file(path) as fh:
         for block in _written_blocks(dataset, options):
             data = block.encode("utf-8")

@@ -1,18 +1,25 @@
-"""File rules: every reader names its file in an error through :func:`naming`;
-every writer (corpora, checkpoints, reports, normalize outputs, pipeline
-manifests) writes through :func:`replace_file`, so a failed write never
-leaves a half-written output behind. This module imports nothing from
-sidkit, so a command that reads or writes pays for no other module.
+"""File rules: one reader, one writer, one digest. Every file sidkit reads
+as text or digests is read 64 KiB at a time (``_read_pieces``), each piece
+decoded, parsed or hashed before the next is read, so no read holds a whole
+file's bytes; a read may feed each piece to a digest as it passes, so a
+file is parsed and digested in one read. Every reader names its file in an
+error through :func:`naming`; every writer (corpora, checkpoints, reports,
+normalize outputs, pipeline manifests) writes through :func:`replace_file`,
+so a failed write never leaves a half-written output behind. This module
+imports nothing from sidkit, so a command that reads or writes pays for no
+other module.
 """
 
 from __future__ import annotations
 
+import codecs
 import os
 import re
 import stat
 import sys
 from contextlib import contextmanager, suppress
-from typing import BinaryIO, Iterator
+from itertools import chain
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 _STANDARD = {"/dev/stdout": "/dev/fd/1", "/dev/stderr": "/dev/fd/2"}
 _DESCRIPTOR = re.compile(r"(?:/dev/fd|/proc/self/fd)/(\d+)", re.ASCII)
@@ -90,3 +97,92 @@ def replace_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+# Files are read this many bytes at a time: below glibc's 128 KiB mmap threshold,
+# so each piece is taken from the heap and handed back to it for the next
+_PIECE_SIZE = 1 << 16
+
+
+def new_sha256():
+    """A new hashlib SHA-256 object; hashlib loads OpenSSL (3.5 MB of RSS), so only a digest imports it."""
+    import hashlib
+
+    return hashlib.sha256()
+
+
+@contextmanager
+def _read_pieces(path: str | os.PathLike, digest=None) -> Iterator[Iterator[bytes]]:
+    """The bytes of the file ``path``, ``_PIECE_SIZE`` at a time, each fed to
+    ``digest`` (a hashlib object), when given, as it passes; the file is open
+    while the block runs."""
+    with open(path, "rb", buffering=0) as fh:
+        pieces = iter(lambda: fh.read(_PIECE_SIZE), b"")
+        yield pieces if digest is None else (digest.update(piece) or piece for piece in pieces)
+
+
+def sha256_file(path: str | os.PathLike) -> str:
+    """The hex SHA-256 of the file ``path``'s bytes."""
+    digest = new_sha256()
+    with _read_pieces(path, digest) as pieces:
+        for _ in pieces:
+            pass
+    return digest.hexdigest()
+
+
+def read_text(path: str | os.PathLike, parse: Callable = str, digest=None):
+    """``parse`` applied to the file's UTF-8 text (:func:`_decoded`), less
+    one leading byte-order mark, with CRLF and CR read as LF; each piece of
+    the file's bytes is fed to ``digest`` when given. A ValueError names the file."""
+    with _read_pieces(path, digest) as pieces, naming(path):
+        return parse("".join(_lf(_decoded(pieces))))
+
+
+def _decoded(pieces: Iterable[bytes]) -> Iterator[str]:
+    """The UTF-8 text of each of ``pieces``, a character cut between two
+    pieces going with the later one. An invalid byte raises ValueError
+    naming the byte and its 1-based line and column (in bytes)."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    # of the bytes before ``piece``: their count, the line their end is on,
+    # where that line starts, and whether they end in a CR
+    offset, line, line_start, cr = 0, 1, 0, False
+
+    def advance(data: bytes) -> None:
+        nonlocal offset, line, line_start, cr
+        # CRLF, CR and LF each end a line, as in the decoded text
+        line += data.count(b"\n")
+        if cr or b"\r" in data:  # the test is far cheaper than the counts
+            line += data.count(b"\r") - data.count(b"\r\n") - (cr and data.startswith(b"\n"))
+        if (last := max(data.rfind(b"\n"), data.rfind(b"\r"))) >= 0:
+            line_start = offset + last + 1
+        offset, cr = offset + len(data), data.endswith(b"\r")
+
+    for piece in chain(pieces, (b"",)):  # the empty last piece ends a character cut off at the end
+        try:
+            text = decode(piece, not piece)
+        except UnicodeDecodeError as exc:
+            # exc.object is the undecoded end of the pieces before, which holds
+            # no line break, then ``piece``
+            at = exc.start - (len(exc.object) - len(piece))
+            advance(piece[: max(at, 0)])
+            column = offset + min(at, 0) - line_start + 1
+            raise ValueError(
+                f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x} at line {line}, column {column}"
+            ) from None
+        advance(piece)
+        yield text
+
+
+def _lf(texts: Iterable[str]) -> Iterator[str]:
+    """``texts`` less one leading byte-order mark, with CRLF and CR read as
+    LF; a CR that ends one text waits for the next, which may open with its LF."""
+    head = True  # no character yet, so a byte-order mark here is dropped
+    cr = ""
+    for text in texts:
+        if head and text:
+            text, head = text.removeprefix("\ufeff"), False
+        text = cr + text
+        cr = "\r" if text.endswith("\r") else ""
+        yield text[: len(text) - len(cr)].replace("\r\n", "\n").replace("\r", "\n")
+    if cr:
+        yield "\n"

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
 
-from .corpus import Dataset, Utterance, _trusted_utterance, read_text
+from .corpus import Dataset, Utterance, _trusted_utterance
+from .files import read_text
 from .rng import SplitMix64, derive_seed, share_count
 
 

@@ -40,14 +40,13 @@ flag of a later step).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
 from typing import Container
 
-from .corpus import DatasetStore, decode_text, sha256_file
-from .files import named_descriptor, naming, replace_file
+from .corpus import DatasetStore
+from .files import named_descriptor, new_sha256, read_text, replace_file, sha256_file
 
 
 class PipelineError(ValueError):
@@ -102,6 +101,20 @@ def _digest_role(parsed: argparse.Namespace, role: type) -> dict[str, str]:
     }
 
 
+def _config_steps(text: str) -> list:
+    """The step list of the pipeline config ``text``."""
+    config = json.loads(text)
+    if not isinstance(config, dict):
+        raise PipelineError("pipeline config must be a JSON object")
+    unknown = set(config) - {"steps"}
+    if unknown:
+        raise PipelineError(f"unknown pipeline config keys: {sorted(unknown)}")
+    steps = config.get("steps", [])
+    if not isinstance(steps, list):
+        raise PipelineError("'steps' must be a list")
+    return steps
+
+
 def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = None) -> int:
     """Execute a pipeline config; returns 0 on success, 1 on step failure."""
     from . import cli  # late import: cli imports this module for the subcommand
@@ -109,21 +122,12 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
     config_path = Path(config_path)
     if manifest_path is None:
         manifest_path = config_path.with_suffix(config_path.suffix + ".manifest.json")
-    config_bytes = config_path.read_bytes()
-    with naming(config_path):
-        config = json.loads(decode_text(config_bytes))
-        if not isinstance(config, dict):
-            raise PipelineError("pipeline config must be a JSON object")
-        unknown = set(config) - {"steps"}
-        if unknown:
-            raise PipelineError(f"unknown pipeline config keys: {sorted(unknown)}")
-        steps = config.get("steps", [])
-        if not isinstance(steps, list):
-            raise PipelineError("'steps' must be a list")
+    config_digest = new_sha256()
+    steps = read_text(config_path, _config_steps, config_digest)
 
     manifest: dict = {
         "config": str(config_path),
-        "config_digest": hashlib.sha256(config_bytes).hexdigest(),
+        "config_digest": config_digest.hexdigest(),
         "steps": [],
         "status": "ok",
     }

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
-from .corpus import Dataset, read_text
+from .corpus import Dataset
+from .files import read_text
 
 
 class SubwordError(ValueError):

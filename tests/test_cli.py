@@ -89,6 +89,21 @@ def test_bad_variety_flag_is_usage_error(tmp_path, capsys, variety, corpus_text)
     assert "argument --variety: variety" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--token-col", "-1"], "column indices must be non-negative"),
+    (["--tag-col", "-2"], "column indices must be non-negative"),
+    (["--token-col", "1", "--tag-col", "1"], "token and tag columns must differ"),
+    (["--tag-col", "0"], "token and tag columns must differ"),
+])
+def test_bad_column_flags_are_a_usage_error_before_anything_is_read(tmp_path, capsys, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--in", str(tmp_path / "missing.conll"), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sidkit stats ")
+    assert err.endswith(f"sidkit stats: error: argument --token-col/--tag-col: {message}\n")
+
+
 def test_variety_flag_fills_blocks_without_a_variety_comment(tmp_path, capsys):
     path = tmp_path / "in.conll"
     path.write_text("# id: 1\n# intent: x\na\tO\n", encoding="utf-8")
@@ -934,6 +949,24 @@ def test_each_command_loads_only_its_modules(tmp_path, gold_file):
         tmp_path,
     )
     assert evaluate == {"sidkit.cli", "sidkit.corpus", "sidkit.evaluate", "sidkit.files", "sidkit.rng"}
+
+
+def test_commands_that_read_no_corpus_load_no_corpus_module(tmp_path):
+    make_checkpoint(tmp_path / "a.safetensors", seed=39)
+    make_checkpoint(tmp_path / "b.safetensors", seed=40)
+    (tmp_path / "t.txt").write_text("haLLo ve'l kLokka\n", encoding="utf-8")
+    (tmp_path / "t.tsv").write_text("x\ty\n1\t2\n2\t1\n3\t4\n", encoding="utf-8")
+    (tmp_path / "scheme.json").write_text("{}", encoding="utf-8")
+    commands = {
+        "normalize --in t.txt --out n.txt": {"sidkit.cli", "sidkit.files", "sidkit.normalize"},
+        "correlate --in t.tsv --x x --y y --out c.json": {"sidkit.cli", "sidkit.correlation", "sidkit.files"},
+        "surgery revert --a a.safetensors --b b.safetensors --layers 0 --out r.safetensors --scheme scheme.json": {
+            "sidkit.cli", "sidkit.files", "sidkit.surgery",
+        },
+    }
+    for command, modules in commands.items():
+        code = f"from sidkit.cli import main; assert main({command.split()!r}) == 0"
+        assert _sidkit_modules_after(code, tmp_path) == modules, command
 
 
 def test_package_exports_are_the_defining_modules_objects(tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sidkit import corpus
+from sidkit import corpus, files
 from sidkit.corpus import (
     BioFormatError,
     BioViolation,
@@ -661,7 +661,7 @@ def test_a_load_reads_the_same_at_every_piece_size(tmp_path, data):
     path.write_bytes(data)
     want = whole_file_result(data)
     for size in PIECE_SIZES:
-        with mock.patch.object(corpus, "_PIECE_SIZE", size):
+        with mock.patch.object(files, "_PIECE_SIZE", size):
             assert _loaded(path) == want, size
             with DatasetStore() as store:
                 assert _loaded(path) == want, size

@@ -1,4 +1,5 @@
-"""Every output file goes through one writer, ``sidkit.files.replace_file``.
+"""Every output file goes through one writer, ``sidkit.files.replace_file``,
+and every file read goes through the one reader of ``sidkit.files``.
 
 Each test runs every writer: ``save_dataset``, ``write_checkpoint``, a
 report (``stats --out``), ``normalize --out`` and ``--trace``, and the
@@ -199,28 +200,64 @@ def test_report_to_dev_stdout_appends_to_the_redirected_file(tmp_path, inputs, p
 _MODE = re.compile(r"[rwxabt+]+")
 
 
-def _file_writes(tree):
-    """(line, call) of each call in ``tree`` that creates, truncates or replaces a file."""
+def _calls(tree):
+    """(node, name, modes) of each call in ``tree``: ``name`` is ``f`` for ``f(...)``
+    and ``x.f(...)``, ``modes`` the string arguments that read as a file mode."""
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in ("write_text", "write_bytes"):
-            yield node.lineno, name
-        elif name in ("replace", "rename") and ast.unparse(func) == f"os.{name}":
-            yield node.lineno, f"os.{name}"
-        elif name == "open":
+        if isinstance(node, ast.Call):
+            func = node.func
             modes = [a.value for a in (*node.args, *(k.value for k in node.keywords if k.arg == "mode"))
                      if isinstance(a, ast.Constant) and isinstance(a.value, str) and _MODE.fullmatch(a.value)]
-            if any(set(mode) & set("wax+") for mode in modes):
-                yield node.lineno, f"open(mode={modes})"
+            yield node, func.id if isinstance(func, ast.Name) else getattr(func, "attr", None), modes
+
+
+def _file_writes(tree):
+    """(line, call) of each call in ``tree`` that creates, truncates or replaces a file."""
+    for node, name, modes in _calls(tree):
+        if name in ("write_text", "write_bytes"):
+            yield node.lineno, name
+        elif name in ("replace", "rename") and ast.unparse(node.func) == f"os.{name}":
+            yield node.lineno, f"os.{name}"
+        elif name == "open" and any(set(mode) & set("wax+") for mode in modes):
+            yield node.lineno, f"open(mode={modes})"
+
+
+def _file_reads(tree):
+    """(line, call) of each call in ``tree`` that reads a whole file (``Path.read_text``,
+    ``Path.read_bytes``; a bare ``read_text(...)`` is the reader of ``sidkit.files``)
+    or opens one to read it."""
+    for node, name, modes in _calls(tree):
+        if name in ("read_text", "read_bytes") and isinstance(node.func, ast.Attribute):
+            yield node.lineno, name
+        elif name == "open" and ast.unparse(node.func) == "os.open":
+            yield node.lineno, "os.open"
+        elif name in ("open", "fdopen") and (not modes or any(set(mode) & set("r+") for mode in modes)):
+            yield node.lineno, f"{name}(mode={modes})"
+
+
+def _outside_files_py(rule):
+    """What ``rule`` finds in each module of the package but ``files.py``, and whether it finds anything there."""
+    found = {
+        path.name: list(rule(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted((SRC / "sidkit").glob("*.py"))
+    }
+    return {name: calls for name, calls in found.items() if calls and name != "files.py"}, bool(found["files.py"])
 
 
 def test_only_the_writer_module_writes_files():
-    writes = {
-        path.name: list(_file_writes(ast.parse(path.read_text(encoding="utf-8"))))
-        for path in sorted((SRC / "sidkit").glob("*.py"))
-    }
-    assert {name: found for name, found in writes.items() if found and name != "files.py"} == {}
-    assert writes["files.py"]  # the guard sees the one writer
+    outside, in_files = _outside_files_py(_file_writes)
+    assert outside == {}
+    assert in_files  # the guard sees the one writer
+
+
+def test_only_the_reader_module_reads_files():
+    outside, in_files = _outside_files_py(_file_reads)
+    assert in_files  # the guard sees the one reader
+    # the one exception: a checkpoint is read by offset, through the descriptor
+    # read_checkpoint checks its header through
+    surgery = ast.parse((SRC / "sidkit" / "surgery.py").read_text(encoding="utf-8"))
+    reader = next(node for node in surgery.body if getattr(node, "name", None) == "read_checkpoint")
+    offset_reads = outside.pop("surgery.py")
+    assert [call for _, call in offset_reads] == ["os.open", "open(mode=['rb'])"]
+    assert all(reader.lineno <= line <= reader.end_lineno for line, _ in offset_reads)
+    assert outside == {}

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 import sidkit
 from conftest import make_checkpoint
 from sidkit.cli import UsageError, main
-from sidkit.corpus import read_text
-from sidkit.noise import NoiseConfig, NoiseError
+from sidkit.corpus import CorpusError, ParseError, load_dataset
+from sidkit.files import read_text
+from sidkit.noise import NoiseConfig, NoiseError, load_alphabet
+from sidkit.subword import SubwordVocab
 from sidkit.surgery import DTYPE_SIZES, CheckpointFormatError, NamingScheme, SchemeError, read_checkpoint
 
 CORPUS = "# id: 1\n# intent: a/b\nvekk\tO\nmæ\tB-datetime\n\n# id: 2\n# intent: c/d\nkor\tO\n"
@@ -212,6 +214,20 @@ def test_a_config_error_keeps_its_class_and_names_the_file(parse, error, tmp_pat
     with pytest.raises(error) as exc:
         read_text(path, parse)
     assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_a_bad_byte_is_a_plain_value_error_except_in_a_corpus(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"# id: 1\r\nab\xffcd\n")
+    message = f"{path}: invalid UTF-8 byte 0xff at line 2, column 3"
+    for reader in (read_text, load_alphabet, SubwordVocab.from_file):
+        with pytest.raises(ValueError) as exc:
+            reader(path)
+        assert not isinstance(exc.value, CorpusError), reader
+        assert str(exc.value) == message, reader
+    with pytest.raises(ParseError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == message
 
 
 def test_two_checkpoints_of_one_name_are_told_apart_by_directory(tmp_path, monkeypatch, capsys):

@@ -199,6 +199,14 @@ INVALID_STEPS = {
         {"command": "normalize", "args": {"in": "raw.txt", "out": "./raw.txt"}},
         "--in 'raw.txt' and --out './raw.txt' name the same file",
     ],
+    "negative-token-col": [
+        {"command": "stats", "args": {"in": "raw.txt", "token-col": -1}},
+        "argument --token-col/--tag-col: column indices must be non-negative",
+    ],
+    "equal-columns": [
+        {"command": "stats", "args": {"in": "raw.txt", "tag-col": 0}},
+        "argument --token-col/--tag-col: token and tag columns must differ",
+    ],
 }
 
 
