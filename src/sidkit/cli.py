@@ -298,19 +298,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     modes = MODES if args.mode == "all" else (args.mode,)
     report = evaluate(gold, pred, repair=args.repair, group_by=args.group_by, modes=modes)
-    if args.mode == "all":
-        data = report.to_dict() if args.report == "json" else report.tsv_rows()
-    else:
-        prf = report.spans[args.mode]
-        if args.report == "json":
-            data = {"mode": args.mode, "intent_accuracy": report.intent_accuracy, args.mode: prf.to_dict()}
-        else:
-            scores = (report.intent_accuracy, prf.precision, prf.recall, prf.f1)
-            data = [
-                ("mode", "intent_accuracy", "precision", "recall", "f1"),
-                (args.mode, *(f"{x:.6f}" for x in scores)),
-            ]
-    _write_report(data, args.out)
+    _write_report(report.to_dict() if args.report == "json" else report.tsv_rows(), args.out)
     return 0
 
 

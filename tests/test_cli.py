@@ -446,9 +446,30 @@ def test_evaluate_single_mode(gold_file, capsys):
         "evaluate", "--gold", str(gold_file), "--pred", str(gold_file), "--mode", "loose",
     ]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["mode"] == "loose"
+    assert set(report) == {"utterances", "intent_accuracy", "loose", "per_group"}
     assert report["loose"]["f1"] == 1.0
     assert "strict" not in report
+    assert report["utterances"] == 4 and report["per_group"] == {}
+
+
+def test_evaluate_single_mode_reports_each_variety(gold_file, tmp_path, capsys):
+    pred_file = tmp_path / "pred.conll"
+    pred_file.write_text(GOLD.replace("varmt\tB-weather/attribute", "varmt\tB-datetime"), encoding="utf-8")
+    argv = ["evaluate", "--gold", str(gold_file), "--pred", str(pred_file), "--mode", "strict", "--group-by", "variety"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["strict"] == {"matched": 3, "predicted": 4, "gold": 4, "precision": 0.75, "recall": 0.75, "f1": 0.75}
+    assert {group: scores["strict"]["matched"] for group, scores in report["per_group"].items()} == {
+        "bokmål": 1, "north": 2,
+    }
+    assert all(set(scores) == {"utterances", "intent_accuracy", "strict"} for scores in report["per_group"].values())
+    assert main([*argv, "--report", "tsv"]) == 0
+    assert capsys.readouterr().out == (
+        "group\tutterances\tintent_accuracy\tstrict_p\tstrict_r\tstrict_f1\n"
+        "all\t4\t1.000000\t0.750000\t0.750000\t0.750000\n"
+        "bokmål\t2\t1.000000\t0.500000\t0.500000\t0.500000\n"
+        "north\t2\t1.000000\t1.000000\t1.000000\t1.000000\n"
+    )
 
 
 def test_evaluate_loose_unlabelled_mode_matches_span_f1(gold_file, tmp_path, capsys):
@@ -471,7 +492,7 @@ def test_evaluate_loose_unlabelled_mode_matches_span_f1(gold_file, tmp_path, cap
     )
     assert report["loose-unlabelled"] == expected.to_dict()
     assert expected.matched == 4 and expected.f1 == 1.0
-    assert set(report) == {"mode", "intent_accuracy", "loose-unlabelled"}
+    assert set(report) == {"utterances", "intent_accuracy", "loose-unlabelled", "per_group"}
 
 
 @pytest.mark.parametrize("group_by, groups", [("none", 1), ("variety", 2)])
