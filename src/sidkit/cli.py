@@ -134,10 +134,17 @@ class CommandParser(argparse.ArgumentParser):
 
 def _write_report(report: dict | list[tuple[str, ...]], out: str | None) -> None:
     """The only code that turns a report into bytes, for ``out`` or for stdout when None: a dict
-    as 2-space-indented JSON, non-ASCII as is; rows as tab-separated cells, one line each."""
+    as 2-space-indented JSON, non-ASCII as is; rows as tab-separated cells, one line each.
+
+    A cell that holds a tab (an intent or a variety may) raises ValueError before anything is
+    written; no cell holds a line break, since comment values and slot tags refuse them.
+    """
     if isinstance(report, dict):
         text = json.dumps(report, ensure_ascii=False, indent=2) + "\n"
     else:
+        tabbed = next((cell for row in report for cell in row if "\t" in cell), None)
+        if tabbed is not None:
+            raise ValueError(f"TSV cell {tabbed!r} holds a tab; write this report with --report json")
         text = "".join("\t".join(row) + "\n" for row in report)
     if out is None:
         sys.stdout.write(text)

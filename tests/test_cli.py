@@ -854,13 +854,43 @@ def test_every_json_report_is_indented_utf8_json(case, report_inputs):
     assert text == json.dumps(json.loads(text), ensure_ascii=False, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("case", [case for case, (_, _, tsv) in REPORTS.items() if tsv])
-def test_every_tsv_report_is_rows_as_wide_as_their_header(case, report_inputs):
-    text = _report(case, report_inputs, "--report", "tsv")
+def _assert_rows_as_wide_as_their_header(text):
     assert text.endswith("\n") and not text.endswith("\n\n")
     for table in text[:-1].split("\n\n"):  # stats --unseen-from writes two tables
         header, *rows = table.split("\n")
         assert [row.count("\t") for row in rows] == [header.count("\t")] * len(rows)
+
+
+@pytest.mark.parametrize("case", [case for case, (_, _, tsv) in REPORTS.items() if tsv])
+def test_every_tsv_report_is_rows_as_wide_as_their_header(case, report_inputs):
+    _assert_rows_as_wide_as_their_header(_report(case, report_inputs, "--report", "tsv"))
+
+
+# The TSV reports that would hold a cell with a tab, once one intent and one variety hold one.
+TABBED_CELLS = {"stats": "vêr\tfinn", "stats-unseen": "vêr\tfinn", "evaluate-grouped": "nord\tø"}
+
+
+@pytest.mark.parametrize("case", [case for case, (_, _, tsv) in REPORTS.items() if tsv])
+def test_a_tsv_cell_may_not_hold_a_tab(case, report_inputs, capsys):
+    for name in ("gold", "pred"):  # a tab is legal inside a comment value
+        path = report_inputs[name]
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("vêr/finn", "vêr\tfinn").replace("nord-ø", "nord\tø"), encoding="utf-8")
+    argv, code, _ = REPORTS[case]
+    out = report_inputs["gold"].parent / "report"
+    argv = [arg.format(**report_inputs) for arg in argv] + ["--out", str(out)]
+    assert main(argv) == code  # the JSON report of the same corpus
+    out.unlink()
+    capsys.readouterr()
+    if case in TABBED_CELLS:
+        assert main([*argv, "--report", "tsv"]) == 1
+        assert capsys.readouterr().err == (
+            f"sidkit: error: TSV cell {TABBED_CELLS[case]!r} holds a tab; write this report with --report json\n"
+        )
+        assert not out.exists()
+    else:
+        assert main([*argv, "--report", "tsv"]) == code
+        _assert_rows_as_wide_as_their_header(out.read_text(encoding="utf-8"))
 
 
 def test_surgery_with_scheme_file(tmp_path, capsys):
