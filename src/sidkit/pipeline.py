@@ -15,8 +15,9 @@ pipeline. The whole config is checked, and every step's argv parsed, before
 the first step runs: a bad step raises PipelineError naming it, and nothing
 runs. A step whose output names one of its inputs or another of its outputs
 is such a bad step (``cli.CommandParser.parse_command`` refuses it), and so
-is a step whose file flag names the run's manifest or whose output names
-the run's config. The manifest records, per step, the argv, the effective
+is a step whose file flag names the run's manifest, whose output names
+the run's config, or whose output (other than an open descriptor) is not in
+an existing directory. The manifest records, per step, the argv, the effective
 seed, and SHA-256 digests of every file flag of its subcommand (the flags
 ``cli.build_parser`` types ``InputPath`` before the step, ``OutputPath``
 after, except an output that names an open descriptor such as
@@ -143,6 +144,10 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
             raise PipelineError(f"step {i}: {exc.args[1]}") from None
         except ValueError as exc:  # an output that names an input, another output or a run file
             raise PipelineError(f"step {i}: {exc}") from None
+        for path in _paths(checked[-1][1], cli.OutputPath):  # no step makes a directory
+            if named_descriptor(path) is None and not Path(path).parent.is_dir():
+                raise PipelineError(f"step {i}: output {path!r} is in {str(Path(path).parent)!r}, "
+                                    "which is not a directory")
 
     status = 0
     with replace_file(manifest_path) as manifest_file, DatasetStore() as store:

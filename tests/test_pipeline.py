@@ -199,6 +199,14 @@ INVALID_STEPS = {
         {"command": "normalize", "args": {"in": "raw.txt", "out": "./raw.txt"}},
         "--in 'raw.txt' and --out './raw.txt' name the same file",
     ],
+    "output-in-missing-directory": [
+        {"command": "normalize", "args": {"in": "raw.txt", "out": "nodir/o.txt"}},
+        "output 'nodir/o.txt' is in 'nodir', which is not a directory",
+    ],
+    "output-under-a-file": [
+        {"command": "normalize", "args": {"in": "raw.txt", "out": "raw.txt/o.txt"}},
+        "output 'raw.txt/o.txt' is in 'raw.txt', which is not a directory",
+    ],
     "negative-token-col": [
         {"command": "stats", "args": {"in": "raw.txt", "token-col": -1}},
         "argument --token-col/--tag-col: column indices must be non-negative",
