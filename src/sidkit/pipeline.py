@@ -21,7 +21,9 @@ an existing directory. The manifest records, per step, the argv, the effective
 seed, and SHA-256 digests of every file flag of its subcommand (the flags
 ``cli.build_parser`` types ``InputPath`` before the step, ``OutputPath``
 after, except an output that names an open descriptor such as
-``/dev/stdout``); it contains no timestamps, so re-running an identical pipeline
+``/dev/stdout``), and per run the sidkit version and the corpus and
+container format versions that ``sidkit --version`` prints; it contains no
+timestamps, so re-running an identical pipeline
 reproduces the manifest byte for byte. A failing step aborts the run and the
 manifest records the partial state. The manifest, like every step output,
 is written through ``files.replace_file``: it replaces the old manifest only
@@ -46,6 +48,7 @@ import sys
 from pathlib import Path
 from typing import Container
 
+from . import __version__
 from .corpus import DatasetStore
 from .files import named_descriptor, new_sha256, read_text, replace_file, sha256_file
 
@@ -131,6 +134,11 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
         "config_digest": config_digest.hexdigest(),
         "steps": [],
         "status": "ok",
+        "versions": {  # what ``sidkit --version`` prints
+            "sidkit": __version__,
+            "corpus_format": cli.CORPUS_FORMAT_VERSION,
+            "container_format": cli.CONTAINER_FORMAT_VERSION,
+        },
     }
 
     parser = cli.build_parser()

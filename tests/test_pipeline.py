@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import sidkit
 from sidkit import cli, corpus
 from sidkit.cli import InputPath, OutputPath, build_parser, main
 from sidkit.pipeline import PipelineError, _step_argv, run_pipeline, sha256_file
@@ -33,6 +34,20 @@ def test_empty_pipeline_succeeds_with_empty_manifest(tmp_path):
     assert manifest["steps"] == []
     assert manifest["status"] == "ok"
     assert manifest["config_digest"] == sha256_file(config)
+
+
+def test_manifest_records_the_versions_that_version_prints(tmp_path, capsys):
+    manifest_path = tmp_path / "manifest.json"
+    assert run_pipeline(write_config(tmp_path, []), manifest_path) == 0
+    versions = json.loads(manifest_path.read_text(encoding="utf-8"))["versions"]
+    assert versions == {"sidkit": sidkit.__version__, "corpus_format": cli.CORPUS_FORMAT_VERSION,
+                        "container_format": cli.CONTAINER_FORMAT_VERSION}
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert capsys.readouterr().out == (
+        f"sidkit {versions['sidkit']} (corpus format v{versions['corpus_format']}, "
+        f"container format v{versions['container_format']})\n"
+    )
 
 
 def test_two_step_pipeline_chains_digests(tmp_path, monkeypatch):
