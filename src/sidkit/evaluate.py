@@ -8,7 +8,7 @@ predicted and gold spans, micro-averaged over the corpus:
 * ``unlabelled`` - equal (start, end), label ignored.
 
 ``loose-unlabelled`` (any token overlap, label ignored) is a fourth mode for
-diagnostics, outside the standard report. :func:`evaluate` scores only the
+diagnostics, outside the default report. :func:`evaluate` scores only the
 modes it is given (the three above by default), so ``sidkit evaluate --mode
 X`` runs one matching pass per group, for X alone.
 
