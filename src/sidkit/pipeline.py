@@ -17,14 +17,14 @@ runs. A step whose output names one of its inputs or another of its outputs
 is such a bad step (``cli.CommandParser.parse_command`` refuses it), and so
 is a step whose file flag names the run's manifest, whose output names
 the run's config, or whose output (other than an open descriptor) is not in
-an existing directory. The manifest records, per step, the argv, the effective
-seed, and SHA-256 digests of every file flag of its subcommand (the flags
-``cli.build_parser`` types ``InputPath`` before the step, ``OutputPath``
-after, except an output that names an open descriptor such as
-``/dev/stdout``), and per run the sidkit version and the corpus and
+an existing directory. The manifest records, per step, the argv, the
+effective seed, and SHA-256 digests of every file flag of its subcommand
+(the flags ``cli.build_parser`` types ``InputPath`` before the step,
+``OutputPath`` after, except an output that names an open descriptor such
+as ``/dev/stdout``), and per run the sidkit version and the corpus and
 container format versions that ``sidkit --version`` prints; it contains no
-timestamps, so re-running an identical pipeline
-reproduces the manifest byte for byte. A failing step aborts the run and the
+timestamps, so re-running an identical pipeline reproduces the manifest
+byte for byte. A failing step aborts the run and the
 manifest records the partial state. The manifest, like every step output,
 is written through ``files.replace_file``: it replaces the old manifest only
 once it is written whole. It is opened before the first step runs, so a
@@ -147,15 +147,16 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
     for i, step in enumerate(steps):
         argv = _step_argv(i, step, parser.commands)
         try:
-            checked.append((argv, parser.parse_command(argv, run_files)))
+            parsed = parser.parse_command(argv, run_files)
         except cli.UsageError as exc:
             raise PipelineError(f"step {i}: {exc.args[1]}") from None
         except ValueError as exc:  # an output that names an input, another output or a run file
             raise PipelineError(f"step {i}: {exc}") from None
-        for path in _paths(checked[-1][1], cli.OutputPath):  # no step makes a directory
-            if named_descriptor(path) is None and not Path(path).parent.is_dir():
-                raise PipelineError(f"step {i}: output {path!r} is in {str(Path(path).parent)!r}, "
-                                    "which is not a directory")
+        for path in _paths(parsed, cli.OutputPath):  # no step makes a directory
+            parent = Path(path).parent
+            if named_descriptor(path) is None and not parent.is_dir():
+                raise PipelineError(f"step {i}: output {path!r} is in {str(parent)!r}, which is not a directory")
+        checked.append((argv, parsed))
 
     status = 0
     with replace_file(manifest_path) as manifest_file, DatasetStore() as store:
