@@ -5,7 +5,7 @@ datasets, checkpoint format problems, failed checks), 2 on usage errors. A
 data error is an OSError or a ValueError: every sidkit error class derives
 from ValueError, so ``main`` needs no table of them; an OSError naming a
 file is printed as ``<path>: <strerror>``, as a ValueError names its file.
-Stochastic commands (noise, split) echo their effective seed to stderr.
+Stochastic commands (noise, split) echo their seed to stderr.
 All file I/O is UTF-8; ``_write_report`` writes every report as JSON or TSV.
 An output flag that names the same file as an input or another output is a
 data error, raised before anything is read or written; every output goes
@@ -98,7 +98,8 @@ class CommandParser(argparse.ArgumentParser):
         by building ``args.format_options``, the command's FormatOptions,
         from them. An output flag that names the same file as another output
         or an input flag of the command raises ValueError naming both flags,
-        before anything is read or written.
+        before anything is read or written, as does a noise command line that
+        combines ``--config`` with the flags it replaces or gives neither.
         ``around`` holds more ``(flag, path)`` files, those of a run around
         the command (a pipeline's ``--config`` and ``--manifest``); a file
         flag of the command may not name one of them where either is an output.
@@ -129,6 +130,12 @@ class CommandParser(argparse.ArgumentParser):
                     f"{flag} {path!r} and {other_flag} {other!r} name the same file; "
                     "an output must not overwrite an input or another output"
                 )
+        if args.command == "noise":
+            if args.config is not None:
+                if (args.fraction, args.alphabet_from, args.op_weights) != (None, None, None):
+                    raise ValueError("--config cannot be combined with --fraction/--alphabet-from/--op-weights")
+            elif args.fraction is None or args.alphabet_from is None:
+                raise ValueError("either --config or both --fraction and --alphabet-from are required")
         return args
 
 
@@ -242,39 +249,22 @@ def cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
-def effective_seed(args: argparse.Namespace) -> int | None:
-    """The seed a parsed command runs with: ``--seed`` if given, else for
-    noise the ``--config`` file's seed or 0; None for unseeded commands."""
-    seed = getattr(args, "seed", None)
-    if seed is None and args.command == "noise":
-        from .files import read_text
-        from .noise import NoiseConfig
-
-        seed = 0 if args.config is None else read_text(args.config, NoiseConfig.from_json).seed
-    return seed
-
-
 def cmd_noise(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from .files import read_text
-    from .noise import NoiseConfig, NoiseError, OpWeights
+    from .noise import NoiseConfig, OpWeights
 
     if args.config is not None:
-        cfg = read_text(args.config, NoiseConfig.from_json)
-        if args.fraction is not None or args.alphabet_from is not None:
-            raise NoiseError("--config cannot be combined with --fraction/--alphabet-from")
+        cfg = replace(read_text(args.config, NoiseConfig.from_json), seed=args.seed)
     else:
-        if args.fraction is None or args.alphabet_from is None:
-            raise NoiseError("either --config or both --fraction and --alphabet-from are required")
         cfg = NoiseConfig(
             word_fraction=args.fraction,
             alphabet=load_alphabet(args.alphabet_from),
             op_weights=OpWeights() if args.op_weights is None else OpWeights(*args.op_weights),
+            seed=args.seed,
         )
-    if args.seed is not None:  # effective_seed's rule, without parsing the config again
-        cfg = replace(cfg, seed=args.seed)
-    print(f"seed: {cfg.seed}", file=sys.stderr)
+    print(f"seed: {args.seed}", file=sys.stderr)
     dataset = load_dataset(args.infile, args.format_options)
     save_dataset(noise_dataset(dataset, cfg), args.out, args.format_options)
     return 0
@@ -465,9 +455,9 @@ def build_parser() -> CommandParser:
     p.add_argument("--out", type=OutputPath, required=True)
     p.add_argument("--fraction", type=float, default=None)
     p.add_argument("--alphabet-from", type=InputPath, default=None, help="text file supplying insertion letters")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--op-weights", type=_op_weights, default=None, help="delete,insert,both weights (e.g. 1,1,1)")
-    p.add_argument("--config", type=InputPath, default=None, help="JSON noise config mirroring these flags")
+    p.add_argument("--config", type=InputPath, default=None, help="JSON noise config mirroring --fraction, --alphabet-from and --op-weights")
     _add_format_flags(p)
     p.set_defaults(handler=cmd_noise)
 

@@ -96,28 +96,25 @@ class NoiseConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "NoiseConfig":
-        """The config a JSON object gives; ``op_weights`` and ``seed`` are optional."""
+        """The config a JSON object gives; ``op_weights`` is optional, and the seed is the caller's."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise NoiseError("noise config must be a JSON object")
-        unknown = set(raw) - {"word_fraction", "alphabet", "op_weights", "seed"}
+        unknown = set(raw) - {"word_fraction", "alphabet", "op_weights"}
         if unknown:
             raise NoiseError(f"unknown noise config keys: {sorted(unknown)}")
         missing = {"word_fraction", "alphabet"} - set(raw)
         if missing:
             raise NoiseError(f"missing noise config keys: {sorted(missing)}")
-        alphabet, weights, seed = raw["alphabet"], raw.get("op_weights", {}), raw.get("seed", 0)
+        alphabet, weights = raw["alphabet"], raw.get("op_weights", {})
         if not isinstance(alphabet, str):
             raise NoiseError(f"alphabet must be a string, got {alphabet!r}")
         if not isinstance(weights, dict) or not set(weights) <= set(_OPS):
             raise NoiseError(f"op_weights must map delete, insert and both to numbers, got {weights!r}")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise NoiseError(f"seed must be an integer, got {seed!r}")
         return cls(
             word_fraction=_number("word_fraction", raw["word_fraction"]),
             alphabet=Alphabet(chars=tuple(alphabet)),
             op_weights=OpWeights(**{op: _number(f"op_weights.{op}", w) for op, w in weights.items()}),
-            seed=seed,
         )
 
 

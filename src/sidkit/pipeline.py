@@ -17,11 +17,11 @@ runs. A step whose output names one of its inputs or another of its outputs
 is such a bad step (``cli.CommandParser.parse_command`` refuses it), and so
 is a step whose file flag names the run's manifest, whose output names
 the run's config, or whose output (other than an open descriptor) is not in
-an existing directory. The manifest records, per step, the argv, the
-effective seed, and SHA-256 digests of every file flag of its subcommand
-(the flags ``cli.build_parser`` types ``InputPath`` before the step,
-``OutputPath`` after, except an output that names an open descriptor such
-as ``/dev/stdout``), and per run the sidkit version and the corpus and
+an existing directory. The manifest records, per step, the argv, its
+``--seed`` (null for an unseeded command), and SHA-256 digests of every file
+flag of its subcommand (the flags ``cli.build_parser`` types ``InputPath``
+before the step, ``OutputPath`` after, except an output that names an open
+descriptor such as ``/dev/stdout``), and per run the sidkit version and the corpus and
 container format versions that ``sidkit --version`` prints; it contains no
 timestamps, so re-running an identical pipeline reproduces the manifest
 byte for byte. A failing step aborts the run and the
@@ -168,7 +168,7 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
                 "name": step.get("name", f"step{i}"),
                 "command": step["command"],
                 "argv": argv,
-                "seed": cli.effective_seed(parsed) if code == 0 else getattr(parsed, "seed", None),
+                "seed": getattr(parsed, "seed", None),
                 "inputs": inputs,
                 "outputs": _digest_role(parsed, cli.OutputPath),
                 "status": "ok" if code == 0 else f"failed ({code})",

@@ -210,15 +210,26 @@ def test_noise_deterministic_end_to_end(gold_file, tmp_path, capsys):
     assert [u.slot_tags for u in noised] == [u.slot_tags for u in gold]
 
 
-def test_noise_config_file(gold_file, tmp_path):
+def test_noise_config_file(gold_file, tmp_path, capsys):
     config = tmp_path / "noise.json"
-    config.write_text(
-        json.dumps({"word_fraction": 0.5, "alphabet": "abcæøå", "seed": 11}),
-        encoding="utf-8",
-    )
+    config.write_text(json.dumps({"word_fraction": 0.5, "alphabet": "abcåæø"}), encoding="utf-8")
+    alphabet = tmp_path / "alphabet.txt"  # --alphabet-from sorts its letters; the config keeps their order
+    alphabet.write_text("abcæøå", encoding="utf-8")
+    out, flags_out = tmp_path / "out.conll", tmp_path / "flags.conll"
+    argv = ["noise", "--in", str(gold_file), "--seed", "11"]
+    assert main(argv + ["--out", str(out), "--config", str(config)]) == 0
+    assert capsys.readouterr().err == "seed: 11\n"
+    assert main(argv + ["--out", str(flags_out), "--fraction", "0.5", "--alphabet-from", str(alphabet)]) == 0
+    assert out.read_bytes() == flags_out.read_bytes()
+
+
+def test_noise_config_refuses_a_seed_key(gold_file, tmp_path, capsys):
+    config = tmp_path / "noise.json"
+    config.write_text(json.dumps({"word_fraction": 0.5, "alphabet": "abc", "seed": 11}), encoding="utf-8")
     out = tmp_path / "out.conll"
-    assert main(["noise", "--in", str(gold_file), "--out", str(out), "--config", str(config)]) == 0
-    assert out.exists()
+    assert main(["noise", "--in", str(gold_file), "--out", str(out), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"sidkit: error: {config}: unknown noise config keys: ['seed']\n"
+    assert not out.exists()
 
 
 def test_noise_requires_fraction_or_config(gold_file, tmp_path, capsys):
@@ -226,13 +237,16 @@ def test_noise_requires_fraction_or_config(gold_file, tmp_path, capsys):
     assert "fraction" in capsys.readouterr().err
 
 
-def test_noise_refuses_a_config_with_a_fraction(gold_file, tmp_path, capsys):
+@pytest.mark.parametrize("flag", [["--fraction", "0.1"], ["--alphabet-from", "a.txt"], ["--op-weights", "1,0,0"]])
+def test_noise_refuses_a_config_with_a_flag_it_replaces(gold_file, tmp_path, capsys, flag):
     config = tmp_path / "noise.json"
     config.write_text(json.dumps({"word_fraction": 0.5, "alphabet": "abc"}), encoding="utf-8")
     out = tmp_path / "out.conll"
-    argv = ["noise", "--in", str(gold_file), "--out", str(out), "--config", str(config), "--fraction", "0.1"]
+    argv = ["noise", "--in", str(gold_file), "--out", str(out), "--config", str(config), *flag]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "sidkit: error: --config cannot be combined with --fraction/--alphabet-from\n"
+    assert capsys.readouterr().err == (
+        "sidkit: error: --config cannot be combined with --fraction/--alphabet-from/--op-weights\n"
+    )
     assert not out.exists()
 
 
@@ -338,8 +352,8 @@ BOM_CASES = {
     "transcript": ("vat'n  soL\nbakkst issjn\n", ["normalize", "--in", "in.txt", "--trace", "trace.jsonl", "--out"]),
     "table": ("a\tb\n1\t2\n2\t1\n3\t4\n4\t3\n", ["correlate", "--in", "in.txt", "--x", "a", "--y", "b", "--out"]),
     "noise config": (
-        '{\n  "word_fraction": 0.5,\n  "alphabet": "xyz",\n  "seed": 3\n}\n',
-        ["noise", "--in", "gold.conll", "--config", "in.txt", "--out"],
+        '{\n  "word_fraction": 0.5,\n  "alphabet": "xyz"\n}\n',
+        ["noise", "--in", "gold.conll", "--seed", "3", "--config", "in.txt", "--out"],
     ),
     "naming scheme": (
         '{\n  "num_layers": 12\n}\n',

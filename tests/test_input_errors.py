@@ -86,7 +86,7 @@ def _assert_exit_1_naming(code, capsys, path, expected):
         ('{"word_fraction": "x", "alphabet": "ab"}', "word_fraction must be a number, got 'x'"),
         ('{"word_fraction": NaN, "alphabet": "ab"}', "word_fraction must be in [0, 1], got nan"),
         ('{"word_fraction": 0.5, "alphabet": ["a"]}', "alphabet must be a string"),
-        ('{"word_fraction": 0.5, "alphabet": "ab", "seed": true}', "seed must be an integer, got True"),
+        ('{"word_fraction": 0.5, "alphabet": "ab", "seed": 3}', "unknown noise config keys: ['seed']"),
         ("", "Expecting value: line 1 column 1 (char 0)"),
     ],
 )
@@ -261,7 +261,6 @@ noise_configs = json_values | _shaped({
     "word_fraction": st.floats(0, 1),
     "alphabet": st.text(max_size=6),
     "op_weights": _shaped({op: st.floats(0, 10) | st.integers() for op in ("delete", "insert", "both")}),
-    "seed": st.integers(),
 })
 schemes = json_values | _shaped({
     "embeddings_prefixes": st.lists(st.sampled_from(["embeddings.", "encoder.", ""]) | st.text(max_size=6)),

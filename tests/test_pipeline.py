@@ -389,21 +389,19 @@ def test_parser_file_roles_match_the_old_tables():
 
 
 @pytest.mark.parametrize(
-    ("config_seed", "args_seed", "recorded"),
-    [(None, None, 0), (11, None, 11), (11, 3, 3)],
+    ("from_config", "args_seed", "recorded"),
+    [(False, None, 0), (True, None, 0), (True, 3, 3)],
 )
-def test_manifest_records_effective_noise_seed(tmp_path, monkeypatch, config_seed, args_seed, recorded):
+def test_manifest_records_the_noise_seed_flag(tmp_path, monkeypatch, from_config, args_seed, recorded):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "gold.conll").write_text(GOLD, encoding="utf-8")
     args = {"in": "gold.conll", "out": "noised.conll", "seed": args_seed}
-    if config_seed is None:
+    if from_config:
+        (tmp_path / "noise.json").write_text(json.dumps({"word_fraction": 0.5, "alphabet": "abc"}), encoding="utf-8")
+        args["config"] = "noise.json"
+    else:
         (tmp_path / "alpha.txt").write_text("abc", encoding="utf-8")
         args.update({"fraction": 0.5, "alphabet-from": "alpha.txt"})
-    else:
-        (tmp_path / "noise.json").write_text(
-            json.dumps({"word_fraction": 0.5, "alphabet": "abc", "seed": config_seed}), encoding="utf-8"
-        )
-        args["config"] = "noise.json"
     config = write_config(tmp_path, [{"command": "noise", "args": args}])
     assert run_pipeline(config, tmp_path / "manifest.json") == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
@@ -418,7 +416,7 @@ def test_manifest_seed_of_failed_noise_step_is_the_flag(tmp_path, monkeypatch):
         "in": "gold.conll", "out": "noised.conll", "config": "noise.json"}}])
     assert run_pipeline(config, tmp_path / "manifest.json") == 1
     step = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["steps"][0]
-    assert (step["status"], step["seed"]) == ("failed (1)", None)
+    assert (step["status"], step["seed"]) == ("failed (1)", 0)  # the --seed default
 
 
 def test_manifest_seed_of_unseeded_step_is_null(tmp_path, monkeypatch):
@@ -437,15 +435,13 @@ def test_noise_config_is_parsed_once_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(NoiseConfig, "from_json", lambda text: parses.append(text) or parse(text))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "gold.conll").write_text(GOLD, encoding="utf-8")
-    (tmp_path / "noise.json").write_text(
-        json.dumps({"word_fraction": 0.5, "alphabet": "abc", "seed": 11}), encoding="utf-8"
-    )
-    assert main(["noise", "--in", "gold.conll", "--out", "cli.conll", "--config", "noise.json"]) == 0
+    (tmp_path / "noise.json").write_text(json.dumps({"word_fraction": 0.5, "alphabet": "abc"}), encoding="utf-8")
+    assert main(["noise", "--in", "gold.conll", "--out", "cli.conll", "--config", "noise.json", "--seed", "11"]) == 0
     assert len(parses) == 1
     config = write_config(tmp_path, [{"command": "noise", "args": {
-        "in": "gold.conll", "out": "step.conll", "config": "noise.json"}}])
+        "in": "gold.conll", "out": "step.conll", "config": "noise.json", "seed": 11}}])
     assert run_pipeline(config, tmp_path / "manifest.json") == 0
-    assert len(parses) - 1 <= 2  # the step's run, then the manifest's seed
+    assert len(parses) == 2  # the step's run alone
     assert json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["steps"][0]["seed"] == 11
     assert (tmp_path / "step.conll").read_bytes() == (tmp_path / "cli.conll").read_bytes()
 
