@@ -94,12 +94,14 @@ class CommandParser(argparse.ArgumentParser):
     ) -> argparse.Namespace:
         """Parse one command line and apply the checks argparse cannot express.
 
-        A usage error raises UsageError: the corpus format flags are checked
-        by building ``args.format_options``, the command's FormatOptions,
-        from them. An output flag that names the same file as another output
+        A usage error raises UsageError: the corpus format flags of a command
+        that reads a corpus (``subword-ratio`` only with ``--format conll``)
+        are checked by building ``args.format_options``, the command's
+        FormatOptions, from them. An output flag that names the same file as another output
         or an input flag of the command raises ValueError naming both flags,
-        before anything is read or written, as does a noise command line that
-        combines ``--config`` with the flags it replaces or gives neither.
+        before anything is read or written, as do ``surgery swap --heads`` and
+        a noise command line that combines ``--config`` with the flags it
+        replaces or gives neither.
         ``around`` holds more ``(flag, path)`` files, those of a run around
         the command (a pipeline's ``--config`` and ``--manifest``); a file
         flag of the command may not name one of them where either is an output.
@@ -109,7 +111,9 @@ class CommandParser(argparse.ArgumentParser):
         args = self.parse_args(argv)
         if args.command == "surgery" and args.action in ("revert", "swap") and args.out is None:
             self.error("surgery revert/swap require --out")
-        if "token_col" in args:  # the command takes the corpus format flags
+        if args.command == "surgery" and args.action == "swap" and args.heads:
+            raise ValueError("task heads are never swapped")
+        if "token_col" in args and getattr(args, "format", "conll") == "conll":  # the command reads a corpus
             from .corpus import FormatOptions
 
             try:
@@ -379,7 +383,7 @@ def _is_number(cell: str) -> bool:
 
 def cmd_surgery(args: argparse.Namespace) -> int:
     from .files import read_text
-    from .surgery import NamingScheme, SurgeryError
+    from .surgery import NamingScheme
 
     scheme = NamingScheme() if args.scheme is None else read_text(args.scheme, NamingScheme.from_json)
     if args.action == "revert":
@@ -391,8 +395,6 @@ def cmd_surgery(args: argparse.Namespace) -> int:
         revert_layers(args.a, args.b, groups, scheme, args.out)
         return 0
     if args.action == "swap":
-        if args.heads:
-            raise SurgeryError("task heads are never swapped")
         swap_layers(args.a, args.b, args.layers, scheme, args.out, include_embeddings=args.embeddings)
         return 0
     _write_report(mav_report(args.a, args.b, scheme).to_dict(), args.out)
@@ -457,7 +459,7 @@ def build_parser() -> CommandParser:
     p.add_argument("--alphabet-from", type=InputPath, default=None, help="text file supplying insertion letters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--op-weights", type=_op_weights, default=None, help="delete,insert,both weights (e.g. 1,1,1)")
-    p.add_argument("--config", type=InputPath, default=None, help="JSON noise config mirroring --fraction, --alphabet-from and --op-weights")
+    p.add_argument("--config", type=InputPath, default=None, help="JSON word_fraction/alphabet/op_weights config")
     _add_format_flags(p)
     p.set_defaults(handler=cmd_noise)
 

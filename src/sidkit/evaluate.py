@@ -250,8 +250,8 @@ def evaluate(
     Each group runs one :func:`span_f1` pass per mode in ``modes`` and no
     other. The default repair policy is lenient so that predictions
     containing stray I-tags are scored rather than rejected. Grouping uses
-    the gold utterance's variety; utterances without one land in the
-    "unknown" group.
+    the gold utterance's variety; utterances without one, or with an empty
+    one, land in the "unknown" group.
     """
     if group_by not in ("none", "variety"):
         raise ValueError(f"unknown group_by {group_by!r}")
@@ -262,7 +262,7 @@ def evaluate(
 
     buckets: dict[str, list[int]] = {}
     for i, (g, _) in enumerate(pairs):
-        key = "all" if group_by == "none" else g.variety if g.variety is not None else "unknown"
+        key = "all" if group_by == "none" else g.variety or "unknown"
         buckets.setdefault(key, []).append(i)
     groups = {}
     for key, members in buckets.items():

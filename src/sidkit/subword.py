@@ -18,10 +18,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
-from .corpus import Dataset
 from .files import read_text
+
+if TYPE_CHECKING:
+    from .corpus import Dataset
 
 
 class SubwordError(ValueError):
@@ -50,16 +52,17 @@ class SubwordVocab:
         ))
 
 
-Corpus = Union[Dataset, Iterable[str], str]
+Corpus = Union["Dataset", Iterable[str], str]
 
 
 def _iter_words(corpus: Corpus, letters_only: bool) -> Iterable[str]:
-    if isinstance(corpus, Dataset):
-        words: Iterable[str] = (tok for utt in corpus.utterances for tok in utt.tokens)
-    elif isinstance(corpus, str):
-        words = corpus.split()
+    if isinstance(corpus, str):  # tested first: text loads no corpus module
+        words: Iterable[str] = corpus.split()
     else:
-        words = corpus
+        from .corpus import Dataset
+
+        is_dataset = isinstance(corpus, Dataset)
+        words = (tok for utt in corpus.utterances for tok in utt.tokens) if is_dataset else corpus
     if letters_only:
         words = (w for w in words if w.isalpha())
     return words

@@ -607,6 +607,17 @@ def test_subword_ratio_conll_format(gold_file, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["split_word_ratio"] == 0.0
 
 
+def test_subword_ratio_checks_the_column_flags_only_for_a_conll_corpus(gold_file, tmp_path, capsys):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("[UNK]\nvekk\n", encoding="utf-8")
+    argv = ["subword-ratio", "--vocab", str(vocab), "--in", str(gold_file), "--token-col", "1", "--tag-col", "1"]
+    assert main(argv) == 0  # plain text: the column flags are not used
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "conll"])
+    assert exc.value.code == 2
+    assert "argument --token-col/--tag-col" in capsys.readouterr().err
+
+
 def test_subword_ratio_has_no_marker_flag(gold_file, tmp_path, capsys):
     vocab = tmp_path / "vocab.txt"
     vocab.write_text("[UNK]\nvekk\n", encoding="utf-8")
@@ -662,6 +673,15 @@ def test_correlate_missing_column(tmp_path, capsys):
     table = tmp_path / "data.tsv"
     table.write_text("a\tb\n1\t2\n", encoding="utf-8")
     assert main(["correlate", "--in", str(table), "--x", "a", "--y", "nope"]) == 1
+
+
+@pytest.mark.parametrize("text", ["", "\n", " \n\t\n"])
+def test_correlate_refuses_a_table_with_no_row(tmp_path, capsys, text):
+    table, out = tmp_path / "data.tsv", tmp_path / "corr.json"
+    table.write_text(text, encoding="utf-8")
+    assert main(["correlate", "--in", str(table), "--x", "0", "--y", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"sidkit: error: {table}: empty table\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--x", "--y"])
@@ -1022,8 +1042,10 @@ def test_commands_that_read_no_corpus_load_no_corpus_module(tmp_path):
     (tmp_path / "t.txt").write_text("haLLo ve'l kLokka\n", encoding="utf-8")
     (tmp_path / "t.tsv").write_text("x\ty\n1\t2\n2\t1\n3\t4\n", encoding="utf-8")
     (tmp_path / "scheme.json").write_text("{}", encoding="utf-8")
+    (tmp_path / "v.txt").write_text("[UNK]\nve'l\n", encoding="utf-8")
     commands = {
         "normalize --in t.txt --out n.txt": {"sidkit.cli", "sidkit.files", "sidkit.normalize"},
+        "subword-ratio --vocab v.txt --in t.txt --out s.json": {"sidkit.cli", "sidkit.files", "sidkit.subword"},
         "correlate --in t.tsv --x x --y y --out c.json": {"sidkit.cli", "sidkit.correlation", "sidkit.files"},
         "surgery revert --a a.safetensors --b b.safetensors --layers 0 --out r.safetensors --scheme scheme.json": {
             "sidkit.cli", "sidkit.files", "sidkit.surgery",

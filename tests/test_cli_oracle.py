@@ -1,9 +1,10 @@
-"""Every report ``sidkit evaluate`` writes, checked through ``cli.main`` against
-``bench/reference.py``, which restates parsing, the lenient BIO scan and span
-matching without importing sidkit."""
+"""Every report ``sidkit evaluate`` and ``sidkit parse-check`` write, checked
+through ``cli.main`` against ``bench/reference.py``, which restates parsing,
+the lenient BIO scan and span matching without importing sidkit."""
 
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -18,9 +19,7 @@ STANDARD = ("strict", "loose", "unlabelled")
 MODES = (*STANDARD, "loose-unlabelled")
 # Well-formed tags, and ones the lenient scan repairs: a stray I-, a label swap, malformed tags.
 TAGS = ("O", "B-a", "I-a", "B-b", "I-b", "B-", "I-", "X", "b-a")
-# A variety is never empty here: sidkit groups an empty "# variety:" under "",
-# the reference under "unknown".
-VARIETIES = (None, "bokmål", "nord-ø", "vest")
+VARIETIES = (None, "", "bokmål", "nord-ø", "vest")
 
 
 @st.composite
@@ -117,3 +116,24 @@ def test_every_evaluate_report_matches_the_reference(pair):
             for mode in MODES:  # --mode X is --mode all with mode X alone
                 kept = (mode,) if mode in STANDARD else ()
                 assert restricted(reports[mode], kept) == restricted(reports["all"], kept)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora())
+def test_parse_check_matches_the_reference_in_every_framing(pair):
+    text = conll(pair[0])
+    want = {u["id"]: reference.scan_bio(u["tags"])[1] for u in reference.parse_conll(text)}
+    violations = sum(sum(kinds.values()) for kinds in want.values())
+    framings = {"LF": text, "CRLF": text.replace("\n", "\r\n"), "BOM": "\ufeff" + text}
+    with tempfile.TemporaryDirectory() as tmp:
+        infile, out = Path(tmp, "in.conll"), Path(tmp, "report.json")
+        for framing, data in framings.items():
+            infile.write_bytes(data.encode("utf-8"))
+            code = main(["parse-check", "--in", str(infile), "--out", str(out)])
+            report = json.loads(out.read_text(encoding="utf-8"))
+            got = {uid: Counter() for uid in want}
+            for detail in report["details"]:
+                got[detail["utterance"]][detail["kind"]] += 1
+            assert (report["utterances"], report["violations"]) == (len(want), violations), framing
+            assert got == want, framing
+            assert code == (1 if violations else 0), framing

@@ -197,9 +197,29 @@ INVALID_STEPS = {
         {"command": "normalize", "args": {"in": "raw.txt", "out": "o.txt", "bogus": 1}},
         "unrecognized arguments: --bogus",
     ],
+    "step-unknown-key": [
+        {"command": "normalize", "args": {"in": "raw.txt", "out": "o.txt"}, "seed": 1},
+        "unknown keys ['seed']",
+    ],
     "surgery-without-out": [
         {"command": "surgery revert", "args": {"a": "x", "b": "y"}},
         "surgery revert/swap require --out",
+    ],
+    "surgery-swap-heads": [
+        {"command": "surgery swap", "args": {"a": "x", "b": "y", "out": "z", "heads": True}},
+        "task heads are never swapped",
+    ],
+    "noise-without-fraction": [
+        {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "alphabet-from": "raw.txt"}},
+        "either --config or both --fraction and --alphabet-from are required",
+    ],
+    "noise-config-with-fraction": [
+        {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "config": "n.json", "fraction": 0.2}},
+        "--config cannot be combined with --fraction/--alphabet-from/--op-weights",
+    ],
+    "noise-config-with-op-weights": [
+        {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "config": "n.json", "op-weights": "1,0,0"}},
+        "--config cannot be combined with --fraction/--alphabet-from/--op-weights",
     ],
     "op-weights-not-numbers": [
         {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "fraction": 0.2,
