@@ -97,11 +97,11 @@ class CommandParser(argparse.ArgumentParser):
         A usage error raises UsageError: the corpus format flags of a command
         that reads a corpus (``subword-ratio`` only with ``--format conll``)
         are checked by building ``args.format_options``, the command's
-        FormatOptions, from them. An output flag that names the same file as another output
-        or an input flag of the command raises ValueError naming both flags,
-        before anything is read or written, as do ``surgery swap --heads`` and
-        a noise command line that combines ``--config`` with the flags it
-        replaces or gives neither.
+        FormatOptions, from them. An output flag that names the same file as
+        another output or an input flag of the command raises ValueError
+        naming both flags, before anything is read or written, as do
+        ``surgery swap --heads`` and a noise command line that combines
+        ``--config`` with the flags it replaces or gives neither.
         ``around`` holds more ``(flag, path)`` files, those of a run around
         the command (a pipeline's ``--config`` and ``--manifest``); a file
         flag of the command may not name one of them where either is an output.

@@ -21,10 +21,10 @@ an existing directory. The manifest records, per step, the argv, its
 ``--seed`` (null for an unseeded command), and SHA-256 digests of every file
 flag of its subcommand (the flags ``cli.build_parser`` types ``InputPath``
 before the step, ``OutputPath`` after, except an output that names an open
-descriptor such as ``/dev/stdout``), and per run the sidkit version and the corpus and
-container format versions that ``sidkit --version`` prints; it contains no
-timestamps, so re-running an identical pipeline reproduces the manifest
-byte for byte. A failing step aborts the run and the
+descriptor such as ``/dev/stdout``), and per run the sidkit version and the
+corpus and container format versions that ``sidkit --version`` prints; it
+contains no timestamps, so re-running an identical pipeline reproduces the
+manifest byte for byte. A failing step aborts the run and the
 manifest records the partial state. The manifest, like every step output,
 is written through ``files.replace_file``: it replaces the old manifest only
 once it is written whole. It is opened before the first step runs, so a
