@@ -134,12 +134,11 @@ class CommandParser(argparse.ArgumentParser):
                     f"{flag} {path!r} and {other_flag} {other!r} name the same file; "
                     "an output must not overwrite an input or another output"
                 )
-        if args.command == "noise":
-            if args.config is not None:
-                if (args.fraction, args.alphabet_from, args.op_weights) != (None, None, None):
-                    raise ValueError("--config cannot be combined with --fraction/--alphabet-from/--op-weights")
-            elif args.fraction is None or args.alphabet_from is None:
-                raise ValueError("either --config or both --fraction and --alphabet-from are required")
+        if args.command == "noise" and args.config is not None:
+            if (args.fraction, args.alphabet_from, args.op_weights) != (None, None, None):
+                raise ValueError("--config cannot be combined with --fraction/--alphabet-from/--op-weights")
+        elif args.command == "noise" and (args.fraction is None or args.alphabet_from is None):
+            raise ValueError("either --config or both --fraction and --alphabet-from are required")
         return args
 
 
