@@ -99,9 +99,8 @@ class CommandParser(argparse.ArgumentParser):
         are checked by building ``args.format_options``, the command's
         FormatOptions, from them. An output flag that names the same file as
         another output or an input flag of the command raises ValueError
-        naming both flags, before anything is read or written, as do
-        ``surgery swap --heads`` and a noise command line that combines
-        ``--config`` with the flags it replaces or gives neither.
+        naming both flags, before anything is read or written, as does
+        ``surgery swap --heads``.
         ``around`` holds more ``(flag, path)`` files, those of a run around
         the command (a pipeline's ``--config`` and ``--manifest``); a file
         flag of the command may not name one of them where either is an output.
@@ -134,11 +133,6 @@ class CommandParser(argparse.ArgumentParser):
                     f"{flag} {path!r} and {other_flag} {other!r} name the same file; "
                     "an output must not overwrite an input or another output"
                 )
-        if args.command == "noise" and args.config is not None:
-            if (args.fraction, args.alphabet_from, args.op_weights) != (None, None, None):
-                raise ValueError("--config cannot be combined with --fraction/--alphabet-from/--op-weights")
-        elif args.command == "noise" and (args.fraction is None or args.alphabet_from is None):
-            raise ValueError("either --config or both --fraction and --alphabet-from are required")
         return args
 
 
@@ -253,20 +247,14 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_noise(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .files import read_text
     from .noise import NoiseConfig, OpWeights
 
-    if args.config is not None:
-        cfg = replace(read_text(args.config, NoiseConfig.from_json), seed=args.seed)
-    else:
-        cfg = NoiseConfig(
-            word_fraction=args.fraction,
-            alphabet=load_alphabet(args.alphabet_from),
-            op_weights=OpWeights() if args.op_weights is None else OpWeights(*args.op_weights),
-            seed=args.seed,
-        )
+    cfg = NoiseConfig(
+        word_fraction=args.fraction,
+        alphabet=load_alphabet(args.alphabet_from),
+        op_weights=OpWeights() if args.op_weights is None else OpWeights(*args.op_weights),
+        seed=args.seed,
+    )
     print(f"seed: {args.seed}", file=sys.stderr)
     dataset = load_dataset(args.infile, args.format_options)
     save_dataset(noise_dataset(dataset, cfg), args.out, args.format_options)
@@ -454,11 +442,10 @@ def build_parser() -> CommandParser:
     p = sub.add_parser("noise", help="inject seeded character-level noise")
     p.add_argument("--in", type=InputPath, dest="infile", required=True)
     p.add_argument("--out", type=OutputPath, required=True)
-    p.add_argument("--fraction", type=float, default=None)
-    p.add_argument("--alphabet-from", type=InputPath, default=None, help="text file supplying insertion letters")
+    p.add_argument("--fraction", type=float, required=True)
+    p.add_argument("--alphabet-from", type=InputPath, required=True, help="text file supplying insertion letters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--op-weights", type=_op_weights, default=None, help="delete,insert,both weights (e.g. 1,1,1)")
-    p.add_argument("--config", type=InputPath, default=None, help="JSON word_fraction/alphabet/op_weights config")
     _add_format_flags(p)
     p.set_defaults(handler=cmd_noise)
 

@@ -18,7 +18,6 @@ same op or character as ``SplitMix64.weighted_choice`` and ``choice`` would.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,36 +92,6 @@ class NoiseConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.word_fraction <= 1.0:
             raise ValueError(f"word_fraction must be in [0, 1], got {self.word_fraction}")
-
-    @classmethod
-    def from_json(cls, text: str) -> "NoiseConfig":
-        """The config a JSON object gives; ``op_weights`` is optional, and the seed is the caller's."""
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise NoiseError("noise config must be a JSON object")
-        unknown = set(raw) - {"word_fraction", "alphabet", "op_weights"}
-        if unknown:
-            raise NoiseError(f"unknown noise config keys: {sorted(unknown)}")
-        missing = {"word_fraction", "alphabet"} - set(raw)
-        if missing:
-            raise NoiseError(f"missing noise config keys: {sorted(missing)}")
-        alphabet, weights = raw["alphabet"], raw.get("op_weights", {})
-        if not isinstance(alphabet, str):
-            raise NoiseError(f"alphabet must be a string, got {alphabet!r}")
-        if not isinstance(weights, dict) or not set(weights) <= set(_OPS):
-            raise NoiseError(f"op_weights must map delete, insert and both to numbers, got {weights!r}")
-        return cls(
-            word_fraction=_number("word_fraction", raw["word_fraction"]),
-            alphabet=Alphabet(chars=tuple(alphabet)),
-            op_weights=OpWeights(**{op: _number(f"op_weights.{op}", w) for op, w in weights.items()}),
-        )
-
-
-def _number(key: str, value: object) -> float | int:
-    """A JSON number; NoiseError for any other value."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise NoiseError(f"{key} must be a number, got {value!r}")
-    return value
 
 
 def noise_word(word: str, op: NoiseOp, position: int, insert_char: str | None = None) -> str:

@@ -210,44 +210,27 @@ def test_noise_deterministic_end_to_end(gold_file, tmp_path, capsys):
     assert [u.slot_tags for u in noised] == [u.slot_tags for u in gold]
 
 
-def test_noise_config_file(gold_file, tmp_path, capsys):
-    config = tmp_path / "noise.json"
-    config.write_text(json.dumps({"word_fraction": 0.5, "alphabet": "abcåæø"}), encoding="utf-8")
-    alphabet = tmp_path / "alphabet.txt"  # --alphabet-from sorts its letters; the config keeps their order
-    alphabet.write_text("abcæøå", encoding="utf-8")
-    out, flags_out = tmp_path / "out.conll", tmp_path / "flags.conll"
-    argv = ["noise", "--in", str(gold_file), "--seed", "11"]
-    assert main(argv + ["--out", str(out), "--config", str(config)]) == 0
-    assert capsys.readouterr().err == "seed: 11\n"
-    assert main(argv + ["--out", str(flags_out), "--fraction", "0.5", "--alphabet-from", str(alphabet)]) == 0
-    assert out.read_bytes() == flags_out.read_bytes()
+def test_noise_requires_fraction_and_alphabet_from(gold_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["noise", "--in", str(gold_file), "--out", str(tmp_path / "x.conll")])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --fraction, --alphabet-from" in capsys.readouterr().err
+    assert not (tmp_path / "x.conll").exists()
 
 
-def test_noise_config_refuses_a_seed_key(gold_file, tmp_path, capsys):
-    config = tmp_path / "noise.json"
-    config.write_text(json.dumps({"word_fraction": 0.5, "alphabet": "abc", "seed": 11}), encoding="utf-8")
-    out = tmp_path / "out.conll"
-    assert main(["noise", "--in", str(gold_file), "--out", str(out), "--config", str(config)]) == 1
-    assert capsys.readouterr().err == f"sidkit: error: {config}: unknown noise config keys: ['seed']\n"
-    assert not out.exists()
-
-
-def test_noise_requires_fraction_or_config(gold_file, tmp_path, capsys):
-    assert main(["noise", "--in", str(gold_file), "--out", str(tmp_path / "x.conll")]) == 1
-    assert "fraction" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag", [["--fraction", "0.1"], ["--alphabet-from", "a.txt"], ["--op-weights", "1,0,0"]])
-def test_noise_refuses_a_config_with_a_flag_it_replaces(gold_file, tmp_path, capsys, flag):
-    config = tmp_path / "noise.json"
+def test_noise_has_no_config_flag(gold_file, tmp_path, capsys):
+    config = tmp_path / "x.json"
     config.write_text(json.dumps({"word_fraction": 0.5, "alphabet": "abc"}), encoding="utf-8")
-    out = tmp_path / "out.conll"
-    argv = ["noise", "--in", str(gold_file), "--out", str(out), "--config", str(config), *flag]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        "sidkit: error: --config cannot be combined with --fraction/--alphabet-from/--op-weights\n"
-    )
-    assert not out.exists()
+    alphabet = tmp_path / "dev.txt"
+    alphabet.write_text("abc", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "noise", "--in", str(gold_file), "--out", str(tmp_path / "x.conll"),
+            "--fraction", "0.5", "--alphabet-from", str(alphabet), "--config", str(config),
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "x.conll").exists()
 
 
 @pytest.mark.parametrize("weights", ["1,2", "1,x,1", "1,1,1,1"])
@@ -322,7 +305,6 @@ def test_normalize_output_and_trace_match_per_token_loop(tmp_path, monkeypatch):
         ("vocabulary", ["subword-ratio", "--vocab", "{bad}", "--in", "{gold}"]),
         ("text corpus", ["subword-ratio", "--vocab", "{vocab}", "--in", "{bad}"]),
         ("alphabet", ["noise", "--in", "{gold}", "--out", "{out}", "--fraction", "0.5", "--alphabet-from", "{bad}"]),
-        ("noise config", ["noise", "--in", "{gold}", "--out", "{out}", "--config", "{bad}"]),
         ("transcript", ["normalize", "--in", "{bad}", "--out", "{out}"]),
         ("table", ["correlate", "--in", "{bad}", "--x", "0", "--y", "1"]),
         ("naming scheme", ["surgery", "revert", "--a", "{gold}", "--b", "{gold}", "--out", "{out}", "--scheme", "{bad}"]),
@@ -351,10 +333,6 @@ BOM_CASES = {
     ),
     "transcript": ("vat'n  soL\nbakkst issjn\n", ["normalize", "--in", "in.txt", "--trace", "trace.jsonl", "--out"]),
     "table": ("a\tb\n1\t2\n2\t1\n3\t4\n4\t3\n", ["correlate", "--in", "in.txt", "--x", "a", "--y", "b", "--out"]),
-    "noise config": (
-        '{\n  "word_fraction": 0.5,\n  "alphabet": "xyz"\n}\n',
-        ["noise", "--in", "gold.conll", "--seed", "3", "--config", "in.txt", "--out"],
-    ),
     "naming scheme": (
         '{\n  "num_layers": 12\n}\n',
         ["surgery", "mav", "--a", "a.safetensors", "--b", "b.safetensors", "--scheme", "in.txt", "--out"],
@@ -1176,8 +1154,8 @@ def test_commands_outside_a_pipeline_import_no_hashlib(tmp_path, gold_file):
 
 
 # Arguments a command line needs to parse, other than its file flags.
-REQUIRED_ARGS = {"split": ["--ratio", "0.5", "--seed", "1"], "correlate": ["--x", "0", "--y", "1"],
-                 "surgery": ["revert"]}
+REQUIRED_ARGS = {"split": ["--ratio", "0.5", "--seed", "1"], "noise": ["--fraction", "0.5"],
+                 "correlate": ["--x", "0", "--y", "1"], "surgery": ["revert"]}
 
 
 def _file_flags(command):

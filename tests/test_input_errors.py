@@ -19,7 +19,7 @@ from conftest import make_checkpoint
 from sidkit.cli import UsageError, main
 from sidkit.corpus import CorpusError, ParseError, load_dataset
 from sidkit.files import read_text
-from sidkit.noise import NoiseConfig, NoiseError, load_alphabet
+from sidkit.noise import load_alphabet
 from sidkit.subword import SubwordVocab
 from sidkit.surgery import DTYPE_SIZES, CheckpointFormatError, NamingScheme, SchemeError, read_checkpoint
 
@@ -37,13 +37,6 @@ def test_every_sidkit_error_is_a_value_error():
     assert {e.__name__ for e in errors} >= {"CorpusError", "SchemeError", "PipelineError", "UsageError"}
     assert [e for e in errors if e is not UsageError and not issubclass(e, ValueError)] == []
     assert not issubclass(UsageError, ValueError)  # exit 2, not 1
-
-
-def _run_noise(tmp_path, config_bytes):
-    corpus, config = tmp_path / "in.conll", tmp_path / "noise.json"
-    corpus.write_text(CORPUS, encoding="utf-8")
-    config.write_bytes(config_bytes)
-    return main(["noise", "--in", str(corpus), "--out", str(tmp_path / "out.conll"), "--config", str(config)])
 
 
 def _run_surgery(tmp_path, scheme_bytes):
@@ -70,30 +63,6 @@ def _assert_exit_1_naming(code, capsys, path, expected):
     assert f"sidkit: error: {path}: " in err
     assert expected in err
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "config,expected",
-    [
-        ('{"alphabet": "ab"}', "missing noise config keys: ['word_fraction']"),
-        ("[]", "noise config must be a JSON object"),
-        ('{"word_fraction": 0.5, "alphabet": "ab", "op_weights": [1]}', "op_weights must map"),
-        ('{"word_fraction": 0.5, "alphabet": "ab", "op_weights": {"delet": 1}}', "op_weights must map"),
-        ('{"word_fraction": 0.5, "alphabet": "ab", "op_weights": {"both": "1"}}', "op_weights.both must be"),
-        ('{"word_fraction": 0.5, "alphabet": "ab", "op_weights": {"both": 1e999}}', "must be finite"),
-        ('{"word_fraction": 0.5, "alphabet": "ab", "op_weights": {"insert": ' + "9" * 400 + "}}",
-         "must be finite"),
-        ('{"word_fraction": "x", "alphabet": "ab"}', "word_fraction must be a number, got 'x'"),
-        ('{"word_fraction": NaN, "alphabet": "ab"}', "word_fraction must be in [0, 1], got nan"),
-        ('{"word_fraction": 0.5, "alphabet": ["a"]}', "alphabet must be a string"),
-        ('{"word_fraction": 0.5, "alphabet": "ab", "seed": 3}', "unknown noise config keys: ['seed']"),
-        ("", "Expecting value: line 1 column 1 (char 0)"),
-    ],
-)
-def test_hostile_noise_config_exits_1_naming_the_file(config, expected, tmp_path, capsys):
-    code = _run_noise(tmp_path, config.encode("utf-8"))
-    _assert_exit_1_naming(code, capsys, tmp_path / "noise.json", expected)
-    assert not (tmp_path / "out.conll").exists()
 
 
 @pytest.mark.parametrize(
@@ -184,7 +153,6 @@ BAD_INPUTS = {
     "vocabulary without [UNK]": (b"vekk\nm\xc3\xa6\n", ["subword-ratio", "--vocab", "{bad}", "--in", "{text}"]),
     "table, missing column": (b"a\tb\n1\t2\n", ["correlate", "--in", "{bad}", "--x", "a", "--y", "zz"]),
     "table, non-numeric cell": (b"a\tb\n1\t2\n2\tx\n", ["correlate", "--in", "{bad}", "--x", "a", "--y", "b"]),
-    "noise config": (b"[]", ["noise", "--in", "{corpus}", "--out", "{out}", "--config", "{bad}"]),
     "naming scheme": (b"5", ["surgery", "mav", "--a", "{ckpt}", "--b", "{ckpt}", "--scheme", "{bad}"]),
     "checkpoint, short header": (b"\x00\x00\x00", ["surgery", "mav", "--a", "{ckpt}", "--b", "{bad}"]),
     "checkpoint, bad shape": (
@@ -207,12 +175,11 @@ def test_every_reader_names_its_bad_file_first(reader, tmp_path, capsys):
     assert err.count(str(paths["bad"])) == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("parse,error", [(NoiseConfig.from_json, NoiseError), (NamingScheme.from_json, SchemeError)])
-def test_a_config_error_keeps_its_class_and_names_the_file(parse, error, tmp_path):
+def test_a_config_error_keeps_its_class_and_names_the_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("[]", encoding="utf-8")
-    with pytest.raises(error) as exc:
-        read_text(path, parse)
+    with pytest.raises(SchemeError) as exc:
+        read_text(path, NamingScheme.from_json)
     assert str(exc.value).startswith(f"{path}: ")
 
 
@@ -257,11 +224,6 @@ def _shaped(fields):
     return st.fixed_dictionaries({}, optional={key: strategy | json_values for key, strategy in fields.items()})
 
 
-noise_configs = json_values | _shaped({
-    "word_fraction": st.floats(0, 1),
-    "alphabet": st.text(max_size=6),
-    "op_weights": _shaped({op: st.floats(0, 10) | st.integers() for op in ("delete", "insert", "both")}),
-})
 schemes = json_values | _shaped({
     "embeddings_prefixes": st.lists(st.sampled_from(["embeddings.", "encoder.", ""]) | st.text(max_size=6)),
     "layer_template": st.sampled_from(["encoder.layer.{i}.", "encoder.layer.{i}", "{i}", "x"]),
@@ -291,11 +253,10 @@ def _assert_clean_exit(run, tmp_path, value, capsys):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(noise=noise_configs, scheme=schemes, pipeline=pipeline_configs)
-@example(noise=[], scheme=5, pipeline={"steps": None})
-def test_any_json_config_exits_0_1_or_2(noise, scheme, pipeline, tmp_path, monkeypatch, capsys):
+@given(scheme=schemes, pipeline=pipeline_configs)
+@example(scheme=5, pipeline={"steps": None})
+def test_any_json_config_exits_0_1_or_2(scheme, pipeline, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # a pipeline step with relative paths stays in here
-    _assert_clean_exit(_run_noise, tmp_path, noise, capsys)
     _assert_clean_exit(_run_surgery, tmp_path, scheme, capsys)
     _assert_clean_exit(_run_pipeline, tmp_path, pipeline, capsys)
 

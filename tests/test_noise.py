@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import random
 
 import pytest
@@ -295,21 +294,6 @@ def test_config_validation():
         OpWeights(delete=0.0, insert=0.0, both=0.0)
     with pytest.raises(ValueError):
         OpWeights(delete=-1.0, insert=1.0, both=1.0)
-
-
-def test_config_from_json():
-    cfg = NoiseConfig(
-        word_fraction=0.3,
-        alphabet=build_alphabet("abcæ"),
-        op_weights=OpWeights(delete=2.0, insert=1.0, both=0.5),
-    )
-    raw = {"word_fraction": 0.3, "alphabet": "abcæ", "op_weights": {"delete": 2.0, "insert": 1, "both": 0.5}}
-    assert NoiseConfig.from_json(json.dumps(raw)) == cfg
-    assert cfg.seed == 0
-    with pytest.raises(ValueError, match="unknown"):
-        NoiseConfig.from_json('{"word_fraction": 0.1, "alphabet": "ab", "extra": 1}')
-    with pytest.raises(ValueError, match=r"unknown noise config keys: \['seed'\]"):  # the seed is the caller's
-        NoiseConfig.from_json('{"word_fraction": 0.1, "alphabet": "ab", "seed": 1}')
 
 
 def test_noise_utterance_with_no_alphabetic_words():

@@ -211,15 +211,7 @@ INVALID_STEPS = {
     ],
     "noise-without-fraction": [
         {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "alphabet-from": "raw.txt"}},
-        "either --config or both --fraction and --alphabet-from are required",
-    ],
-    "noise-config-with-fraction": [
-        {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "config": "n.json", "fraction": 0.2}},
-        "--config cannot be combined with --fraction/--alphabet-from/--op-weights",
-    ],
-    "noise-config-with-op-weights": [
-        {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "config": "n.json", "op-weights": "1,0,0"}},
-        "--config cannot be combined with --fraction/--alphabet-from/--op-weights",
+        "the following arguments are required: --fraction",
     ],
     "op-weights-not-numbers": [
         {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "fraction": 0.2,
@@ -373,7 +365,7 @@ ORACLE_INPUTS = {
     "parse-check": {"in"},
     "stats": {"in", "unseen-from"},
     "split": {"in"},
-    "noise": {"in", "alphabet-from", "config"},
+    "noise": {"in", "alphabet-from"},
     "normalize": {"in"},
     "evaluate": {"gold", "pred"},
     "subword-ratio": {"vocab", "in", "compare"},
@@ -408,20 +400,13 @@ def test_parser_file_roles_match_the_old_tables():
         assert flags(parser, OutputPath) == ORACLE_OUTPUTS[name], name
 
 
-@pytest.mark.parametrize(
-    ("from_config", "args_seed", "recorded"),
-    [(False, None, 0), (True, None, 0), (True, 3, 3)],
-)
-def test_manifest_records_the_noise_seed_flag(tmp_path, monkeypatch, from_config, args_seed, recorded):
+@pytest.mark.parametrize(("args_seed", "recorded"), [(None, 0), (3, 3)])
+def test_manifest_records_the_noise_seed_flag(tmp_path, monkeypatch, args_seed, recorded):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "gold.conll").write_text(GOLD, encoding="utf-8")
-    args = {"in": "gold.conll", "out": "noised.conll", "seed": args_seed}
-    if from_config:
-        (tmp_path / "noise.json").write_text(json.dumps({"word_fraction": 0.5, "alphabet": "abc"}), encoding="utf-8")
-        args["config"] = "noise.json"
-    else:
-        (tmp_path / "alpha.txt").write_text("abc", encoding="utf-8")
-        args.update({"fraction": 0.5, "alphabet-from": "alpha.txt"})
+    (tmp_path / "alpha.txt").write_text("abc", encoding="utf-8")
+    args = {"in": "gold.conll", "out": "noised.conll", "fraction": 0.5, "alphabet-from": "alpha.txt",
+            "seed": args_seed}
     config = write_config(tmp_path, [{"command": "noise", "args": args}])
     assert run_pipeline(config, tmp_path / "manifest.json") == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
@@ -431,9 +416,8 @@ def test_manifest_records_the_noise_seed_flag(tmp_path, monkeypatch, from_config
 def test_manifest_seed_of_failed_noise_step_is_the_flag(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "gold.conll").write_text(GOLD, encoding="utf-8")
-    (tmp_path / "noise.json").write_text("{not json", encoding="utf-8")
     config = write_config(tmp_path, [{"command": "noise", "args": {
-        "in": "gold.conll", "out": "noised.conll", "config": "noise.json"}}])
+        "in": "gold.conll", "out": "noised.conll", "fraction": 0.5, "alphabet-from": "missing.txt"}}])
     assert run_pipeline(config, tmp_path / "manifest.json") == 1
     step = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["steps"][0]
     assert (step["status"], step["seed"]) == ("failed (1)", 0)  # the --seed default
@@ -445,25 +429,6 @@ def test_manifest_seed_of_unseeded_step_is_null(tmp_path, monkeypatch):
     config = write_config(tmp_path, [{"command": "normalize", "args": {"in": "raw.txt", "out": "clean.txt"}}])
     assert run_pipeline(config, tmp_path / "manifest.json") == 0
     assert json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["steps"][0]["seed"] is None
-
-
-def test_noise_config_is_parsed_once_per_run(tmp_path, monkeypatch):
-    from sidkit.noise import NoiseConfig
-
-    parses = []
-    parse = NoiseConfig.from_json
-    monkeypatch.setattr(NoiseConfig, "from_json", lambda text: parses.append(text) or parse(text))
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "gold.conll").write_text(GOLD, encoding="utf-8")
-    (tmp_path / "noise.json").write_text(json.dumps({"word_fraction": 0.5, "alphabet": "abc"}), encoding="utf-8")
-    assert main(["noise", "--in", "gold.conll", "--out", "cli.conll", "--config", "noise.json", "--seed", "11"]) == 0
-    assert len(parses) == 1
-    config = write_config(tmp_path, [{"command": "noise", "args": {
-        "in": "gold.conll", "out": "step.conll", "config": "noise.json", "seed": 11}}])
-    assert run_pipeline(config, tmp_path / "manifest.json") == 0
-    assert len(parses) == 2  # the step's run alone
-    assert json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["steps"][0]["seed"] == 11
-    assert (tmp_path / "step.conll").read_bytes() == (tmp_path / "cli.conll").read_bytes()
 
 
 # ---------------------------------------------------------------------------
