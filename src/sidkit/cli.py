@@ -167,13 +167,18 @@ def _layers(spec: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {spec!r}") from None
 
 
-def _op_weights(spec: str) -> tuple[float, float, float]:
-    """``--op-weights``: three comma-separated numbers, delete,insert,both."""
+def _op_weights(spec: str) -> OpWeights:
+    """``--op-weights``: three comma-separated numbers, delete,insert,both, that OpWeights accepts."""
+    from .noise import OpWeights
+
     try:
         delete, insert, both = map(float, spec.split(","))
     except ValueError:  # not three items, or an item that is not a number
         raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {spec!r}") from None
-    return delete, insert, both
+    try:
+        return OpWeights(delete, insert, both)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _variety(spec: str) -> str:
@@ -252,7 +257,7 @@ def cmd_noise(args: argparse.Namespace) -> int:
     cfg = NoiseConfig(
         word_fraction=args.fraction,
         alphabet=load_alphabet(args.alphabet_from),
-        op_weights=OpWeights() if args.op_weights is None else OpWeights(*args.op_weights),
+        op_weights=args.op_weights or OpWeights(),
         seed=args.seed,
     )
     print(f"seed: {args.seed}", file=sys.stderr)

@@ -91,12 +91,14 @@ def test_noise_weights_must_be_finite_and_non_negative(weights, tmp_path, capsys
     corpus, alphabet = tmp_path / "in.conll", tmp_path / "alphabet.txt"
     corpus.write_text(CORPUS, encoding="utf-8")
     alphabet.write_text("abc", encoding="utf-8")
-    code = main([
-        "noise", "--in", str(corpus), "--out", str(tmp_path / "out.conll"), "--fraction", "1",
-        "--alphabet-from", str(alphabet), "--op-weights", weights,
-    ])
-    assert code == 1
-    assert "operation weights must be finite and non-negative" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "noise", "--in", str(corpus), "--out", str(tmp_path / "out.conll"), "--fraction", "1",
+            "--alphabet-from", str(alphabet), "--op-weights", weights,
+        ])
+    assert exc.value.code == 2
+    assert "argument --op-weights: operation weights must be finite and non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out.conll").exists()
 
 
 def test_scheme_types_checked_in_the_library():

@@ -218,6 +218,16 @@ INVALID_STEPS = {
                                       "alphabet-from": "raw.txt", "op-weights": "1,x,1"}},
         "argument --op-weights: expected three comma-separated numbers",
     ],
+    "op-weights-all-zero": [
+        {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "fraction": 0.2,
+                                      "alphabet-from": "raw.txt", "op-weights": "0,0,0"}},
+        "argument --op-weights: operation weights must not all be zero",
+    ],
+    "op-weights-negative": [
+        {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "fraction": 0.2,
+                                      "alphabet-from": "raw.txt", "op-weights": "1,-1,1"}},
+        "argument --op-weights: operation weights must be finite and non-negative",
+    ],
     "layers-not-integers": [
         {"command": "surgery revert", "args": {"a": "x", "b": "y", "out": "z", "layers": "0,a"}},
         "argument --layers: expected comma-separated integers",
