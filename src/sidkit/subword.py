@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Iterable
 
 from .files import read_text
 
@@ -52,31 +52,24 @@ class SubwordVocab:
         ))
 
 
-Corpus = Union["Dataset", Iterable[str], str]
-
-
-def _iter_words(corpus: Corpus, letters_only: bool) -> Iterable[str]:
-    if isinstance(corpus, str):  # tested first: text loads no corpus module
+def _iter_words(corpus: Dataset | str, letters_only: bool) -> Iterable[str]:
+    if isinstance(corpus, str):
         words: Iterable[str] = corpus.split()
     else:
-        from .corpus import Dataset
-
-        is_dataset = isinstance(corpus, Dataset)
-        words = (tok for utt in corpus.utterances for tok in utt.tokens) if is_dataset else corpus
+        words = (tok for utt in corpus.utterances for tok in utt.tokens)
     if letters_only:
         words = (w for w in words if w.isalpha())
     return words
 
 
-def split_word_ratio(vocab: SubwordVocab, corpus: Corpus, letters_only: bool = False) -> float:
+def split_word_ratio(vocab: SubwordVocab, corpus: Dataset | str, letters_only: bool = False) -> float:
     """Fraction of words split into multiple pieces or unsegmentable.
 
+    The words are a Dataset's tokens or a text's whitespace-separated words.
     Computed over word tokens (every occurrence counts), not types, without
     segmenting any word (see the module docstring).
     """
     counts = Counter(_iter_words(corpus, letters_only))
-    if "" in counts:
-        raise SubwordError("cannot tokenize an empty word")
     total = sum(counts.values())
     if total == 0:
         raise SubwordError("corpus contains no words")
