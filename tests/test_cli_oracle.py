@@ -1,6 +1,7 @@
-"""Every report ``sidkit evaluate`` and ``sidkit parse-check`` write, checked
-through ``cli.main`` against ``bench/reference.py``, which restates parsing,
-the lenient BIO scan and span matching without importing sidkit."""
+"""Every report ``sidkit evaluate``, ``parse-check`` and ``subword-ratio`` write,
+and every corpus ``sidkit noise`` writes, checked through ``cli.main`` against
+``bench/reference.py``, which restates parsing, the lenient BIO scan, span
+matching, round-half-up counts and WordPiece splitting without importing sidkit."""
 
 import json
 import tempfile
@@ -47,6 +48,11 @@ def conll(utterances):
             comments += f"# variety: {u['variety']}\n"
         blocks.append(comments + "".join(f"{t}\t{tag}\n" for t, tag in zip(u["tokens"], u["tags"])))
     return "\n".join(blocks)
+
+
+def framings(text):
+    """A corpus text with LF line ends, with CRLF, and after a byte order mark."""
+    return {"LF": text, "CRLF": text.replace("\n", "\r\n"), "BOM": "\ufeff" + text}
 
 
 def prf(counts):
@@ -124,10 +130,9 @@ def test_parse_check_matches_the_reference_in_every_framing(pair):
     text = conll(pair[0])
     want = {u["id"]: reference.scan_bio(u["tags"])[1] for u in reference.parse_conll(text)}
     violations = sum(sum(kinds.values()) for kinds in want.values())
-    framings = {"LF": text, "CRLF": text.replace("\n", "\r\n"), "BOM": "\ufeff" + text}
     with tempfile.TemporaryDirectory() as tmp:
         infile, out = Path(tmp, "in.conll"), Path(tmp, "report.json")
-        for framing, data in framings.items():
+        for framing, data in framings(text).items():
             infile.write_bytes(data.encode("utf-8"))
             code = main(["parse-check", "--in", str(infile), "--out", str(out)])
             report = json.loads(out.read_text(encoding="utf-8"))
@@ -137,3 +142,81 @@ def test_parse_check_matches_the_reference_in_every_framing(pair):
             assert (report["utterances"], report["violations"]) == (len(want), violations), framing
             assert got == want, framing
             assert code == (1 if violations else 0), framing
+
+
+ALPHABETIC = st.text(alphabet="abæøÅ", min_size=1, max_size=5)
+OTHER = st.text(alphabet="ab1.-", min_size=1, max_size=4).filter(lambda w: not w.isalpha())
+
+
+@st.composite
+def noise_corpora(draw):
+    """Utterances of alphabetic and other tokens, as dicts the reference parses."""
+    utterances = []
+    for i in range(draw(st.integers(1, 5))):
+        tokens = draw(st.lists(ALPHABETIC | OTHER, min_size=1, max_size=6))
+        tags = draw(st.lists(st.sampled_from(TAGS), min_size=len(tokens), max_size=len(tokens)))
+        utterances.append({"id": f"u{i}", "intent": "alarm/set", "variety": draw(st.sampled_from(VARIETIES)),
+                           "tokens": tokens, "tags": tags})
+    return utterances
+
+
+# Alphabet files: letters and other characters, with at least two letters, so a substitution always has a letter.
+ALPHABET_TEXTS = st.text(alphabet="abcæøå1 ", max_size=8).filter(lambda t: len({c for c in t if c.isalpha()}) > 1)
+
+
+# Fractions that put some counts of up to 6 words on a half (0.5 of 1, 0.7 of 5), and any hundredth.
+FRACTIONS = st.sampled_from([0.1, 0.25, 0.5, 0.7, 0.75]) | st.integers(0, 100).map(lambda k: k / 100)
+
+
+@settings(max_examples=100, deadline=None)
+@given(noise_corpora(), FRACTIONS, ALPHABET_TEXTS, st.integers(0, 2**32))
+def test_noise_matches_the_reference_in_every_framing(utterances, fraction, alphabet_text, seed):
+    alphabet = {ch for ch in alphabet_text if ch.isalpha()}
+    text = conll(utterances)
+    with tempfile.TemporaryDirectory() as tmp:
+        letters, infile = Path(tmp, "alphabet.txt"), Path(tmp, "in.conll")
+        letters.write_text(alphabet_text, encoding="utf-8")
+        outputs = {}
+        for framing, data in framings(text).items():
+            infile.write_bytes(data.encode("utf-8"))
+            out = Path(tmp, f"{framing}.conll")
+            argv = ["noise", "--in", str(infile), "--out", str(out), "--fraction", str(fraction),
+                    "--alphabet-from", str(letters), "--seed", str(seed)]
+            assert main(argv) == 0, framing
+            outputs[framing] = out.read_bytes()
+    assert outputs["CRLF"] == outputs["BOM"] == outputs["LF"]
+    noised = reference.parse_conll(outputs["LF"].decode("utf-8"))
+    assert len(noised) == len(utterances)
+    for before, after in zip(utterances, noised):
+        kept = ("id", "intent", "tags")
+        assert [before[k] for k in kept] == [after[k] for k in kept]
+        assert (before["variety"], len(before["tokens"])) == (after.get("variety"), len(after["tokens"]))
+        changed = [(x, y) for x, y in zip(before["tokens"], after["tokens"]) if x != y]
+        assert len(changed) == reference.round_half_up(fraction, sum(t.isalpha() for t in before["tokens"]))
+        for x, y in changed:
+            assert x.isalpha() and abs(len(x) - len(y)) <= 1 and set(y) - set(x) <= alphabet, (x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(noise_corpora(), st.sets(st.text(alphabet="abæ", min_size=1, max_size=3), max_size=8),
+       st.sets(st.text(alphabet="abæ", min_size=1, max_size=3), max_size=4), st.booleans())
+def test_subword_ratio_matches_the_reference_in_both_formats(utterances, pieces, continuations, letters_only):
+    # No drawn word can be "[UNK]": sidkit counts the unknown token as split, the reference as one piece.
+    vocab = {"[UNK]", *pieces, *("##" + piece for piece in continuations)}
+    words = [t for u in utterances for t in u["tokens"] if t.isalpha() or not letters_only]
+    with tempfile.TemporaryDirectory() as tmp:
+        vocab_file, out = Path(tmp, "vocab.txt"), Path(tmp, "ratio.json")
+        vocab_file.write_text("\n".join(sorted(vocab)) + "\n", encoding="utf-8")
+        inputs = {"text": "\n".join(" ".join(u["tokens"]) for u in utterances), "conll": conll(utterances)}
+        for fmt, data in inputs.items():
+            infile = Path(tmp, f"in.{fmt}")
+            infile.write_text(data, encoding="utf-8")
+            argv = ["subword-ratio", "--vocab", str(vocab_file), "--in", str(infile), "--format", fmt,
+                    "--out", str(out), *(["--letters-only"] if letters_only else [])]
+            if not words:
+                assert main(argv) == 1, fmt
+                continue
+            assert main(argv) == 0, fmt
+            assert json.loads(out.read_text(encoding="utf-8"))["split_word_ratio"] == reference.split_ratio(
+                vocab, words
+            ), fmt
