@@ -168,7 +168,10 @@ def _layers(spec: str) -> list[int]:
 
 
 def _op_weights(spec: str) -> OpWeights:
-    """``--op-weights``: three comma-separated numbers, delete,insert,both, that OpWeights accepts."""
+    """``--op-weights``: three comma-separated numbers, delete,insert,both.
+
+    OpWeights refuses a negative, NaN or infinite weight, and three zeros.
+    """
     from .noise import OpWeights
 
     try:
