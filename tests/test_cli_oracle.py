@@ -188,9 +188,9 @@ def test_noise_matches_the_reference_in_every_framing(utterances, fraction, alph
     noised = reference.parse_conll(outputs["LF"].decode("utf-8"))
     assert len(noised) == len(utterances)
     for before, after in zip(utterances, noised):
-        kept = ("id", "intent", "tags")
-        assert [before[k] for k in kept] == [after[k] for k in kept]
-        assert (before["variety"], len(before["tokens"])) == (after.get("variety"), len(after["tokens"]))
+        assert (before["id"], before["intent"], before["tags"], before["variety"], len(before["tokens"])) == (
+            after["id"], after["intent"], after["tags"], after.get("variety"), len(after["tokens"])
+        )
         changed = [(x, y) for x, y in zip(before["tokens"], after["tokens"]) if x != y]
         assert len(changed) == reference.round_half_up(fraction, sum(t.isalpha() for t in before["tokens"]))
         for x, y in changed:
