@@ -218,6 +218,54 @@ def test_noise_requires_fraction_and_alphabet_from(gold_file, tmp_path, capsys):
     assert not (tmp_path / "x.conll").exists()
 
 
+@pytest.mark.parametrize(("given", "missing"), [
+    (["--fraction", "0.5"], "--alphabet-from"),
+    (["--alphabet-from", "dev.txt"], "--fraction"),
+])
+def test_noise_requires_each_noise_flag(gold_file, tmp_path, capsys, given, missing):
+    (tmp_path / "dev.txt").write_text("abc", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["noise", "--in", str(gold_file), "--out", str(tmp_path / "x.conll"), *given])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: the following arguments are required: {missing}\n")
+    assert not (tmp_path / "x.conll").exists()
+
+
+@pytest.mark.parametrize("reference", ["åøæcba", "c b a\nå ø æ\n", "abc 123 !! æøå cba"])
+def test_alphabet_file_order_does_not_change_the_output(gold_file, tmp_path, reference):
+    """The alphabet is the distinct letters of the file, sorted by code point."""
+    outputs = []
+    for name, text in (("sorted.txt", "abcæøå"), ("other.txt", reference)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        out = tmp_path / f"{name}.conll"
+        argv = ["noise", "--in", str(gold_file), "--out", str(out), "--fraction", "1",
+                "--alphabet-from", str(tmp_path / name), "--seed", "4"]
+        assert main(argv) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(("fraction", "weights", "seed"), [("0.5", None, 11), ("1", "2,1,0.5", 3), ("0.3", "0,1,0", 0)])
+def test_noise_flags_build_the_library_config(gold_file, tmp_path, fraction, weights, seed):
+    from sidkit.corpus import save_dataset
+    from sidkit.noise import NoiseConfig, OpWeights, build_alphabet, noise_dataset
+
+    alphabet = tmp_path / "dev.txt"
+    alphabet.write_text("minn mæ på å", encoding="utf-8")
+    out, expected = tmp_path / "cli.conll", tmp_path / "lib.conll"
+    argv = ["noise", "--in", str(gold_file), "--out", str(out), "--fraction", fraction,
+            "--alphabet-from", str(alphabet), "--seed", str(seed)]
+    assert main(argv + (["--op-weights", weights] if weights else [])) == 0
+    cfg = NoiseConfig(
+        word_fraction=float(fraction),
+        alphabet=build_alphabet("minn mæ på å"),
+        op_weights=OpWeights(*map(float, weights.split(","))) if weights else OpWeights(),
+        seed=seed,
+    )
+    save_dataset(noise_dataset(load_dataset(gold_file), cfg), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_noise_has_no_config_flag(gold_file, tmp_path, capsys):
     config = tmp_path / "x.json"
     config.write_text(json.dumps({"word_fraction": 0.5, "alphabet": "abc"}), encoding="utf-8")

@@ -86,19 +86,61 @@ def test_hostile_naming_scheme_exits_1_naming_the_file(scheme, expected, tmp_pat
     assert not (tmp_path / "out.safetensors").exists()
 
 
-@pytest.mark.parametrize("weights", ["nan,1,1", "1e999,1,1", "1,-1,1"])
-def test_noise_weights_must_be_finite_and_non_negative(weights, tmp_path, capsys):
-    corpus, alphabet = tmp_path / "in.conll", tmp_path / "alphabet.txt"
+def _run_noise(tmp_path, *flags, alphabet="abc"):
+    """``noise`` over CORPUS with these flags and an alphabet file holding ``alphabet``;
+    the exit code, argparse's included."""
+    corpus, alphabet_file = tmp_path / "in.conll", tmp_path / "alphabet.txt"
     corpus.write_text(CORPUS, encoding="utf-8")
-    alphabet.write_text("abc", encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main([
-            "noise", "--in", str(corpus), "--out", str(tmp_path / "out.conll"), "--fraction", "1",
-            "--alphabet-from", str(alphabet), "--op-weights", weights,
-        ])
-    assert exc.value.code == 2
+    alphabet_file.write_text(alphabet, encoding="utf-8")
+    argv = ["noise", "--in", str(corpus), "--out", str(tmp_path / "out.conll"), "--alphabet-from", str(alphabet_file)]
+    try:
+        return main(argv + list(flags))
+    except SystemExit as exc:  # a usage error, reported by argparse
+        return exc.code
+
+
+@pytest.mark.parametrize("weights", ["nan,1,1", "1e999,1,1", "1,-1,1", "inf,1,1", "1,1,-inf", "1," + "9" * 400 + ",1"])
+def test_noise_weights_must_be_finite_and_non_negative(weights, tmp_path, capsys):
+    assert _run_noise(tmp_path, "--fraction", "1", "--op-weights", weights) == 2
     assert "argument --op-weights: operation weights must be finite and non-negative" in capsys.readouterr().err
     assert not (tmp_path / "out.conll").exists()
+
+
+@pytest.mark.parametrize("fraction,shown", [("nan", "nan"), ("-0.1", "-0.1"), ("1.5", "1.5"), ("inf", "inf"),
+                                            ("1e999", "inf")])
+def test_noise_fraction_outside_0_1_exits_1(fraction, shown, tmp_path, capsys):
+    assert _run_noise(tmp_path, "--fraction", fraction) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"sidkit: error: word_fraction must be in [0, 1], got {shown}\n")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.conll").exists()
+
+
+@pytest.mark.parametrize("fraction", ["x", "", "0,5", "1/2"])
+def test_noise_fraction_that_is_no_number_exits_2(fraction, tmp_path, capsys):
+    assert _run_noise(tmp_path, "--fraction", fraction) == 2
+    assert f"argument --fraction: invalid float value: {fraction!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out.conll").exists()
+
+
+@pytest.mark.parametrize("fraction,changed", [("0", 0), ("-0.0", 0), ("1e-320", 0), ("1", 3)])
+def test_noise_fraction_bounds_are_accepted(fraction, changed, tmp_path):
+    assert _run_noise(tmp_path, "--fraction", fraction) == 0
+    before, after = load_dataset(tmp_path / "in.conll"), load_dataset(tmp_path / "out.conll")
+    pairs = [(old, new) for u, v in zip(before, after) for old, new in zip(u.tokens, v.tokens)]
+    assert sum(old != new for old, new in pairs) == changed  # CORPUS holds 3 alphabetic words
+
+
+@pytest.mark.parametrize("alphabet", ["", "123 !\n"])
+@pytest.mark.parametrize("weights,code", [("1,0,0", 0), ("0,1,0", 1), ("0,0,1", 1)])
+def test_alphabet_file_without_letters(alphabet, weights, code, tmp_path, capsys):
+    """An alphabet file with no letters is fine until an insertion or substitution is drawn."""
+    assert _run_noise(tmp_path, "--fraction", "1", "--op-weights", weights, alphabet=alphabet) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 1:
+        assert "sidkit: error: " in err and "alphabet" in err
+    assert (tmp_path / "out.conll").exists() == (code == 0)
 
 
 def test_scheme_types_checked_in_the_library():
@@ -261,6 +303,28 @@ def test_any_json_config_exits_0_1_or_2(scheme, pipeline, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)  # a pipeline step with relative paths stays in here
     _assert_clean_exit(_run_surgery, tmp_path, scheme, capsys)
     _assert_clean_exit(_run_pipeline, tmp_path, pipeline, capsys)
+
+
+_numbers = st.floats().map(repr) | st.integers().map(str) | st.sampled_from(["nan", "inf", "1e999", "-0.0"])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    fraction=_numbers | st.text(max_size=6),
+    weights=st.none() | st.lists(_numbers, min_size=1, max_size=4).map(",".join) | st.text(max_size=8),
+    alphabet=st.text(max_size=8),
+)
+@example(fraction="1", weights="0,1,0", alphabet="")
+def test_any_noise_flags_exit_0_1_or_2(fraction, weights, alphabet, tmp_path, capsys):
+    """The noise flags, the only source of noise parameters, never end in a traceback."""
+    flags = ["--fraction=" + fraction] + ([] if weights is None else ["--op-weights=" + weights])
+    code = _run_noise(tmp_path, *flags, alphabet=alphabet)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (flags, code)
+    assert "Traceback" not in err
+    if code == 1:
+        assert "sidkit: error: " in err
+    (tmp_path / "out.conll").unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,20 @@ INVALID_STEPS = {
         {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "alphabet-from": "raw.txt"}},
         "the following arguments are required: --fraction",
     ],
+    "noise-without-alphabet-from": [
+        {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "fraction": 0.2}},
+        "the following arguments are required: --alphabet-from",
+    ],
+    "noise-with-config": [
+        {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "fraction": 0.2,
+                                      "alphabet-from": "raw.txt", "config": "n.json"}},
+        "unrecognized arguments: --config",
+    ],
+    "fraction-not-a-number": [
+        {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "fraction": "x",
+                                      "alphabet-from": "raw.txt"}},
+        "argument --fraction: invalid float value: 'x'",
+    ],
     "op-weights-not-numbers": [
         {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "fraction": 0.2,
                                       "alphabet-from": "raw.txt", "op-weights": "1,x,1"}},
