@@ -99,8 +99,9 @@ class CommandParser(argparse.ArgumentParser):
         are checked by building ``args.format_options``, the command's
         FormatOptions, from them. An output flag that names the same file as
         another output or an input flag of the command raises ValueError
-        naming both flags, before anything is read or written, as does
-        ``surgery swap --heads``.
+        naming both flags, before anything is read or written, as do
+        ``surgery swap --heads`` and the library's own value rules for the
+        flags of ``noise`` and ``split``.
         ``around`` holds more ``(flag, path)`` files, those of a run around
         the command (a pipeline's ``--config`` and ``--manifest``); a file
         flag of the command may not name one of them where either is an output.
@@ -112,6 +113,14 @@ class CommandParser(argparse.ArgumentParser):
             self.error("surgery revert/swap require --out")
         if args.command == "surgery" and args.action == "swap" and args.heads:
             raise ValueError("task heads are never swapped")
+        if args.command == "noise":  # NoiseConfig's --fraction rule; the alphabet file is read when noise runs
+            from .noise import Alphabet, NoiseConfig
+
+            NoiseConfig(args.fraction, Alphabet(()))
+        if args.command == "split":
+            from .corpus import check_split
+
+            check_split(args.ratio, args.strategy, args.group_delimiter)
         if "token_col" in args and getattr(args, "format", "conll") == "conll":  # the command reads a corpus
             from .corpus import FormatOptions
 
@@ -170,7 +179,7 @@ def _layers(spec: str) -> list[int]:
 def _op_weights(spec: str) -> OpWeights:
     """``--op-weights``: three comma-separated numbers, delete,insert,both.
 
-    OpWeights refuses a negative, NaN or infinite weight, and three zeros.
+    OpWeights refuses a negative, NaN or infinite weight, three zeros and an infinite sum.
     """
     from .noise import OpWeights
 
@@ -255,17 +264,15 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_noise(args: argparse.Namespace) -> int:
-    from .noise import NoiseConfig, OpWeights
+    from .files import naming
+    from .noise import NoiseConfig
 
-    cfg = NoiseConfig(
-        word_fraction=args.fraction,
-        alphabet=load_alphabet(args.alphabet_from),
-        op_weights=args.op_weights or OpWeights(),
-        seed=args.seed,
-    )
+    cfg = NoiseConfig(args.fraction, load_alphabet(args.alphabet_from), args.op_weights, args.seed)
     print(f"seed: {args.seed}", file=sys.stderr)
     dataset = load_dataset(args.infile, args.format_options)
-    save_dataset(noise_dataset(dataset, cfg), args.out, args.format_options)
+    with naming(args.alphabet_from):  # a draw fails only for want of a letter in the alphabet
+        noised = noise_dataset(dataset, cfg)
+    save_dataset(noised, args.out, args.format_options)
     return 0
 
 
@@ -453,7 +460,7 @@ def build_parser() -> CommandParser:
     p.add_argument("--fraction", type=float, required=True)
     p.add_argument("--alphabet-from", type=InputPath, required=True, help="text file supplying insertion letters")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--op-weights", type=_op_weights, default=None, help="delete,insert,both weights (e.g. 1,1,1)")
+    p.add_argument("--op-weights", type=_op_weights, default="1,1,1", help="delete,insert,both weights (default 1,1,1)")
     _add_format_flags(p)
     p.set_defaults(handler=cmd_noise)
 

@@ -802,8 +802,7 @@ def split_dataset(
     """
     if not dataset.utterances:
         raise SplitError("cannot split an empty dataset")
-    if not 0.0 < ratio < 1.0:
-        raise SplitError(f"ratio must be in (0, 1), got {ratio}")
+    check_split(ratio, strategy, group_delimiter)
 
     n = len(dataset)
     target = share_count(ratio, n)
@@ -811,9 +810,7 @@ def split_dataset(
 
     if strategy == "uniform":  # one group per utterance
         groups = [[i] for i in range(n)]
-    elif strategy == "grouped":
-        if not group_delimiter:
-            raise SplitError("the group delimiter is empty, so no utterance id has a group key")
+    else:
         by_key: dict[str, list[int]] = {}
         for i, utt in enumerate(dataset.utterances):
             key, sep, _ = utt.id.partition(group_delimiter)
@@ -824,8 +821,6 @@ def split_dataset(
                 )
             by_key.setdefault(key, []).append(i)
         groups = list(by_key.values())
-    else:
-        raise SplitError(f"unknown split strategy {strategy!r}")
     rng.shuffle(groups)
     first: set[int] = set()
     for members in groups:
@@ -838,3 +833,13 @@ def split_dataset(
         Dataset(name=f"{dataset.name}-part1", utterances=part1),
         Dataset(name=f"{dataset.name}-part2", utterances=part2),
     )
+
+
+def check_split(ratio: float, strategy: SplitStrategy, group_delimiter: str) -> None:
+    """The value rules of a split's arguments; ``sidkit split`` checks them before it reads its input."""
+    if not 0.0 < ratio < 1.0:
+        raise SplitError(f"ratio must be in (0, 1), got {ratio}")
+    if strategy not in ("uniform", "grouped"):
+        raise SplitError(f"unknown split strategy {strategy!r}")
+    if strategy == "grouped" and not group_delimiter:
+        raise SplitError("the group delimiter is empty, so no utterance id has a group key")

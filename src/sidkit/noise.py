@@ -12,14 +12,14 @@ utterance id), which makes outputs reproducible, independent of corpus order,
 and safe to compute in parallel. Each edited word draws its op, then its
 position, then its character. ``noise_dataset`` computes a config's draw
 tables (the running sums of the op weights, each letter's place in the
-alphabet) once; a draw from them takes the same raw values and yields the
-same op or character as ``SplitMix64.weighted_choice`` and ``choice`` would.
+alphabet) once; a character draw yields what ``SplitMix64.choice`` would.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Literal
 
@@ -77,6 +77,8 @@ class OpWeights:
             raise ValueError(f"operation weights must be finite and non-negative, got {values}")
         if sum(values) == 0:
             raise ValueError("operation weights must not all be zero")
+        if self.delete + self.insert + self.both > sys.float_info.max:  # the last running sum of a draw
+            raise ValueError(f"operation weights must have a finite sum, got {values}")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.delete, self.insert, self.both)
@@ -127,28 +129,26 @@ def noise_word(word: str, op: NoiseOp, position: int, insert_char: str | None = 
 class _Draws:
     """The draw tables of one NoiseConfig, computed once for a whole dataset.
 
-    Each draw consumes the same raw values, and yields the same op or
-    character, as the ``SplitMix64`` helper it stands for.
+    An op draw takes one float; a character draw consumes the same raw values,
+    and yields the same character, as ``SplitMix64.choice`` over its letters.
     """
 
     def __init__(self, cfg: NoiseConfig) -> None:
+        # the running sums of the op weights, the last of which OpWeights keeps finite; a zero-weight
+        # op's sum is the one before it, so no draw could pick it, and it is left out
         weights = cfg.op_weights.as_tuple()
-        self.total = sum(weights)
-        bounds, acc = [], 0.0
-        for weight in weights:  # the running sums of SplitMix64.weighted_choice
-            acc += weight
-            bounds.append(acc)
-        self.bounds = tuple(zip(bounds, _OPS))
+        self.bounds = tuple((bound, op) for bound, op, weight in zip(accumulate(weights), _OPS, weights) if weight)
+        self.total = self.bounds[-1][0]
         self.chars = cfg.alphabet.chars
         self.index = {ch: i for i, ch in enumerate(self.chars)}
 
     def op(self, rng: SplitMix64) -> NoiseOp:
-        """``rng.weighted_choice(_OPS, weights)``."""
+        """The first op whose running sum exceeds ``next_float() * total``; a zero-weight op never is."""
         u = rng.next_float() * self.total
         for bound, op in self.bounds:
             if u < bound:
                 return op
-        return _OPS[-1]  # guards against accumulated float error
+        return self.bounds[-1][1]  # rounding carries u up to the total only when that is subnormal
 
     def substitute(self, rng: SplitMix64, old: str) -> str:
         """``rng.choice`` over the alphabet without ``old``, without building that tuple."""

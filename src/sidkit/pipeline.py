@@ -13,8 +13,9 @@ Steps run in order through the regular CLI dispatch, so a pipeline step
 behaves exactly like the equivalent command line; a step cannot run a nested
 pipeline. The whole config is checked, and every step's argv parsed, before
 the first step runs: a bad step raises PipelineError naming it, and nothing
-runs. A step whose output names one of its inputs or another of its outputs
-is such a bad step (``cli.CommandParser.parse_command`` refuses it), and so
+runs. A step whose output names one of its inputs or another of its outputs,
+or whose flag value the library refuses, is such a bad step
+(``cli.CommandParser.parse_command`` refuses it), and so
 is a step whose file flag names the run's manifest, whose output names
 the run's config, or whose output (other than an open descriptor) is not in
 an existing directory. The manifest records, per step, the argv, its

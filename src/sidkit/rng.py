@@ -86,23 +86,6 @@ class SplitMix64:
     def choice(self, items: Sequence[T]) -> T:
         return items[self.next_below(len(items))]
 
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        """Draw one element with probability proportional to its weight."""
-        if len(items) != len(weights):
-            raise ValueError("items and weights must have equal length")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
-        total = sum(weights)
-        if total <= 0:
-            raise ValueError("weights must not all be zero")
-        u = self.next_float() * total
-        acc = 0.0
-        for item, w in zip(items, weights):
-            acc += w
-            if u < acc:
-                return item
-        return items[-1]  # guards against accumulated float error
-
 
 def share_count(fraction: float, n: int) -> int:
     """``Fraction(str(fraction)) * n`` rounded half up, exactly (0.7 of 45 is 32, not 31)."""

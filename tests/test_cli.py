@@ -175,12 +175,25 @@ def test_split_with_an_empty_group_delimiter(gold_file, tmp_path, capsys):
     args = ["split", "--in", str(gold_file), "--ratio", "0.5", "--seed", "1",
             "--group-delimiter", "", "--out1", str(out1), "--out2", str(out2)]
     assert main([*args, "--strategy", "grouped"]) == 1
-    assert capsys.readouterr().err.endswith(
-        "\nsidkit: error: the group delimiter is empty, so no utterance id has a group key\n"
+    assert capsys.readouterr().err == (  # refused before the input is read, so with no seed line
+        "sidkit: error: the group delimiter is empty, so no utterance id has a group key\n"
     )
     assert not out1.exists() and not out2.exists()
     assert main(args) == 0  # uniform reads no group key, so it takes any delimiter
     assert len(load_dataset(out1)) + len(load_dataset(out2)) == len(load_dataset(gold_file))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["split", "--ratio", "1.5", "--seed", "1", "--out1", "p1.conll", "--out2", "p2.conll"],
+     "ratio must be in (0, 1), got 1.5"),
+    (["noise", "--fraction", "2", "--alphabet-from", "missing.txt", "--out", "n.conll"],
+     "word_fraction must be in [0, 1], got 2.0"),
+], ids=["split-ratio", "noise-fraction"])
+def test_a_value_rule_is_checked_before_any_input_is_opened(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--in", "missing.conll"]) == 1  # the rule, not ENOENT
+    assert capsys.readouterr().err == f"sidkit: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_split_grouped_by_id_prefix(gold_file, tmp_path):

@@ -1,7 +1,8 @@
-"""Every report ``sidkit evaluate``, ``parse-check`` and ``subword-ratio`` write,
-and every corpus ``sidkit noise`` writes, checked through ``cli.main`` against
-``bench/reference.py``, which restates parsing, the lenient BIO scan, span
-matching, round-half-up counts and WordPiece splitting without importing sidkit."""
+"""Every report ``sidkit evaluate``, ``parse-check``, ``stats`` and ``subword-ratio``
+write, and every corpus ``sidkit noise`` and ``split`` write, checked through
+``cli.main`` against ``bench/reference.py``, which restates parsing, the lenient
+BIO scan, span matching, round-half-up counts and WordPiece splitting without
+importing sidkit."""
 
 import json
 import tempfile
@@ -220,3 +221,72 @@ def test_subword_ratio_matches_the_reference_in_both_formats(utterances, pieces,
             assert json.loads(out.read_text(encoding="utf-8"))["split_word_ratio"] == reference.split_ratio(
                 vocab, words
             ), fmt
+
+
+@st.composite
+def keyed_corpora(draw):
+    """Utterances whose ids ``s<key>-<n>`` share a group key with the ids of one source sentence."""
+    keys = draw(st.lists(st.integers(0, 4), min_size=1, max_size=10))
+    utterances = []
+    for n, key in enumerate(keys):
+        length = draw(st.integers(1, 4))
+        utterances.append({"id": f"s{key}-{n}", "intent": draw(st.sampled_from(("alarm/set", "vêr/finn"))),
+                           "variety": draw(st.sampled_from(VARIETIES)), "tokens": [f"w{j}" for j in range(length)],
+                           "tags": draw(st.lists(st.sampled_from(TAGS), min_size=length, max_size=length))})
+    return utterances
+
+
+# Ratios that put some counts of up to 10 utterances on a half (0.5 of 3, 0.25 of 6), and any hundredth.
+RATIOS = st.sampled_from([0.1, 0.25, 0.5, 0.7, 0.75]) | st.integers(1, 99).map(lambda k: k / 100)
+
+
+@settings(max_examples=100, deadline=None)
+@given(keyed_corpora(), RATIOS, st.integers(0, 2**32), st.sampled_from(("uniform", "grouped")))
+def test_split_matches_the_reference_in_every_framing(utterances, ratio, seed, strategy):
+    text = conll(utterances)
+    with tempfile.TemporaryDirectory() as tmp:
+        infile, out1, out2 = Path(tmp, "in.conll"), Path(tmp, "1.conll"), Path(tmp, "2.conll")
+        outputs = {}
+        for framing, data in framings(text).items():
+            infile.write_bytes(data.encode("utf-8"))
+            argv = ["split", "--in", str(infile), "--ratio", str(ratio), "--seed", str(seed),
+                    "--strategy", strategy, "--out1", str(out1), "--out2", str(out2)]
+            assert main(argv) == 0, framing
+            outputs[framing] = (out1.read_bytes(), out2.read_bytes())
+    assert outputs["CRLF"] == outputs["BOM"] == outputs["LF"]
+    before = reference.parse_conll(text)
+    part1, part2 = (reference.parse_conll(part.decode("utf-8")) for part in outputs["LF"])
+    first = {u["id"] for u in part1}
+    # the parts partition the input, each in its order
+    assert part1 == [u for u in before if u["id"] in first]
+    assert part2 == [u for u in before if u["id"] not in first]
+    target = reference.round_half_up(ratio, len(before))
+    if strategy == "uniform":
+        assert len(part1) == target
+    else:  # whole groups, packed up to the target
+        assert len(part1) <= target
+        assert not {u["id"].split("-")[0] for u in part1} & {u["id"].split("-")[0] for u in part2}
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora())
+def test_stats_matches_the_reference_in_every_framing(pair):
+    text = conll(pair[0])
+    utterances = reference.parse_conll(text)
+    tags = Counter(tag for u in utterances for tag in u["tags"])
+    labels = Counter()
+    for tag, count in tags.items():  # the label the reference's scan reads from one tag: B-x and I-x read x
+        for _, _, label in reference.scan_bio([tag])[0]:
+            labels[label] += count
+    intents = Counter(u["intent"] for u in utterances)
+    with tempfile.TemporaryDirectory() as tmp:
+        infile, out = Path(tmp, "in.conll"), Path(tmp, "stats.json")
+        for framing, data in framings(text).items():
+            infile.write_bytes(data.encode("utf-8"))
+            assert main(["stats", "--in", str(infile), "--out", str(out)]) == 0, framing
+            report = json.loads(out.read_text(encoding="utf-8"))
+            assert report["utterances"] == len(utterances), framing
+            assert (report["intents"], report["slot_labels"], report["full_tags"]) == (intents, labels, tags), framing
+            assert (report["num_intents"], report["num_slot_labels"], report["num_full_tags"]) == (
+                len(intents), len(labels), len(tags)
+            ), framing

@@ -9,6 +9,7 @@ import json
 import math
 import pkgutil
 import struct
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -86,11 +87,11 @@ def test_hostile_naming_scheme_exits_1_naming_the_file(scheme, expected, tmp_pat
     assert not (tmp_path / "out.safetensors").exists()
 
 
-def _run_noise(tmp_path, *flags, alphabet="abc"):
-    """``noise`` over CORPUS with these flags and an alphabet file holding ``alphabet``;
-    the exit code, argparse's included."""
+def _run_noise(tmp_path, *flags, alphabet="abc", text=CORPUS):
+    """``noise`` over the corpus ``text`` with these flags and an alphabet file holding
+    ``alphabet``; the exit code, argparse's included."""
     corpus, alphabet_file = tmp_path / "in.conll", tmp_path / "alphabet.txt"
-    corpus.write_text(CORPUS, encoding="utf-8")
+    corpus.write_text(text, encoding="utf-8")
     alphabet_file.write_text(alphabet, encoding="utf-8")
     argv = ["noise", "--in", str(corpus), "--out", str(tmp_path / "out.conll"), "--alphabet-from", str(alphabet_file)]
     try:
@@ -104,6 +105,27 @@ def test_noise_weights_must_be_finite_and_non_negative(weights, tmp_path, capsys
     assert _run_noise(tmp_path, "--fraction", "1", "--op-weights", weights) == 2
     assert "argument --op-weights: operation weights must be finite and non-negative" in capsys.readouterr().err
     assert not (tmp_path / "out.conll").exists()
+
+
+def test_noise_weights_whose_sum_overflows_exit_2(tmp_path, capsys):
+    assert _run_noise(tmp_path, "--fraction", "1", "--op-weights", "1e308,1e308,1e308") == 2
+    assert "argument --op-weights: operation weights must have a finite sum" in capsys.readouterr().err
+    assert not (tmp_path / "out.conll").exists()
+
+
+def test_noise_weights_near_the_largest_float_draw_as_ones_do(tmp_path):
+    """Weights of 5e307 each sum to 1.5e308, a finite float: every op is drawn, and the
+    output is the bytes that weights 1,1,1 give."""
+    words = ("vekk", "mæ", "kor", "varmt", "ute")
+    text = "\n".join(f"# id: {i}\n# intent: a/b\n" + "".join(f"{w}\tO\n" for w in words) for i in range(200))
+    outputs = []
+    for weights in ("5e307,5e307,5e307", "1,1,1"):
+        assert _run_noise(tmp_path, "--fraction", "1", "--op-weights", weights, text=text) == 0
+        outputs.append((tmp_path / "out.conll").read_bytes())
+    assert outputs[0] == outputs[1]
+    noised = [token for utt in load_dataset(tmp_path / "out.conll") for token in utt.tokens]
+    ops = Counter(len(new) - len(old) for old, new in zip(words * 200, noised))
+    assert sorted(ops) == [-1, 0, 1] and min(ops.values()) > 200  # delete, substitute, insert
 
 
 @pytest.mark.parametrize("fraction,shown", [("nan", "nan"), ("-0.1", "-0.1"), ("1.5", "1.5"), ("inf", "inf"),
@@ -139,7 +161,7 @@ def test_alphabet_file_without_letters(alphabet, weights, code, tmp_path, capsys
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code == 1:
-        assert "sidkit: error: " in err and "alphabet" in err
+        assert f"sidkit: error: {tmp_path / 'alphabet.txt'}: " in err and "alphabet" in err
     assert (tmp_path / "out.conll").exists() == (code == 0)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -294,6 +295,10 @@ def test_config_validation():
         OpWeights(delete=0.0, insert=0.0, both=0.0)
     with pytest.raises(ValueError):
         OpWeights(delete=-1.0, insert=1.0, both=1.0)
+    with pytest.raises(ValueError, match="must have a finite sum"):
+        OpWeights(delete=1e308, insert=1e308, both=1e308)
+    with pytest.raises(ValueError, match="must have a finite sum"):
+        OpWeights(delete=sys.float_info.max, insert=0.0, both=sys.float_info.max)
 
 
 def test_noise_utterance_with_no_alphabetic_words():
@@ -312,7 +317,7 @@ PIN_SENTENCES = {
 }
 # The noised sentences of PIN_SENTENCES under alphabet "abeinø" and seed 5, per
 # (word fraction, op weights); recorded from the implementation that drew every
-# op with SplitMix64.weighted_choice and every substitute from a fresh tuple.
+# op as running_sum_draw below does and every substitute from a fresh tuple.
 PINNED = {
     (0.1, (1, 1, 1)): ["hei på deg ii dag 12 x", "zzz kan du vkke meg a !", "ø qq morgen tiblig ja"],
     (0.1, (0, 0, 1)): ["hei på deg ii dag 12 x", "zzz kan du vøkke meg a !", "ø qq morgen tiblig ja"],
@@ -342,7 +347,21 @@ def test_noised_tokens_are_pinned(fraction, weights):
     assert [noise_dataset(Dataset(name="one", utterances=(utt,)), cfg).utterances[0] for utt in corpus] == list(noised)
 
 
+def running_sum_draw(rng, weights):
+    """The op draw restated: the first op whose running sum of ``weights`` exceeds
+    ``next_float()`` times their sum; where rounding carries that product up to
+    the sum, which only a subnormal sum allows, the last op with a weight."""
+    u = rng.next_float() * (weights[0] + weights[1] + weights[2])
+    acc = 0.0
+    for op, weight in zip(_OPS, weights):
+        acc += weight
+        if u < acc:
+            return op
+    return [op for op, weight in zip(_OPS, weights) if weight][-1]
+
+
 finite_weights = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.integers(0, 10**6)
+MAX = sys.float_info.max
 
 
 class FixedFloat(SplitMix64):
@@ -357,19 +376,36 @@ class FixedFloat(SplitMix64):
 
 
 @given(
-    st.tuples(finite_weights, finite_weights, finite_weights).filter(any),
+    st.tuples(finite_weights, finite_weights, finite_weights).filter(lambda w: 0 < w[0] + w[1] + w[2] <= MAX),
     st.integers(0, 2**64 - 1),
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
 @example((0.1, 0.2, 0.3), 0, 0.5)  # u lands on the second running sum, 0.30000000000000004
+@example((MAX, 0.0, 0.0), 0, 1 - 2**-53)
+@example((0.0, MAX / 2, MAX / 2), 0, 1 - 2**-53)
+@example((5e-324, 0.0, 0.0), 0, 0.75)  # u rounds up to the subnormal sum
 @settings(max_examples=500)
-def test_op_table_draws_what_weighted_choice_draws(weights, seed, value):
+def test_op_table_draws_what_the_running_sums_draw(weights, seed, value):
     expected, got = SplitMix64(seed), SplitMix64(seed)
     draws = _Draws(NoiseConfig(0.5, Alphabet(chars=()), OpWeights(*weights)))
-    assert draws.op(got) == expected.weighted_choice(_OPS, weights)
+    op = draws.op(got)
+    assert op == running_sum_draw(expected, weights)
     assert got.next_u64() == expected.next_u64()  # the same number of draws was taken
     # any float in [0, 1), including those that land on a bound
-    assert draws.op(FixedFloat(value)) == FixedFloat(value).weighted_choice(_OPS, weights)
+    fixed = draws.op(FixedFloat(value))
+    assert fixed == running_sum_draw(FixedFloat(value), weights)
+    assert weights[_OPS.index(op)] > 0 and weights[_OPS.index(fixed)] > 0
+
+
+near_max = st.floats(min_value=MAX / 8, max_value=MAX / 4)
+
+
+@given(st.tuples(near_max, near_max, near_max), st.integers(0, 2**64 - 1))
+@settings(max_examples=50)
+def test_weights_near_the_largest_float_draw_every_op(weights, seed):
+    rng = SplitMix64(seed)
+    draws = _Draws(NoiseConfig(0.5, Alphabet(chars=()), OpWeights(*weights)))
+    assert {draws.op(rng) for _ in range(200)} == set(_OPS)
 
 
 @given(

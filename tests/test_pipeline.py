@@ -242,6 +242,21 @@ INVALID_STEPS = {
                                       "alphabet-from": "raw.txt", "op-weights": "1,-1,1"}},
         "argument --op-weights: operation weights must be finite and non-negative",
     ],
+    "noise-fraction-outside-0-1": [
+        {"command": "noise", "args": {"in": "raw.txt", "out": "n.conll", "fraction": 2,
+                                      "alphabet-from": "raw.txt"}},
+        "word_fraction must be in [0, 1], got 2.0",
+    ],
+    "split-ratio-outside-0-1": [
+        {"command": "split", "args": {"in": "clean.txt", "ratio": 1.5, "seed": 1, "out1": "a.conll",
+                                      "out2": "b.conll"}},
+        "ratio must be in (0, 1), got 1.5",
+    ],
+    "split-empty-group-delimiter": [
+        {"command": "split", "args": {"in": "clean.txt", "ratio": 0.5, "seed": 1, "strategy": "grouped",
+                                      "group-delimiter": "", "out1": "a.conll", "out2": "b.conll"}},
+        "the group delimiter is empty, so no utterance id has a group key",
+    ],
     "layers-not-integers": [
         {"command": "surgery revert", "args": {"a": "x", "b": "y", "out": "z", "layers": "0,a"}},
         "argument --layers: expected comma-separated integers",

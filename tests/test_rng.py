@@ -61,20 +61,6 @@ def test_sample_without_replacement():
         rng.sample(range(3), 4)
 
 
-def test_weighted_choice_zero_weight_never_drawn():
-    rng = SplitMix64(11)
-    draws = {rng.weighted_choice("abc", [1.0, 0.0, 2.0]) for _ in range(500)}
-    assert draws == {"a", "c"}
-
-
-def test_weighted_choice_rejects_bad_weights():
-    rng = SplitMix64(1)
-    with pytest.raises(ValueError):
-        rng.weighted_choice("ab", [0.0, 0.0])
-    with pytest.raises(ValueError):
-        rng.weighted_choice("ab", [-1.0, 2.0])
-
-
 # (fraction, n, count): exact products 0, 0.4, 0.5, 1.5, 2.5, 2.4, 9 round half up;
 # 0.29 of 50 and 0.7 of 45 are 14.5 and 31.5 exactly, though not as floats.
 @pytest.mark.parametrize(
