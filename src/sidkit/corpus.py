@@ -26,8 +26,8 @@ and parses the chunks of each piece before it reads the next.
 
 Inside a :class:`DatasetStore` scope (a pipeline run holds one),
 ``load_dataset`` and ``save_dataset`` keep the datasets they parse or write,
-so a later load of an unchanged file with the same format options parses
-nothing.
+so a later load with the same format options parses nothing when the
+scope's holder gives the file as unchanged (``DatasetStore.digests``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
-from .files import _decoded, _lf, _read_pieces, naming, new_sha256, replace_file, sha256_file
+from .files import _decoded, _lf, _read_pieces, naming, new_sha256, replace_file
 from .rng import SplitMix64, derive_seed, share_count
 
 
@@ -473,12 +473,15 @@ class DatasetStore:
     Each entry sits under its file's absolute path with the SHA-256 of the
     bytes it was parsed from or written as and the FormatOptions it was
     parsed or written with. ``load_dataset`` serves a dataset from the
-    store only when all three match. The scope lives in a ContextVar, so a thread started inside it
-    sees no store; outside every scope nothing is stored or hashed.
+    store only when all three match, the file's digest taken from ``digests``
+    (absolute path -> SHA-256), which the scope's holder fills, so a lookup
+    reads no file and a bare scope serves nothing. The scope lives in a ContextVar,
+    so a thread started inside it sees no store; outside every scope nothing is stored or hashed.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, tuple[str, FormatOptions, Dataset]] = {}
+        self.digests: dict[str, str] = {}
 
     def __enter__(self) -> "DatasetStore":
         self._token = _active_store.set(self)
@@ -494,11 +497,10 @@ class DatasetStore:
             del self._entries[key]
 
     def get(self, path: Path, options: FormatOptions) -> Dataset | None:
-        """The dataset stored for ``path`` and ``options`` if the file still
-        holds the bytes it was stored with; the file is hashed only when
-        such an entry exists, so a first load reads it once."""
-        entry = self._entries.get(os.path.abspath(path))
-        if entry is None or entry[1] != options or entry[0] != sha256_file(path):
+        """The dataset stored for ``path`` and ``options`` if ``digests``
+        gives the file the digest it was stored with."""
+        entry = self._entries.get(key := os.path.abspath(path))
+        if entry is None or entry[1] != options or entry[0] != self.digests.get(key):
             return None
         return entry[2]
 
@@ -516,9 +518,9 @@ def load_dataset(
 ) -> Dataset:
     """Parse the file ``path``; the dataset is named ``name`` or the file's stem.
 
-    Inside a :class:`DatasetStore` scope, a file whose bytes and ``options``
-    match a stored entry is not parsed again. A :class:`ParseError` names
-    the file (``files.naming``).
+    Inside a :class:`DatasetStore` scope, a file whose ``options`` and digest
+    in the store's ``digests`` match a stored entry is not parsed again. A
+    :class:`ParseError` names the file (``files.naming``).
     """
     path = Path(path)
     name = name if name is not None else path.stem

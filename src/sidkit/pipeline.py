@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Container
@@ -163,6 +164,7 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
     with replace_file(manifest_path) as manifest_file, DatasetStore() as store:
         for i, (step, (argv, parsed)) in enumerate(zip(steps, checked)):
             inputs = _digest_role(parsed, cli.InputPath)
+            store.digests = {os.path.abspath(p): digest for p, digest in inputs.items()}
             code = cli.main(argv)
             store.keep(p for _, later in checked[i + 1 :] for p in _paths(later, cli.InputPath))
             record = {

@@ -433,12 +433,18 @@ def format_options(draw):
     )
 
 
+def _hold(store, *paths):
+    """Give ``store`` the files' digests now, as a pipeline run gives a step's inputs."""
+    store.digests = {os.path.abspath(p): files.sha256_file(p) for p in paths}
+
+
 @given(datasets(), format_options())
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_store_serves_what_a_load_outside_it_reads(tmp_path, dataset, options):
     path = tmp_path / "saved.conll"
-    with DatasetStore():
+    with DatasetStore() as store:
         save_dataset(dataset, path, options)
+        _hold(store, path)
         inside = load_dataset(path, options)
     assert inside == load_dataset(path, options)
     # stored only when the file reads back as the dataset exactly
@@ -449,10 +455,12 @@ def test_store_serves_what_a_load_outside_it_reads(tmp_path, dataset, options):
 def test_store_parses_a_rewritten_file_again(tmp_path):
     path = tmp_path / "d.conll"
     path.write_text("# id: 1\n# intent: a\nx\tO\n", encoding="utf-8")
-    with DatasetStore():
+    with DatasetStore() as store:
         first = load_dataset(path)
+        _hold(store, path)
         assert load_dataset(path, name="again").utterances is first.utterances
         path.write_text("# id: 1\n# intent: b\nx\tO\n", encoding="utf-8")
+        _hold(store, path)
         second = load_dataset(path)
     assert second.utterances[0].intent == "b"
     assert second == load_dataset(path)
@@ -470,6 +478,23 @@ def test_store_parses_a_file_loaded_with_other_options_again(tmp_path):
     assert second == load_dataset(path, other)
     assert second.utterances[0].slot_tags == ("B-y",) and second.utterances[0].variety == "west"
     assert third == first
+
+
+def test_a_bare_store_serves_nothing(tmp_path):
+    path = tmp_path / "d.conll"
+    path.write_text("# id: 1\n# intent: a\nx\tO\n", encoding="utf-8")
+    with DatasetStore() as store:
+        first = load_dataset(path)
+        assert store.digests == {}
+        second = load_dataset(path)
+        saved = tmp_path / "saved.conll"
+        save_dataset(first, saved)
+        third = load_dataset(saved)
+        entries = {p: entry[0] for p, entry in store._entries.items()}
+    for dataset in (second, third):
+        assert dataset.utterances is not first.utterances and dataset.utterances == first.utterances
+    # every load and save is still stored, under the digest of its bytes
+    assert entries == {os.path.abspath(p): files.sha256_file(p) for p in (path, saved)}
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +691,10 @@ def test_a_load_reads_the_same_at_every_piece_size(tmp_path, data):
             with DatasetStore() as store:
                 assert _loaded(path) == want, size
                 if isinstance(want, Dataset):  # stored under the digest of the bytes parsed
-                    assert store._entries[os.path.abspath(path)][0] == hashlib.sha256(data).hexdigest()
-                    assert load_dataset(path).utterances is store._entries[os.path.abspath(path)][2].utterances
+                    key, digest = os.path.abspath(path), hashlib.sha256(data).hexdigest()
+                    assert store._entries[key][0] == digest
+                    store.digests[key] = digest
+                    assert load_dataset(path).utterances is store._entries[key][2].utterances
 
 
 @given(st.text(alphabet="a\n", max_size=40), st.lists(st.integers(0, 40)))
@@ -679,40 +706,36 @@ def test_chunks_cut_pieces_where_a_walk_over_the_whole_text_cuts(text, cuts):
     assert list(corpus._chunks(pieces)) == [part + "\n" for part in parts[:-1]] + parts[-1:]
 
 
-def test_the_store_keeps_the_digest_of_the_bytes_it_parsed(tmp_path, monkeypatch):
+def test_the_store_keeps_the_digest_of_the_bytes_it_parsed(tmp_path):
     path = tmp_path / "d.conll"
     path.write_text("# id: 1\n# intent: a\nx\tO\n", encoding="utf-8")
-    looked_up = corpus.sha256_file
-
-    def rewritten_after_lookup(p):
-        digest = looked_up(p)
-        path.write_text("# id: 1\n# intent: c\nx\tO\n", encoding="utf-8")
-        return digest
-
     with DatasetStore() as store:
         load_dataset(path)
         path.write_text("# id: 1\n# intent: b\nx\tO\n", encoding="utf-8")
-        monkeypatch.setattr(corpus, "sha256_file", rewritten_after_lookup)
-        second = load_dataset(path)  # the lookup hashes "b", the parse reads "c"
-        monkeypatch.undo()
+        _hold(store, path)
+        path.write_text("# id: 1\n# intent: c\nx\tO\n", encoding="utf-8")
+        second = load_dataset(path)  # the holder gave "b", the parse reads "c"
         assert second.utterances[0].intent == "c"
         assert store._entries[os.path.abspath(path)][0] == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert load_dataset(path).utterances is second.utterances
+        assert load_dataset(path).utterances is not second.utterances  # "b" is not what the entry holds
+        _hold(store, path)
+        assert load_dataset(path).utterances is store._entries[os.path.abspath(path)][2].utterances
 
 
-def test_a_first_load_in_a_store_hashes_the_file_only_while_parsing_it(tmp_path, monkeypatch):
+def test_a_first_load_in_a_store_reads_its_file_once_and_a_hit_reads_it_zero_times(tmp_path, monkeypatch):
     path = tmp_path / "d.conll"
     path.write_text("# id: 1\n# intent: a\nx\tO\n", encoding="utf-8")
-    hashed = []
-    sha256_file = corpus.sha256_file
-    monkeypatch.setattr(corpus, "sha256_file", lambda p: hashed.append(p) or sha256_file(p))
-    with DatasetStore():
+    reads = []
+    read_pieces = files._read_pieces
+    monkeypatch.setattr(corpus, "_read_pieces", lambda p, digest=None: reads.append(p) or read_pieces(p, digest))
+    with DatasetStore() as store:
         first = load_dataset(path)
-        assert hashed == []
+        assert reads == [path]
+        _hold(store, path)
         assert load_dataset(path).utterances is first.utterances
-        assert hashed == [path]
+        assert reads == [path]
         load_dataset(path, FormatOptions(variety="west"))  # no entry with these options
-        assert hashed == [path]
+        assert reads == [path, path]
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import sidkit
-from sidkit import cli, corpus
+from sidkit import cli, corpus, files
 from sidkit.cli import InputPath, OutputPath, build_parser, main
 from sidkit.pipeline import PipelineError, _step_argv, run_pipeline, sha256_file
 
@@ -524,6 +525,61 @@ def test_steps_reuse_corpora_and_match_separate_command_lines(tmp_path, monkeypa
         ["noised.conll", "train.conll"],
     ]
     assert _active_store() is None
+    for name in os.listdir(alone):
+        assert (run / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+def test_a_file_the_store_serves_is_read_only_for_the_manifest(tmp_path, monkeypatch):
+    _store_inputs(tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    reads = Counter()
+    read_pieces = files._read_pieces
+
+    def counted(path, digest=None):
+        reads[os.path.basename(path)] += 1
+        return read_pieces(path, digest)
+
+    monkeypatch.setattr(files, "_read_pieces", counted)
+    monkeypatch.setattr(corpus, "_read_pieces", counted)
+    assert run_pipeline(write_config(tmp_path, STORE_STEPS), tmp_path / "manifest.json") == 0
+    # a digest before each step that reads the file, after each that writes it, and one parse of corpus.conll
+    assert reads == {"pipe.json": 1, "corpus.conll": 2, "alpha.txt": 2, "train.conll": 4, "heldout.conll": 2,
+                     "noised.conll": 2, "stats.json": 1, "eval.json": 1}
+
+
+def test_a_corpus_rewritten_between_two_steps_is_parsed_again(tmp_path, monkeypatch):
+    run, alone = tmp_path / "run", tmp_path / "alone"
+    _store_inputs(run)
+    _store_inputs(alone)
+
+    def rewrite(path):  # other bytes of the same size, at the same mtime
+        before = path.stat()
+        path.write_bytes(path.read_bytes().replace(b"vekk", b"vakk", 1))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+
+    monkeypatch.chdir(alone)
+    for i, step in enumerate(STORE_STEPS[:2]):
+        assert main(_step_argv(i, step, build_parser().commands)) == 0
+        if i == 0:
+            rewrite(alone / "train.conll")
+
+    parses = []
+    parse, step_main = corpus._parse_pieces, cli.main
+    monkeypatch.setattr(corpus, "_parse_pieces", lambda *a, **k: parses.append(a) or parse(*a, **k))
+
+    def split_then_rewrite(argv):
+        code = step_main(argv)
+        if argv[0] == "split":
+            rewrite(run / "train.conll")
+        return code
+
+    monkeypatch.setattr(cli, "main", split_then_rewrite)
+    monkeypatch.chdir(run)
+    assert run_pipeline(write_config(run, STORE_STEPS[:2]), run / "manifest.json") == 0
+
+    assert len(parses) == 2  # corpus.conll, then the rewritten train.conll
+    steps = json.loads((run / "manifest.json").read_text(encoding="utf-8"))["steps"]
+    assert steps[1]["inputs"]["train.conll"] == sha256_file(run / "train.conll")
     for name in os.listdir(alone):
         assert (run / name).read_bytes() == (alone / name).read_bytes(), name
 
