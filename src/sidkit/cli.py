@@ -17,11 +17,14 @@ the modules it runs when it runs, so start-up pays for nothing else.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import importlib
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from typing import Callable
 
@@ -101,12 +104,15 @@ class CommandParser(argparse.ArgumentParser):
         another output or an input flag of the command raises ValueError
         naming both flags, before anything is read or written, as do
         ``surgery swap --heads`` and the library's own value rules for the
-        flags of ``noise`` and ``split``.
+        flags of ``noise`` and ``split``. So does an output, other than an
+        open descriptor, that names a directory, is spelled as one (``foo/``)
+        or whose directory is missing or not a directory: its ValueError reads
+        ``<path>: <strerror>``, what creating the file would report.
         ``around`` holds more ``(flag, path)`` files, those of a run around
         the command (a pipeline's ``--config`` and ``--manifest``); a file
         flag of the command may not name one of them where either is an output.
         """
-        from .files import same_file
+        from .files import named_descriptor, same_file
 
         args = self.parse_args(argv)
         if args.command == "surgery" and args.action in ("revert", "swap") and args.out is None:
@@ -142,6 +148,18 @@ class CommandParser(argparse.ArgumentParser):
                     f"{flag} {path!r} and {other_flag} {other!r} name the same file; "
                     "an output must not overwrite an input or another output"
                 )
+        for _, path in files:
+            if type(path) is not OutputPath or named_descriptor(path) is not None:
+                continue
+            try:  # the directory the file would be created in
+                directory = os.stat(os.path.dirname(path.rstrip("/")) or ".")
+                error = None if stat.S_ISDIR(directory.st_mode) else errno.ENOTDIR
+            except OSError as exc:  # it is missing, or under a file
+                error = exc.errno
+            if error is None and (path.endswith("/") or os.path.isdir(path)):
+                error = errno.EISDIR
+            if error is not None:
+                raise ValueError(f"{path}: {os.strerror(error)}")
         return args
 
 

@@ -14,11 +14,11 @@ behaves exactly like the equivalent command line; a step cannot run a nested
 pipeline. The whole config is checked, and every step's argv parsed, before
 the first step runs: a bad step raises PipelineError naming it, and nothing
 runs. A step whose output names one of its inputs or another of its outputs,
-or whose flag value the library refuses, is such a bad step
-(``cli.CommandParser.parse_command`` refuses it), and so
-is a step whose file flag names the run's manifest, whose output names
-the run's config, or whose output (other than an open descriptor) is not in
-an existing directory. The manifest records, per step, the argv, its
+whose output cannot be created (a directory, or in a missing directory: no
+step makes one), or whose flag value the library refuses, is such a bad step
+(``cli.CommandParser.parse_command`` refuses it), and so is a step whose
+file flag names the run's manifest, or whose output names the run's config.
+The manifest records, per step, the argv, its
 ``--seed`` (null for an unseeded command), and SHA-256 digests of every file
 flag of its subcommand (the flags ``cli.build_parser`` types ``InputPath``
 before the step, ``OutputPath`` after, except an output that names an open
@@ -152,12 +152,8 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
             parsed = parser.parse_command(argv, run_files)
         except cli.UsageError as exc:
             raise PipelineError(f"step {i}: {exc.args[1]}") from None
-        except ValueError as exc:  # an output that names an input, another output or a run file
+        except ValueError as exc:  # an output that cannot be made or names an input, another output or a run file
             raise PipelineError(f"step {i}: {exc}") from None
-        for path in _paths(parsed, cli.OutputPath):  # no step makes a directory
-            parent = Path(path).parent
-            if named_descriptor(path) is None and not parent.is_dir():
-                raise PipelineError(f"step {i}: output {path!r} is in {str(parent)!r}, which is not a directory")
         checked.append((argv, parsed))
 
     status = 0

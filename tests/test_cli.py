@@ -869,6 +869,44 @@ def test_a_file_error_names_its_path_like_every_data_error(argv, path, error, go
     assert sorted(tmp_path.rglob("*")) == before  # no temp file left
 
 
+OUTPUT_FLAGS = {  # a command line whose inputs are all valid, ending in the output flag under test
+    "parse-check": ["parse-check", "--in", "gold.conll", "--out"],
+    "stats": ["stats", "--in", "gold.conll", "--out"],
+    "split-out1": ["split", "--in", "gold.conll", "--ratio", "0.5", "--seed", "1", "--out2", "b.conll", "--out1"],
+    "split-out2": ["split", "--in", "gold.conll", "--ratio", "0.5", "--seed", "1", "--out1", "a.conll", "--out2"],
+    "noise": ["noise", "--in", "gold.conll", "--fraction", "0.5", "--alphabet-from", "gold.conll", "--out"],
+    "normalize-out": ["normalize", "--in", "gold.conll", "--out"],
+    "normalize-trace": ["normalize", "--in", "gold.conll", "--out", "clean.txt", "--trace"],
+    "evaluate": ["evaluate", "--gold", "gold.conll", "--pred", "gold.conll", "--out"],
+    "subword-ratio": ["subword-ratio", "--vocab", "vocab.txt", "--in", "gold.conll", "--out"],
+    "correlate": ["correlate", "--in", "table.tsv", "--x", "0", "--y", "1", "--out"],
+    "surgery-revert": ["surgery", "revert", "--a", "a.st", "--b", "a.st", "--layers", "0", "--out"],
+    "surgery-swap": ["surgery", "swap", "--a", "a.st", "--b", "a.st", "--layers", "0", "--out"],
+    "surgery-mav": ["surgery", "mav", "--a", "a.st", "--b", "a.st", "--out"],
+    "pipeline": ["pipeline", "--config", "pipe.json", "--manifest"],
+}
+
+
+@pytest.mark.parametrize(("out", "error"), [
+    ("d", errno.EISDIR), ("o/", errno.EISDIR), ("nodir/o", errno.ENOENT), ("gold.conll/o", errno.ENOTDIR),
+], ids=["a-directory", "spelled-as-a-directory", "in-a-missing-directory", "under-a-file"])
+@pytest.mark.parametrize("case", list(OUTPUT_FLAGS))
+def test_an_output_that_cannot_be_created_fails_before_anything_is_read_or_written(
+    case, out, error, gold_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "vocab.txt").write_text("[UNK]\nvekk\n", encoding="utf-8")
+    (tmp_path / "table.tsv").write_text("1\t2\n2\t1\n3\t4\n", encoding="utf-8")
+    (tmp_path / "pipe.json").write_text(json.dumps({"steps": [
+        {"command": "normalize", "args": {"in": "gold.conll", "out": "step.txt"}}]}), encoding="utf-8")
+    make_checkpoint(tmp_path / "a.st", seed=41)
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    assert main([*OUTPUT_FLAGS[case], out]) == 1
+    assert capsys.readouterr().err == f"sidkit: error: {out}: {os.strerror(error)}\n"
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+
 REPORT_CORPUS = (
     "# id: s1-bokmål\n# intent: vekkjar/set\n# variety: bokmål\n"
     "vekk\tO\nmæ\tB-tidspunkt/dag\nno\tI-tidspunkt/dag\n"

@@ -268,11 +268,19 @@ INVALID_STEPS = {
     ],
     "output-in-missing-directory": [
         {"command": "normalize", "args": {"in": "raw.txt", "out": "nodir/o.txt"}},
-        "output 'nodir/o.txt' is in 'nodir', which is not a directory",
+        "step 1: nodir/o.txt: No such file or directory\n",
     ],
     "output-under-a-file": [
         {"command": "normalize", "args": {"in": "raw.txt", "out": "raw.txt/o.txt"}},
-        "output 'raw.txt/o.txt' is in 'raw.txt', which is not a directory",
+        "step 1: raw.txt/o.txt: Not a directory\n",
+    ],
+    "output-is-a-directory": [
+        {"command": "normalize", "args": {"in": "raw.txt", "out": "."}},
+        "step 1: .: Is a directory\n",
+    ],
+    "output-spelled-as-a-directory": [
+        {"command": "normalize", "args": {"in": "raw.txt", "out": "o/"}},
+        "step 1: o/: Is a directory\n",
     ],
     "negative-token-col": [
         {"command": "stats", "args": {"in": "raw.txt", "token-col": -1}},
