@@ -57,8 +57,10 @@ def replace_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
     names, after symlinks are resolved. When the block ends, the temp file
     takes the permission bits of that file (when it exists) and replaces
     it, so a symlinked ``path`` stays a link to the new bytes. On any error
-    the temp file is removed and the old file is left as it was; an error
-    raised before anything is written names ``path``.
+    the temp file is removed and the old file is left as it was. An
+    OSError from opening, writing, closing or replacing the output names
+    ``path``, never the temp file: one from the block that names no file
+    is taken for a write's, so a read in the block must name its file.
 
     A ``path`` that names an open descriptor (``/dev/stdout``, ``/dev/fd/N``
     and the like) is written through that descriptor, so ``--out /dev/stdout
@@ -73,30 +75,38 @@ def replace_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
         mode = None
     if descriptor is not None or mode is not None and not stat.S_ISREG(mode):
         sys.stdout.flush()  # what a pipeline step printed stays before this output
-        try:
+        with _naming_os_errors(path):
             fh = os.fdopen(os.dup(descriptor), "wb") if descriptor is not None else open(path, "wb")
-        except OSError as exc:  # os.dup names no file in its error
-            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-        with fh:
-            yield fh
+            with fh:
+                yield fh
         return
     target = os.path.realpath(path)
     head, name = os.path.split(target)
     tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
-    try:
+    with _naming_os_errors(path, tmp):
         fh = open(tmp, "xb")
-    except OSError as exc:  # name the target, as a direct write would
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        try:
+            with fh:
+                yield fh
+                if mode is not None:
+                    os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+            os.replace(tmp, target)
+        except BaseException:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+
+
+@contextmanager
+def _naming_os_errors(path: str | os.PathLike, tmp: str | None = None) -> Iterator[None]:
+    """Raise an OSError from the block that names no file (a read, a write,
+    ``os.dup``) or names ``tmp`` again as one that names ``path``."""
     try:
-        with fh:
-            yield fh
-            if mode is not None:
-                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
-        os.replace(tmp, target)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+        yield
+    except OSError as exc:
+        if exc.filename not in (None, tmp):
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 # Files are read this many bytes at a time: below glibc's 128 KiB mmap threshold,
@@ -115,8 +125,8 @@ def new_sha256():
 def _read_pieces(path: str | os.PathLike, digest=None) -> Iterator[Iterator[bytes]]:
     """The bytes of the file ``path``, ``_PIECE_SIZE`` at a time, each fed to
     ``digest`` (a hashlib object), when given, as it passes; the file is open
-    while the block runs."""
-    with open(path, "rb", buffering=0) as fh:
+    while the block runs, and a failed read names it."""
+    with open(path, "rb", buffering=0) as fh, _naming_os_errors(path):
         pieces = iter(lambda: fh.read(_PIECE_SIZE), b"")
         yield pieces if digest is None else (digest.update(piece) or piece for piece in pieces)
 

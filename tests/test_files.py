@@ -7,6 +7,7 @@ pipeline manifest.
 """
 
 import ast
+import errno
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_checkpoint
 from sidkit.cli import main
 from sidkit.corpus import Dataset, FormatOptions, Utterance, save_dataset
 from sidkit.surgery import CheckpointFormatError, write_checkpoint
@@ -126,6 +128,75 @@ def test_failed_write_leaves_the_old_target_and_no_temp_file(tmp_path, inputs, f
     fail(target, inputs)
     assert target.read_bytes() == b"old bytes\n"
     assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in CLI_WRITERS.values()], ids=CLI_WRITERS)
+def test_a_failed_replace_names_the_output_not_its_temp_file(tmp_path, inputs, argv, monkeypatch, capsys):
+    target = tmp_path / "out"
+    target.write_bytes(b"old bytes\n")
+
+    replace = os.replace
+
+    def refused(src, dst):
+        if dst != os.path.realpath(target):
+            return replace(src, dst)
+        raise OSError(errno.EIO, os.strerror(errno.EIO), src, None, dst)
+
+    monkeypatch.setattr(os, "replace", refused)
+    assert main([str(a) for a in argv(target, inputs)]) == 1
+    assert capsys.readouterr().err == f"sidkit: error: {target}: {os.strerror(errno.EIO)}\n"
+    assert target.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+FULL_WRITES = {
+    "report": ["stats", "--in", "{i}/c.conll", "--report", "tsv"],
+    "noise": ["noise", "--in", "{i}/c.conll", "--fraction", "1", "--alphabet-from", "{i}/t.txt"],
+    "normalize": ["normalize", "--in", "{i}/t.txt"],
+    "surgery-revert": ["surgery", "revert", "--a", "{i}/a.st", "--b", "{i}/b.st", "--layers", "0"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", FULL_WRITES.values(), ids=FULL_WRITES)
+def test_a_write_to_a_full_device_names_the_device(inputs, argv, capsys):
+    make_checkpoint(inputs / "a.st", seed=1)
+    make_checkpoint(inputs / "b.st", seed=2)
+    assert main([arg.format(i=inputs) for arg in argv] + ["--out", "/dev/full"]) == 1
+    err = capsys.readouterr().err  # noise prints its seed first
+    assert err.splitlines()[-1] == f"sidkit: error: /dev/full: {os.strerror(errno.ENOSPC)}"
+
+
+def test_a_failed_checkpoint_read_names_the_checkpoint_not_the_output(tmp_path, inputs, monkeypatch, capsys):
+    make_checkpoint(inputs / "a.st", seed=1)
+    pread = os.pread
+
+    def failing_after_the_header(fd, size, offset):  # the header is read at offsets 0 and 8
+        if offset > 8:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return pread(fd, size, offset)
+
+    monkeypatch.setattr(os, "pread", failing_after_the_header)
+    out = tmp_path / "out.st"
+    argv = ["surgery", "revert", "--a", str(inputs / "a.st"), "--b", str(inputs / "a.st"), "--layers", "0"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"sidkit: error: {inputs / 'a.st'}: {os.strerror(errno.EIO)}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs /proc/self/mem")
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--in", "/proc/self/mem", "--out", "o.txt"],
+    ["pipeline", "--config", "p.json", "--manifest", "m.json"],  # read while the manifest is open
+], ids=["normalize", "pipeline-digest"])
+def test_a_failed_read_names_the_file_read(tmp_path, argv, monkeypatch, capsys):
+    # a read of /proc/self/mem at offset 0 fails with EIO, whose error names no file
+    monkeypatch.chdir(tmp_path)
+    steps = [{"command": "stats", "args": {"in": "/proc/self/mem"}}]
+    (tmp_path / "p.json").write_text(json.dumps({"steps": steps}), encoding="utf-8")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"sidkit: error: /proc/self/mem: {os.strerror(errno.EIO)}\n"
+    assert os.listdir(tmp_path) == ["p.json"]
 
 
 @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)
