@@ -324,20 +324,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_subword_ratio(args: argparse.Namespace) -> int:
-    from .files import read_text
+    from .files import naming, read_text
     from .subword import SubwordVocab
 
     vocab = SubwordVocab.from_file(args.vocab, unk_token=args.unk)
 
-    def corpus_of(path: str):
-        if args.format == "conll":
-            return load_dataset(path, args.format_options)
-        return read_text(path)
+    def ratio_of(path: str) -> float:
+        corpus = load_dataset(path, args.format_options) if args.format == "conll" else read_text(path)
+        with naming(path):  # a corpus with no words; a parse error names its file already
+            return split_word_ratio(vocab, corpus, letters_only=args.letters_only)
 
-    ratio = split_word_ratio(vocab, corpus_of(args.infile), letters_only=args.letters_only)
+    ratio = ratio_of(args.infile)
     payload: dict = {"file": args.infile, "split_word_ratio": ratio}
     if args.compare is not None:
-        other = split_word_ratio(vocab, corpus_of(args.compare), letters_only=args.letters_only)
+        other = ratio_of(args.compare)
         payload.update(
             compare_file=args.compare, compare_ratio=other, ratio_difference=abs(ratio - other)
         )
@@ -349,7 +349,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from .correlation import CorrelationError
-    from .files import read_text
+    from .files import naming, read_text
 
     def columns(text: str) -> tuple[list[float], list[float]]:
         lines = text.split("\n")
@@ -386,9 +386,10 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         return column(args.x), column(args.y)
 
     x, y = read_text(args.infile, columns)
-    result = correlate(x, y)
-    if args.method == "exact":
-        result = replace(result, p_rho=spearman(x, y, method="exact")[1])
+    with naming(args.infile):  # a table too short or too flat to correlate
+        result = correlate(x, y)
+        if args.method == "exact":
+            result = replace(result, p_rho=spearman(x, y, method="exact")[1])
     _write_report(result.to_dict() if args.report == "json" else result.tsv_rows(), args.out)
     return 0
 

@@ -219,6 +219,16 @@ BAD_INPUTS = {
     "vocabulary without [UNK]": (b"vekk\nm\xc3\xa6\n", ["subword-ratio", "--vocab", "{bad}", "--in", "{text}"]),
     "table, missing column": (b"a\tb\n1\t2\n", ["correlate", "--in", "{bad}", "--x", "a", "--y", "zz"]),
     "table, non-numeric cell": (b"a\tb\n1\t2\n2\tx\n", ["correlate", "--in", "{bad}", "--x", "a", "--y", "b"]),
+    "table, two rows": (b"a\tb\n1\t2\n2\t1\n", ["correlate", "--in", "{bad}", "--x", "a", "--y", "b"]),
+    "table, constant column": (b"a\tb\n1\t2\n2\t2\n3\t2\n", ["correlate", "--in", "{bad}", "--x", "a", "--y", "b"]),
+    "table, too long for an exact p": (
+        b"".join(b"%d\t%d\n" % (i, i * i % 17) for i in range(15)),
+        ["correlate", "--in", "{bad}", "--x", "0", "--y", "1", "--method", "exact"],
+    ),
+    "text with no words": (b" \n\t\n", ["subword-ratio", "--vocab", "{vocab}", "--in", "{bad}"]),
+    "corpus with no words, compared": (
+        b"", ["subword-ratio", "--vocab", "{vocab}", "--in", "{corpus}", "--compare", "{bad}", "--format", "conll"],
+    ),
     "naming scheme": (b"5", ["surgery", "mav", "--a", "{ckpt}", "--b", "{ckpt}", "--scheme", "{bad}"]),
     "checkpoint, short header": (b"\x00\x00\x00", ["surgery", "mav", "--a", "{ckpt}", "--b", "{bad}"]),
     "checkpoint, bad shape": (
@@ -230,9 +240,10 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("reader", BAD_INPUTS)
 def test_every_reader_names_its_bad_file_first(reader, tmp_path, capsys):
     content, argv = BAD_INPUTS[reader]
-    paths = {name: tmp_path / name for name in ("bad", "text", "corpus", "ckpt", "out")}
+    paths = {name: tmp_path / name for name in ("bad", "text", "vocab", "corpus", "ckpt", "out")}
     paths["bad"].write_bytes(content)
     paths["text"].write_text("vekk mæ\n", encoding="utf-8")
+    paths["vocab"].write_text("[UNK]\nvekk\n", encoding="utf-8")
     paths["corpus"].write_text(CORPUS, encoding="utf-8")
     make_checkpoint(paths["ckpt"], seed=1, num_layers=2, hidden=2)
     assert main([arg.format(**paths) for arg in argv]) == 1
