@@ -1,4 +1,4 @@
-"""Shared builders for synthetic datasets and checkpoints."""
+"""Shared builders for synthetic datasets and checkpoints, and a check that no test leaves a temp file."""
 
 from __future__ import annotations
 
@@ -9,12 +9,23 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sidkit.corpus import Dataset, Utterance
 from sidkit.surgery import write_checkpoint
 
 NUMPY_DTYPES = {"F64": "<f8", "F32": "<f4", "F16": "<f2"}
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(autouse=True)
+def no_temp_file_left(tmp_path):
+    """Fail a test that leaves a writer's temp file (``.<name>.<hex>.tmp``) under its ``tmp_path``.
+
+    ``tmp_path`` is requested before the test runs: looking it up only at teardown is an error.
+    """
+    yield
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob(".*.tmp")) == []
 
 
 def load_bench(name: str):
