@@ -7,9 +7,10 @@ from ValueError, so ``main`` needs no table of them; an OSError naming a
 file is printed as ``<path>: <strerror>``, as a ValueError names its file.
 Stochastic commands (noise, split) echo their seed to stderr.
 All file I/O is UTF-8; ``_write_report`` writes every report as JSON or TSV.
-An output flag that names the same file as an input or another output is a
-data error, raised before anything is read or written; every output goes
-through ``files.replace_file``.
+An output flag that names the same file as an input or another output, or
+that cannot be created (a directory, or in a missing directory), is a data
+error, raised before anything is read or written; every output goes
+through ``files.replace_file``, whose failed write names the output.
 Importing this module loads no other sidkit module: each command imports
 the modules it runs when it runs, so start-up pays for nothing else.
 """
