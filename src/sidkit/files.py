@@ -6,9 +6,8 @@ file is parsed and digested in one read. Every reader names its file in an
 error through :func:`naming`, and in a failed read; every writer (corpora,
 checkpoints, reports, normalize outputs, pipeline manifests) writes through
 :func:`replace_file`, so a failed write names its output and never leaves a
-half-written output behind. This module
-imports nothing from sidkit, so a command that reads or writes pays for no
-other module.
+half-written output behind. This module imports nothing from sidkit, so a
+command that reads or writes pays for no other module.
 """
 
 from __future__ import annotations

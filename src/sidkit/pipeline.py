@@ -18,14 +18,14 @@ whose output cannot be created (a directory, or in a missing directory: no
 step makes one), or whose flag value the library refuses, is such a bad step
 (``cli.CommandParser.parse_command`` refuses it), and so is a step whose
 file flag names the run's manifest, or whose output names the run's config.
-The manifest records, per step, the argv, its
-``--seed`` (null for an unseeded command), and SHA-256 digests of every file
-flag of its subcommand (the flags ``cli.build_parser`` types ``InputPath``
-before the step, ``OutputPath`` after, except an output that names an open
-descriptor such as ``/dev/stdout``), and per run the sidkit version and the
-corpus and container format versions that ``sidkit --version`` prints; it
-contains no timestamps, so re-running an identical pipeline reproduces the
-manifest byte for byte. A failing step aborts the run and the
+The manifest records, per step, the argv, its ``--seed`` (null for an
+unseeded command), and SHA-256 digests of every file flag of its subcommand
+(the flags ``cli.build_parser`` types ``InputPath`` before the step,
+``OutputPath`` after, except an output that names an open descriptor such
+as ``/dev/stdout``), and per run the sidkit version and the corpus and
+container format versions that ``sidkit --version`` prints; it contains no
+timestamps, so re-running an identical pipeline reproduces the manifest
+byte for byte. A failing step aborts the run and the
 manifest records the partial state. The manifest, like every step output,
 is written through ``files.replace_file``: it replaces the old manifest only
 once it is written whole. It is opened before the first step runs, so a
@@ -33,12 +33,14 @@ manifest path that cannot be written (in a missing directory, or naming a
 directory) fails the run before any step writes an output, and it is
 written once, at the end.
 
-The run holds a ``corpus.DatasetStore``: a step that loads a corpus file an
-earlier step of the run parsed or wrote, with the same bytes and format
-flags, reuses that dataset instead of parsing the file again, so every
-output stays byte-identical to the equivalent command lines. After each
-step the store drops every file that no later step reads (an ``InputPath``
-flag of a later step).
+The run holds a ``corpus.DatasetStore`` and gives it, before each step, the
+step's input digests that the manifest records (``DatasetStore.digests``):
+a step that loads a corpus file an earlier step of the run parsed or wrote,
+with the same format flags and with that digest the one of the bytes parsed
+or written, reuses that dataset instead of parsing the file again, and the
+store reads no file to tell. Every output stays byte-identical to the
+equivalent command lines. After each step the store drops every file that
+no later step reads (an ``InputPath`` flag of a later step).
 """
 
 from __future__ import annotations
