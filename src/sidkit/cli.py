@@ -150,17 +150,14 @@ class CommandParser(argparse.ArgumentParser):
                     "an output must not overwrite an input or another output"
                 )
         for _, path in files:
-            if type(path) is not OutputPath or named_descriptor(path) is not None:
-                continue
-            try:  # the directory the file would be created in
-                directory = os.stat(os.path.dirname(path.rstrip("/")) or ".")
-                error = None if stat.S_ISDIR(directory.st_mode) else errno.ENOTDIR
-            except OSError as exc:  # it is missing, or under a file
-                error = exc.errno
-            if error is None and (path.endswith("/") or os.path.isdir(path)):
-                error = errno.EISDIR
-            if error is not None:
-                raise ValueError(f"{path}: {os.strerror(error)}")
+            if type(path) is OutputPath and named_descriptor(path) is None:
+                try:  # what creating the file would report: its directory is missing or a file, or it is one
+                    if not stat.S_ISDIR(os.stat(os.path.dirname(path.rstrip("/")) or ".").st_mode):
+                        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+                    if path.endswith("/") or os.path.isdir(path):
+                        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                except OSError as exc:
+                    raise ValueError(f"{path}: {exc.strerror}") from None
         return args
 
 
