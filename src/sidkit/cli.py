@@ -18,14 +18,11 @@ the modules it runs when it runs, so start-up pays for nothing else.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import importlib
 import itertools
 import json
 import math
-import os
-import stat
 import sys
 from typing import Callable
 
@@ -113,6 +110,10 @@ class CommandParser(argparse.ArgumentParser):
         the command (a pipeline's ``--config`` and ``--manifest``); a file
         flag of the command may not name one of them where either is an output.
         """
+        import errno
+        import os
+        import stat
+
         from .files import named_descriptor, same_file
 
         args = self.parse_args(argv)
