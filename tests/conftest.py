@@ -1,4 +1,4 @@
-"""Shared builders for synthetic datasets and checkpoints, and a check that no test leaves a temp file."""
+"""Shared helpers that make synthetic datasets and checkpoints, and a check that no test leaves a temp file."""
 
 from __future__ import annotations
 
