@@ -8,9 +8,8 @@ file is printed as ``<path>: <strerror>``, as a ValueError names its file.
 Stochastic commands (noise, split) echo their seed to stderr.
 All file I/O is UTF-8; ``_write_report`` writes every report as JSON or TSV.
 An output flag that names the same file as an input or another output, or
-that cannot be created (a directory, or in a missing directory), is a data
-error, raised before anything is read or written; every output goes
-through ``files.replace_file``, whose failed write names the output.
+that ``files.replace_file`` could not create, is a data error raised before
+anything is read or written; a failed write names the output.
 Importing this module loads no other sidkit module: each command imports
 the modules it runs when it runs, so start-up pays for nothing else.
 """
@@ -102,19 +101,13 @@ class CommandParser(argparse.ArgumentParser):
         another output or an input flag of the command raises ValueError
         naming both flags, before anything is read or written, as do
         ``surgery swap --heads`` and the library's own value rules for the
-        flags of ``noise`` and ``split``. So does an output, other than an
-        open descriptor, that names a directory, is spelled as one (``foo/``)
-        or whose directory is missing or not a directory: its ValueError reads
-        ``<path>: <strerror>``, what creating the file would report.
+        flags of ``noise`` and ``split``. So does an output that the writer
+        could not create (``files.output_target``), as ``<path>: <strerror>``.
         ``around`` holds more ``(flag, path)`` files, those of a run around
         the command (a pipeline's ``--config`` and ``--manifest``); a file
         flag of the command may not name one of them where either is an output.
         """
-        import errno
-        import os
-        import stat
-
-        from .files import named_descriptor, same_file
+        from .files import output_target, same_file
 
         args = self.parse_args(argv)
         if args.command == "surgery" and args.action in ("revert", "swap") and args.out is None:
@@ -151,12 +144,9 @@ class CommandParser(argparse.ArgumentParser):
                     "an output must not overwrite an input or another output"
                 )
         for _, path in files:
-            if type(path) is OutputPath and named_descriptor(path) is None:
-                try:  # what creating the file would report: its directory is missing or a file, or it is one
-                    if not stat.S_ISDIR(os.stat(os.path.dirname(path.rstrip("/")) or ".").st_mode):
-                        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
-                    if path.endswith("/") or os.path.isdir(path):
-                        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if type(path) is OutputPath:
+                try:  # where the writer would put the file, and what creating it would report
+                    output_target(path)
                 except OSError as exc:
                     raise ValueError(f"{path}: {exc.strerror}") from None
         return args

@@ -561,7 +561,6 @@ def save_dataset(dataset: Dataset, path: str | Path, options: FormatOptions = DE
     back as it exactly: ``options.variety`` is None or every utterance has
     a variety.
     """
-    path = Path(path)
     store = _active_store.get()
     kept = store is not None and (options.variety is None or all(u.variety is not None for u in dataset))
     digest = new_sha256() if kept else None

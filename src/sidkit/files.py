@@ -13,6 +13,7 @@ command that reads or writes pays for no other module.
 from __future__ import annotations
 
 import codecs
+import errno
 import os
 import re
 import stat
@@ -49,38 +50,54 @@ def named_descriptor(path: str | os.PathLike) -> int | None:
     return int(named[1]) if named else None
 
 
+def output_target(path: str | os.PathLike) -> tuple[int | None, int | None, str | None]:
+    """Where a write to ``path`` goes: ``(descriptor, mode, target)``, the descriptor it
+    names, the ``st_mode`` of its file and the file to replace (symlinks resolved), each
+    None if there is none, ``target`` too for a FIFO or a device (written through in place).
+    Raises the OSError naming ``path`` that creating the file would: ``path`` is empty, ends
+    in ``/`` or is a directory, or its directory is missing or not a directory."""
+    if (descriptor := named_descriptor(path)) is not None:
+        return descriptor, None, None
+    name = os.fspath(path)
+    try:
+        if not name or name.endswith("/"):  # realpath would make "" the working directory and drop the "/"
+            raise OSError(errno.EISDIR if name else errno.ENOENT, "")
+        mode = None
+        with suppress(FileNotFoundError):
+            mode = os.stat(name).st_mode
+        target = os.path.realpath(name)
+        if mode is None:
+            os.stat(os.path.dirname(target))  # the temp file goes there
+        elif stat.S_ISDIR(mode):
+            raise OSError(errno.EISDIR, "")
+    except OSError as exc:
+        raise OSError(exc.errno, os.strerror(exc.errno), name) from None
+    return None, mode, target if mode is None or stat.S_ISREG(mode) else None
+
+
 @contextmanager
 def replace_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
     """A binary handle whose bytes become the file ``path`` once the block ends without error.
 
-    The bytes go to a temp file in the directory of the file ``path``
-    names, after symlinks are resolved. When the block ends, the temp file
-    takes the permission bits of that file (when it exists) and replaces
-    it, so a symlinked ``path`` stays a link to the new bytes. On any error
-    the temp file is removed and the old file is left as it was. An
-    OSError from opening, writing, closing or replacing the output names
-    ``path``, never the temp file: one from the block that names no file
-    is taken for a write's, so a read in the block must name its file.
-
-    A ``path`` that names an open descriptor (``/dev/stdout``, ``/dev/fd/N``
-    and the like) is written through that descriptor, so ``--out /dev/stdout
-    >> log`` appends to ``log``. Any other ``path`` that exists and is not a
-    regular file (a FIFO, a device) cannot be replaced, so it is written
-    through in place.
+    The bytes go to a temp file beside the :func:`output_target` of ``path``,
+    which raises before the block runs if the file cannot be created. When
+    the block ends, the temp file takes the permission bits of that file
+    (when it exists) and replaces it, so a symlinked ``path`` stays a link to
+    the new bytes. On any error the temp file is removed and the old file is
+    left as it was. An OSError from opening, writing, closing or replacing
+    the output names ``path``, never the temp file: one from the block that
+    names no file is taken for a write's, so a read in the block must name
+    its file. A ``path`` with no target is written through in place, so
+    ``--out /dev/stdout >> log`` appends to ``log``.
     """
-    descriptor = named_descriptor(path)
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    if descriptor is not None or mode is not None and not stat.S_ISREG(mode):
+    descriptor, mode, target = output_target(path)
+    if target is None:
         sys.stdout.flush()  # what a pipeline step printed stays before this output
         with _naming_os_errors(path):
             fh = os.fdopen(os.dup(descriptor), "wb") if descriptor is not None else open(path, "wb")
             with fh:
                 yield fh
         return
-    target = os.path.realpath(path)
     head, name = os.path.split(target)
     tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
     with _naming_os_errors(path, tmp):

@@ -889,13 +889,16 @@ OUTPUT_FLAGS = {  # a command line whose inputs are all valid, ending in the out
 
 @pytest.mark.parametrize(("out", "error"), [
     ("d", errno.EISDIR), ("o/", errno.EISDIR), ("nodir/o", errno.ENOENT), ("gold.conll/o", errno.ENOTDIR),
-], ids=["a-directory", "spelled-as-a-directory", "in-a-missing-directory", "under-a-file"])
+    ("link.conll", errno.ENOENT),
+], ids=["a-directory", "spelled-as-a-directory", "in-a-missing-directory", "under-a-file",
+        "a-link-into-a-missing-directory"])
 @pytest.mark.parametrize("case", list(OUTPUT_FLAGS))
 def test_an_output_that_cannot_be_created_fails_before_anything_is_read_or_written(
     case, out, error, gold_file, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
+    (tmp_path / "link.conll").symlink_to("nodir/t.conll")
     (tmp_path / "vocab.txt").write_text("[UNK]\nvekk\n", encoding="utf-8")
     (tmp_path / "table.tsv").write_text("1\t2\n2\t1\n3\t4\n", encoding="utf-8")
     (tmp_path / "pipe.json").write_text(json.dumps({"steps": [

@@ -23,6 +23,7 @@ import pytest
 from conftest import make_checkpoint
 from sidkit.cli import main
 from sidkit.corpus import Dataset, FormatOptions, Utterance, save_dataset
+from sidkit.files import replace_file
 from sidkit.surgery import CheckpointFormatError, write_checkpoint
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -197,6 +198,37 @@ def test_a_failed_read_names_the_file_read(tmp_path, argv, monkeypatch, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"sidkit: error: /proc/self/mem: {os.strerror(errno.EIO)}\n"
     assert os.listdir(tmp_path) == ["p.json"]
+
+
+def _replace_file(path):
+    with replace_file(path) as fh:
+        fh.write(b"bytes\n")
+
+
+LIBRARY_WRITERS = {
+    "replace_file": _replace_file,
+    "save_dataset": lambda path: save_dataset(DATASET, path),
+    "write_checkpoint": lambda path: write_checkpoint(path, TENSORS),
+}
+
+
+@pytest.mark.parametrize(("path", "error"), [
+    ("d", errno.EISDIR), ("o/", errno.EISDIR), ("nodir/o", errno.ENOENT), ("f/o", errno.ENOTDIR),
+    ("", errno.ENOENT), ("link", errno.ENOENT),
+], ids=["a-directory", "spelled-as-a-directory", "in-a-missing-directory", "under-a-file", "empty",
+        "a-link-into-a-missing-directory"])
+@pytest.mark.parametrize("write", LIBRARY_WRITERS.values(), ids=LIBRARY_WRITERS)
+def test_a_writer_refuses_an_output_it_cannot_create_and_creates_nothing(tmp_path, monkeypatch, write, path, error):
+    work = tmp_path / "work"
+    (work / "d").mkdir(parents=True)
+    (work / "f").write_bytes(b"a file\n")
+    (work / "link").symlink_to("nodir/t")
+    monkeypatch.chdir(work)
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(OSError) as raised:
+        write(path)
+    assert (raised.value.errno, raised.value.filename) == (error, path)
+    assert sorted(tmp_path.rglob("*")) == before  # nothing in the working directory or its parent
 
 
 @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)

@@ -282,6 +282,10 @@ INVALID_STEPS = {
         {"command": "normalize", "args": {"in": "raw.txt", "out": "o/"}},
         "step 1: o/: Is a directory\n",
     ],
+    "output-links-into-a-missing-directory": [
+        {"command": "normalize", "args": {"in": "raw.txt", "out": "link.txt"}},
+        "step 1: link.txt: No such file or directory\n",
+    ],
     "negative-token-col": [
         {"command": "stats", "args": {"in": "raw.txt", "token-col": -1}},
         "argument --token-col/--tag-col: column indices must be non-negative",
@@ -297,6 +301,7 @@ INVALID_STEPS = {
 def test_invalid_step_exits_1_before_any_step_runs(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "raw.txt").write_text("soL\n", encoding="utf-8")
+    (tmp_path / "link.txt").symlink_to("nodir/t.txt")
     bad_step, message = INVALID_STEPS[case]
     config = write_config(
         tmp_path,
