@@ -69,11 +69,20 @@ CORPUS_FORMAT_VERSION = 1
 CONTAINER_FORMAT_VERSION = 1
 
 
-class InputPath(str):
+class _FilePath(str):
+    """A file flag's value: an empty one raises ValueError, which argparse reports as a usage error."""
+
+    def __new__(cls, value: str):
+        if not value:
+            raise ValueError("a file flag needs a path")
+        return super().__new__(cls, value)
+
+
+class InputPath(_FilePath):
     """A file flag's value that the command reads; a pipeline step digests it first."""
 
 
-class OutputPath(str):
+class OutputPath(_FilePath):
     """A file flag's value that the command writes; a pipeline step digests it after."""
 
 
@@ -134,7 +143,7 @@ class CommandParser(argparse.ArgumentParser):
         files = [
             (action.option_strings[0], value)
             for action in self.commands[args.command]._actions
-            if isinstance(value := getattr(args, action.dest, None), (InputPath, OutputPath))
+            if isinstance(value := getattr(args, action.dest, None), _FilePath)
         ]
         pairs = itertools.chain(itertools.combinations(files, 2), itertools.product(files, around))
         for (flag, path), (other_flag, other) in pairs:

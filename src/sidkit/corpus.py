@@ -43,7 +43,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
-from .files import _decoded, _lf, _read_pieces, naming, new_sha256, replace_file
+from .files import _decoded, _lf, _read_pieces, new_sha256, replace_file
 from .rng import SplitMix64, derive_seed, share_count
 
 
@@ -531,7 +531,7 @@ def load_dataset(
             return Dataset(name=name, utterances=stored.utterances)
     # of the bytes parsed, which the file may no longer hold
     digest = None if store is None else new_sha256()
-    with _read_pieces(path, digest) as pieces, naming(path):
+    with _read_pieces(path, digest) as pieces:
         texts = _corpus_text(pieces)
         try:
             dataset = _parse_pieces(texts, options, name)

@@ -28,12 +28,14 @@ _DESCRIPTOR = re.compile(r"(?:/dev/fd|/proc/self/fd)/(\d+)", re.ASCII)
 
 @contextmanager
 def naming(path: str | os.PathLike) -> Iterator[None]:
-    """Raise a ValueError from the block again, its class kept, with ``<path>: `` before its message."""
-    try:
-        yield
-    except ValueError as exc:
-        exc.args = (f"{os.fspath(path)}: {exc}",)
-        raise
+    """Raise a ValueError from the block again, its class kept, with ``<path>: `` before its
+    message, and an OSError that names no file (a read) as one that names ``path``."""
+    with _naming_os_errors(path):
+        try:
+            yield
+        except ValueError as exc:
+            exc.args = (f"{os.fspath(path)}: {exc}",)
+            raise
 
 
 def same_file(a: str | os.PathLike, b: str | os.PathLike) -> bool:
@@ -142,8 +144,8 @@ def new_sha256():
 def _read_pieces(path: str | os.PathLike, digest=None) -> Iterator[Iterator[bytes]]:
     """The bytes of the file ``path``, ``_PIECE_SIZE`` at a time, each fed to
     ``digest`` (a hashlib object), when given, as it passes; the file is open
-    while the block runs, and a failed read names it."""
-    with open(path, "rb", buffering=0) as fh, _naming_os_errors(path):
+    while the block runs, and a failed read or a ValueError from the block names it."""
+    with open(path, "rb", buffering=0) as fh, naming(path):
         pieces = iter(lambda: fh.read(_PIECE_SIZE), b"")
         yield pieces if digest is None else (digest.update(piece) or piece for piece in pieces)
 
@@ -161,7 +163,7 @@ def read_text(path: str | os.PathLike, parse: Callable = str, digest=None):
     """``parse`` applied to the file's UTF-8 text (:func:`_decoded`), less
     one leading byte-order mark, with CRLF and CR read as LF; each piece of
     the file's bytes is fed to ``digest`` when given. A ValueError names the file."""
-    with _read_pieces(path, digest) as pieces, naming(path):
+    with _read_pieces(path, digest) as pieces:
         return parse("".join(_lf(_decoded(pieces))))
 
 

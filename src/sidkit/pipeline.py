@@ -129,7 +129,7 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
 
     config_path = Path(config_path)
     if manifest_path is None:
-        manifest_path = config_path.with_suffix(config_path.suffix + ".manifest.json")
+        manifest_path = Path(f"{config_path}.manifest.json")
     config_digest = new_sha256()
     steps = read_text(config_path, _config_steps, config_digest)
 

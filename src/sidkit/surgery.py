@@ -42,7 +42,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Sequence, Union
 
-from .files import _naming_os_errors, naming, replace_file, same_file
+from .files import naming, replace_file, same_file
 
 if TYPE_CHECKING:
     import numpy as np
@@ -174,13 +174,12 @@ class Checkpoint:
         if not 0 <= start <= stop <= end - begin:
             raise SurgeryError(f"tensor {name!r}: byte range [{start}, {stop}) outside [0, {end - begin})")
         offset = self.data_start + begin + start
-        with _naming_os_errors(self.path):  # a splice must not put a failed read on its output
+        with naming(self.path):  # a splice must not put a failed read on its output
             data = os.pread(self._file.fileno(), stop - start, offset)
             while len(data) < stop - start:  # one pread returns at most about 2 GiB
                 more = os.pread(self._file.fileno(), stop - start - len(data), offset + len(data))
                 if not more:
-                    with naming(self.path):
-                        raise CheckpointFormatError(f"tensor {name!r}: data region truncated")
+                    raise CheckpointFormatError(f"tensor {name!r}: data region truncated")
                 data += more
         return data
 

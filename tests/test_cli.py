@@ -1274,6 +1274,31 @@ def _aliasing_flag_pairs():
                 yield command, first, second
 
 
+@pytest.mark.parametrize(("command", "flag"), [(c, f) for c in build_parser().commands for f in _file_flags(c)])
+def test_an_empty_file_flag_value_is_a_usage_error(tmp_path, monkeypatch, capsys, gold_file, command, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "vocab.txt").write_text("[UNK]\nvekk\n", encoding="utf-8")
+    (tmp_path / "table.tsv").write_text("1\t2\n2\t1\n3\t4\n", encoding="utf-8")
+    (tmp_path / "pipe.json").write_text('{"steps": []}', encoding="utf-8")
+    make_checkpoint(tmp_path / "a.st", seed=42)
+    inputs = {"--vocab": "vocab.txt", "--a": "a.st", "--b": "a.st", "--config": "pipe.json",
+              "--in": "table.tsv" if command == "correlate" else "gold.conll"}
+    argv = [command, *REQUIRED_ARGS.get(command, [])]
+    for action in build_parser().commands[command]._actions:  # every other required file flag names a valid file
+        if action.required and action.type in (InputPath, OutputPath) and flag not in action.option_strings:
+            other = action.option_strings[0]
+            argv += [other, inputs.get(other, "gold.conll") if action.type is InputPath else f"{other[2:]}.out"]
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, ""])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    kind = next(a.type for a in build_parser().commands[command]._actions if flag in a.option_strings).__name__
+    assert f"error: argument {flag}: invalid {kind} value: ''\n" in err
+    assert "seed:" not in err
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+
 @pytest.mark.parametrize("alias", ["same string", "./ prefix", "symlink", "hard link", "missing file"])
 @pytest.mark.parametrize(("command", "first", "second"), list(_aliasing_flag_pairs()))
 def test_an_output_naming_the_file_of_another_file_flag_is_refused(

@@ -189,7 +189,9 @@ def test_a_failed_checkpoint_read_names_the_checkpoint_not_the_output(tmp_path, 
 @pytest.mark.parametrize("argv", [
     ["normalize", "--in", "/proc/self/mem", "--out", "o.txt"],
     ["pipeline", "--config", "p.json", "--manifest", "m.json"],  # read while the manifest is open
-], ids=["normalize", "pipeline-digest"])
+    ["surgery", "mav", "--a", "/proc/self/mem", "--b", "/proc/self/mem"],  # a checkpoint header read
+    ["surgery", "revert", "--a", "/proc/self/mem", "--b", "/proc/self/mem", "--layers", "0", "--out", "o.st"],
+], ids=["normalize", "pipeline-digest", "surgery-mav", "surgery-revert"])
 def test_a_failed_read_names_the_file_read(tmp_path, argv, monkeypatch, capsys):
     # a read of /proc/self/mem at offset 0 fails with EIO, whose error names no file
     monkeypatch.chdir(tmp_path)
@@ -351,6 +353,25 @@ def test_only_the_writer_module_writes_files():
     outside, in_files = _outside_files_py(_file_writes)
     assert outside == {}
     assert in_files  # the guard sees the one writer
+
+
+def _placement_checks(tree):
+    """(line, what) of each ``errno`` import in ``tree`` and each call that checks where a file could go."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and "errno" in (alias.name for alias in node.names) or (
+            isinstance(node, ast.ImportFrom) and node.module == "errno"
+        ):
+            yield node.lineno, "import errno"
+    for node, _, _ in _calls(tree):
+        if (call := ast.unparse(node.func)) in ("os.stat", "os.path.isdir", "os.path.dirname", "os.path.realpath"):
+            yield node.lineno, call
+
+
+def test_only_the_writer_module_decides_where_an_output_goes():
+    # one placement rule: the parse-time output check asks files.output_target, as replace_file does
+    outside, in_files = _outside_files_py(_placement_checks)
+    assert outside == {}
+    assert in_files  # the guard sees the one rule
 
 
 def test_only_the_reader_module_reads_files():

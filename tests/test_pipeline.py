@@ -178,6 +178,14 @@ def test_default_manifest_path(tmp_path, monkeypatch):
     assert (tmp_path / "pipe.json.manifest.json").exists()
 
 
+@pytest.mark.parametrize("config", [".", "/"])
+def test_a_config_that_is_a_directory_names_it(config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["pipeline", "--config", config]) == 1
+    assert capsys.readouterr().err == f"sidkit: error: {config}: Is a directory\n"
+    assert os.listdir(tmp_path) == []
+
+
 # Each config step below is invalid; it sits second, after a valid step.
 INVALID_STEPS = {
     "step-not-object": ["normalize", "must be a JSON object"],
@@ -285,6 +293,10 @@ INVALID_STEPS = {
     "output-links-into-a-missing-directory": [
         {"command": "normalize", "args": {"in": "raw.txt", "out": "link.txt"}},
         "step 1: link.txt: No such file or directory\n",
+    ],
+    "empty-file-value": [
+        {"command": "normalize", "args": {"in": "", "out": "o.txt"}},
+        "step 1: argument --in: invalid InputPath value: ''\n",
     ],
     "negative-token-col": [
         {"command": "stats", "args": {"in": "raw.txt", "token-col": -1}},
