@@ -9,7 +9,8 @@ Stochastic commands (noise, split) echo their seed to stderr.
 All file I/O is UTF-8; ``_write_report`` writes every report as JSON or TSV.
 An output flag that names the same file as an input or another output, or
 that ``files.replace_file`` could not create, is a data error raised before
-anything is read or written; a failed write names the output.
+anything is read or written; a failed write names the output. An empty
+file-flag value is a usage error.
 Importing this module loads no other sidkit module: each command imports
 the modules it runs when it runs, so start-up pays for nothing else.
 """

@@ -3,10 +3,10 @@ as text or digests is read 64 KiB at a time (``_read_pieces``), each piece
 decoded, parsed or hashed before the next is read, so no read holds a whole
 file's bytes; a read may feed each piece to a digest as it passes, so a
 file is parsed and digested in one read. Every reader names its file in an
-error through :func:`naming`, and in a failed read; every writer (corpora,
+error, a failed read included, through :func:`naming`; every writer (corpora,
 checkpoints, reports, normalize outputs, pipeline manifests) writes through
-:func:`replace_file`, so a failed write names its output and never leaves a
-half-written output behind. This module imports nothing from sidkit, so a
+:func:`replace_file`, which places the output by :func:`output_target`, so a
+failed write names its output and never leaves a half-written output behind. This module imports nothing from sidkit, so a
 command that reads or writes pays for no other module.
 """
 

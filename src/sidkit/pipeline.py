@@ -14,10 +14,11 @@ behaves exactly like the equivalent command line; a step cannot run a nested
 pipeline. The whole config is checked, and every step's argv parsed, before
 the first step runs: a bad step raises PipelineError naming it, and nothing
 runs. A step whose output names one of its inputs or another of its outputs,
-whose output cannot be created (a directory, or in a missing directory: no
-step makes one), or whose flag value the library refuses, is such a bad step
-(``cli.CommandParser.parse_command`` refuses it), and so is a step whose
-file flag names the run's manifest, or whose output names the run's config.
+whose output the writer could not create (``files.output_target``: no step
+makes a directory), or whose flag value is empty or refused by the library,
+is such a bad step (``cli.CommandParser.parse_command`` refuses it), and so
+is a step whose file flag names the run's manifest, or whose output names
+the run's config. The manifest defaults to ``<config>.manifest.json``.
 The manifest records, per step, the argv, its ``--seed`` (null for an
 unseeded command), and SHA-256 digests of every file flag of its subcommand
 (the flags ``cli.build_parser`` types ``InputPath`` before the step,
