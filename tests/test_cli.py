@@ -1284,8 +1284,10 @@ def test_an_empty_file_flag_value_is_a_usage_error(tmp_path, monkeypatch, capsys
     inputs = {"--vocab": "vocab.txt", "--a": "a.st", "--b": "a.st", "--config": "pipe.json",
               "--in": "table.tsv" if command == "correlate" else "gold.conll"}
     argv = [command, *REQUIRED_ARGS.get(command, [])]
-    for action in build_parser().commands[command]._actions:  # every other required file flag names a valid file
-        if action.required and action.type in (InputPath, OutputPath) and flag not in action.option_strings:
+    for action in build_parser().commands[command]._actions:
+        if flag in action.option_strings:
+            kind = action.type.__name__
+        elif action.required and action.type in (InputPath, OutputPath):  # each other one names a valid file
             other = action.option_strings[0]
             argv += [other, inputs.get(other, "gold.conll") if action.type is InputPath else f"{other[2:]}.out"]
     before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
@@ -1293,7 +1295,6 @@ def test_an_empty_file_flag_value_is_a_usage_error(tmp_path, monkeypatch, capsys
         main([*argv, flag, ""])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    kind = next(a.type for a in build_parser().commands[command]._actions if flag in a.option_strings).__name__
     assert f"error: argument {flag}: invalid {kind} value: ''\n" in err
     assert "seed:" not in err
     assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
