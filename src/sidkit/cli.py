@@ -56,7 +56,7 @@ span_f1 = _lazy("evaluate", "span_f1")  # no handler calls it; the benchmark's t
 noise_dataset = _lazy("noise", "noise_dataset")
 load_alphabet = _lazy("noise", "load_alphabet")
 normalize_text = _lazy("normalize", "normalize_text")
-trace_token = _lazy("normalize", "trace_token")
+trace_token = _lazy("normalize", "trace_token")  # no handler calls it; the benchmark's tracer probes it
 split_word_ratio = _lazy("subword", "split_word_ratio")
 pearson = _lazy("correlation", "pearson")  # no handler calls it; the benchmark's tracer probes it
 spearman = _lazy("correlation", "spearman")
@@ -297,16 +297,12 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     from .files import read_text, replace_file
 
     text = read_text(args.infile)
+    lines = {} if args.trace is not None else None  # token -> its JSONL line, for each token a rule rewrote
     with replace_file(args.out) as fh:
-        fh.write(normalize_text(text).encode("utf-8"))
-    if args.trace is not None:
-        lines: dict[str, bytes] = {}  # token -> its JSONL line, b"" when no rule applied
+        fh.write(normalize_text(text, trace_lines=lines).encode("utf-8"))
+    if lines is not None:
         with replace_file(args.trace) as fh:
-            for token in text.split():
-                if token not in lines:
-                    trace = trace_token(token)
-                    lines[token] = (trace.to_json() + "\n").encode("utf-8") if trace.applied else b""
-                fh.write(lines[token])
+            fh.writelines(lines.get(token, b"") for token in text.split())
     return 0
 
 

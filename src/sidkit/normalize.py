@@ -16,6 +16,10 @@ Vowels (a, e, i, o, u, y, æ, ø, å) and anything outside the consonant set
 case-insensitively; ``İ`` (U+0130, the one code point whose lower case is two
 characters) matches as ``I``, so every trace offset indexes the token as it
 stood.
+
+``normalize_text`` traces each distinct token once per call; that one pass
+both rewrites the text and, on request, hands back the trace lines that
+``sidkit normalize --trace`` writes.
 """
 
 from __future__ import annotations
@@ -107,15 +111,20 @@ def replay_trace(trace: RuleTrace) -> str:
     return current
 
 
-def normalize_text(text: str) -> str:
+def normalize_text(text: str, trace_lines: dict[str, bytes] | None = None) -> str:
     """Normalize each whitespace-delimited token; whitespace kept verbatim.
 
     Each distinct token is traced once per call, however often it occurs.
+    Given ``trace_lines``, the call also maps each distinct token a rule
+    rewrote to its trace as one UTF-8 JSONL line, from that same pass.
     """
     parts = _WHITESPACE_SPLIT.split(text)  # token, whitespace, token, ...; edge tokens may be ""
     outputs = {"": ""}
     for token in parts[::2]:
         if token not in outputs:
-            outputs[token] = trace_token(token).output
+            trace = trace_token(token)
+            outputs[token] = trace.output
+            if trace_lines is not None and trace.applied:
+                trace_lines[token] = (trace.to_json() + "\n").encode("utf-8")
     parts[::2] = [outputs[token] for token in parts[::2]]
     return "".join(parts)

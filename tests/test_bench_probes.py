@@ -30,7 +30,7 @@ CORPUS = "".join(
     for g in range(6) for k in range(2)
 )
 TRACED_STEPS = [
-    {"command": "normalize", "args": {"in": "transcript.txt", "out": "norm.txt"}},
+    {"command": "normalize", "args": {"in": "transcript.txt", "out": "norm.txt", "trace": "norm_trace.jsonl"}},
     {"command": "split", "args": {"in": "corpus.conll", "ratio": 0.5, "seed": 1, "strategy": "grouped",
                                   "out1": "train.conll", "out2": "heldout.conll"}},
     {"command": "noise", "args": {"in": "train.conll", "out": "noised.conll", "fraction": 0.5,
@@ -44,7 +44,8 @@ def test_a_traced_pipeline_records_every_text_layer(tmp_path, monkeypatch):
     """The spans the traced benchmark reads fire on a small text pipeline."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "corpus.conll").write_text(CORPUS, encoding="utf-8")
-    (tmp_path / "transcript.txt").write_text("æ e itj kjem ikkje\nka du sei\n", encoding="utf-8")
+    transcript = "æ e itj kjem ikkje vat'n\nka du sei vat'n\n"  # vat'n is rewritten, ikkje kept
+    (tmp_path / "transcript.txt").write_text(transcript, encoding="utf-8")
     (tmp_path / "vocab.txt").write_text("[UNK]\nvekk\nmæ\nkl\n##1\nhalv\n", encoding="utf-8")
     (tmp_path / "pipe.json").write_text(json.dumps({"steps": TRACED_STEPS}), encoding="utf-8")
     tracing = load_bench("tracing")
@@ -56,6 +57,9 @@ def test_a_traced_pipeline_records_every_text_layer(tmp_path, monkeypatch):
     assert metrics["noise.words_edited"] > 0
     assert metrics["subword.words"] > 0 and metrics["normalize.tokens"] > 0
     assert metrics["pipeline.steps"] == len(TRACED_STEPS)
+    # --trace reuses the pass that writes --out: one rule-engine trace per distinct token, none apart
+    traced = sorted(span[0] for span in tracer.spans if span[0] in ("normalize.token", "normalize.trace"))
+    assert traced == ["normalize.token"] * len(set(transcript.split()))
 
 
 def _scored_corpus(stray_i: bool) -> str:

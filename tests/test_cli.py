@@ -334,7 +334,7 @@ def test_normalize_matches_dotted_capital_i_as_one_character(tmp_path):
 
 
 def test_normalize_output_and_trace_match_per_token_loop(tmp_path, monkeypatch):
-    import sidkit.cli
+    import sidkit.normalize
     from sidkit.normalize import trace_token
 
     raw = "vat'n  soL\r\nbakkst vat'n\tsoL  soL\r\n\r\nissjn L'aLLkst bakkst’ vat'n \u00a0 kattne katt\r\n"
@@ -342,7 +342,7 @@ def test_normalize_output_and_trace_match_per_token_loop(tmp_path, monkeypatch):
     src.write_bytes(raw.encode("utf-8"))
     out, trace = tmp_path / "clean.txt", tmp_path / "trace.jsonl"
     calls = []
-    monkeypatch.setattr(sidkit.cli, "trace_token", lambda token: calls.append(token) or trace_token(token))
+    monkeypatch.setattr(sidkit.normalize, "trace_token", lambda token: calls.append(token) or trace_token(token))
     assert main(["normalize", "--in", str(src), "--out", str(out), "--trace", str(trace)]) == 0
 
     # Oracle: the per-token loops, tracing every occurrence; the file is read with newlines translated.
@@ -355,6 +355,7 @@ def test_normalize_output_and_trace_match_per_token_loop(tmp_path, monkeypatch):
     )
     assert out.read_bytes() == expected_out.encode("utf-8")
     assert trace.read_bytes() == expected_trace.encode("utf-8")
+    # one rule-engine pass over the whole command: each distinct token traced exactly once
     assert sorted(calls) == sorted(set(text.split()))
 
 

@@ -1,10 +1,12 @@
 """Every report ``sidkit evaluate``, ``parse-check``, ``stats`` and ``subword-ratio``
-write, and every corpus ``sidkit noise`` and ``split`` write, checked through
-``cli.main`` against ``bench/reference.py``, which restates parsing, the lenient
-BIO scan, span matching, round-half-up counts and WordPiece splitting without
-importing sidkit."""
+write, every corpus ``sidkit noise`` and ``split`` write, and every text and
+trace ``sidkit normalize`` writes, checked through ``cli.main`` against
+``bench/reference.py``, which restates parsing, the lenient BIO scan, span
+matching, round-half-up counts, WordPiece splitting and the normalization
+fixpoint without importing sidkit."""
 
 import json
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -290,3 +292,53 @@ def test_stats_matches_the_reference_in_every_framing(pair):
             assert (report["num_intents"], report["num_slot_labels"], report["num_full_tags"]) == (
                 len(intents), len(labels), len(tags)
             ), framing
+
+
+# The characters of the benchmark's transcripts: letters (a capital among them), thick L, both apostrophes,
+# doubled consonants and the ssj/kkj clusters; every token holds a letter.
+TRANSCRIPT_PIECES = ("a", "e", "ø", "å", "b", "k", "n", "s", "t", "S", "L", "'", "’",
+                     "kk", "ll", "nn", "ss", "tt", "ssj", "kkj", "nnd")
+TRANSCRIPT_TOKENS = st.lists(st.sampled_from(TRANSCRIPT_PIECES), min_size=1, max_size=5).map("".join).filter(
+    lambda token: any(ch.isalpha() for ch in token)
+)
+GAPS = st.sampled_from((" ", "\t", "  ", " \t "))
+EDGES = st.just("") | GAPS
+
+
+@st.composite
+def transcripts(draw):
+    """Lines of tokens between runs of spaces and tabs; a line without tokens is a blank one."""
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        line = draw(EDGES)
+        for i, token in enumerate(draw(st.lists(TRANSCRIPT_TOKENS, max_size=6))):
+            line += (draw(GAPS) if i else "") + token
+        lines.append(line + draw(EDGES))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(transcripts())
+def test_normalize_matches_the_reference_in_every_framing(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        infile, out, trace = Path(tmp, "in.txt"), Path(tmp, "out.txt"), Path(tmp, "trace.jsonl")
+        outputs = {}
+        for framing, data in framings(text).items():
+            infile.write_bytes(data.encode("utf-8"))
+            assert main(["normalize", "--in", str(infile), "--out", str(out), "--trace", str(trace)]) == 0, framing
+            outputs[framing] = (out.read_bytes(), trace.read_bytes())
+    assert outputs["CRLF"] == outputs["BOM"] == outputs["LF"]
+    normalized, traced = (data.decode("utf-8") for data in outputs["LF"])
+    before, after = re.split(r"(\s+)", text), re.split(r"(\s+)", normalized)
+    # the whitespace between tokens, line ends included, is kept, and so is each token's place
+    assert (len(after), after[1::2]) == (len(before), before[1::2])
+    for token, output in zip(before[::2], after[::2]):
+        assert reference.normalized_fixpoint(output), (token, output)
+        if reference.normalized_fixpoint(token):
+            assert output == token
+    # one trace line per rewritten occurrence, in text order
+    records = [json.loads(line) for line in traced.splitlines()]
+    assert traced.endswith("\n") or not traced
+    assert [(r["input"], r["output"]) for r in records] == [
+        (token, output) for token, output in zip(text.split(), normalized.split()) if token != output
+    ]
