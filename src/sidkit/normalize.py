@@ -32,7 +32,7 @@ from dataclasses import dataclass
 CONSONANTS = frozenset("bcdfghjklmnpqrstvwxz")
 APOSTROPHES = frozenset({"'", "’"})  # ASCII and typographic
 
-_WHITESPACE_SPLIT = re.compile(r"(\s+)")
+_TOKEN = re.compile(r"\S+")
 _APOSTROPHE = re.compile(f"[{''.join(sorted(APOSTROPHES))}]")
 # Rule 3's leftmost site: ssjt/ssjk, else a doubled consonant before another
 # consonant that does not start ssj or kkj.
@@ -118,13 +118,15 @@ def normalize_text(text: str, trace_lines: dict[str, bytes] | None = None) -> st
     Given ``trace_lines``, the call also maps each distinct token a rule
     rewrote to its trace as one UTF-8 JSONL line, from that same pass.
     """
-    parts = _WHITESPACE_SPLIT.split(text)  # token, whitespace, token, ...; edge tokens may be ""
-    outputs = {"": ""}
-    for token in parts[::2]:
+    outputs: dict[str, str] = {}
+
+    def rewrite(match: re.Match) -> str:
+        token = match[0]
         if token not in outputs:
             trace = trace_token(token)
             outputs[token] = trace.output
             if trace_lines is not None and trace.applied:
                 trace_lines[token] = (trace.to_json() + "\n").encode("utf-8")
-    parts[::2] = [outputs[token] for token in parts[::2]]
-    return "".join(parts)
+        return outputs[token]
+
+    return _TOKEN.sub(rewrite, text)  # match by match: the text's tokens are never all held at once
