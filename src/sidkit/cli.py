@@ -253,13 +253,12 @@ def cmd_parse_check(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.infile, args.format_options)
-    inventory = label_inventory(dataset)
+    inventory = label_inventory(load_dataset(args.infile, args.format_options))
     if args.unseen_from is None:
         report = inventory.to_dict() if args.report == "json" else inventory.tsv_rows()
     else:
-        train = load_dataset(args.unseen_from, args.format_options)
-        unseen = unseen_label_report(train, dataset)
+        train = label_inventory(load_dataset(args.unseen_from, args.format_options))
+        unseen = unseen_label_report(train, inventory)
         if args.report == "json":
             report = {"inventory": inventory.to_dict(), "unseen": unseen.to_dict()}
         else:
@@ -297,12 +296,12 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     from .files import read_text, replace_file
 
     text = read_text(args.infile)
-    lines = {} if args.trace is not None else None  # token -> its JSONL line, for each token a rule rewrote
+    lines = [] if args.trace is not None else None  # a JSONL line per rewritten occurrence, in text order
     with replace_file(args.out) as fh:
         fh.write(normalize_text(text, trace_lines=lines).encode("utf-8"))
     if lines is not None:
         with replace_file(args.trace) as fh:
-            fh.writelines(lines.get(token, b"") for token in text.split())
+            fh.writelines(lines)
     return 0
 
 
@@ -539,9 +538,17 @@ def build_parser() -> CommandParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, args: argparse.Namespace | None = None) -> int:
+    """Run one command line and return its exit status; ``args``, when given, is the line's
+    ``parse_command`` result and is run as is.
+
+    A pipeline step passes both: the namespace its run checked and records, and
+    the argv, by which the benchmark's tracer labels each ``main`` call and counts
+    the nested ones as steps; so ``main`` itself stays the per-step call.
+    """
     try:
-        args = build_parser().parse_command(argv)
+        if args is None:
+            args = build_parser().parse_command(argv)
         return args.handler(args)
     except UsageError as exc:  # argparse's own report: usage line, message, exit 2
         argparse.ArgumentParser.error(*exc.args)

@@ -755,17 +755,16 @@ class UnseenReport:
         ])
 
 
-def unseen_label_report(train: Dataset, eval: Dataset) -> UnseenReport:
-    """Intents, slot labels, and full tags in ``eval`` never seen in ``train``."""
-    train_inv, eval_inv = label_inventory(train), label_inventory(eval)
+def unseen_label_report(train_inv: InventoryReport, eval_inv: InventoryReport) -> UnseenReport:
+    """Intents, slot labels, and full tags in the evaluation inventory never seen in the training one."""
 
     def unseen(counts: dict[str, int], train_counts: dict[str, int]) -> dict[str, int]:
         return {key: count for key, count in counts.items() if key not in train_counts}
 
     unseen_full = unseen(eval_inv.full_tag_counts, train_inv.full_tag_counts)
     return UnseenReport(
-        train_name=train.name,
-        eval_name=eval.name,
+        train_name=train_inv.name,
+        eval_name=eval_inv.name,
         unseen_intents=unseen(eval_inv.intent_counts, train_inv.intent_counts),
         unseen_slot_labels=unseen(eval_inv.slot_label_counts, train_inv.slot_label_counts),
         unseen_full_tags=unseen_full,

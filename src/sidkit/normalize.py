@@ -18,8 +18,8 @@ characters) matches as ``I``, so every trace offset indexes the token as it
 stood.
 
 ``normalize_text`` traces each distinct token once per call; that one pass
-both rewrites the text and, on request, hands back the trace lines that
-``sidkit normalize --trace`` writes.
+both rewrites the text and, on request, hands back, in text order, the trace
+lines that ``sidkit normalize --trace`` writes.
 """
 
 from __future__ import annotations
@@ -111,14 +111,16 @@ def replay_trace(trace: RuleTrace) -> str:
     return current
 
 
-def normalize_text(text: str, trace_lines: dict[str, bytes] | None = None) -> str:
+def normalize_text(text: str, trace_lines: list[bytes] | None = None) -> str:
     """Normalize each whitespace-delimited token; whitespace kept verbatim.
 
     Each distinct token is traced once per call, however often it occurs.
-    Given ``trace_lines``, the call also maps each distinct token a rule
-    rewrote to its trace as one UTF-8 JSONL line, from that same pass.
+    Given ``trace_lines``, the same pass appends to it, in text order, the
+    trace of each occurrence a rule rewrote, as one UTF-8 JSONL line; the
+    occurrences of one token share one line object.
     """
     outputs: dict[str, str] = {}
+    lines: dict[str, bytes] = {}  # token -> its trace line, for each token a rule rewrote when tracing
 
     def rewrite(match: re.Match) -> str:
         token = match[0]
@@ -126,7 +128,9 @@ def normalize_text(text: str, trace_lines: dict[str, bytes] | None = None) -> st
             trace = trace_token(token)
             outputs[token] = trace.output
             if trace_lines is not None and trace.applied:
-                trace_lines[token] = (trace.to_json() + "\n").encode("utf-8")
+                lines[token] = (trace.to_json() + "\n").encode("utf-8")
+        if token in lines:
+            trace_lines.append(lines[token])
         return outputs[token]
 
     return _TOKEN.sub(rewrite, text)  # match by match: the text's tokens are never all held at once

@@ -9,16 +9,24 @@ A pipeline config is JSON:
                                                        "seed": 7}}
     ]}
 
-Steps run in order through the regular CLI dispatch, so a pipeline step
-behaves exactly like the equivalent command line; a step cannot run a nested
-pipeline. The whole config is checked, and every step's argv parsed, before
-the first step runs: a bad step raises PipelineError naming it, and nothing
-runs. A step whose output names one of its inputs or another of its outputs,
-whose output the writer could not create (``files.output_target``: no step
-makes a directory), or whose flag value is empty or refused by the library,
-is such a bad step (``cli.CommandParser.parse_command`` refuses it), and so
-is a step whose file flag names the run's manifest, or whose output names
-the run's config. The manifest defaults to ``<config>.manifest.json``.
+Steps run in order through ``cli.main``, so a pipeline step behaves exactly
+like the equivalent command line; a step cannot run a nested pipeline. The
+whole config is checked, and every step's argv parsed once, before the first
+step runs: a bad step raises PipelineError naming it, and nothing runs. Each
+step then runs the namespace that was checked, the one its manifest record
+reads, and is not parsed again. A step whose output names one of its inputs
+or another of its outputs, whose output the writer could not create
+(``files.output_target``: no step makes a directory), or whose flag value is
+empty or refused by the library, is such a bad step
+(``cli.CommandParser.parse_command`` refuses it), and so is a step whose file
+flag names the run's manifest, or whose output names the run's config.
+Checking these before step 0 rather than when the step runs loses nothing:
+no step creates a directory, a symlink or a hard link, so each path leads
+where it led when it was checked; ``files.same_file`` compares the
+``realpath`` of a file that does not exist yet, so an output that is a
+symlink to a file an earlier step writes already aliases that file; and
+``files.replace_file`` runs ``files.output_target`` again when it writes.
+The manifest defaults to ``<config>.manifest.json``.
 The manifest records, per step, the argv, its ``--seed`` (null for an
 unseeded command), and SHA-256 digests of every file flag of its subcommand
 (the flags ``cli.build_parser`` types ``InputPath`` before the step,
@@ -164,7 +172,7 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
         for i, (step, (argv, parsed)) in enumerate(zip(steps, checked)):
             inputs = _digest_role(parsed, cli.InputPath)
             store.digests = {os.path.abspath(p): digest for p, digest in inputs.items()}
-            code = cli.main(argv)
+            code = cli.main(argv, parsed)
             store.keep(p for _, later in checked[i + 1 :] for p in _paths(later, cli.InputPath))
             record = {
                 "name": step.get("name", f"step{i}"),

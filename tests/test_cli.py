@@ -131,6 +131,20 @@ def test_stats_with_unseen(gold_file, tmp_path, capsys):
     assert report["unseen"]["unseen_i_tags_with_seen_b"] == ["I-datetime"]
 
 
+def test_stats_with_unseen_builds_each_inventory_once(gold_file, tmp_path, monkeypatch, capsys):
+    import sidkit.corpus
+
+    train = tmp_path / "train.conll"
+    train.write_text("# id: t1\n# intent: alarm/set\nvekk\tB-datetime\n", encoding="utf-8")
+    built, label_inventory = [], sidkit.corpus.label_inventory
+    monkeypatch.setattr(
+        sidkit.corpus, "label_inventory", lambda dataset: built.append(dataset.name) or label_inventory(dataset)
+    )
+    assert main(["stats", "--in", str(gold_file), "--unseen-from", str(train)]) == 0
+    assert built == [gold_file.stem, "train"]
+    assert json.loads(capsys.readouterr().out)["unseen"]["eval"] == gold_file.stem
+
+
 def test_stats_tsv(gold_file, tmp_path):
     out = tmp_path / "stats.tsv"
     assert main(["stats", "--in", str(gold_file), "--report", "tsv", "--out", str(out)]) == 0
@@ -1088,6 +1102,33 @@ def _fresh_python(code, cwd):
 
 def test_cli_import_loads_no_numpy(tmp_path):
     assert _fresh_python("import sys, sidkit.cli; print('numpy' in sys.modules)", tmp_path) == "False"
+
+
+@pytest.mark.parametrize("module, copies", [("sidkit", 1), ("sidkit.cli", 2)])
+def test_python_m_sidkit_holds_one_cli_module(module, copies, tmp_path):
+    """``python -m sidkit`` runs the one ``sidkit.cli`` that a pipeline imports; ``-m sidkit.cli``
+    runs a ``__main__`` copy beside it, which shows the count sees a second copy."""
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(
+        "import atexit, os, sys\n"
+        "cli = os.path.join('sidkit', 'cli.py')\n"
+        "atexit.register(lambda: print('cli.py modules:', sum(\n"
+        "    str(getattr(m, '__file__', None)).endswith(cli) for m in list(sys.modules.values()))))\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "raw.txt").write_text("vat'n soL\n", encoding="utf-8")
+    steps = [{"command": "normalize", "args": {"in": "raw.txt", "out": "clean.txt"}}]
+    (tmp_path / "pipe.json").write_text(json.dumps({"steps": steps}), encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", module, "pipeline", "--config", "pipe.json"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join((str(site), str(src)))},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"cli.py modules: {copies}\n"
+    assert (tmp_path / "clean.txt").read_text(encoding="utf-8") == "vatn sol\n"
 
 
 def _sidkit_modules_after(code, cwd):

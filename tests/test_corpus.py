@@ -1280,7 +1280,7 @@ def test_unseen_i_tag_with_seen_b():
     eval_ = _dataset(
         Utterance(id="1", tokens=("x", "y"), slot_tags=("B-a", "I-a"), intent="i")
     )
-    report = unseen_label_report(train, eval_)
+    report = unseen_label_report(label_inventory(train), label_inventory(eval_))
     assert report.unseen_full_tags == {"I-a": 1}
     assert report.unseen_slot_labels == {}
     assert report.unseen_intents == {}
@@ -1295,7 +1295,7 @@ def test_inventory_and_unseen_report_read_labels_by_one_b_i_rule():
     inv = label_inventory(eval_)
     assert inv.slot_label_counts == {"a": 1, "b": 1}
     assert inv.full_tag_counts == {"B-": 1, "I-": 1, "b-a": 1, "O-x": 1, "I-a": 1, "I-b": 1, "O": 1}
-    report = unseen_label_report(train, eval_)
+    report = unseen_label_report(label_inventory(train), inv)
     assert report.unseen_slot_labels == {"b": 1}
     assert report.unseen_i_tags_with_seen_b == ("I-a",)
     assert "I-" in report.unseen_full_tags and "B-" not in report.unseen_full_tags
@@ -1303,7 +1303,7 @@ def test_inventory_and_unseen_report_read_labels_by_one_b_i_rule():
 
 def test_unseen_identical_datasets_all_empty():
     d = _dataset(Utterance(id="1", tokens=("x",), slot_tags=("B-a",), intent="i"))
-    report = unseen_label_report(d, d)
+    report = unseen_label_report(label_inventory(d), label_inventory(d))
     assert not report.unseen_full_tags
     assert not report.unseen_slot_labels
     assert not report.unseen_intents
@@ -1316,7 +1316,7 @@ def test_unseen_counts_new_intent_and_label():
         Utterance(id="1", tokens=("x",), slot_tags=("B-c",), intent="j"),
         Utterance(id="2", tokens=("y",), slot_tags=("B-c",), intent="j"),
     )
-    report = unseen_label_report(train, eval_)
+    report = unseen_label_report(label_inventory(train), label_inventory(eval_))
     assert report.unseen_intents == {"j": 2}
     assert report.unseen_slot_labels == {"c": 2}
     assert report.unseen_full_tags == {"B-c": 2}

@@ -90,7 +90,7 @@ def test_criterion_7_dev_and_test_inventories():
 def test_criterion_7_unseen_between_dev_and_test():
     dev = _require("SIDKIT_NOMUSIC_DEV")
     test = _require("SIDKIT_NOMUSIC_TEST")
-    report = unseen_label_report(dev, test)
+    report = unseen_label_report(label_inventory(dev), label_inventory(test))
     print(
         "criterion 7c: "
         f"unseen intents={len(report.unseen_intents)} "

@@ -120,6 +120,16 @@ def test_normalize_text_traces_each_distinct_token_once(monkeypatch):
     assert calls == Counter(set(REPEATED_TEXT.split()))
 
 
+def test_normalize_text_appends_a_trace_line_per_rewritten_occurrence_in_text_order():
+    lines = []
+    assert normalize_text(REPEATED_TEXT, trace_lines=lines) == normalize_text(REPEATED_TEXT)
+    assert lines == [
+        (trace_token(token).to_json() + "\n").encode("utf-8")
+        for token in REPEATED_TEXT.split() if trace_token(token).applied
+    ]
+    assert len({id(line) for line in lines}) == len(set(lines))  # one line object per distinct token
+
+
 def test_traces_replay_to_output():
     for source in list(RULE_FIXTURES) + ["L'aLLkst", "vass'n", "arssjt"]:
         trace = trace_token(source)

@@ -294,6 +294,10 @@ INVALID_STEPS = {
         {"command": "normalize", "args": {"in": "raw.txt", "out": "link.txt"}},
         "step 1: link.txt: No such file or directory\n",
     ],
+    "output-links-to-the-input-step-0-writes": [  # before step 0 runs, clean.txt does not exist
+        {"command": "normalize", "args": {"in": "clean.txt", "out": "pending.txt"}},
+        "--in 'clean.txt' and --out 'pending.txt' name the same file",
+    ],
     "empty-file-value": [
         {"command": "normalize", "args": {"in": "", "out": "o.txt"}},
         "step 1: argument --in: invalid InputPath value: ''\n",
@@ -314,6 +318,7 @@ def test_invalid_step_exits_1_before_any_step_runs(case, tmp_path, monkeypatch, 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "raw.txt").write_text("soL\n", encoding="utf-8")
     (tmp_path / "link.txt").symlink_to("nodir/t.txt")
+    (tmp_path / "pending.txt").symlink_to("clean.txt")
     bad_step, message = INVALID_STEPS[case]
     config = write_config(
         tmp_path,
@@ -537,8 +542,8 @@ def test_steps_reuse_corpora_and_match_separate_command_lines(tmp_path, monkeypa
     parses, held = [], []
     parse, step_main = corpus._parse_pieces, cli.main
     monkeypatch.setattr(corpus, "_parse_pieces", lambda *a, **k: parses.append(a) or parse(*a, **k))
-    monkeypatch.setattr(cli, "main", lambda argv: held.append(sorted(
-        os.path.basename(p) for p in _active_store()._entries)) or step_main(argv))
+    monkeypatch.setattr(cli, "main", lambda argv, args=None: held.append(sorted(
+        os.path.basename(p) for p in _active_store()._entries)) or step_main(argv, args))
     monkeypatch.chdir(run)
     assert run_pipeline(write_config(run, STORE_STEPS), run / "manifest.json") == 0
 
@@ -552,6 +557,23 @@ def test_steps_reuse_corpora_and_match_separate_command_lines(tmp_path, monkeypa
     assert _active_store() is None
     for name in os.listdir(alone):
         assert (run / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+def test_a_run_parses_each_step_once_and_runs_the_namespace_it_checked(tmp_path, monkeypatch):
+    _store_inputs(tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    parsed, ran = [], []
+    parse_command, step_main = cli.CommandParser.parse_command, cli.main
+    monkeypatch.setattr(cli.CommandParser, "parse_command",
+                        lambda self, *a, **k: parsed.append(parse_command(self, *a, **k)) or parsed[-1])
+    monkeypatch.setattr(cli, "main", lambda argv, args=None: ran.append(args) or step_main(argv, args))
+    config = write_config(tmp_path, STORE_STEPS)
+    assert main(["pipeline", "--config", str(config), "--manifest", "m.json"]) == 0
+    assert len(parsed) == 1 + len(STORE_STEPS)  # the pipeline command, then each step once
+    assert len(ran) == len(STORE_STEPS)
+    assert all(args is checked for args, checked in zip(ran, parsed[1:]))
+    steps = json.loads(Path("m.json").read_text(encoding="utf-8"))["steps"]
+    assert [step["seed"] for step in steps] == [getattr(args, "seed", None) for args in ran] == [3, 4, None, None]
 
 
 def test_a_file_the_store_serves_is_read_only_for_the_manifest(tmp_path, monkeypatch):
@@ -592,8 +614,8 @@ def test_a_corpus_rewritten_between_two_steps_is_parsed_again(tmp_path, monkeypa
     parse, step_main = corpus._parse_pieces, cli.main
     monkeypatch.setattr(corpus, "_parse_pieces", lambda *a, **k: parses.append(a) or parse(*a, **k))
 
-    def split_then_rewrite(argv):
-        code = step_main(argv)
+    def split_then_rewrite(argv, args=None):
+        code = step_main(argv, args)
         if argv[0] == "split":
             rewrite(run / "train.conll")
         return code
