@@ -164,25 +164,27 @@ class CommandParser(argparse.ArgumentParser):
 
 def _write_report(report: dict | list[tuple[str, ...]], out: str | None) -> None:
     """The only code that turns a report into bytes, for ``out`` or for stdout when None: a dict
-    as 2-space-indented JSON, non-ASCII as is; rows as tab-separated cells, one line each.
+    as 2-space-indented JSON, non-ASCII as is; rows as tab-separated cells, one line each. The
+    text is written a few thousand pieces at a time as it is made, so it is never held whole.
 
     A cell that holds a tab (an intent or a variety may) raises ValueError before anything is
     written; no cell holds a line break, since comment values and slot tags refuse them.
     """
     if isinstance(report, dict):
-        text = json.dumps(report, ensure_ascii=False, indent=2) + "\n"
+        pieces = itertools.chain(json.JSONEncoder(ensure_ascii=False, indent=2).iterencode(report), "\n")
     else:
         tabbed = next((cell for row in report for cell in row if "\t" in cell), None)
         if tabbed is not None:
             raise ValueError(f"TSV cell {tabbed!r} holds a tab; write this report with --report json")
-        text = "".join("\t".join(row) + "\n" for row in report)
+        pieces = ("\t".join(row) + "\n" for row in report)
+    texts = iter(lambda: "".join(itertools.islice(pieces, 4096)), "")
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
         return
     from .files import replace_file
 
     with replace_file(out) as fh:
-        fh.write(text.encode("utf-8"))
+        fh.writelines(text.encode("utf-8") for text in texts)
 
 
 def _layers(spec: str) -> list[int]:
@@ -237,19 +239,18 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_parse_check(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.infile, args.format_options)
-    violations = [v for utt in dataset for v in validate_bio(utt)]
-    report = {
-        "file": args.infile,
-        "utterances": len(dataset),
-        "violations": len(violations),
-        "details": [
+    from .corpus import DatasetStream
+
+    count, details = 0, []
+    for utt in DatasetStream(args.infile, args.format_options):  # each utterance parsed, checked and dropped
+        count += 1
+        details += (
             {"utterance": v.utterance_id, "position": v.position, "kind": v.kind, "detail": v.detail}
-            for v in violations
-        ],
-    }
+            for v in validate_bio(utt)
+        )
+    report = {"file": args.infile, "utterances": count, "violations": len(details), "details": details}
     _write_report(report, args.out)
-    return 1 if violations else 0
+    return 1 if details else 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -306,12 +307,12 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    gold = load_dataset(args.gold, args.format_options)
-    pred = load_dataset(args.pred, args.format_options)
-    # Imported after the parses: compiling evaluate.py (no bytecode cache) ahead of them left peak RSS 0.3 MB higher.
+    from .corpus import DatasetStream
     from .evaluate import MODES
 
+    gold = load_dataset(args.gold, args.format_options)
     modes = MODES if args.mode == "all" else (args.mode,)
+    pred = DatasetStream(args.pred, args.format_options)  # parsed as evaluate reads it, and never held
     report = evaluate(gold, pred, repair=args.repair, group_by=args.group_by, modes=modes)
     _write_report(report.to_dict() if args.report == "json" else report.tsv_rows(), args.out)
     return 0

@@ -22,12 +22,16 @@ and built without checking again what the match proved; any other block is
 read line by line with every check. ``Utterance(...)`` always checks.
 
 A load reads the file through ``files``' one reader, a piece at a time,
-and parses the chunks of each piece before it reads the next.
+and parses the chunks of each piece before it reads the next. One parse
+loop yields each utterance as its block is read: ``load_dataset`` keeps
+them all, and a :class:`DatasetStream` hands them on one at a time and
+keeps none.
 
 Inside a :class:`DatasetStore` scope (a pipeline run holds one),
 ``load_dataset`` and ``save_dataset`` keep the datasets they parse or write,
-so a later load with the same format options parses nothing when the
-scope's holder gives the file as unchanged (``DatasetStore.digests``).
+so a later load or stream with the same format options parses nothing when
+the scope's holder gives the file as unchanged (``DatasetStore.digests``).
+A file that is streamed is not kept.
 """
 
 from __future__ import annotations
@@ -184,9 +188,9 @@ class Dataset:
         return {utt.id: utt for utt in self.utterances}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BioViolation:
-    """One spot where a tag sequence breaks the BIO scheme."""
+    """One spot where a tag sequence breaks the BIO scheme; slotted, as ``Utterance`` is."""
 
     utterance_id: str
     position: int
@@ -261,11 +265,13 @@ def parse_dataset(source: str, options: FormatOptions = DEFAULT_FORMAT, name: st
     verbatim; structural problems (ragged token lines, missing required
     intent, a duplicate id) raise :class:`ParseError` with a line number.
     """
-    return _parse_pieces((source,), options, name)
+    return Dataset(name, tuple(_parse_pieces((source,), options)))
 
 
-def _parse_pieces(pieces: Iterable[str], options: FormatOptions, name: str) -> Dataset:
-    """:func:`parse_dataset` of the text ``pieces`` make when joined.
+def _parse_pieces(pieces: Iterable[str], options: FormatOptions) -> Iterator[Utterance]:
+    """The utterances of the text ``pieces`` make when joined, each yielded
+    as soon as its block is read: the one parse loop, which
+    :func:`parse_dataset`, :func:`load_dataset` and :class:`DatasetStream` share.
 
     Each line is read once: ``_chunks`` cuts the text one chunk between
     empty lines at a time, so only the lines of the current chunk and one
@@ -273,16 +279,29 @@ def _parse_pieces(pieces: Iterable[str], options: FormatOptions, name: str) -> D
     that is one written block is checked by one ``_written_block`` match;
     any other is read line by line. Either way ``_utterance`` reads the
     comments and builds the utterance. Equal tokens, slot tags, intents and
-    varieties are one shared string object across the whole dataset.
+    varieties are one shared string object across the whole text. An id
+    that an earlier block used raises ParseError once the text ends, so an
+    error further on is the one raised.
     """
+    ids: list[str] = []
+    # each utterance's first line, for a duplicate id's error: 8 bytes each, where
+    # a list of ints takes about 40
+    starts = bytearray()
+    for first, utterance in _blocks(pieces, options):
+        starts += first.to_bytes(8, sys.byteorder)
+        ids.append(utterance.id)
+        yield utterance
+    if len(set(ids)) < len(ids):
+        raise _duplicate_id_error(starts, ids)
+
+
+def _blocks(pieces: Iterable[str], options: FormatOptions) -> Iterator[tuple[int, Utterance]]:
+    """``(first line, utterance)`` of each block of the text ``pieces`` make, in text order."""
     width = max(options.token_col, options.tag_col) + 1
     written = _written_pattern(options.token_col, options.tag_col)
     shared: dict[str, str] = {}  # one object per distinct token, tag, intent and variety
     share = shared.setdefault
-    utterances: list[Utterance] = []
-    # each utterance's first line, for a duplicate id's error: 8 bytes each, where
-    # a list of ints takes about 40
-    starts = bytearray()
+    index = 0  # of the next utterance, its id when its block has no ``# id:`` comment
     heads: list[str] = []  # the open block's comment lines
     tokens: list[str] = []
     tags: list[str] = []
@@ -291,17 +310,17 @@ def _parse_pieces(pieces: Iterable[str], options: FormatOptions, name: str) -> D
     for chunk in _chunks(_lf(pieces)):
         # a chunk runs up to and including the first of two line breaks in a
         # row, so its last line is the blank line that ends the open block
-        utterance = _written_block(chunk, lineno + 1, len(utterances), options, written, shared)
+        utterance = _written_block(chunk, lineno + 1, index, options, written, shared)
         if utterance is not None:
-            starts += (lineno + 1).to_bytes(8, sys.byteorder)
-            utterances.append(utterance)
+            yield lineno + 1, utterance
+            index += 1
             lineno += chunk.count("\n") + 1
             continue
         for lineno, line in enumerate(chunk.split("\n"), lineno + 1):
             if not line.strip():
                 if first:
-                    starts += first.to_bytes(8, sys.byteorder)
-                    utterances.append(_utterance(heads, tokens, tags, first, len(utterances), options, shared))
+                    yield first, _utterance(heads, tokens, tags, first, index, options, shared)
+                    index += 1
                     heads, tokens, tags, first = [], [], [], 0
                 continue
             first = first or lineno
@@ -318,12 +337,7 @@ def _parse_pieces(pieces: Iterable[str], options: FormatOptions, name: str) -> D
             tokens.append(share(token, token))
             tags.append(share(tag, tag))
     if first:
-        starts += first.to_bytes(8, sys.byteorder)
-        utterances.append(_utterance(heads, tokens, tags, first, len(utterances), options, shared))
-    try:
-        return Dataset(name=name, utterances=tuple(utterances))
-    except ValueError as exc:
-        raise _duplicate_id_error(starts, utterances) from exc
+        yield first, _utterance(heads, tokens, tags, first, index, options, shared)
 
 
 def _chunks(pieces: Iterable[str]) -> Iterator[str]:
@@ -418,16 +432,17 @@ def _utterance(
         raise ParseError(f"block at line {first_lineno}: {exc}") from exc
 
 
-def _duplicate_id_error(starts: bytearray, utterances: list[Utterance]) -> ParseError:
+def _duplicate_id_error(starts: bytearray, ids: list[str]) -> ParseError:
     """The error naming the first lines of the first block whose id an earlier
-    block used and of that block; ``starts`` holds each block's first line."""
+    block used and of that block; ``starts`` holds each block's first line
+    and ``ids`` its id."""
     first_lines = memoryview(starts).cast("Q")
     first_use: dict[str, int] = {}
-    for later, utterance in enumerate(utterances):
-        if (earlier := first_use.setdefault(utterance.id, later)) != later:
+    for later, id in enumerate(ids):
+        if (earlier := first_use.setdefault(id, later)) != later:
             break
     return ParseError(
-        f"line {first_lines[later]}: duplicate utterance id {utterance.id!r} "
+        f"line {first_lines[later]}: duplicate utterance id {id!r} "
         f"(first used by the block at line {first_lines[earlier]})"
     )
 
@@ -525,23 +540,51 @@ def load_dataset(
     path = Path(path)
     name = name if name is not None else path.stem
     store = _active_store.get()
-    if store is not None:
-        stored = store.get(path, options)
-        if stored is not None:
-            return Dataset(name=name, utterances=stored.utterances)
-    # of the bytes parsed, which the file may no longer hold
-    digest = None if store is None else new_sha256()
-    with _read_pieces(path, digest) as pieces:
-        texts = _corpus_text(pieces)
-        try:
-            dataset = _parse_pieces(texts, options, name)
-        except ParseError:
-            for _ in texts:  # a byte that is not UTF-8 further on is the error to name
-                pass
-            raise
+    stored = None if store is None else store.get(path, options)
+    if stored is not None:
+        return Dataset(name=name, utterances=stored.utterances)
+    digest = None if store is None else new_sha256()  # of the bytes parsed, which the file may no longer hold
+    dataset = Dataset(name=name, utterances=tuple(_read_utterances(path, options, digest)))
     if store is not None:
         store.put(path, digest.hexdigest(), options, dataset)
     return dataset
+
+
+class DatasetStream:
+    """The utterances of the corpus file ``path`` as :func:`load_dataset`
+    reads them, each yielded as soon as its block is parsed, so no dataset is
+    built or kept; ``name`` is the file's stem unless given.
+
+    Each iteration reads the file again. Inside a :class:`DatasetStore`
+    scope, a file the store would serve to ``load_dataset`` is iterated from
+    the stored dataset and not read, and a file that is read is not stored.
+    A :class:`ParseError` names the file and is raised when the iteration
+    reaches it; a duplicate id's, once the file ends.
+    """
+
+    def __init__(self, path: str | Path, options: FormatOptions = DEFAULT_FORMAT, name: str | None = None) -> None:
+        self.path = Path(path)
+        self.options = options
+        self.name = self.path.stem if name is None else name
+
+    def __iter__(self) -> Iterator[Utterance]:
+        store = _active_store.get()
+        stored = None if store is None else store.get(self.path, self.options)
+        return iter(stored.utterances) if stored is not None else _read_utterances(self.path, self.options)
+
+
+def _read_utterances(path: Path, options: FormatOptions, digest=None) -> Iterator[Utterance]:
+    """The utterances of the file ``path``, each piece of its bytes fed to
+    ``digest`` when given; a byte that is not UTF-8 further on in the file is
+    the error named rather than a ParseError before it."""
+    with _read_pieces(path, digest) as pieces:
+        texts = _corpus_text(pieces)
+        try:
+            yield from _parse_pieces(texts, options)
+        except ParseError:
+            for _ in texts:
+                pass
+            raise
 
 
 def _corpus_text(pieces: Iterable[bytes]) -> Iterator[str]:

@@ -17,7 +17,10 @@ left-to-right sweep over start-sorted spans; the modes differ only in which
 pairs of spans match. A side whose spans are already start-sorted and
 disjoint, as extracted spans always are, is checked in one linear pass and
 not sorted again. :func:`evaluate` extracts every utterance once and
-matches it once per scored mode. Its :class:`EvalReport` is the
+matches it once per scored mode. It reads the predictions once, from a
+Dataset or from any iterable of utterances (``corpus.DatasetStream``
+parses a file as it is iterated), and keeps of each prediction only its
+spans and intent hit, beside the gold dataset. Its :class:`EvalReport` is the
 :class:`GroupScores` of the whole corpus plus, when grouped, one per group;
 each holds one PRF per scored mode in ``spans``, and group counts sum to the
 overall counts. Input errors raise EvalError, a ValueError.
@@ -168,25 +171,6 @@ def span_f1(
     return PRF(matched=matched, predicted=predicted, gold=gold)
 
 
-def _aligned_pairs(gold: Dataset, pred: Dataset) -> list[tuple]:
-    if len(gold) == 0:
-        raise AlignmentError("cannot evaluate an empty dataset")
-    if len(gold) != len(pred):
-        raise AlignmentError(f"gold has {len(gold)} utterances, pred has {len(pred)}")
-    pred_by_id = pred.by_id()
-    pairs = []
-    for g in gold.utterances:
-        p = pred_by_id.get(g.id)
-        if p is None:
-            raise AlignmentError(f"utterance id {g.id!r} missing from predictions")
-        if len(p) != len(g):
-            raise AlignmentError(
-                f"utterance {g.id!r}: gold has {len(g)} tokens, pred has {len(p)}"
-            )
-        pairs.append((g, p))
-    return pairs
-
-
 @dataclass(frozen=True)
 class GroupScores:
     """Scores over one slice of the corpus (a dialect group, or everything)."""
@@ -225,56 +209,108 @@ class EvalReport(GroupScores):
         return [header, row("all", self), *(row(group, scores) for group, scores in groups)]
 
 
-def _spans(where: str, utterances: Iterable[Utterance], repair: RepairPolicy) -> list[list[Span]]:
-    """Each utterance's spans; a BioFormatError is raised again naming ``where`` and the utterance."""
-    spans = []
-    for utt in utterances:
-        try:
-            spans.append(extract_spans(utt.slot_tags, repair))
-        except BioFormatError as exc:
-            exc.violation = replace(exc.violation, utterance_id=utt.id)
-            exc.args = (f"{where}, utterance {utt.id!r}: {exc}",)
-            raise
-    return spans
+def _spans(where: str, utterance: Utterance, repair: RepairPolicy) -> tuple[Span, ...]:
+    """The utterance's spans, as a tuple, which takes half the memory of a short list and none
+    when empty; a BioFormatError is raised again naming ``where`` and the utterance."""
+    try:
+        return tuple(extract_spans(utterance.slot_tags, repair))
+    except BioFormatError as exc:
+        exc.violation = replace(exc.violation, utterance_id=utterance.id)
+        exc.args = (f"{where}, utterance {utterance.id!r}: {exc}",)
+        raise
 
 
 def evaluate(
     gold: Dataset,
-    pred: Dataset,
+    pred: Dataset | Iterable[Utterance],
     repair: RepairPolicy = "lenient",
     group_by: Literal["none", "variety"] = "none",
     modes: Sequence[MatchMode] = MODES,
 ) -> EvalReport:
     """Full report: intent accuracy plus one span PRF for each of ``modes``.
 
-    Each group runs one :func:`span_f1` pass per mode in ``modes`` and no
-    other. The default repair policy is lenient so that predictions
-    containing stray I-tags are scored rather than rejected. Grouping uses
-    the gold utterance's variety; utterances without one, or with an empty
-    one, land in the "unknown" group.
+    ``pred`` is a Dataset or any iterable of utterances, such as a
+    ``corpus.DatasetStream``, and is read once: of each prediction only its
+    spans and whether its intent is right are kept, so the predictions are
+    never held. Each group runs one :func:`span_f1` pass per mode in
+    ``modes`` and no other. The default repair policy is lenient so that
+    predictions containing stray I-tags are scored rather than rejected.
+    Grouping uses the gold utterance's variety; utterances without one, or
+    with an empty one, land in the "unknown" group, and groups keep the
+    order in which gold first names them.
+
+    Errors wait until ``pred`` is read to its end, so the one raised does
+    not depend on the order of the predictions. First comes an error of
+    the iteration itself (a ParseError); then an AlignmentError: an id that
+    ``pred`` repeats, an empty ``gold``, unequal counts, and the first gold
+    utterance, in gold order, whose prediction is missing or has another
+    token count; then, under strict repair, the first gold BIO violation
+    and the first predicted one, in gold order. An error names the
+    predictions by ``pred.name``, or ``''`` when ``pred`` has no name.
     """
     if group_by not in ("none", "variety"):
         raise ValueError(f"unknown group_by {group_by!r}")
-    pairs = _aligned_pairs(gold, pred)
-    gold_spans = _spans(f"gold dataset {gold.name!r}", (g for g, _ in pairs), repair)
-    pred_spans = _spans(f"predicted dataset {pred.name!r}", (p for _, p in pairs), repair)
-    hits = [g.intent == p.intent for g, p in pairs]
+    index = {g.id: i for i, g in enumerate(gold.utterances)}
+    # per gold utterance: its prediction's spans or strict-repair error, or its token count if it differs
+    found: list = [None] * len(gold)
+    hits = bytearray(len(gold))
+    pred_name = f"predicted dataset {getattr(pred, 'name', '')!r}"
+    count, repeated, extra = 0, None, set()
+    for p in pred:
+        count += 1
+        i = index.get(p.id)
+        if i is None or found[i] is not None:
+            if repeated is None and (i is not None or p.id in extra):
+                repeated = p.id
+            if i is None:
+                extra.add(p.id)
+            continue
+        g = gold.utterances[i]
+        if len(p) != len(g):
+            found[i] = len(p)
+            continue
+        try:
+            found[i] = _spans(pred_name, p, repair)
+        except BioFormatError as exc:
+            found[i] = exc
+        hits[i] = g.intent == p.intent
 
-    buckets: dict[str, list[int]] = {}
-    for i, (g, _) in enumerate(pairs):
+    if repeated is not None:
+        raise AlignmentError(f"utterance id {repeated!r} occurs more than once in the predictions")
+    if len(gold) == 0:
+        raise AlignmentError("cannot evaluate an empty dataset")
+    if len(gold) != count:
+        raise AlignmentError(f"gold has {len(gold)} utterances, pred has {count}")
+    for g, spans in zip(gold.utterances, found):
+        if spans is None:
+            raise AlignmentError(f"utterance id {g.id!r} missing from predictions")
+        if isinstance(spans, int):
+            raise AlignmentError(f"utterance {g.id!r}: gold has {len(g)} tokens, pred has {spans}")
+    # per group, pair by pair in gold order: the gold spans, the predicted spans and the intent hits
+    buckets: dict[str, tuple[list, list, bytearray]] = {}
+    gold_name = f"gold dataset {gold.name!r}"
+    for g, spans, hit in zip(gold.utterances, found, hits):
         key = "all" if group_by == "none" else g.variety or "unknown"
-        buckets.setdefault(key, []).append(i)
-    groups = {}
-    for key, members in buckets.items():
-        golds, preds = [gold_spans[i] for i in members], [pred_spans[i] for i in members]
-        groups[key] = GroupScores(
-            utterance_count=len(members),
-            intent_accuracy=sum(hits[i] for i in members) / len(members),
+        bucket = buckets.get(key)
+        if bucket is None:
+            bucket = buckets[key] = ([], [], bytearray())
+        bucket[0].append(_spans(gold_name, g, repair))
+        bucket[1].append(spans)
+        bucket[2].append(hit)
+    error = next((spans for spans in found if isinstance(spans, BioFormatError)), None)
+    if error is not None:
+        raise error
+    groups = {
+        key: GroupScores(
+            utterance_count=len(group_hits),
+            intent_accuracy=sum(group_hits) / len(group_hits),
             spans={mode: span_f1(golds, preds, mode) for mode in modes},
         )
+        for key, (golds, preds, group_hits) in buckets.items()
+    }
     zero = PRF(0, 0, 0)
     return EvalReport(
-        utterance_count=len(pairs),
+        utterance_count=len(gold),
         intent_accuracy=sum(hits) / len(hits),
         spans={mode: sum((s.spans[mode] for s in groups.values()), zero) for mode in modes},
         per_group=groups if group_by == "variety" else {},

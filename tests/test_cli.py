@@ -594,6 +594,67 @@ def test_evaluate_strict_repair_names_side_dataset_and_utterance(tmp_path, capsy
     )
 
 
+EVAL_GOLD = "# id: a\n# intent: x\nin\tO\noslo\tB-loc\n\n# id: b\n# intent: x\nnå\tO\n"
+
+
+@pytest.mark.parametrize("pred_text, message", [
+    # a is a token short of gold, then b's token line has one column
+    ("# id: a\n# intent: x\nin\tO\n\n# id: b\n# intent: x\nnå\n",
+     "line 7: expected at least 2 tab-separated columns, got 1: 'nå'"),
+    ("# id: a\n# intent: x\nin\tO\noslo\tB-loc\n\n# id: a\n# intent: x\nnå\tO\n",
+     "line 6: duplicate utterance id 'a' (first used by the block at line 1)"),
+], ids=["misaligned then malformed", "duplicate id"])
+def test_evaluate_names_the_parse_error_of_streamed_predictions(tmp_path, capsys, pred_text, message):
+    gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+    gold.write_text(EVAL_GOLD, encoding="utf-8")
+    pred.write_text(pred_text, encoding="utf-8")
+    argv = ["evaluate", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path / "e.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"sidkit: error: {pred}: {message}\n"
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_evaluate_and_parse_check_peak_below_holding_the_predictions(tmp_path, monkeypatch):
+    import gc
+    import random
+    import tracemalloc
+
+    from conftest import load_bench
+
+    inputs = load_bench("inputs")  # a gold/pred pair as the score benchmark makes one, at a quarter of its size
+    rng = random.Random("score:1")
+    gold = inputs.make_corpus(inputs.Language(rng), rng, inputs.SCORE_UTTERANCES // 4)
+    (tmp_path / "gold.conll").write_text(inputs.conll(gold), encoding="utf-8")
+    (tmp_path / "pred.conll").write_text(inputs.conll([inputs.perturb(u, rng) for u in gold]), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    evaluate = ["evaluate", "--gold", "gold.conll", "--pred", "pred.conll", "--group-by", "variety",
+                "--out", "eval.json"]
+    check = ["parse-check", "--in", "pred.conll", "--out", "check.json"]
+
+    def traced(run):
+        """What ``run()``'s result keeps, and the peak while it ran (tracemalloc)."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run()
+            gc.collect()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        return kept, peak
+
+    assert (main(evaluate), main(check)) == (0, 1)  # imports and the tag and span caches warmed
+    held_gold = traced(lambda: load_dataset("gold.conll"))[0]
+    held_pred = traced(lambda: load_dataset("pred.conll"))[0]
+    assert held_pred > 0.5e6
+    # beside the gold dataset, evaluate keeps spans and tallies; parse-check keeps the violations
+    evaluate_peak = traced(lambda: main(evaluate))[1]
+    assert evaluate_peak - held_gold < held_pred, (evaluate_peak - held_gold, held_pred)
+    check_peak = traced(lambda: main(check))[1]
+    assert check_peak < held_pred, (check_peak, held_pred)
+
+
 def test_evaluate_mode_choices_are_the_match_modes():
     from typing import get_args
 

@@ -1236,6 +1236,21 @@ def test_utterance_is_slotted_and_round_trips():
         dataclasses.replace(utt, tokens=("a b", "c"))
 
 
+def test_bio_violation_is_slotted_and_round_trips():
+    (violation,) = validate_bio(Utterance("7", ("vekk", "mæ"), ("O", "I-x"), "alarm/set"))
+    same = BioViolation("7", 1, "I-without-B", "I-x not preceded by B/I tag")
+    assert violation == same and hash(violation) == hash(same)
+    assert violation != dataclasses.replace(same, position=0)
+    with pytest.raises(TypeError):
+        vars(violation)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        violation.position = 0
+    for copied in (pickle.loads(pickle.dumps(violation)), copy.copy(violation), copy.deepcopy(violation)):
+        assert copied == violation and hash(copied) == hash(violation)
+    moved = dataclasses.replace(violation, utterance_id="8")
+    assert (moved.utterance_id, moved.position, moved.kind, moved.detail) == ("8", 1, "I-without-B", same.detail)
+
+
 def test_span_sorts_and_hashes_as_its_field_tuple():
     fields = [(2, 3, "b"), (0, 4, "a"), (0, 2, "b"), (0, 2, "a"), (1, 2, "a")]
     spans = [Span(*f) for f in fields]

@@ -3,11 +3,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_bio_tags, random_corpus
 from sidkit.corpus import (
     BioFormatError,
     Dataset,
+    ParseError,
     Span,
     Utterance,
     extract_spans,
@@ -469,3 +472,119 @@ def test_report_serialization_round_trip():
     rows = report.tsv_rows()
     assert rows[0][0] == "group"
     assert len(rows) == 3  # header, all, north
+
+
+# ---------------------------------------------------------------------------
+# Predictions read as a stream
+# ---------------------------------------------------------------------------
+
+STREAM_TAGS = ("O", "B-a", "I-a", "B-b", "I-b", "a")  # I-a after O and the bare "a" break BIO
+
+
+@st.composite
+def scored_pairs(draw):
+    """A gold dataset and predictions that may be shuffled, miss an id, hold an
+    extra id, differ in token count or break BIO on either side."""
+    rarely = st.sampled_from([False, False, False, True])
+
+    def side():  # the tags one side draws from: B-X and O alone never break BIO
+        return draw(st.sampled_from([STREAM_TAGS, ("O", "B-a", "B-b")]))
+
+    def utterance(id, n, tags, variety=None):
+        drawn = draw(st.lists(st.sampled_from(tags), min_size=n, max_size=n))
+        return Utterance(id, ("t",) * n, tuple(drawn), draw(st.sampled_from(["a", "b"])), variety)
+
+    gold_tags, pred_tags = side(), side()
+    gold = [
+        utterance(str(i), draw(st.integers(1, 4)), gold_tags, draw(st.sampled_from([None, "", "north", "west"])))
+        for i in range(draw(st.integers(0, 6)))
+    ]
+    pred = [utterance(g.id, len(g) + draw(st.sampled_from([0] * 11 + [1])), pred_tags) for g in gold]
+    if pred and draw(rarely):
+        del pred[draw(st.integers(0, len(pred) - 1))]
+    if draw(rarely):
+        pred.append(utterance("extra", draw(st.integers(1, 4)), pred_tags))
+    # an iterable has no name, so the messages name it as a dataset named ""
+    return Dataset("gold", tuple(gold)), Dataset("", tuple(draw(st.permutations(pred))))
+
+
+def _outcome(gold, pred, **options):
+    """The report with its group and mode order, or the error's class and message."""
+    try:
+        report = evaluate(gold, pred, **options)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return report, list(report.per_group), list(report.spans)
+
+
+@given(
+    scored_pairs(),
+    st.sampled_from(["lenient", "strict"]),
+    st.sampled_from(["none", "variety"]),
+    st.sampled_from([MODES, ALL_MODES, ("loose-unlabelled", "strict")]),
+)
+@settings(max_examples=300)
+def test_a_stream_of_predictions_scores_as_the_dataset(pair, repair, group_by, modes):
+    gold, pred = pair
+    options = {"repair": repair, "group_by": group_by, "modes": modes}
+    held = _outcome(gold, pred, **options)
+    assert _outcome(gold, iter(pred.utterances), **options) == held
+    # errors wait for the end of the stream, so the order of the predictions does not matter
+    assert _outcome(gold, reversed(pred.utterances), **options) == held
+
+
+def test_an_iterable_that_repeats_an_id_raises_naming_it():
+    gold = Dataset(name="g", utterances=(_utt(0, "a"), _utt(1, "b")))
+    repeated = "^utterance id '{}' occurs more than once in the predictions$"
+    with pytest.raises(AlignmentError, match=repeated.format(0)):
+        evaluate(gold, iter([_utt(0, "a"), _utt(0, "a")]))
+    with pytest.raises(AlignmentError, match=repeated.format(9)):
+        evaluate(gold, [_utt(0, "a"), _utt(1, "b"), _utt(9, "a"), _utt(9, "a")])
+    with pytest.raises(AlignmentError, match=repeated.format(1)):  # before the empty gold and the count
+        evaluate(Dataset(name="g", utterances=()), [_utt(1, "a"), _utt(1, "a"), _utt(2, "a")])
+
+
+def test_an_error_of_the_stream_comes_before_every_alignment_error():
+    gold = Dataset(name="g", utterances=(_utt(0, "a", tags=("B-x", "I-y")), _utt(1, "b")))
+
+    def broken():
+        yield _utt(0, "a", tags=("O", "O"))  # another token count
+        yield _utt(0, "a")  # a repeated id
+        raise ParseError("line 9: expected at least 2 tab-separated columns, got 1: 'x'")
+
+    with pytest.raises(ParseError, match="^line 9: "):
+        evaluate(gold, broken(), repair="strict")
+
+
+def test_errors_keep_their_order_whatever_the_prediction_order():
+    gold = Dataset(name="g", utterances=(
+        _utt(0, "a"), _utt(1, "a", tags=("I-x",)), _utt(2, "a", tags=("O", "O")), _utt(3, "a"),
+    ))
+    pred = [_utt(3, "a", tags=("I-y",)), _utt(2, "a", tags=("O",)), _utt(1, "a"), _utt(0, "a")]
+    # the first gold utterance, in gold order, whose prediction has another token count
+    with pytest.raises(AlignmentError, match="^utterance '2': gold has 2 tokens, pred has 1$"):
+        evaluate(gold, iter(pred), repair="strict")
+    pred[1] = _utt(2, "a", tags=("O", "O"))
+    # then the first gold BIO violation, then the first predicted one
+    with pytest.raises(BioFormatError, match="^gold dataset 'g', utterance '1': "):
+        evaluate(gold, iter(pred), repair="strict")
+    gold = Dataset(name="g", utterances=tuple(u if u.id != "1" else _utt(1, "a") for u in gold))
+    with pytest.raises(BioFormatError, match="^predicted dataset '', utterance '3': ") as exc:
+        evaluate(gold, iter(pred), repair="strict")
+    assert exc.value.violation.utterance_id == "3"
+    assert evaluate(gold, iter(pred)).utterance_count == 4
+
+
+def test_predictions_are_read_once():
+    gold, pred = _gold_and_noisy_pred(41, size=12)
+    reads = []
+
+    class Once:
+        name = "pred"
+
+        def __iter__(self):
+            reads.append(None)
+            return iter(pred.utterances)
+
+    assert evaluate(gold, Once(), group_by="variety") == evaluate(gold, pred, group_by="variety")
+    assert len(reads) == 1

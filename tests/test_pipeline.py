@@ -559,6 +559,47 @@ def test_steps_reuse_corpora_and_match_separate_command_lines(tmp_path, monkeypa
         assert (run / name).read_bytes() == (alone / name).read_bytes(), name
 
 
+PRED_STEPS = [
+    {"command": "noise", "args": {"in": "corpus.conll", "out": "noised.conll", "fraction": 0.5,
+                                  "alphabet-from": "alpha.txt", "seed": 4}},
+    {"command": "evaluate", "args": {"gold": "corpus.conll", "pred": "noised.conll", "out": "held.json"}},
+    {"command": "evaluate", "args": {"gold": "corpus.conll", "pred": "other.conll", "group-by": "variety",
+                                     "out": "streamed.json"}},
+    {"command": "parse-check", "args": {"in": "other.conll", "out": "check.json"}},
+]
+
+
+def test_a_streamed_prediction_file_is_served_when_held_and_never_stored(tmp_path, monkeypatch):
+    run, alone = tmp_path / "run", tmp_path / "alone"
+    for path in (run, alone):
+        _store_inputs(path)
+        (path / "other.conll").write_text(CORPUS.replace("alarm/set", "weather/find"), encoding="utf-8")
+    monkeypatch.chdir(alone)
+    for i, step in enumerate(PRED_STEPS):
+        assert main(_step_argv(i, step, build_parser().commands)) == 0
+
+    reads, held = [], []
+    read, step_main = corpus._read_utterances, cli.main
+    monkeypatch.setattr(corpus, "_read_utterances",
+                        lambda path, *a: reads.append(os.path.basename(path)) or read(path, *a))
+    monkeypatch.setattr(cli, "main", lambda argv, args=None: held.append(sorted(
+        os.path.basename(p) for p in _active_store()._entries)) or step_main(argv, args))
+    monkeypatch.chdir(run)
+    assert run_pipeline(write_config(run, PRED_STEPS), run / "manifest.json") == 0
+
+    # corpus.conll is parsed once, by noise; noised.conll, which noise wrote, is streamed from the
+    # store; other.conll, which the store does not hold, is parsed by each stream and never stored
+    assert reads == ["corpus.conll", "other.conll", "other.conll"]
+    assert held == [[], ["corpus.conll", "noised.conll"], ["corpus.conll"], []]
+    for name in os.listdir(alone):
+        assert (run / name).read_bytes() == (alone / name).read_bytes(), name
+    steps = json.loads((run / "manifest.json").read_text(encoding="utf-8"))["steps"]
+    assert [step["status"] for step in steps] == ["ok"] * len(PRED_STEPS)
+    for step in steps:
+        for name, digest in {**step["inputs"], **step["outputs"]}.items():
+            assert digest == sha256_file(alone / name), name
+
+
 def test_a_run_parses_each_step_once_and_runs_the_namespace_it_checked(tmp_path, monkeypatch):
     _store_inputs(tmp_path / "run")
     monkeypatch.chdir(tmp_path / "run")
