@@ -553,7 +553,7 @@ def load_dataset(
 class DatasetStream:
     """The utterances of the corpus file ``path`` as :func:`load_dataset`
     reads them, each yielded as soon as its block is parsed, so no dataset is
-    built or kept; ``name`` is the file's stem unless given.
+    built or kept; ``name`` is the file's stem, as ``load_dataset`` names it.
 
     Each iteration reads the file again. Inside a :class:`DatasetStore`
     scope, a file the store would serve to ``load_dataset`` is iterated from
@@ -562,10 +562,10 @@ class DatasetStream:
     reaches it; a duplicate id's, once the file ends.
     """
 
-    def __init__(self, path: str | Path, options: FormatOptions = DEFAULT_FORMAT, name: str | None = None) -> None:
+    def __init__(self, path: str | Path, options: FormatOptions = DEFAULT_FORMAT) -> None:
         self.path = Path(path)
         self.options = options
-        self.name = self.path.stem if name is None else name
+        self.name = self.path.stem
 
     def __iter__(self) -> Iterator[Utterance]:
         store = _active_store.get()
