@@ -17,15 +17,19 @@ tab-separated with a configurable column map (default: column 0 = token,
 column 1 = slot tag). Malformed slot tags are kept verbatim by the parser;
 ``validate_bio`` reports them.
 
-A block written as ``write_dataset`` writes it is read by one pattern match
-and built without checking again what the match proved; any other block is
-read line by line with every check. ``Utterance(...)`` always checks.
+The parser scans each piece of the text for blocks as ``write_dataset``
+writes them: where a block may start, one pattern match reads the block and
+the empty line after it in place, its comments too when they come in the
+written order, and the utterance is built without checking again what the
+match proved. Where the pattern does not match, the text up to the next
+empty line is read line by line with every check, and the scan resumes
+after it. ``Utterance(...)`` always checks.
 
 A load reads the file through ``files``' one reader, a piece at a time,
-and parses the chunks of each piece before it reads the next. One parse
-loop yields each utterance as its block is read: ``load_dataset`` keeps
-them all, and a :class:`DatasetStream` hands them on one at a time and
-keeps none.
+and parses each piece before it reads the next. One parse loop yields each
+utterance as its block is read: ``load_dataset`` keeps them all, and a
+:class:`DatasetStream` hands them on one at a time, keeps none and shares
+no strings between them.
 
 Inside a :class:`DatasetStore` scope (a pipeline run holds one),
 ``load_dataset`` and ``save_dataset`` keep the datasets they parse or write,
@@ -268,26 +272,28 @@ def parse_dataset(source: str, options: FormatOptions = DEFAULT_FORMAT, name: st
     return Dataset(name, tuple(_parse_pieces((source,), options)))
 
 
-def _parse_pieces(pieces: Iterable[str], options: FormatOptions) -> Iterator[Utterance]:
+def _parse_pieces(
+    pieces: Iterable[str], options: FormatOptions, share_strings: bool = True
+) -> Iterator[Utterance]:
     """The utterances of the text ``pieces`` make when joined, each yielded
     as soon as its block is read: the one parse loop, which
     :func:`parse_dataset`, :func:`load_dataset` and :class:`DatasetStream` share.
 
-    Each line is read once: ``_chunks`` cuts the text one chunk between
-    empty lines at a time, so only the lines of the current chunk and one
-    piece are held, never the whole text or a list of its lines. A chunk
-    that is one written block is checked by one ``_written_block`` match;
-    any other is read line by line. Either way ``_utterance`` reads the
-    comments and builds the utterance. Equal tokens, slot tags, intents and
-    varieties are one shared string object across the whole text. An id
-    that an earlier block used raises ParseError once the text ends, so an
-    error further on is the one raised.
+    Each line is read once, and only the current piece and the open block
+    are held, never the whole text or a list of its lines. Equal tokens,
+    slot tags, intents and varieties are one shared string object across
+    the whole text when ``share_strings`` is true; a stream shares none, so
+    it keeps no table that grows with the text. An id that an earlier block
+    used raises ParseError once the text ends, so an error further on is the
+    one raised.
     """
     ids: list[str] = []
     # each utterance's first line, for a duplicate id's error: 8 bytes each, where
     # a list of ints takes about 40
     starts = bytearray()
-    for first, utterance in _blocks(pieces, options):
+    # one object per distinct token, tag, intent and variety
+    share = {}.setdefault if share_strings else _same
+    for first, utterance in _blocks(pieces, options, share):
         starts += first.to_bytes(8, sys.byteorder)
         ids.append(utterance.id)
         yield utterance
@@ -295,31 +301,41 @@ def _parse_pieces(pieces: Iterable[str], options: FormatOptions) -> Iterator[Utt
         raise _duplicate_id_error(starts, ids)
 
 
-def _blocks(pieces: Iterable[str], options: FormatOptions) -> Iterator[tuple[int, Utterance]]:
-    """``(first line, utterance)`` of each block of the text ``pieces`` make, in text order."""
+def _same(key: str, value: str) -> str:
+    """``dict.setdefault``'s call, for a parse that shares no strings."""
+    return value
+
+
+def _blocks(
+    pieces: Iterable[str], options: FormatOptions, share: Callable[[str, str], str]
+) -> Iterator[tuple[int, Utterance]]:
+    """``(first line, utterance)`` of each block of the text ``pieces`` make,
+    in text order, each of its strings passed through ``share``.
+
+    ``_stretches`` hands over each block ``write_dataset`` could have written
+    as the match of ``_written_pattern`` in its piece, which ``_written_block``
+    builds, and the rest of the text as chunks, read here line by line.
+    """
     width = max(options.token_col, options.tag_col) + 1
-    written = _written_pattern(options.token_col, options.tag_col)
-    shared: dict[str, str] = {}  # one object per distinct token, tag, intent and variety
-    share = shared.setdefault
+    written = _written_pattern(options.token_col, options.tag_col).match
     index = 0  # of the next utterance, its id when its block has no ``# id:`` comment
     heads: list[str] = []  # the open block's comment lines
     tokens: list[str] = []
     tags: list[str] = []
     first = 0  # line number of the open block's first line; 0 while no block is open
-    lineno = 0
-    for chunk in _chunks(_lf(pieces)):
+    lineno = 0  # of the last line read
+    for stretch in _stretches(_lf(pieces), written):
+        if not isinstance(stretch, str):  # a written block and the blank line after it
+            yield lineno + 1, _written_block(stretch, lineno + 1, index, options, share)
+            index += 1
+            lineno += stretch.string.count("\n", stretch.start(), stretch.end())
+            continue
         # a chunk runs up to and including the first of two line breaks in a
         # row, so its last line is the blank line that ends the open block
-        utterance = _written_block(chunk, lineno + 1, index, options, written, shared)
-        if utterance is not None:
-            yield lineno + 1, utterance
-            index += 1
-            lineno += chunk.count("\n") + 1
-            continue
-        for lineno, line in enumerate(chunk.split("\n"), lineno + 1):
+        for lineno, line in enumerate(stretch.split("\n"), lineno + 1):
             if not line.strip():
                 if first:
-                    yield first, _utterance(heads, tokens, tags, first, index, options, shared)
+                    yield first, _utterance(heads, tokens, tags, first, index, options, share)
                     index += 1
                     heads, tokens, tags, first = [], [], [], 0
                 continue
@@ -337,60 +353,90 @@ def _blocks(pieces: Iterable[str], options: FormatOptions) -> Iterator[tuple[int
             tokens.append(share(token, token))
             tags.append(share(tag, tag))
     if first:
-        yield first, _utterance(heads, tokens, tags, first, index, options, shared)
+        yield first, _utterance(heads, tokens, tags, first, index, options, share)
 
 
-def _chunks(pieces: Iterable[str]) -> Iterator[str]:
-    """The text ``pieces`` make when joined, cut after the first of each two
-    line breaks in a row (the second is dropped), then what follows the last
-    such pair: the chunks a ``str.find("\\n\\n")`` walk over the joined text
-    cuts, holding no more than the open chunk and one piece."""
+def _stretches(
+    pieces: Iterable[str], written: Callable[[str, int], re.Match[str] | None]
+) -> Iterator[str | re.Match[str]]:
+    """The text ``pieces`` make when joined, in order, as the match
+    ``written`` finds in its piece where a block may start, or else as a
+    chunk: the text from there up to and including the first of the next
+    two line breaks in a row (the second is dropped), read on across pieces,
+    or to the end. A match runs up to and including the two line breaks that
+    end its block, so a block may start where a match or a chunk ends. Only
+    the open chunk and one piece are held."""
     held: list[str] = []  # the open chunk's text from earlier pieces
-    for piece in pieces:
+    for piece in filter(None, pieces):
         start = 0
-        if held and held[-1].endswith("\n") and piece.startswith("\n"):
-            yield "".join(held)
-            held, start = [], 1
-        while (stop := piece.find("\n\n", start)) >= 0:
-            held.append(piece[start : stop + 1])
+        if held:  # finish the open chunk first; its two line breaks may straddle the pieces
+            if held[-1].endswith("\n") and piece.startswith("\n"):
+                stop = -1
+            elif (stop := piece.find("\n\n")) < 0:
+                held.append(piece)
+                continue
+            held.append(piece[: stop + 1])
             yield "".join(held)
             held, start = [], stop + 2
+        while True:
+            if (match := written(piece, start)) is not None:
+                yield match
+                start = match.end()
+            elif (stop := piece.find("\n\n", start)) >= 0:
+                yield piece[start : stop + 1]
+                start = stop + 2
+            else:
+                break
         if start < len(piece):
             held.append(piece[start:])
     yield "".join(held)
 
 
+# The comments ``write_dataset`` writes, in its order; a group holds the text after each key's colon.
+_WRITTEN_COMMENTS = "# id:([^\n]*)\n(?:# text:([^\n]*)\n)?# intent:([^\n]*)\n(?:# variety:([^\n]*)\n)?"
+
+
 def _written_pattern(token_col: int, tag_col: int) -> re.Pattern[str]:
-    """A block as ``write_dataset`` writes it: ``# `` comment lines (group 1),
-    then token lines of exactly the written number of columns, a token
-    without whitespace, no tab or line break elsewhere and no line starting
-    ``# ``."""
+    """A block as ``write_dataset`` writes it, then the empty line after it:
+    the written comments (groups 1 to 4) or any ``# `` comment lines
+    (group 5), then token lines (group 6) of exactly the written number of
+    columns, a token without whitespace, no tab or line break elsewhere and
+    no line starting ``# ``."""
     columns = ["[^\t\n]*"] * (max(token_col, tag_col) + 1)
     columns[token_col] = r"\S+"
     columns[0] = "(?!# )" + columns[0]
     line = "\t".join(columns)
-    return re.compile(f"((?:# [^\n]*\n)*){line}(?:\n{line})*")  # re caches the compiled pattern
+    # re caches the compiled pattern
+    return re.compile(f"(?:{_WRITTEN_COMMENTS}|((?:# [^\n]*\n)*))({line}(?:\n{line})*)\n\n")
 
 
 def _written_block(
-    chunk: str, first_lineno: int, index: int, options: FormatOptions, written: re.Pattern[str],
-    shared: dict[str, str],
-) -> Utterance | None:
-    """The Utterance of ``chunk`` if ``written`` matches it whole, else None.
+    match: re.Match[str], first_lineno: int, index: int, options: FormatOptions,
+    share: Callable[[str, str], str],
+) -> Utterance:
+    """The Utterance of the block ``match`` (of ``_written_pattern``) holds.
     The match proves the token and tag checks of ``Utterance`` (``re``'s
     ``\\s`` is ``str.isspace``), each comment is one stripped line and
-    FormatOptions checked ``options.variety``, so nothing is checked again."""
-    match = written.fullmatch(chunk, 0, len(chunk) - chunk.endswith("\n"))
-    if match is None:
-        return None
-    share = shared.setdefault
-    cells = chunk[match.end(1) : match.end()].replace("\t", "\n").split("\n")
-    cells = tuple(map(share, cells, cells))
+    FormatOptions checked ``options.variety``, so nothing is checked again.
+    Comments in the written order are read from the match's groups; any
+    others by ``_utterance``."""
+    id, raw_text, intent, variety, heads, body = match.groups()
+    cells = body.replace("\t", "\n").split("\n")
+    cells = tuple(cells if share is _same else map(share, cells, cells))
     width = max(options.token_col, options.tag_col) + 1
-    return _utterance(
-        match[1].split("\n"), cells[options.token_col :: width], cells[options.tag_col :: width],
-        first_lineno, index, options, shared, _trusted_utterance,
-    )
+    tokens, tags = cells[options.token_col :: width], cells[options.tag_col :: width]
+    if heads is not None:
+        return _utterance(
+            heads.split("\n"), tokens, tags, first_lineno, index, options, share, _trusted_utterance
+        )
+    intent = intent.strip()
+    if variety is None:
+        variety = options.variety
+    else:
+        variety = variety.strip()
+        variety = share(variety, variety)
+    raw_text = raw_text if raw_text is None else raw_text.strip()
+    return _trusted_utterance(id.strip(), tokens, tags, share(intent, intent), variety, raw_text)
 
 
 def _utterance(
@@ -400,7 +446,7 @@ def _utterance(
     first_lineno: int,
     index: int,
     options: FormatOptions,
-    shared: dict[str, str],
+    share: Callable[[str, str], str],
     build: Callable[..., Utterance] = Utterance,
 ) -> Utterance:
     """The Utterance ``build`` makes of the block whose comment lines are
@@ -418,7 +464,6 @@ def _utterance(
             raise ParseError(f"block at line {first_lineno}: missing '# intent:' comment")
         intent = ""
     variety = comments.get("variety", options.variety)
-    share = shared.setdefault
     try:
         return build(
             comments["id"] if "id" in comments else str(index),
@@ -559,7 +604,8 @@ class DatasetStream:
     scope, a file the store would serve to ``load_dataset`` is iterated from
     the stored dataset and not read, and a file that is read is not stored.
     A :class:`ParseError` names the file and is raised when the iteration
-    reaches it; a duplicate id's, once the file ends.
+    reaches it; a duplicate id's, once the file ends. No string is shared
+    between the utterances read, so nothing grows with the file but its ids.
     """
 
     def __init__(self, path: str | Path, options: FormatOptions = DEFAULT_FORMAT) -> None:
@@ -570,17 +616,21 @@ class DatasetStream:
     def __iter__(self) -> Iterator[Utterance]:
         store = _active_store.get()
         stored = None if store is None else store.get(self.path, self.options)
-        return iter(stored.utterances) if stored is not None else _read_utterances(self.path, self.options)
+        if stored is not None:
+            return iter(stored.utterances)
+        return _read_utterances(self.path, self.options, None, False)  # no digest; no string shared
 
 
-def _read_utterances(path: Path, options: FormatOptions, digest=None) -> Iterator[Utterance]:
-    """The utterances of the file ``path``, each piece of its bytes fed to
-    ``digest`` when given; a byte that is not UTF-8 further on in the file is
-    the error named rather than a ParseError before it."""
+def _read_utterances(
+    path: Path, options: FormatOptions, digest=None, share_strings: bool = True
+) -> Iterator[Utterance]:
+    """``_parse_pieces`` over the file ``path``, each piece of its bytes fed
+    to ``digest`` when given; a byte that is not UTF-8 further on in the
+    file is the error named rather than a ParseError before it."""
     with _read_pieces(path, digest) as pieces:
         texts = _corpus_text(pieces)
         try:
-            yield from _parse_pieces(texts, options)
+            yield from _parse_pieces(texts, options, share_strings)
         except ParseError:
             for _ in texts:
                 pass

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +33,7 @@ def load_bench(name: str):
     """``bench/<name>.py`` loaded as module ``bench_<name>``, for tests that check sidkit against it."""
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up there
     spec.loader.exec_module(module)
     return module
 

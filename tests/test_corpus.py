@@ -21,6 +21,7 @@ from sidkit.corpus import (
     BioViolation,
     Dataset,
     DatasetStore,
+    DatasetStream,
     FormatOptions,
     ParseError,
     Span,
@@ -641,10 +642,10 @@ def whole_file_result(data):
         return str(exc)
 
 
-def _loaded(path):
-    """``load_dataset(path)``, or its ParseError's text without the file's name."""
+def _loaded(path, options=FormatOptions()):
+    """``load_dataset(path, options)``, or its ParseError's text without the file's name."""
     try:
-        return load_dataset(path, name="gen")
+        return load_dataset(path, options, name="gen")
     except ParseError as exc:
         assert str(exc).startswith(f"{path}: ")
         return str(exc).removeprefix(f"{path}: ")
@@ -703,7 +704,8 @@ def test_chunks_cut_pieces_where_a_walk_over_the_whole_text_cuts(text, cuts):
     cuts = sorted({min(cut, len(text)) for cut in cuts})
     pieces = [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])]
     parts = text.split("\n\n")
-    assert list(corpus._chunks(pieces)) == [part + "\n" for part in parts[:-1]] + parts[-1:]
+    never = lambda text, start: None  # noqa: E731
+    assert list(corpus._stretches(pieces, never)) == [part + "\n" for part in parts[:-1]] + parts[-1:]
 
 
 def test_the_store_keeps_the_digest_of_the_bytes_it_parsed(tmp_path):
@@ -922,7 +924,15 @@ def test_fast_path_parses_hostile_written_text_as_the_per_line_parser(document):
         assert parse_dataset(text, options, name="gen") == want
 
 
-corpus_written_block = corpus._written_block
+NEVER = re.compile("(?!)")
+
+
+def read_line_by_line(monkeypatch):
+    """Make the block pattern match nothing, so every block is read line by line."""
+    monkeypatch.setattr(corpus, "_written_pattern", lambda token_col, tag_col: NEVER)
+
+
+corpus_stretches = corpus._stretches
 
 
 @given(datasets().filter(len), format_options(), st.sampled_from(["", "\n"]))
@@ -935,15 +945,19 @@ def test_written_text_takes_only_the_fast_path(dataset, options, extra_end):
         ))
     read = []
 
-    def written_block(chunk, *args):
-        read.append((chunk, corpus_written_block(chunk, *args)))
-        return read[-1][1]
+    def stretches(*args):
+        for stretch in corpus_stretches(*args):
+            read.append(stretch)
+            yield stretch
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(corpus, "_written_block", written_block)
+        patch.setattr(corpus, "_stretches", stretches)
         assert parse_dataset(text, options, name="gen") == dataset
-    assert [chunk for chunk, utterance in read if utterance is None and chunk.strip()] == []
-    assert sum(utterance is not None for _, utterance in read) == len(dataset)
+    # every block is one pattern match but the last, which no empty line ends
+    # unless ``extra_end`` adds one, and which is then read line by line
+    chunks = [stretch for stretch in read if isinstance(stretch, str) and stretch]
+    assert chunks == ([] if extra_end else [text.split("\n\n")[-1]])
+    assert len(read) - len(chunks) == len(dataset) + (extra_end == "\n") - (extra_end == "")
 
 
 FIELDS = [field.name for field in dataclasses.fields(Utterance)]
@@ -979,7 +993,7 @@ def test_fast_path_dataset_takes_no_more_memory_than_checked_utterances(monkeypa
             tracemalloc.stop()
 
     fast, fast_bytes = retained()
-    monkeypatch.setattr(corpus, "_written_block", lambda *args: None)  # every block read line by line
+    read_line_by_line(monkeypatch)
     checked, checked_bytes = retained()
     assert fast == checked
     # Both keep the same strings and tuples, give or take one allocation's
@@ -994,16 +1008,110 @@ def test_a_written_block_without_intent_fails_as_read_line_by_line(options, monk
         Utterance(id="a", tokens=("x", "y"), slot_tags=("O", "B-s"), intent="i"),
         Utterance(id="b", tokens=("z",), slot_tags=("O",), intent="i", raw_text="z"),
     )]
-    text = "\n\n".join([blocks[0], blocks[1].replace("# intent: i\n", "")])
+    # the empty line after the last block lets the pattern read it
+    text = "\n\n".join([blocks[0], blocks[1].replace("# intent: i\n", ""), ""])
     first = len(blocks[0].split("\n")) + 2  # the second block's first line
     message = f"block at line {first}: missing '# intent:' comment"
     with pytest.raises(ParseError) as written:
         parse_dataset(text, options)
     assert any(entry.name == "_written_block" for entry in written.traceback)  # the fast path refused it
-    monkeypatch.setattr(corpus, "_written_block", lambda *args: None)  # every block read line by line
+    read_line_by_line(monkeypatch)
     with pytest.raises(ParseError) as line_by_line:
         parse_dataset(text, options)
     assert str(written.value) == str(line_by_line.value) == message
+
+
+SCAN_COMMENTS = ["# other: z", "# id: 9", "#  intent: y", "# intent:y ", "# text: ", "# variety:\x85x", "# "]
+SCAN_TOKENS = ["a", "bb", "ø", "a\x85b", "\ufeffa"]
+SCAN_TAGS = ["O", "B-x", "I-x", "", "x y", "# x"]
+
+
+@st.composite
+def scan_texts(draw):
+    """Format options and a text whose blocks the scan may or may not read:
+    comments in the written order, in another order or with extra or
+    unknown keys; token lines with the written columns or one more; blocks
+    ended by one empty line or by a run of blank and whitespace-only lines;
+    LF or CRLF line ends, perhaps behind a byte-order mark."""
+    options = draw(st.sampled_from(PARSE_OPTIONS))
+    width = max(options.token_col, options.tag_col) + 1
+    lines = []
+    for i in range(draw(st.integers(0, 5))):
+        comments = [f"# id: {draw(st.sampled_from(['1', '2', 'a b', str(i)]))}"]
+        if draw(st.booleans()):
+            comments.append(f"# text: {draw(st.sampled_from(['a', 'a  b', '']))}")
+        if draw(st.integers(0, 5)):
+            comments.append(f"# intent: {draw(st.sampled_from(['x', 'y/z', '']))}")
+        if draw(st.booleans()):
+            comments.append(f"# variety: {draw(st.sampled_from(['north', 'west']))}")
+        order = draw(st.sampled_from(["written", "written", "shuffled", "extra"]))
+        if order == "shuffled":
+            comments = draw(st.permutations(comments))
+        elif order == "extra":
+            at = draw(st.integers(0, len(comments)))
+            comments.insert(at, draw(st.sampled_from(SCAN_COMMENTS)))
+        tokens = []
+        for _ in range(draw(st.integers(1, 4))):
+            cols = ["_"] * width
+            cols[options.token_col] = draw(st.sampled_from(SCAN_TOKENS))
+            cols[options.tag_col] = draw(st.sampled_from(SCAN_TAGS))
+            tokens.append("\t".join(cols) + ("\tz" if draw(st.integers(0, 9)) == 0 else ""))
+        if i:
+            lines += [""] if draw(st.booleans()) else draw(blank_runs)
+        lines += comments + tokens
+    lines += draw(st.sampled_from([[], [""], [" "], ["", ""]]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return options, draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + end
+
+
+def _parsed(text, options):
+    """``parse_dataset(text, options)``, or its ParseError's text."""
+    try:
+        return parse_dataset(text, options, name="gen")
+    except ParseError as exc:
+        return str(exc)
+
+
+@given(scan_texts())
+@example((PARSE_OPTIONS[0], "# id: 1\n# intent: x\na\tO\n\n# intent: y\n# id: 2\nb\tO\n\n"))
+@example((PARSE_OPTIONS[0], "# id: 1\n# other: z\n# intent: x\na\tO\n\n \n\n# id: 2\n# intent: x\nb\tO\tz\n\n"))
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_scan_reads_as_the_line_by_line_path_alone(tmp_path, document):
+    options, text = document
+    with pytest.MonkeyPatch.context() as patch:
+        read_line_by_line(patch)
+        want = _parsed(text, options)
+    assert _parsed(text, options) == want
+    path = tmp_path / "gen.conll"
+    path.write_bytes(text.encode("utf-8"))
+    for size in (1, 7, 64, 1 << 16):
+        with mock.patch.object(files, "_PIECE_SIZE", size):
+            assert _loaded(path, options) == want, size
+
+
+SCANNED = "# id: 1\n# intent: x\na\tO\n\n# id: 2\n# text: b c\n# intent: x\nb\tO\nc\tB-y\n\n"  # 10 lines
+
+
+@pytest.mark.parametrize("tail, message", [
+    ("# id: 3\n# intent: x\nd\tO\nragged\n", "line 14: expected at least 2 tab-separated columns, got 1: 'ragged'"),
+    ("# id: 3\n# text: d\nd\tO\n\n", "block at line 11: missing '# intent:' comment"),
+    ("# id: 2\n# intent: x\nd\tO\n", "line 11: duplicate utterance id '2' (first used by the block at line 5)"),
+    ("\n \n# id: 2\n# intent: x\nd\tO\n\n", "line 13: duplicate utterance id '2' (first used by the block at line 5)"),
+])
+def test_an_error_after_scanned_blocks_names_its_line(tail, message, monkeypatch, tmp_path):
+    text = SCANNED + tail
+    stretches = list(corpus._stretches([text], corpus._written_pattern(0, 1).match))
+    assert not isinstance(stretches[0], str) and not isinstance(stretches[1], str)  # both blocks scanned
+    path = tmp_path / "e.conll"
+    path.write_text(text, encoding="utf-8")
+    for parse in (lambda: parse_dataset(text), lambda: load_dataset(path)):
+        with pytest.raises(ParseError) as exc:
+            parse()
+        assert str(exc.value).removeprefix(f"{path}: ") == message
+    read_line_by_line(monkeypatch)
+    with pytest.raises(ParseError) as exc:
+        parse_dataset(text)
+    assert str(exc.value) == message
 
 
 def test_duplicate_id_names_the_lines_of_both_blocks(tmp_path):
@@ -1177,6 +1285,32 @@ def test_a_load_peaks_at_most_0_3_mb_above_what_it_keeps(tmp_path):
         tracemalloc.stop()
     assert len(dataset) == 3500
     assert peak - retained <= 0.3e6, peak - retained
+
+
+def test_a_stream_peaks_no_higher_for_a_longer_file(tmp_path):
+    def peak(size):
+        """The tracemalloc peak of streaming ``size`` utterances, no two
+        sharing a token, through a consumer that keeps nothing."""
+        path = tmp_path / f"{size}.conll"
+        path.write_text("".join(
+            f"# id: {i}\n# intent: x\n" + "".join(f"w{i}t{j}\tO\n" for j in range(12)) + "\n"
+            for i in range(size)
+        ), encoding="utf-8")
+        stream = DatasetStream(path)
+        for _ in stream:  # warm the pattern cache first
+            pass
+        tracemalloc.start()
+        try:
+            for _ in stream:
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1000), peak(2000)
+    # Only the ids kept for the duplicate check grow, by about 60 bytes an
+    # utterance; a table of the tokens read would add about 1 MB.
+    assert large - small < 100_000, (small, large)
 
 
 def test_no_load_reads_a_whole_file(tmp_path, monkeypatch):
