@@ -6,7 +6,9 @@ data error is an OSError or a ValueError: every sidkit error class derives
 from ValueError, so ``main`` needs no table of them; an OSError naming a
 file is printed as ``<path>: <strerror>``, as a ValueError names its file.
 Stochastic commands (noise, split) echo their seed to stderr.
-All file I/O is UTF-8; ``_write_report`` writes every report as JSON or TSV.
+All file I/O is UTF-8; ``_write_report`` writes every report, the pipeline
+manifest included, as JSON or TSV, and encodes it the same way for stdout
+and ``--out``.
 An output flag that names the same file as an input or another output, or
 that ``files.replace_file`` could not create, is a data error raised before
 anything is read or written; a failed write names the output. An empty
@@ -163,10 +165,14 @@ class CommandParser(argparse.ArgumentParser):
 
 
 def _write_report(report: dict | list[tuple[str, ...]], out: str | None) -> None:
-    """The only code that turns a report into bytes, for ``out`` or for stdout when None: a dict
-    as 2-space-indented JSON, non-ASCII as is; rows as tab-separated cells, one line each. The
-    text is written a few thousand pieces at a time as it is made, so it is never held whole.
+    """The only code that turns a report into bytes, the pipeline manifest included, for ``out``
+    or for stdout when None: a dict as 2-space-indented JSON, non-ASCII as is; rows as
+    tab-separated cells, one line each. The text is made and encoded a few thousand pieces at a
+    time, so it is never held whole.
 
+    Each piece is encoded once, as UTF-8 with ``errors="backslashreplace"``, so stdout and ``out``
+    get the same bytes whatever the locale, and a lone surrogate (what Python makes of a file name
+    that is not UTF-8) is written as the JSON escape ``\\udcXX``, which reads back as that name.
     A cell that holds a tab (an intent or a variety may) raises ValueError before anything is
     written; no cell holds a line break, since comment values and slot tags refuse them.
     """
@@ -178,13 +184,15 @@ def _write_report(report: dict | list[tuple[str, ...]], out: str | None) -> None
             raise ValueError(f"TSV cell {tabbed!r} holds a tab; write this report with --report json")
         pieces = ("\t".join(row) + "\n" for row in report)
     texts = iter(lambda: "".join(itertools.islice(pieces, 4096)), "")
+    encoded = (text.encode("utf-8", "backslashreplace") for text in texts)
     if out is None:
-        sys.stdout.writelines(texts)
+        sys.stdout.flush()  # what was printed before stays before the report
+        sys.stdout.buffer.writelines(encoded)
         return
     from .files import replace_file
 
     with replace_file(out) as fh:
-        fh.writelines(text.encode("utf-8") for text in texts)
+        fh.writelines(encoded)
 
 
 def _layers(spec: str) -> list[int]:

@@ -35,12 +35,13 @@ as ``/dev/stdout``), and per run the sidkit version and the corpus and
 container format versions that ``sidkit --version`` prints; it contains no
 timestamps, so re-running an identical pipeline reproduces the manifest
 byte for byte. A failing step aborts the run and the
-manifest records the partial state. The manifest, like every step output,
-is written through ``files.replace_file``: it replaces the old manifest only
-once it is written whole. It is opened before the first step runs, so a
+manifest records the partial state. Its placement is checked before the
+first step runs, by the writer's own rule (``files.output_target``), so a
 manifest path that cannot be written (in a missing directory, or naming a
-directory) fails the run before any step writes an output, and it is
-written once, at the end.
+directory) fails the run before any step writes an output. Nothing is held
+open while the steps run: the manifest is written once, at the end, through
+``cli._write_report``, the report writer, which replaces the old manifest
+only once it is written whole.
 
 The run holds a ``corpus.DatasetStore`` and gives it, before each step, the
 step's input digests that the manifest records (``DatasetStore.digests``):
@@ -57,13 +58,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
 from pathlib import Path
 from typing import Container
 
 from . import __version__
 from .corpus import DatasetStore
-from .files import named_descriptor, new_sha256, read_text, replace_file, sha256_file
+from .files import named_descriptor, new_sha256, output_target, read_text, sha256_file
 
 
 class PipelineError(ValueError):
@@ -142,15 +142,15 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
     config_digest = new_sha256()
     steps = read_text(config_path, _config_steps, config_digest)
 
-    manifest: dict = {
+    manifest: dict = {  # every dict of the manifest has its keys in sorted order
         "config": str(config_path),
         "config_digest": config_digest.hexdigest(),
-        "steps": [],
         "status": "ok",
+        "steps": [],
         "versions": {  # what ``sidkit --version`` prints
-            "sidkit": __version__,
-            "corpus_format": cli.CORPUS_FORMAT_VERSION,
             "container_format": cli.CONTAINER_FORMAT_VERSION,
+            "corpus_format": cli.CORPUS_FORMAT_VERSION,
+            "sidkit": __version__,
         },
     }
 
@@ -167,27 +167,26 @@ def run_pipeline(config_path: str | Path, manifest_path: str | Path | None = Non
             raise PipelineError(f"step {i}: {exc}") from None
         checked.append((argv, parsed))
 
+    output_target(manifest_path)  # a manifest that could not be written fails the run here
     status = 0
-    with replace_file(manifest_path) as manifest_file, DatasetStore() as store:
+    with DatasetStore() as store:
         for i, (step, (argv, parsed)) in enumerate(zip(steps, checked)):
             inputs = _digest_role(parsed, cli.InputPath)
             store.digests = {os.path.abspath(p): digest for p, digest in inputs.items()}
             code = cli.main(argv, parsed)
             store.keep(p for _, later in checked[i + 1 :] for p in _paths(later, cli.InputPath))
-            record = {
-                "name": step.get("name", f"step{i}"),
-                "command": step["command"],
+            manifest["steps"].append({
                 "argv": argv,
-                "seed": getattr(parsed, "seed", None),
+                "command": step["command"],
                 "inputs": inputs,
+                "name": step.get("name", f"step{i}"),
                 "outputs": _digest_role(parsed, cli.OutputPath),
+                "seed": getattr(parsed, "seed", None),
                 "status": "ok" if code == 0 else f"failed ({code})",
-            }
-            manifest["steps"].append(record)
+            })
             if code != 0:
                 manifest["status"] = "failed"
                 status = 1
                 break
-        sys.stdout.flush()  # what the steps printed stays before a manifest written to stdout
-        manifest_file.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    cli._write_report(manifest, str(manifest_path))
     return status

@@ -1083,6 +1083,44 @@ def test_a_tsv_cell_may_not_hold_a_tab(case, report_inputs, capsys):
         _assert_rows_as_wide_as_their_header(out.read_text(encoding="utf-8"))
 
 
+# Each command whose report names an input file: its flags, the flag that writes the report
+# to a file, and the names the report gives back. The corpora's names are not UTF-8: G and P
+# are what Python makes of b"g\xff.conll" and b"p\xfe.conll".
+G, P = "g\udcff.conll", "p\udcfe.conll"
+NON_UTF8_NAMES = {
+    "parse-check": (["--in", G], "--out", lambda report: [report["file"]]),
+    "stats": (["--in", G], "--out", lambda report: [report["name"] + ".conll"]),
+    "subword-ratio": (
+        ["--vocab", "vocab", "--in", G, "--compare", P, "--format", "conll"], "--out",
+        lambda report: [report["file"], report["compare_file"]],
+    ),
+    "pipeline": (["--config", "p.json"], "--manifest", lambda manifest: [*manifest["steps"][0]["inputs"]]),
+}
+
+
+@pytest.mark.parametrize("command", list(NON_UTF8_NAMES))
+def test_a_report_gives_back_a_file_name_that_is_not_utf8(command, tmp_path):
+    assert set(NON_UTF8_NAMES) <= set(build_parser().commands)
+    for name in (G, P):
+        (tmp_path / name).write_text(REPORT_CORPUS, encoding="utf-8")
+    (tmp_path / "vocab").write_text("[UNK]\nvekk\nmæ\nkor\n##t\n", encoding="utf-8")
+    steps = [{"command": "stats", "args": {"in": G, "out": "s.json"}}]
+    (tmp_path / "p.json").write_text(json.dumps({"steps": steps}), encoding="utf-8")
+    flags, out_flag, names = NON_UTF8_NAMES[command]
+    # an ASCII stdout: the report's bytes do not depend on the locale
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PYTHONIOENCODING": "ascii"}
+
+    def run(*out):
+        return subprocess.run([sys.executable, "-m", "sidkit.cli", command, *flags, *out],
+                              cwd=tmp_path, env=env, capture_output=True, timeout=120)
+
+    to_stdout = run(*(["--manifest", "/dev/stdout"] if command == "pipeline" else []))
+    to_file = run(out_flag, "report.json")
+    assert (to_stdout.returncode, to_file.returncode) == (0, 0), to_stdout.stderr + to_file.stderr
+    assert to_stdout.stdout == (tmp_path / "report.json").read_bytes()
+    report = json.loads(to_stdout.stdout.decode("utf-8"))  # strict: every byte is UTF-8
+    assert names(report) == ([G, P] if command == "subword-ratio" else [G])
+
 def test_surgery_with_scheme_file(tmp_path, capsys):
     scheme_path = tmp_path / "scheme.json"
     scheme_path.write_text(

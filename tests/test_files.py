@@ -188,7 +188,7 @@ def test_a_failed_checkpoint_read_names_the_checkpoint_not_the_output(tmp_path, 
 @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs /proc/self/mem")
 @pytest.mark.parametrize("argv", [
     ["normalize", "--in", "/proc/self/mem", "--out", "o.txt"],
-    ["pipeline", "--config", "p.json", "--manifest", "m.json"],  # read while the manifest is open
+    ["pipeline", "--config", "p.json", "--manifest", "m.json"],  # the digest of a step's input
     ["surgery", "mav", "--a", "/proc/self/mem", "--b", "/proc/self/mem"],  # a checkpoint header read
     ["surgery", "revert", "--a", "/proc/self/mem", "--b", "/proc/self/mem", "--layers", "0", "--out", "o.st"],
 ], ids=["normalize", "pipeline-digest", "surgery-mav", "surgery-revert"])
@@ -372,6 +372,32 @@ def test_only_the_writer_module_decides_where_an_output_goes():
     outside, in_files = _outside_files_py(_placement_checks)
     assert outside == {}
     assert in_files  # the guard sees the one rule
+
+
+def _json_encoders(tree, scope):
+    """The scope (``module.Class.function``) of each call in ``tree`` to ``json.dumps``,
+    ``json.dump`` or ``json.JSONEncoder``, and of each ``from json import``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _json_encoders(node, f"{scope}.{node.name}")
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "json" or (
+            isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.dumps", "json.dump", "json.JSONEncoder")
+        ):
+            yield scope
+        yield from _json_encoders(node, scope)
+
+
+def test_only_the_report_writer_encodes_json():
+    # one encoder for every report, the pipeline manifest included; a trace line and a
+    # checkpoint header are not reports
+    found = {
+        scope
+        for path in (SRC / "sidkit").glob("*.py")
+        for scope in _json_encoders(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert "cli._write_report" in found  # the guard sees the one encoder
+    assert found == {"cli._write_report", "normalize.RuleTrace.to_json", "surgery.write_checkpoint"}
 
 
 def test_only_the_reader_module_reads_files():

@@ -1,7 +1,9 @@
+import errno
 import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -67,7 +69,9 @@ def test_two_step_pipeline_chains_digests(tmp_path, monkeypatch):
     )
     manifest_path = tmp_path / "manifest.json"
     assert run_pipeline(config, manifest_path) == 0
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    text = manifest_path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"  # the keys of every dict sorted
+    manifest = json.loads(text)
     step1, step2 = manifest["steps"]
     assert step1["outputs"]["clean.txt"] == step2["inputs"]["clean.txt"]
     assert step2["seed"] == 5
@@ -382,6 +386,43 @@ def test_an_unwritable_manifest_exits_1_before_any_step_runs(manifest, message, 
     assert main(["pipeline", "--config", "pipe.json", "--manifest", manifest]) == 1
     assert capsys.readouterr().err == message
     assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("manifest", ["nodir/m.json", None], ids=["in-a-missing-directory", "default-a-directory"])
+def test_run_pipeline_checks_where_the_manifest_goes_before_step_0(manifest, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.txt").write_text("soL\n", encoding="utf-8")
+    config = write_config(tmp_path, [{"command": "normalize", "args": {"in": "raw.txt", "out": "clean.txt"}}])
+    (tmp_path / "pipe.json.manifest.json").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(OSError) as exc:
+        run_pipeline(config, manifest)
+    assert exc.value.filename == (manifest or f"{config}.manifest.json")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_pipeline_killed_during_a_step_leaves_no_manifest_temp_file(tmp_path):
+    fifo = tmp_path / "raw.txt"
+    os.mkfifo(fifo)
+    write_config(tmp_path, [{"command": "normalize", "args": {"in": "raw.txt", "out": "clean.txt"}}])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sidkit.cli", "pipeline", "--config", "pipe.json", "--manifest", "m.json"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 30  # a step that never opens the FIFO must not hang the suite
+        while True:  # a writer can open the FIFO once step 0 has opened it to read: the step blocks there
+            try:
+                writer = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                break
+            except OSError as exc:
+                assert exc.errno == errno.ENXIO and proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    os.close(writer)
+    assert sorted(os.listdir(tmp_path)) == ["pipe.json", "raw.txt"]
 
 
 def test_second_invalid_step_leaves_first_output_unwritten(tmp_path, monkeypatch):
